@@ -12,8 +12,9 @@ PY := PYTHONPATH=src python
 install:
 	pip install -e . || python setup.py develop
 
-# tests/runner/ exercises the worker pool (a --jobs 2 smoke-scale run
-# byte-compared against --jobs 1) on every invocation.
+# tests/runner/ exercises the work-queue engine (a --jobs 2 smoke-scale
+# run of forked workers byte-compared against --jobs 1) on every
+# invocation.
 test:
 	pytest tests/
 
@@ -67,10 +68,11 @@ scenario-smoke:
 	$(PY) -m repro.obs validate scenario-run/obs/scenarios
 	test -n "$$(ls scenario-run/obs/scenarios/lifecycle/*.jsonl)"
 
-# Local mirror of the CI store-chaos job: a fig3 queue-worker run
+# Local mirror of the CI store-chaos job: a fig3 run by 2 forked workers
 # under injected store faults (lock contention, claim latency) plus a
 # cell slower than its lease must print exactly the bytes a fault-free
-# --jobs 1 run prints; the heartbeat keeps steals at zero.
+# --jobs 1 run prints; the heartbeat keeps steals at zero.  Then a
+# worker killed mid-cell must cost nothing but a rerun of that cell.
 chaos-smoke:
 	rm -rf chaos-run && mkdir -p chaos-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
@@ -78,9 +80,13 @@ chaos-smoke:
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]}' \
 	REPRO_STORE_FAULTS='{"faults": [{"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
-		--queue-workers 2 --queue-lease 0.5 > chaos-run/chaos.out
+		--jobs 2 --queue-lease 0.5 > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
 	$(PY) -m repro.store status --store sqlite:chaos-run/results.db
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]}' \
+	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/kill.db \
+		--jobs 2 --retries 1 > chaos-run/kill.out
+	cmp chaos-run/baseline.out chaos-run/kill.out
 
 # Local mirror of the CI tracing job: a fig3 sweep drained by 2 queue
 # workers with --trace must print exactly the bytes a sequential
@@ -93,7 +99,7 @@ trace-smoke:
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
 		--cache-dir trace-run/baseline > trace-run/baseline.out
 	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/results.db --queue-workers 2 \
+		--store sqlite:trace-run/results.db --jobs 2 \
 		--trace --telemetry=trace-run/obs > trace-run/fleet.out
 	cmp trace-run/baseline.out trace-run/fleet.out
 	$(PY) -m repro.obs validate trace-run/obs/fig3
@@ -102,7 +108,7 @@ trace-smoke:
 	$(PY) -m repro.obs trace --canonical trace-run/obs/fig3 \
 		> trace-run/canon-2w.txt
 	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/solo.db --queue-workers 1 \
+		--store sqlite:trace-run/solo.db --jobs 1 \
 		--trace --telemetry=trace-run/obs-solo > trace-run/solo.out
 	cmp trace-run/baseline.out trace-run/solo.out
 	$(PY) -m repro.obs trace --canonical trace-run/obs-solo/fig3 \

@@ -94,7 +94,7 @@ from .errors import (
     TraceError,
     WorkerError,
 )
-from .runner import Cell, FailedCell, ResultCache, RunConfig, run_cells
+from .runner import Cell, FailedCell, RunConfig, run_cells
 from .store import ExperimentStore, LocalFileStore, SQLiteStore, open_store
 from .sim import (
     TABLE_II,
@@ -120,7 +120,7 @@ __all__ = [
     # stable facade
     "build_array", "build_cache", "run_experiment",
     # experiment runner
-    "Cell", "FailedCell", "ResultCache", "RunConfig", "run_cells",
+    "Cell", "FailedCell", "RunConfig", "run_cells",
     # experiment store
     "ExperimentStore", "LocalFileStore", "SQLiteStore", "open_store",
     # errors

@@ -170,8 +170,7 @@ def run_experiment(name: str, *, scale: str = "scaled",
                    run_config: Optional["RunConfig"] = None,
                    telemetry: Union[str, "os.PathLike[str]", None] = None,
                    telemetry_interval: int = 1024,
-                   telemetry_profile: bool = False,
-                   **legacy: Any) -> Any:
+                   telemetry_profile: bool = False) -> Any:
     """Run a registered experiment end to end and return its result.
 
     One-call front door to the experiment registry and the
@@ -183,18 +182,13 @@ def run_experiment(name: str, *, scale: str = "scaled",
     - ``config`` overrides the config object; otherwise it is built
       from ``scale`` (``smoke``/``scaled``/``paper``).
     - ``run_config`` is a :class:`~repro.runner.RunConfig` saying how
-      to execute the sweep: parallelism (``jobs`` /
-      ``queue_workers``), the experiment store (``local:PATH`` /
-      ``sqlite:PATH`` URL, bare path, instance, or ``None`` for no
-      memoization), and the resilience knobs (``retries``,
-      ``cell_timeout``, ``keep_going``).  Under ``keep_going`` a sweep
-      with permanently failed cells raises
+      to execute the sweep: workers (``jobs``), the experiment store
+      (``local:PATH`` / ``sqlite:PATH`` URL, bare path, instance, or
+      ``None`` for no memoization), and the resilience knobs
+      (``retries``, ``cell_timeout``, ``keep_going``).  Under
+      ``keep_going`` a sweep with permanently failed cells raises
       :class:`~repro.errors.SweepError` carrying the
       :class:`~repro.runner.FailedCell` sentinels and partial results.
-    - The historical keyword style (``jobs=4, store=..., retries=2``)
-      still works behind a deprecation shim emitting a single
-      :class:`DeprecationWarning`; the removed ``cache=`` alias of
-      ``store`` is an error.
     - ``telemetry`` names a directory: the run records metrics, per-cell
       spans, per-partition time series (one sample every
       ``telemetry_interval`` accesses) and, with
@@ -207,8 +201,7 @@ def run_experiment(name: str, *, scale: str = "scaled",
     # experiment modules register themselves on first import — pulling
     # them in here keeps `import repro` light and cycle-free.
     from .experiments import registry as _registry
-    from .runner import Progress
-    from .runner.config import coerce_run_config
+    from .runner import Progress, RunConfig
 
     try:
         spec = _registry.get_experiment(name)
@@ -216,7 +209,7 @@ def run_experiment(name: str, *, scale: str = "scaled",
         raise ConfigurationError(
             f"unknown experiment {name!r}; registered: "
             f"{_registry.experiment_names()}") from None
-    rc = coerce_run_config(run_config, legacy, where="repro.run_experiment")
+    rc = run_config if run_config is not None else RunConfig()
     if config is None:
         config = spec.config(scale)
     if rc.progress is None:

@@ -18,7 +18,7 @@ Path scoping: a rule may declare ``include`` fragments (only library
 files matching one of them are checked — e.g. COR001 only watches
 ``repro/core/`` and ``repro/analysis/``) and ``allow`` fragments
 (sanctioned files skipped entirely — e.g. the worker-reseed site in
-``repro/runner/pool.py`` for DET001).  ``include`` scoping only applies
+``repro/runner/worker.py`` for DET001).  ``include`` scoping only applies
 to files that live inside a ``repro`` package directory; standalone
 snippets (fixtures, examples) are always checked, which keeps the rule
 testable outside the tree.

@@ -17,10 +17,10 @@ reproduction's *cross-module* contracts:
   fields.  This is the dataflow generalization of the syntactic
   DET001/DET002 rules: it catches a ``time.time()`` two modules away
   from the hash it poisons.
-* **API001/API002** — drift detection.  ``RunConfig`` fields, the CLI's
-  ``argparse`` flags, and the ``coerce_run_config`` legacy-alias shim
-  must agree; every registered store backend must be importable from
-  ``repro.store`` and covered by the conformance suite.
+* **API001/API002** — drift detection.  ``RunConfig`` fields and the
+  CLI's ``argparse`` flags must agree; every registered store backend
+  must be importable from ``repro.store`` and covered by the
+  conformance suite.
 """
 
 from __future__ import annotations
@@ -314,19 +314,16 @@ class WallTaintRule(ProjectRule):
 
 @register_rule
 class ApiDriftRule(ProjectRule):
-    """API001: RunConfig fields, CLI flags and the legacy shim agree.
+    """API001: RunConfig fields and CLI flags agree.
 
     Every ``RunConfig`` field must be settable from the CLI (an
     ``argparse`` flag whose dest matches the field name) unless the
-    field line carries ``# reprolint: cli-exempt``; every legacy-alias
-    key in ``_LEGACY_ALIASES`` must name a *retired* kwarg mapping onto
-    a *current* field.  Drift here is how "works in the API, silently
-    ignored on the CLI" bugs are born.
+    field line carries ``# reprolint: cli-exempt``.  Drift here is how
+    "works in the API, silently ignored on the CLI" bugs are born.
     """
 
     rule_id = "API001"
-    summary = ("RunConfig fields, argparse flags, and coerce_run_config "
-               "legacy aliases out of sync")
+    summary = "RunConfig fields and argparse flags out of sync"
     example_bad = (
         "@dataclass(frozen=True)\n"
         "class RunConfig:\n"
@@ -336,7 +333,6 @@ class ApiDriftRule(ProjectRule):
         "    # ...or add: parser.add_argument('--retries', type=int)\n")
 
     CONFIG_CLASS = "RunConfig"
-    ALIAS_CONST = "_LEGACY_ALIASES"
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         matches = index.find_class(self.CONFIG_CLASS)
@@ -359,22 +355,6 @@ class ApiDriftRule(ProjectRule):
                 f"{self.CONFIG_CLASS}.{name} has no matching CLI flag "
                 f"(expected an add_argument dest {name!r}); add the "
                 f"flag or annotate `# reprolint: cli-exempt`")
-        aliases = config_file.dict_consts.get(self.ALIAS_CONST)
-        if aliases is None:
-            return
-        line = aliases.get("line", 1)
-        for key, value in sorted(aliases.get("entries", {}).items()):
-            if key in fields:
-                yield self.finding_at(
-                    config_file.path, line, 1,
-                    f"legacy alias {key!r} shadows a live "
-                    f"{self.CONFIG_CLASS} field; remove the alias or "
-                    f"rename the field")
-            if not isinstance(value, str) or value not in fields:
-                yield self.finding_at(
-                    config_file.path, line, 1,
-                    f"legacy alias {key!r} maps to {value!r}, which is "
-                    f"not a {self.CONFIG_CLASS} field")
 
 
 @register_rule

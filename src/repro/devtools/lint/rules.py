@@ -42,13 +42,13 @@ class UnseededRandomRule(Rule):
     generators) makes a cell's output depend on interpreter state, so
     identical configs can cache different results and ``--jobs N``
     stdout can diverge from ``--jobs 1``.  The one sanctioned global
-    reseed lives in ``repro/runner/pool.py``.
+    reseed lives in ``repro/runner/worker.py``.
     """
 
     rule_id = "DET001"
     summary = ("unseeded RNG construction or module-level global RNG use "
                "(derive every generator from a config seed)")
-    allow = ("repro/runner/pool.py",)
+    allow = ("repro/runner/worker.py",)
 
     #: ``random`` module functions operating on the shared global RNG.
     GLOBAL_RANDOM: FrozenSet[str] = frozenset({
@@ -114,8 +114,7 @@ class WallClockRule(Rule):
     entries unsound.  Monotonic interval timing (``time.perf_counter``,
     ``time.monotonic``) is deliberately *not* flagged: the runner uses
     it for per-cell timings that stream to stderr, never into results,
-    and the resilience layer (``repro/runner/resilience.py``) uses it
-    for retry backoff and per-cell deadlines — scheduling decisions
+    and for retry backoff and worker shutdown — scheduling decisions
     that never reach results or cache keys.  Three sanctioned
     wall-clock sites remain: the CLI's progress/timing path in
     ``repro/experiments/__main__.py``; the work queue's claim leases

@@ -37,12 +37,12 @@ class SimulationError(ReproError, RuntimeError):
 
 
 class WorkerError(ReproError, RuntimeError):
-    """An experiment cell failed inside a runner worker process.
+    """An experiment cell failed inside a runner worker.
 
     Raised by :func:`repro.runner.run_cells` when cells raise non-library
-    exceptions or their worker processes die; a single failing library
-    error (:class:`ReproError` subclass) propagates unwrapped, and when
-    several cells fail the message lists *every* failed cell.
+    exceptions or their workers die; a single failing library error
+    (:class:`ReproError` subclass) propagates unwrapped, and otherwise
+    the message lists *every* failed cell.
     """
 
 
@@ -51,9 +51,8 @@ class CellTimeoutError(ReproError, RuntimeError):
 
     Raised (or recorded in a :class:`~repro.runner.FailedCell`) by
     :func:`repro.runner.run_cells` when ``cell_timeout`` is set and a
-    cell is still running past its deadline; the hung worker pool is
-    torn down and respawned, and the cell is retried if it has retry
-    budget left.
+    cell is still running past its deadline; the hung worker is killed
+    and replaced, and the cell is retried if it has retry budget left.
     """
 
 

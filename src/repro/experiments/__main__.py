@@ -11,26 +11,27 @@ Regenerate any of the paper's figures from the shell::
 ``scaled`` (default, minutes) or ``paper`` (the publication's exact
 parameters; hours in pure Python).
 
-Sweep cells fan out across a process pool (``--jobs N``, default
-``os.cpu_count()``) and every cell's result is memoized in a pluggable
-content-addressed experiment store — ``--store local:PATH`` (directory
-of pickles, the default at ``--cache-dir`` / ``$REPRO_CACHE_DIR`` /
-``~/.cache/repro-experiments``) or ``--store sqlite:PATH`` (one
-WAL-mode database file, safe for concurrent workers) — so interrupted
-or repeated runs resume instantly.  ``--no-cache`` disables the store,
-``--force`` recomputes and overwrites existing entries.
-``--queue-workers N`` executes the sweep through the store's work
-queue with ``N`` independent ``python -m repro.runner.worker``
-processes instead of the in-process pool; workers heartbeat their
-claim leases (``--queue-renew-interval``) so slow cells are never
-stolen from a live worker, and transient store errors retry with
-bounded backoff (``--store-retries``).  Figure tables go to stdout
-and are byte-identical for any ``--jobs``, ``--queue-workers``, or
-store backend; per-cell progress and timing stream to stderr.
+Sweep cells go through a work queue drained by ``--jobs N`` workers
+(default ``os.cpu_count()``; ``--jobs 1`` runs them in this process,
+``N`` forks ``N`` worker processes), and every cell's result is
+memoized in a pluggable content-addressed experiment store —
+``--store local:PATH`` (directory of pickles, the default at
+``--cache-dir`` / ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-experiments``)
+or ``--store sqlite:PATH`` (one WAL-mode database file) — so
+interrupted or repeated runs resume instantly.  ``--no-cache``
+disables the store, ``--force`` recomputes and overwrites existing
+entries.  Workers heartbeat their claim leases
+(``--queue-renew-interval``) so slow cells are never stolen from a
+live worker, and transient store errors retry with bounded backoff
+(``--store-retries``).  More workers can join a running sweep from
+any machine that reaches its store (``python -m repro.runner.worker``).
+Figure tables go to stdout and are byte-identical for any ``--jobs``
+or store backend; per-cell progress and timing stream to stderr.
 
 Fault tolerance: ``--retries N`` re-executes failing cells with capped
 deterministic backoff (retried cells are byte-identical to first-try
-runs), ``--cell-timeout SEC`` kills and retries hung cells, and
+runs), ``--cell-timeout SEC`` kills the worker of a hung cell and
+retries the cell, and
 ``--keep-going`` completes the sweep despite permanently failed cells,
 recording them in a JSON failure manifest in the store's
 ``failures/`` sidecar directory and exiting 1.  Rerunning
@@ -83,8 +84,9 @@ def main(argv=None) -> int:
                         choices=("smoke", "scaled", "paper"),
                         help="experiment scale (default: scaled)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweep cells "
-                             "(default: os.cpu_count())")
+                        help="workers draining the sweep's work queue: "
+                             "1 runs cells in this process, N forks N "
+                             "worker processes (default: os.cpu_count())")
     store_group = parser.add_mutually_exclusive_group()
     store_group.add_argument("--cache-dir", default=None, metavar="DIR",
                              help="result store directory, opened with the "
@@ -102,23 +104,18 @@ def main(argv=None) -> int:
                              "deterministic backoff (default: 0)")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SEC",
-                        help="per-cell wall-clock limit; a hung cell's "
-                             "worker is killed, the pool respawned, and "
-                             "the cell retried or failed")
-    parser.add_argument("--queue-workers", type=int, default=None,
-                        metavar="N",
-                        help="execute the sweep through the store's work "
-                             "queue with N independent worker processes "
-                             "(python -m repro.runner.worker) instead of "
-                             "the in-process pool; requires a store")
+                        help="per-cell wall-clock limit; the worker of a "
+                             "hung cell is killed and replaced, and the "
+                             "cell retried or failed (runs cells in a "
+                             "forked worker even at --jobs 1)")
     parser.add_argument("--queue-lease", type=float, default=60.0,
                         metavar="SEC",
-                        help="seconds a queue worker may hold a claimed "
-                             "cell before another worker may steal it "
-                             "(crash recovery; default: 60)")
+                        help="seconds a worker may hold a claimed cell "
+                             "without renewing before another worker may "
+                             "steal it (crash recovery; default: 60)")
     parser.add_argument("--queue-renew-interval", type=float, default=None,
                         metavar="SEC",
-                        help="lease-renewal heartbeat period while a queue "
+                        help="lease-renewal heartbeat period while a "
                              "worker runs a cell (default: lease/3; 0 "
                              "disables renewal so slow cells are stolen)")
     parser.add_argument("--store-retries", type=int, default=5, metavar="N",
@@ -182,7 +179,6 @@ def main(argv=None) -> int:
                 retries=args.retries, cell_timeout=args.cell_timeout,
                 keep_going=args.keep_going, progress=progress,
                 telemetry=telemetry, trace=args.trace,
-                queue_workers=args.queue_workers,
                 queue_name=name, queue_lease=args.queue_lease,
                 queue_renew_interval=args.queue_renew_interval,
                 store_retries=args.store_retries)

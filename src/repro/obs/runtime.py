@@ -1,10 +1,10 @@
 """Process-wide telemetry runtime: how worker processes find out.
 
-Experiment cells execute inside ``ProcessPoolExecutor`` workers and build
-their caches internally, so the runner cannot hand a recorder object
-across the process boundary.  Activation therefore travels through the
+Experiment cells execute inside queue workers — often other processes
+— and build their caches internally, so the runner cannot hand a
+recorder object to them.  Activation therefore travels through the
 environment: :class:`~repro.obs.session.TelemetrySession` sets
-``REPRO_TELEMETRY`` (the telemetry directory) before the pool is created,
+``REPRO_TELEMETRY`` (the telemetry directory) before any worker starts,
 workers inherit it, and the simulation drivers
 (:meth:`repro.sim.engine.MultiprogramSimulator.run`, the mixing drivers
 in :mod:`repro.trace.mixing`) wrap their access loop in

@@ -1,12 +1,13 @@
 """Structured runner spans: one record per executed experiment cell.
 
 :class:`RunTelemetry` is the object the runner notifies
-(:func:`repro.runner.run_cells` / :func:`repro.runner.resilience.run_pool`
-accept it as their optional ``telemetry`` argument).  It materializes a
-:class:`CellSpan` per cell covering the full scheduling lifecycle —
-queued, started, retried attempts with their error types, pool losses,
-cache hits, permanent failure or success — and mirrors the deterministic
-facts into a :class:`~repro.obs.metrics.MetricsRegistry`.
+(:func:`repro.runner.run_cells` takes it through
+:attr:`RunConfig.telemetry <repro.runner.RunConfig.telemetry>`).  It
+materializes a :class:`CellSpan` per cell covering the full scheduling
+lifecycle — queued, started, retried attempts with their error types,
+worker deaths, cache hits, permanent failure or success — and mirrors
+the deterministic facts into a
+:class:`~repro.obs.metrics.MetricsRegistry`.
 
 Determinism contract: every wall-clock-derived field of a span lives
 under its ``"wall"`` sub-object and nowhere else.  Stripping ``"wall"``
@@ -21,7 +22,6 @@ and figure outputs never see any of this.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
@@ -29,7 +29,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
 
 from ..errors import ConfigurationError
 from .metrics import MetricsRegistry
-from .trace import TRACE_ID_ENV, TraceWriter, span_id, trace_id_for, wall_now
+from .trace import TraceWriter, span_id, trace_id_for, wall_now
 
 if TYPE_CHECKING:  # avoid a runtime repro.runner <-> repro.obs cycle
     from ..runner.cells import Cell
@@ -118,17 +118,14 @@ class RunTelemetry:
         """Open one span per cell; all cells are queued at sweep start.
 
         With tracing enabled this also opens the sweep's trace: the
-        trace ID (a pure function of the cell keys) is computed here
-        and exported as ``$REPRO_TRACE_ID`` so pool and inline workers
-        — which see no queue payload — join the trace from the
-        inherited environment.
+        trace ID (a pure function of the cell keys) is computed here,
+        and :meth:`trace_context` hands it to each queue item.
         """
         self._t0 = time.monotonic()
         if self.trace_dir is not None:
             self.trace_id = trace_id_for(list(keys))
             self._trace_wall0 = wall_now()
             self._trace_lost = []
-            os.environ[TRACE_ID_ENV] = self.trace_id
         self.spans = [
             CellSpan(i, cell.label, cell.experiment, keys[i])
             for i, cell in enumerate(cells)]
@@ -162,7 +159,7 @@ class RunTelemetry:
             experiment=span.experiment)
 
     def started(self, index: int, attempt: int) -> None:
-        """Attempt ``attempt`` (1-based) was handed to a worker/inline."""
+        """Attempt ``attempt`` (1-based) was handed to a worker."""
         span = self._span(index)
         span.attempts = max(span.attempts, attempt)
         if span.started_s is None:
@@ -179,7 +176,7 @@ class RunTelemetry:
                 experiment=span.experiment, error=type(error).__name__)
 
     def lost(self, index: int) -> None:
-        """The worker pool broke while the cell was in flight."""
+        """The worker running the cell died."""
         span = self._span(index)
         span.losses += 1
         self.metrics.counter("runner.pool.losses", ("experiment",)).inc(
@@ -293,7 +290,6 @@ class RunTelemetry:
         """
         if self.trace_dir is None or not self.trace_id:
             return None
-        os.environ.pop(TRACE_ID_ENV, None)
         tid = self.trace_id
         wall0 = self._trace_wall0
 

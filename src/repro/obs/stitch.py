@@ -203,20 +203,18 @@ def _cell_terminals(tree: Dict[str, Any],
 def completeness(tree: Dict[str, Any]) -> List[str]:
     """Causal-invariant violations of a stitched tree ([] = complete).
 
-    Checks, in the worker-queue execution mode (cells with ``claim``
-    children):
+    Checks:
 
     * exactly one rooted ``sweep`` span;
     * every non-root span's parent resolves to a known span;
+    * every finished, uncached cell was claimed — unless the
+      coordinator ended it with a ``lost`` terminal before any worker
+      got to it;
     * claims ladder from attempt 1 with no gaps; every non-final
       claimed attempt has its ``nack``; the final attempt has exactly
       one terminal — ``ack`` (cell ok), ``nack`` or ``lost`` (cell
       failed) — and never more than one ``ack``;
     * every claim has its ``execute`` (the attempt actually ran).
-
-    Pool/inline cells (``execute`` children, no claims) only require an
-    execute for a non-cached cell — acks and nacks are queue-protocol
-    spans and do not exist in that mode.
     """
     problems: List[str] = []
     spans = tree["spans"]
@@ -244,10 +242,9 @@ def completeness(tree: Dict[str, Any]) -> List[str]:
                 problems.append(f"{label}: cached cell has child spans")
             continue
         if not claims:
-            # Pool/inline mode: the execute hangs off the cell directly.
-            executes = [k for k in kids if k["kind"] == "execute"]
-            if not executes and cell["status"] in ("ok", "failed"):
-                problems.append(f"{label}: no execute span recorded")
+            if cell["status"] in ("ok", "failed") and not any(
+                    k["kind"] == "lost" for k in kids):
+                problems.append(f"{label}: no claim span recorded")
             continue
         attempts = [c["attempt"] for c in claims]
         if attempts != list(range(1, len(attempts) + 1)):

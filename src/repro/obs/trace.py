@@ -1,10 +1,11 @@
 """Deterministic distributed tracing for sweep fleets.
 
 One sweep = one trace.  The coordinator opens a root ``sweep`` span and
-one ``cell`` span per cell; whichever process executes an attempt —
-queue worker, pool worker, or the coordinator itself inline — appends
-``claim`` / ``execute`` / ``ack`` / ``nack`` child spans to its own
-``traces/<worker>.jsonl`` file.  The stitcher
+one ``cell`` span per cell; whichever worker executes an attempt — the
+coordinator's own thread, a forked worker, or a worker joining from
+another machine — appends ``claim`` / ``execute`` / ``ack`` / ``nack``
+child spans to its own ``traces/<worker>.jsonl`` file, parented
+through the trace context each queue item carries.  The stitcher
 (:mod:`repro.obs.stitch`) rebuilds the tree from any mix of those
 files, so a fleet spread over machines still yields one causal story
 per cell.
@@ -55,7 +56,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "SPAN_KINDS",
     "TRACE_ENV",
-    "TRACE_ID_ENV",
     "Span",
     "TraceWriter",
     "Tracer",
@@ -74,12 +74,6 @@ __all__ = [
 #: :class:`~repro.obs.session.TelemetrySession` with tracing enabled.
 #: Unset = tracing off everywhere (the runner's zero-overhead guard).
 TRACE_ENV = "REPRO_TRACE"
-
-#: The active sweep's trace ID, exported by
-#: :meth:`RunTelemetry.begin <repro.obs.spans.RunTelemetry.begin>` so
-#: pool/inline workers (which receive no queue payload) can join the
-#: trace from the inherited environment.
-TRACE_ID_ENV = "REPRO_TRACE_ID"
 
 #: Every span kind, in causal order.  ``sweep`` and ``cell`` are
 #: coordinator-side; ``claim``/``execute``/``ack``/``nack`` are emitted
@@ -309,19 +303,16 @@ def trace_dir() -> Optional[Path]:
     return Path(raw) if raw else None
 
 
-def ambient_tracer(trace_id: Optional[str] = None) -> Optional[Tracer]:
-    """A tracer for this process, or ``None`` when tracing is off.
+def ambient_tracer(trace_id: str) -> Optional[Tracer]:
+    """A tracer for ``trace_id`` in this process, or ``None`` when
+    tracing is off (or there is no trace ID).
 
-    The trace ID comes from the caller (queue payloads carry it across
-    machines) or from ``$REPRO_TRACE_ID`` (pool/inline workers inherit
-    it); the output file is ``$REPRO_TRACE/<worker>.jsonl``.  Writers
-    are cached per path so one worker process appends to one file.
+    Queue items carry the trace ID across processes and machines; the
+    output file is ``$REPRO_TRACE/<worker>.jsonl``.  Writers are cached
+    per path so one worker process appends to one file.
     """
     directory = trace_dir()
-    if directory is None:
-        return None
-    tid = trace_id or os.environ.get(TRACE_ID_ENV, "")
-    if not tid:
+    if directory is None or not trace_id:
         return None
     path = directory / f"{_slug(worker_name())}.jsonl"
     key = str(path)
@@ -329,7 +320,7 @@ def ambient_tracer(trace_id: Optional[str] = None) -> Optional[Tracer]:
         writer = _writers.get(key)
         if writer is None:
             writer = _writers[key] = TraceWriter(path)
-    return Tracer(tid, writer)
+    return Tracer(trace_id, writer)
 
 
 def close_ambient_writers() -> None:
@@ -350,21 +341,17 @@ def close_ambient_writers() -> None:
 def execute_span(label: str, key: str, attempt: int,
                  ctx: Optional[Dict[str, Any]] = None) -> Iterator[
                      Optional[Span]]:
-    """Ambient ``execute`` span around one cell attempt (any mode).
+    """Ambient ``execute`` span around one cell attempt.
 
-    ``ctx`` is the trace context a queue item carries
-    (``{"trace": ..., "parent": ...}``); without one the trace ID comes
-    from the environment and the parent defaults to the cell span's
-    derived ID — so pool and inline attempts join the same tree as
-    queue attempts without any payload plumbing.
+    ``ctx`` is the trace context the queue item carries
+    (``{"trace": ..., "parent": ...}``, the parent being the attempt's
+    ``claim`` span); without one, no span is recorded.
     """
-    ctx = ctx or {}
-    tracer = ambient_tracer(ctx.get("trace"))
-    if tracer is None:
+    tracer = ambient_tracer(ctx["trace"]) if ctx else None
+    if tracer is None or ctx is None:
         yield None
         return
-    parent = ctx.get("parent") or span_id(tracer.trace_id, "cell", key)
     span = tracer.span("execute", label, key=key, attempt=attempt,
-                       parent=parent)
+                       parent=ctx["parent"])
     with span:
         yield span

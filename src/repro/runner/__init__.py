@@ -1,29 +1,28 @@
-"""Experiment-execution engine: parallel cells with content-addressed memoization.
+"""Experiment-execution engine: queued cells with content-addressed memoization.
 
-The runner decomposes an experiment into independent :class:`Cell`\\ s,
-executes them inline, across a ``multiprocessing`` worker pool, or
-through a store-backed work queue drained by independent worker
-processes (:func:`run_cells` with a :class:`RunConfig`), memoizes each
-cell's result in a pluggable :class:`~repro.store.ExperimentStore`
-keyed by a SHA-256 of its full configuration (checksummed and
-self-quarantining; see :mod:`repro.store`), and streams per-cell
-progress to stderr (:class:`Progress`).  Reduction is ordered, so
-parallel and distributed runs produce byte-identical output to
-sequential runs; see :mod:`repro.experiments.registry` for how
+The runner decomposes an experiment into independent :class:`Cell`\\ s
+and executes them through one engine (:func:`run_cells` with a
+:class:`RunConfig`): pending cells are published to a work queue and
+drained by workers — the calling thread, forked worker processes, or
+workers joining from other machines.  Each cell's result is memoized in
+a pluggable :class:`~repro.store.ExperimentStore` keyed by a SHA-256 of
+its full configuration (checksummed and self-quarantining; see
+:mod:`repro.store`), and per-cell progress streams to stderr
+(:class:`Progress`).  Reduction is ordered, so output is byte-identical
+at any worker count; see :mod:`repro.experiments.registry` for how
 experiments plug in.
 
 Execution is fault tolerant (:mod:`repro.runner.resilience`): failing
 cells retry with capped deterministic backoff, hung cells are killed by
-per-cell timeouts, dead workers respawn the pool and requeue only the
-lost cells, and ``keep_going`` sweeps complete with
-:class:`FailedCell` sentinels plus a JSON failure manifest instead of
-aborting.  A deterministic fault-injection harness
-(:mod:`repro.runner.faults`) makes all of it testable.
+per-cell timeouts, a dead worker's cell is stolen and rerun, and
+``keep_going`` sweeps complete with :class:`FailedCell` sentinels plus
+a JSON failure manifest instead of aborting.  A deterministic
+fault-injection harness (:mod:`repro.runner.faults`) makes all of it
+testable.
 """
 
 from .cache import (
     CacheCorruptionWarning,
-    ResultCache,
     canonical_encode,
     cell_key,
     code_version_salt,
@@ -50,7 +49,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFaultError",
     "Progress",
-    "ResultCache",
     "RetryPolicy",
     "RunConfig",
     "canonical_encode",

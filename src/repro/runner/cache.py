@@ -1,22 +1,18 @@
-"""Cell cache keys, plus the deprecated ``ResultCache`` alias.
+"""Content-addressed cell cache keys.
 
-The content-addressed *keying* of experiment cells lives here: a cell's
-key is the SHA-256 of a canonical JSON encoding of its full identity
-(experiment name, executing function, complete argument tuple including
-the config dataclass) plus a code-version salt
+A cell's key is the SHA-256 of a canonical JSON encoding of its full
+identity (experiment name, executing function, complete argument tuple
+including the config dataclass) plus a code-version salt
 (:func:`cell_key` / :func:`canonical_encode` / :func:`code_version_salt`).
 Identical configs therefore hit the same entry across runs *and across
 processes*, while any change to the config, the sweep coordinates, the
 library version or the entry format produces a fresh key.
 
-The *storage* behind those keys moved to the pluggable
-:mod:`repro.store` package: :class:`~repro.store.LocalFileStore` is the
-historical directory-of-pickles layout, :class:`~repro.store.SQLiteStore`
-a single-file alternative safe for concurrent workers, and
-:func:`~repro.store.open_store` resolves ``local:PATH`` /
-``sqlite:PATH`` URLs.  :class:`ResultCache` remains as a thin
-deprecated alias for :class:`~repro.store.LocalFileStore` so existing
-imports and pickles keep working.
+The storage behind those keys is the pluggable :mod:`repro.store`
+package: :class:`~repro.store.LocalFileStore` (a directory of pickles),
+:class:`~repro.store.SQLiteStore` (a single-file alternative), and
+:func:`~repro.store.open_store` to resolve ``local:PATH`` /
+``sqlite:PATH`` URLs.
 """
 
 from __future__ import annotations
@@ -25,29 +21,20 @@ import dataclasses
 import hashlib
 import json
 import os
-import warnings
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from ..errors import ConfigurationError
-from ..store import STORE_FORMAT_VERSION, STORE_MAGIC, CacheCorruptionWarning
-from ..store.local import LocalFileStore
+from ..store import STORE_FORMAT_VERSION, CacheCorruptionWarning
 from .cells import Cell
 
 __all__ = [
-    "CACHE_MAGIC",
     "CacheCorruptionWarning",
-    "ResultCache",
     "canonical_encode",
     "cell_key",
     "code_version_salt",
     "default_cache_dir",
 ]
-
-#: Deprecated aliases of the :mod:`repro.store` entry-format constants
-#: (the format itself is unchanged — stores read old caches verbatim).
-CACHE_FORMAT_VERSION = STORE_FORMAT_VERSION
-CACHE_MAGIC = STORE_MAGIC
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -73,7 +60,7 @@ def code_version_salt() -> str:
     """
     from .. import __version__  # lazy: avoids a cycle at package init
 
-    salt = f"repro-{__version__}/cache-{CACHE_FORMAT_VERSION}"
+    salt = f"repro-{__version__}/cache-{STORE_FORMAT_VERSION}"
     extra = os.environ.get(CACHE_SALT_ENV)
     return f"{salt}/{extra}" if extra else salt
 
@@ -117,20 +104,3 @@ def cell_key(cell: Cell, salt: Optional[str] = None) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class ResultCache(LocalFileStore):
-    """Deprecated alias for :class:`repro.store.LocalFileStore`.
-
-    Same directory layout, same checksummed entries, same quarantine
-    behavior — only the name is historical.  New code should use
-    :class:`~repro.store.LocalFileStore` directly or resolve a
-    ``local:PATH`` URL via :func:`repro.store.open_store`.
-    """
-
-    def __init__(self, root: Union[str, "os.PathLike[str]"]) -> None:
-        warnings.warn(
-            "ResultCache is deprecated; use repro.store.LocalFileStore "
-            "(or open_store('local:...'))",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(root)

@@ -4,8 +4,8 @@ A figure's sweep (schemes x arrays x partition counts x seeds) is
 embarrassingly parallel: every point is an independent simulation whose
 inputs are fully described by its config.  Each experiment decomposes
 into a list of cells; the runner (:mod:`repro.runner.pool`) executes them
-— sequentially or across a process pool — and hands the ordered results
-to the experiment's ``reduce`` function.
+through its work queue — in-process or in worker processes — and hands
+the ordered results to the experiment's ``reduce`` function.
 
 Cells must be deterministic and picklable:
 

@@ -1,6 +1,6 @@
 """Deterministic fault injection for exercising the resilience layer.
 
-None of the runner's fault tolerance (retries, timeouts, pool recovery,
+None of the runner's fault tolerance (retries, timeouts, worker deaths,
 cache quarantine — :mod:`repro.runner.resilience`) is testable without
 controlled failures, so this module injects them *deterministically*: a
 :class:`FaultPlan` names exact cells (by label) and exact attempt
@@ -11,7 +11,7 @@ chaos run's final stdout stays byte-identical to a fault-free run.
 The plan travels through the :data:`REPRO_FAULTS <FAULTS_ENV>`
 environment variable (inline JSON, or ``@/path/to/plan.json``), which
 worker processes inherit, so faults trigger identically whether a cell
-runs inline (``jobs=1``) or inside a pool worker.
+runs on the coordinator's thread (``jobs=1``) or in a worker process.
 
 Fault kinds:
 
@@ -23,8 +23,9 @@ Fault kinds:
     ``cell_timeout`` to exercise hung-cell recovery).
 ``kill``
     ``SIGKILL`` the executing process (a dead worker; with ``jobs > 1``
-    this breaks the pool and exercises respawn-and-requeue — with
-    ``jobs == 1`` it kills the parent, exactly as a real crash would).
+    the coordinator reaps it and the cell reruns as its next attempt —
+    with ``jobs == 1`` it kills the parent, exactly as a real crash
+    would).
 ``corrupt``
     Parent-side, before cache hits are resolved: overwrite the cell's
     *existing* result-cache entry with garbage bytes, exercising the
@@ -212,7 +213,7 @@ def active_plan() -> Optional[FaultPlan]:
 def inject(label: str, attempt: int) -> None:
     """Fire any execution-side faults aimed at ``label``/``attempt``.
 
-    Called by the runner in the executing process (worker or inline)
+    Called by the runner in the executing process (any queue worker)
     immediately before the cell body runs.  No-op without an active
     plan.
     """

@@ -4,14 +4,13 @@ Public surface:
 
 * :class:`ExperimentStore` — the abstract checksummed store interface
   (``get``/``put``/``contains``/``quarantine``/``purge``/``stats``).
-* :class:`LocalFileStore` (``local:PATH``) — directory of pickles, the
-  historical ``ResultCache`` layout.
+* :class:`LocalFileStore` (``local:PATH``) — directory of pickles.
 * :class:`SQLiteStore` (``sqlite:PATH``) — single WAL-mode database
   file, safe for concurrent worker processes.
 * :func:`open_store` / :func:`resolve_store` — URL/path/instance →
   store resolution against :data:`STORE_BACKENDS`.
-* :mod:`repro.store.queue` — claim/renew/ack/requeue work queue over a
-  store for multi-process sweeps (``python -m repro.runner.worker``).
+* :mod:`repro.store.queue` — the claim/renew/ack/requeue work queue
+  every sweep drains (:func:`repro.runner.run_cells`).
 * :mod:`repro.store.retry` — transient-vs-permanent error
   classification and :class:`RetryingStore` / :class:`RetryingQueue`
   bounded-backoff wrappers.
@@ -53,9 +52,9 @@ from .queue import ItemState, QueueItem, WorkQueue, WorkQueueProxy
 from .retry import (
     RetryingQueue,
     RetryingStore,
-    StoreRetryPolicy,
     call_with_retries,
     is_transient_store_error,
+    store_retry_policy,
 )
 from .sqlite import SQLiteStore
 
@@ -77,7 +76,6 @@ __all__ = [
     "StoreFault",
     "StoreFaultPlan",
     "StoreProxy",
-    "StoreRetryPolicy",
     "StoreSpec",
     "StoreStats",
     "WorkQueue",
@@ -91,4 +89,5 @@ __all__ = [
     "open_store",
     "register_backend",
     "resolve_store",
+    "store_retry_policy",
 ]

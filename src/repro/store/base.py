@@ -4,10 +4,9 @@ An :class:`ExperimentStore` persists experiment-cell results addressed
 by their content hash (:func:`repro.runner.cache.cell_key`).  The store
 is the durability layer of every sweep: cache hits short-circuit
 execution, fresh results are persisted as each cell completes, and an
-interrupted sweep resumes from whatever the store already holds —
-locally through the in-process pool, or distributed through the work
-queue (:mod:`repro.store.queue`) drained by independent worker
-processes.
+interrupted sweep resumes from whatever the store already holds.  Each
+store also hosts the work queue (:mod:`repro.store.queue`) its sweeps
+drain.
 
 Backends register under a URL-style scheme (``local:PATH``,
 ``sqlite:PATH``) in :data:`STORE_BACKENDS`; :func:`open_store` resolves

@@ -325,13 +325,15 @@ class FaultyQueue(WorkQueueProxy):
         self.injector.inject("renew")
         return self.inner.renew(item_id, worker, lease)
 
-    def ack(self, item_id: int, elapsed: float = 0.0) -> None:
+    def ack(self, item_id: int, elapsed: float = 0.0,
+            result: Optional[bytes] = None) -> None:
         self.injector.inject("ack")
-        self.inner.ack(item_id, elapsed)
+        self.inner.ack(item_id, elapsed, result)
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def nack(self, item_id: int, error_type: str, message: str,
+             error: bytes = b"") -> bool:
         self.injector.inject("nack")
-        return self.inner.nack(item_id, error_type, message)
+        return self.inner.nack(item_id, error_type, message, error)
 
     def snapshot(self) -> Dict[int, ItemState]:
         self.injector.inject("snapshot")

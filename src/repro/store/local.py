@@ -1,17 +1,16 @@
 """Directory-of-pickles store backend: the original on-disk layout.
 
-This is the historical :class:`repro.runner.cache.ResultCache` behavior
-extracted behind the :class:`~repro.store.base.ExperimentStore`
-interface.  Layout on disk (two-level fan-out keeps directories
-small)::
+Layout on disk (two-level fan-out keeps directories small)::
 
     <root>/<key[:2]>/<key>.pkl
 
 Entries are written atomically (temp file + rename), so a killed run
 never leaves a truncated entry behind; corrupt entries are quarantined
 in place as ``<entry>.pkl.corrupt``.  Sidecar artifacts (failure
-manifests, telemetry, the work queue) live in subdirectories of the
-root, exactly where they always have.
+manifests, telemetry) live in subdirectories of the root; the work
+queue lives in one SQLite database under the ``queue/`` sidecar
+directory (:data:`QUEUE_DB`), since queue claims need transactions a
+directory of files cannot give.
 """
 
 from __future__ import annotations
@@ -23,11 +22,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Union
 
 from .base import CacheCorruptionWarning, ExperimentStore, PurgeResult, register_backend
+from .sqlite import SQLiteStore
 
 if TYPE_CHECKING:
     from .queue import WorkQueue
 
-__all__ = ["LocalFileStore"]
+__all__ = ["LocalFileStore", "QUEUE_DB"]
+
+#: File name of the work-queue database inside ``aux_dir("queue")``.
+QUEUE_DB = "queue.sqlite"
 
 
 @register_backend
@@ -39,6 +42,7 @@ class LocalFileStore(ExperimentStore):
     def __init__(self, root: Union[str, "os.PathLike[str]"]) -> None:
         super().__init__()
         self.root = Path(root)
+        self._queue_db: Optional[SQLiteStore] = None
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -118,13 +122,21 @@ class LocalFileStore(ExperimentStore):
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def make_queue(self, name: str) -> "WorkQueue":
-        from .queue import LocalWorkQueue
+    def _queue_store(self) -> SQLiteStore:
+        if self._queue_db is None:
+            self._queue_db = SQLiteStore(self.aux_dir("queue") / QUEUE_DB)
+        return self._queue_db
 
-        return LocalWorkQueue(self.aux_dir("queue") / name)
+    def make_queue(self, name: str) -> "WorkQueue":
+        from .queue import SQLiteWorkQueue
+
+        return SQLiteWorkQueue(self._queue_store(), name)
 
     def queues(self) -> List[str]:
-        root = self.root / "queue"
-        if not root.is_dir():
+        if not (self.root / "queue" / QUEUE_DB).is_file():
             return []
-        return sorted(p.name for p in root.iterdir() if p.is_dir())
+        return self._queue_store().queues()
+
+    def close(self) -> None:
+        if self._queue_db is not None:
+            self._queue_db.close()

@@ -1,23 +1,24 @@
 """Transient-vs-permanent store-error classification and bounded retries.
 
-A distributed sweep talks to its store from many processes over a disk
-(or a database file) that is allowed to be momentarily unhappy: SQLite
-signals contention with ``OperationalError: database is locked``, NFS
-and overloaded disks surface ``EAGAIN`` / ``EBUSY`` / ``EIO``.  Those
-are *transient* — the correct response is a bounded, deterministic
-retry with capped exponential backoff, after which throughput degrades
-but the sweep still completes.  A malformed database image, a missing
-table, or ``ENOSPC`` is *permanent* — retrying cannot help, and the
-worker should exit distinctly so the coordinator stops respawning into
-a broken store (see :data:`repro.runner.worker.EXIT_STORE_PERMANENT`).
+A sweep talks to its store and queue from several processes over a
+disk (or a database file) that is allowed to be momentarily unhappy:
+SQLite signals contention with ``OperationalError: database is
+locked``, NFS and overloaded disks surface ``EAGAIN`` / ``EBUSY`` /
+``EIO``.  Those are *transient* — the correct response is a bounded,
+deterministic retry with capped exponential backoff, after which
+throughput degrades but the sweep still completes.  A malformed
+database image, a missing table, or ``ENOSPC`` is *permanent* —
+retrying cannot help, and the worker should exit distinctly so the
+coordinator stops respawning into a broken store (see
+:data:`repro.runner.worker.EXIT_STORE_PERMANENT`).
 
 :func:`is_transient_store_error` draws that line;
-:class:`StoreRetryPolicy` carries the budget (same ``delay(n) =
-min(cap, base * 2**(n-1))`` shape as
-:class:`repro.runner.resilience.RetryPolicy`); :class:`RetryingStore` /
-:class:`RetryingQueue` wrap any store/queue so every operation gets the
-treatment uniformly.  Backoff sleeps schedule work and never feed
-results or cache keys, exactly like the runner's retry backoff.
+:func:`store_retry_policy` builds the budget, a
+:class:`repro.runner.RetryPolicy` with store-sized backoff;
+:class:`RetryingStore` / :class:`RetryingQueue` wrap any store/queue so
+every operation gets the treatment uniformly.  Backoff sleeps schedule
+work and never feed results or cache keys, exactly like the runner's
+retry backoff.
 """
 
 from __future__ import annotations
@@ -25,20 +26,22 @@ from __future__ import annotations
 import errno
 import sqlite3
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
-from ..errors import ConfigurationError
 from .base import ExperimentStore, StoreProxy
 from .queue import ItemState, QueueItem, WorkQueue, WorkQueueProxy
 
+if TYPE_CHECKING:  # repro.runner imports this package at its own init
+    from ..runner.resilience import RetryPolicy
+
 __all__ = [
     "TRANSIENT_ERRNOS",
-    "StoreRetryPolicy",
     "RetryingQueue",
     "RetryingStore",
     "call_with_retries",
     "is_transient_store_error",
+    "store_retry_policy",
 ]
 
 #: ``OSError`` errnos that signal momentary pressure, not broken state.
@@ -79,34 +82,16 @@ def is_transient_store_error(exc: BaseException) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class StoreRetryPolicy:
-    """Bounded deterministic retry budget for store/queue operations.
+def store_retry_policy(retries: int = 5) -> "RetryPolicy":
+    """The retry budget for store/queue operations.
 
-    ``delay(n)`` mirrors :meth:`repro.runner.resilience.RetryPolicy.delay`
-    — capped exponential, no jitter, so a fault plan plus a budget
-    either always recovers or always fails.  The defaults are much
-    tighter than cell-retry backoff: store operations are milliseconds,
-    not cell executions.
+    ``retries`` extra attempts with 10 ms backoff doubling to a 250 ms
+    cap — much tighter than cell-retry backoff, since store operations
+    take milliseconds, not cell executions.
     """
+    from ..runner.resilience import RetryPolicy
 
-    retries: int = 5
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError(
-                f"store retries must be >= 0, got {self.retries}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigurationError(
-                f"store backoff must be non-negative, got "
-                f"base={self.backoff_base} cap={self.backoff_cap}")
-
-    def delay(self, failures: int) -> float:
-        """Backoff before retry number ``failures`` (1-based)."""
-        return min(self.backoff_cap,
-                   self.backoff_base * (2 ** max(failures - 1, 0)))
+    return RetryPolicy(retries=retries, backoff_base=0.01, backoff_cap=0.25)
 
 
 _T = TypeVar("_T")
@@ -117,7 +102,7 @@ RetryObserver = Callable[[str, BaseException, int], None]
 
 
 def call_with_retries(fn: Callable[[], _T], *,
-                      policy: StoreRetryPolicy,
+                      policy: "RetryPolicy",
                       operation: str = "store operation",
                       on_retry: Optional[RetryObserver] = None) -> _T:
     """Run ``fn`` retrying transient store errors within the budget.
@@ -143,7 +128,7 @@ class RetryingQueue(WorkQueueProxy):
     """A :class:`~repro.store.queue.WorkQueue` with transient-error
     retries on every protocol operation."""
 
-    def __init__(self, inner: WorkQueue, policy: StoreRetryPolicy,
+    def __init__(self, inner: WorkQueue, policy: "RetryPolicy",
                  on_retry: Optional[RetryObserver] = None) -> None:
         super().__init__(inner)
         self.policy = policy
@@ -166,13 +151,27 @@ class RetryingQueue(WorkQueueProxy):
         return self._retry("queue.renew",
                            lambda: self.inner.renew(item_id, worker, lease))
 
-    def ack(self, item_id: int, elapsed: float = 0.0) -> None:
-        self._retry("queue.ack", lambda: self.inner.ack(item_id, elapsed))
+    def expire(self, worker: str) -> List[int]:
+        return self._retry("queue.expire", lambda: self.inner.expire(worker))
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def ack(self, item_id: int, elapsed: float = 0.0,
+            result: Optional[bytes] = None) -> None:
+        self._retry("queue.ack",
+                    lambda: self.inner.ack(item_id, elapsed, result))
+
+    def nack(self, item_id: int, error_type: str, message: str,
+             error: bytes = b"") -> bool:
         return self._retry(
             "queue.nack",
-            lambda: self.inner.nack(item_id, error_type, message))
+            lambda: self.inner.nack(item_id, error_type, message, error))
+
+    def clear_result(self, item_id: int) -> None:
+        self._retry("queue.clear_result",
+                    lambda: self.inner.clear_result(item_id))
+
+    def overdue(self, timeout: float) -> List[Tuple[int, str]]:
+        return self._retry("queue.overdue",
+                           lambda: self.inner.overdue(timeout))
 
     def requeue_failed(self) -> int:
         return self._retry("queue.requeue_failed", self.inner.requeue_failed)
@@ -192,7 +191,7 @@ class RetryingStore(StoreProxy):
     """An :class:`~repro.store.ExperimentStore` with transient-error
     retries on every operation; queues it opens are wrapped too."""
 
-    def __init__(self, inner: ExperimentStore, policy: StoreRetryPolicy,
+    def __init__(self, inner: ExperimentStore, policy: "RetryPolicy",
                  on_retry: Optional[RetryObserver] = None) -> None:
         super().__init__(inner)
         self.policy = policy

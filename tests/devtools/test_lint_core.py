@@ -151,7 +151,7 @@ def test_allow_scope_skips_sanctioned_files():
     source = "import random\nrandom.seed(7)\n"
     checker = Checker()
     sanctioned = checker.check_source(
-        source, path="src/repro/runner/pool.py")
+        source, path="src/repro/runner/worker.py")
     assert not any(f.rule_id == "DET001" for f in sanctioned)
     ordinary = checker.check_source(
         source, path="src/repro/runner/cells.py")

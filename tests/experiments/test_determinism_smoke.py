@@ -5,7 +5,7 @@ sound if a cell's result is a pure function of its config + seed; the
 byte-identical ``--jobs N`` guarantee additionally requires the
 *serialized* form to be stable.  reprolint (DET001–DET003) approximates
 this statically; this test checks it dynamically by running real cells
-twice in-process — reseeding exactly as the worker pool does — and
+twice in-process — reseeding exactly as a queue worker does — and
 comparing the pickled bytes the cache would store.
 """
 
@@ -13,12 +13,12 @@ import pickle
 
 from repro.experiments import get_experiment
 from repro.runner import cell_key
-from repro.runner.pool import _seed_from_key
+from repro.runner.worker import _seed_from_key
 
 
 def _run_pickled(cell) -> bytes:
-    """Execute one cell the way a pool worker would, returning the bytes
-    :class:`repro.runner.cache.ResultCache` would persist."""
+    """Execute one cell the way a queue worker would, returning the
+    bytes the result store would persist."""
     _seed_from_key(cell_key(cell))
     return pickle.dumps(cell.run(), protocol=pickle.HIGHEST_PROTOCOL)
 

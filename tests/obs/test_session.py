@@ -16,7 +16,7 @@ from repro.obs import (
     series_config,
     validate_run_dir,
 )
-from repro.runner import Cell, run_cells
+from repro.runner import Cell, RunConfig, run_cells
 
 from .helpers import sim_cell
 
@@ -27,8 +27,8 @@ def _run_session(root, jobs=1, profile=False):
     cells = [Cell("obs-e2e", (i,), sim_cell, (64, 300, i)) for i in range(2)]
     with session:
         with session.phase("sweep"):
-            results = run_cells(cells, jobs=jobs,
-                                telemetry=session.telemetry)
+            results = run_cells(cells, RunConfig(jobs=jobs,
+                                                 telemetry=session.telemetry))
     return session, results
 
 

@@ -176,13 +176,16 @@ class TestCompleteness:
         problems = completeness(stitch([sweep, cell, claim]))
         assert any("cached cell has child spans" in p for p in problems)
 
-    def test_pool_cell_needs_only_an_execute(self):
+    def test_finished_cell_needs_a_claim_or_a_loss(self):
         sweep = row("sweep", key="", start=0.0, end=1.0)
         cell = row("cell", parent=sweep["span"])
         execute = row("execute", attempt=1, parent=cell["span"])
-        assert completeness(stitch([sweep, cell, execute])) == []
-        problems = completeness(stitch([sweep, cell]))
-        assert any("no execute span" in p for p in problems)
+        problems = completeness(stitch([sweep, cell, execute]))
+        assert any("no claim span" in p for p in problems)
+        failed = row("cell", parent=sweep["span"], status="failed")
+        lost = row("lost", attempt=1, parent=failed["span"],
+                   status="error")
+        assert completeness(stitch([sweep, failed, lost])) == []
 
 
 class TestCanonical:

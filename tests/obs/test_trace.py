@@ -11,7 +11,6 @@ from repro.obs.schema import load_jsonl, validate_trace_row
 from repro.obs.trace import (
     SPAN_KINDS,
     TRACE_ENV,
-    TRACE_ID_ENV,
     TraceWriter,
     Tracer,
     add_event,
@@ -140,21 +139,17 @@ class TestSpan:
 class TestAmbient:
     def test_off_without_environment(self, monkeypatch):
         monkeypatch.delenv(TRACE_ENV, raising=False)
-        monkeypatch.delenv(TRACE_ID_ENV, raising=False)
-        assert ambient_tracer() is None
         assert ambient_tracer("some-trace") is None
 
     def test_off_without_a_trace_id(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_ENV, str(tmp_path))
-        monkeypatch.delenv(TRACE_ID_ENV, raising=False)
-        assert ambient_tracer() is None
+        assert ambient_tracer("") is None
 
     def test_writes_to_the_worker_named_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_ENV, str(tmp_path))
         tid = trace_id_for(["k0"])
-        monkeypatch.setenv(TRACE_ID_ENV, tid)
         set_worker("worker-7")
-        tracer = ambient_tracer()
+        tracer = ambient_tracer(tid)
         assert tracer is not None and tracer.trace_id == tid
         tracer.span("claim", "cell[0]", key="k0", attempt=1).end()
         (row,) = load_jsonl(tmp_path / "worker-7.jsonl")
@@ -162,11 +157,14 @@ class TestAmbient:
 
     def test_explicit_trace_id_beats_the_environment(self, tmp_path,
                                                      monkeypatch):
+        """The trace ID travels only in queue items: a stale
+        ``REPRO_TRACE_ID`` left in the environment is never read."""
         monkeypatch.setenv(TRACE_ENV, str(tmp_path))
-        monkeypatch.setenv(TRACE_ID_ENV, trace_id_for(["env"]))
+        monkeypatch.setenv("REPRO_TRACE_ID", trace_id_for(["env"]))
         payload_tid = trace_id_for(["payload"])
         tracer = ambient_tracer(payload_tid)
         assert tracer is not None and tracer.trace_id == payload_tid
+        assert ambient_tracer("") is None
 
 
 class TestExecuteSpan:
@@ -187,17 +185,3 @@ class TestExecuteSpan:
         assert row["kind"] == "execute"
         assert row["parent"] == ctx["parent"]
         assert row["trace"] == tid
-
-    def test_without_context_parents_on_the_derived_cell_span(
-            self, tmp_path, monkeypatch):
-        """Pool/inline attempts get no queue payload: the trace ID comes
-        from the environment and the parent is the cell span's pure-hash
-        ID, so they join the same tree without plumbing."""
-        monkeypatch.setenv(TRACE_ENV, str(tmp_path))
-        tid = trace_id_for(["k0"])
-        monkeypatch.setenv(TRACE_ID_ENV, tid)
-        set_worker("w-pool")
-        with execute_span("cell[0]", "k0", 1):
-            pass
-        (row,) = load_jsonl(tmp_path / "w-pool.jsonl")
-        assert row["parent"] == span_id(tid, "cell", "k0")

@@ -72,7 +72,7 @@ class TestRetriedCellTrace:
             self, tmp_path, capsys, monkeypatch):
         baseline = baseline_stdout(tmp_path, capsys)
         monkeypatch.setenv(FAULTS_ENV, RETRY_PLAN)
-        run_dir = traced_fleet(tmp_path, "retry", "--queue-workers", "2",
+        run_dir = traced_fleet(tmp_path, "retry", "--jobs", "2",
                                "--retries", "1")
         assert capsys.readouterr().out == baseline
         assert validate_run_dir(run_dir) == []
@@ -102,9 +102,9 @@ class TestRetriedCellTrace:
         and 2-worker fleets must agree byte for byte after the wall
         clock and schedule-dependent events are projected away."""
         monkeypatch.setenv(FAULTS_ENV, RETRY_PLAN)
-        solo = traced_fleet(tmp_path, "solo", "--queue-workers", "1",
+        solo = traced_fleet(tmp_path, "solo", "--jobs", "1",
                             "--retries", "1")
-        duo = traced_fleet(tmp_path, "duo", "--queue-workers", "2",
+        duo = traced_fleet(tmp_path, "duo", "--jobs", "2",
                            "--retries", "1")
         capsys.readouterr()
         assert (canonical(stitched(solo)) == canonical(stitched(duo)))
@@ -121,7 +121,7 @@ class TestStolenCellTrace:
         monkeypatch.setenv(FAULTS_ENV, SLOW_PLAN)
         url = f"sqlite:{tmp_path}/steal.db"
         obs = tmp_path / "obs-steal"
-        rc = main(["fig3", "--store", url, "--queue-workers", "2",
+        rc = main(["fig3", "--store", url, "--jobs", "2",
                    "--queue-lease", "0.4", "--queue-renew-interval", "0",
                    "--trace", "--telemetry", str(obs)])
         assert rc == 0
@@ -146,9 +146,9 @@ class TestStoreFaultTrace:
         """Queue-op contention shows up as store_retry events in the
         raw rows, yet the canonical projection equals a fault-free
         run's — backoff is schedule, not causality."""
-        clean = traced_fleet(tmp_path, "clean", "--queue-workers", "2")
+        clean = traced_fleet(tmp_path, "clean", "--jobs", "2")
         monkeypatch.setenv(STORE_FAULTS_ENV, BUSY_PLAN)
-        busy = traced_fleet(tmp_path, "busy", "--queue-workers", "2")
+        busy = traced_fleet(tmp_path, "busy", "--jobs", "2")
         monkeypatch.delenv(STORE_FAULTS_ENV)
         capsys.readouterr()
         rows = load_trace_rows([busy])
@@ -164,7 +164,7 @@ class TestTracingOff:
                                                     capsys):
         obs = tmp_path / "obs-plain"
         rc = main(["fig3", "--store", f"sqlite:{tmp_path}/plain.db",
-                   "--queue-workers", "2", "--telemetry", str(obs)])
+                   "--jobs", "2", "--telemetry", str(obs)])
         assert rc == 0
         capsys.readouterr()
         assert not (obs / "fig3" / "traces").exists()

@@ -11,13 +11,13 @@ from repro.errors import ConfigurationError
 from repro.runner import (
     CacheCorruptionWarning,
     Cell,
-    ResultCache,
+    RunConfig,
     canonical_encode,
     cell_key,
     default_cache_dir,
     run_cells,
 )
-from repro.runner.cache import CACHE_MAGIC
+from repro.store import STORE_MAGIC, LocalFileStore
 
 from .helpers import square, touch_and_return
 
@@ -89,8 +89,10 @@ class TestCellKey:
 
 
 class TestResultCache:
+    """The local store that holds results under their cell keys."""
+
     def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         key = cell_key(demo_cell())
         assert cache.get(key) == (False, None)
         cache.put(key, {"x": [1, 2, 3]})
@@ -99,7 +101,7 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_corrupt_entry_warns_and_quarantines(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         key = cell_key(demo_cell())
         cache.put(key, "value")
         path = cache.path_for(key)
@@ -116,7 +118,7 @@ class TestResultCache:
         assert cache.get(key) == (True, "value")
 
     def test_checksum_mismatch_is_detected(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         key = cell_key(demo_cell())
         cache.put(key, [1, 2, 3])
         path = cache.path_for(key)
@@ -132,19 +134,19 @@ class TestResultCache:
         still corruption, not a crash."""
         import hashlib
 
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         key = cell_key(demo_cell())
         payload = b"definitely not a pickle"
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(CACHE_MAGIC + digest + b"\n" + payload)
+        path.write_bytes(STORE_MAGIC + digest + b"\n" + payload)
         with pytest.warns(CacheCorruptionWarning, match="unpickle"):
             assert cache.get(key) == (False, None)
         assert path.with_name(path.name + ".corrupt").exists()
 
     def test_missing_entry_is_a_silent_miss(self, tmp_path, recwarn):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         assert cache.get(cell_key(demo_cell())) == (False, None)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, CacheCorruptionWarning)]
@@ -154,20 +156,20 @@ class TestResultCache:
         and the fresh result overwrites the quarantined one."""
         sentinels = tmp_path / "s"
         sentinels.mkdir()
-        cache = ResultCache(tmp_path / "cache")
+        cache = LocalFileStore(tmp_path / "cache")
         cells = [Cell("t", (0,), touch_and_return,
                       (str(sentinels), "c0", 41))]
-        assert run_cells(cells, store=cache) == [41]
+        assert run_cells(cells, RunConfig(store=cache)) == [41]
         key = cell_key(cells[0])
         cache.path_for(key).write_bytes(b"garbage")
         (sentinels / "c0").unlink()
         with pytest.warns(CacheCorruptionWarning):
-            assert run_cells(cells, store=cache) == [41]
+            assert run_cells(cells, RunConfig(store=cache)) == [41]
         assert (sentinels / "c0").exists()  # really re-executed
         assert cache.get(key) == (True, 41)
 
     def test_purge(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         for x in range(3):
             cache.put(cell_key(demo_cell(x)), x)
         result = cache.purge()
@@ -179,7 +181,7 @@ class TestResultCache:
     def test_purge_removes_quarantined_entries(self, tmp_path):
         """purge() deletes quarantined *.pkl.corrupt files too, and
         reports them separately from live entries."""
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         keep = cell_key(demo_cell(0))
         bad = cell_key(demo_cell(1))
         cache.put(keep, 0)
@@ -206,23 +208,23 @@ class TestCacheShortCircuit:
     def test_hit_skips_execution(self, tmp_path):
         sentinels = tmp_path / "s"
         sentinels.mkdir()
-        cache = ResultCache(tmp_path / "cache")
+        cache = LocalFileStore(tmp_path / "cache")
         cells = [Cell("t", (i,), touch_and_return,
                       (str(sentinels), f"c{i}", i)) for i in range(3)]
-        assert run_cells(cells, store=cache) == [0, 1, 2]
+        assert run_cells(cells, RunConfig(store=cache)) == [0, 1, 2]
         # Wipe the execution record; a cached rerun must not recreate it.
         for f in sentinels.iterdir():
             f.unlink()
-        assert run_cells(cells, store=cache) == [0, 1, 2]
+        assert run_cells(cells, RunConfig(store=cache)) == [0, 1, 2]
         assert list(sentinels.iterdir()) == []
 
     def test_force_reexecutes(self, tmp_path):
         sentinels = tmp_path / "s"
         sentinels.mkdir()
-        cache = ResultCache(tmp_path / "cache")
+        cache = LocalFileStore(tmp_path / "cache")
         cells = [Cell("t", (0,), touch_and_return,
                       (str(sentinels), "c0", 7))]
-        run_cells(cells, store=cache)
+        run_cells(cells, RunConfig(store=cache))
         (sentinels / "c0").unlink()
-        assert run_cells(cells, store=cache, force=True) == [7]
+        assert run_cells(cells, RunConfig(store=cache, force=True)) == [7]
         assert (sentinels / "c0").exists()

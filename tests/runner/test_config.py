@@ -1,12 +1,11 @@
-"""RunConfig and the legacy-keyword deprecation shim."""
+"""RunConfig: the one way to say how a sweep executes."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import Cell, ResultCache, RunConfig, run_cells
-from repro.runner.config import coerce_run_config
+from repro.runner import Cell, RunConfig, run_cells
 from repro.runner.resilience import RetryPolicy
 from repro.store import LocalFileStore
 
@@ -50,49 +49,12 @@ class TestRunConfig:
             RunConfig(cell_timeout=0)
 
     def test_queue_fields_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="queue_workers"):
-            RunConfig(store=tmp_path, queue_workers=0)
         with pytest.raises(ConfigurationError, match="queue_lease"):
-            RunConfig(store=tmp_path, queue_workers=1, queue_lease=0.0)
-        with pytest.raises(ConfigurationError, match="requires a"):
-            RunConfig(queue_workers=2)  # no store to hand results through
-
-
-class TestCoerceRunConfig:
-    def test_config_passes_through_unchanged(self):
-        cfg = RunConfig(jobs=4)
-        assert coerce_run_config(cfg, {}, where="t") is cfg
-
-    def test_no_arguments_yield_defaults(self, recwarn):
-        assert coerce_run_config(None, {}, where="t") == RunConfig()
-        assert len(recwarn.list) == 0
-
-    def test_legacy_kwargs_warn_once_and_map(self, tmp_path):
-        store = LocalFileStore(tmp_path)
-        with pytest.warns(DeprecationWarning,
-                          match="pass a RunConfig") as rec:
-            cfg = coerce_run_config(
-                None, {"jobs": 3, "store": store, "retries": 1}, where="t")
-        assert len(rec.list) == 1  # a single warning per call
-        assert cfg.jobs == 3
-        assert cfg.store is store
-        assert cfg.retries == 1
-
-    def test_removed_cache_alias_is_an_error(self, tmp_path):
-        """The cache= -> store= deprecation cycle is over: passing
-        cache= now fails fast, naming the replacement field."""
-        store = LocalFileStore(tmp_path)
-        with pytest.raises(TypeError,
-                           match="cache= was renamed to store="):
-            coerce_run_config(None, {"jobs": 3, "cache": store}, where="t")
-
-    def test_mixing_styles_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            coerce_run_config(RunConfig(), {"jobs": 2}, where="t")
-
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="workers"):
-            coerce_run_config(None, {"workers": 2}, where="t")
+            RunConfig(store=tmp_path, queue_lease=0.0)
+        with pytest.raises(ConfigurationError, match="queue_renew_interval"):
+            RunConfig(queue_renew_interval=-1.0)
+        with pytest.raises(ConfigurationError, match="store_retries"):
+            RunConfig(store_retries=-1)
 
 
 class TestRunnerEntryPoints:
@@ -105,35 +67,16 @@ class TestRunnerEntryPoints:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_run_cells_legacy_kwargs_still_work(self, tmp_path):
-        store = LocalFileStore(tmp_path)
-        with pytest.warns(DeprecationWarning, match="repro.runner.run_cells"):
-            assert run_cells(self.cells(), store=store) == [0, 1, 4]
-        # The legacy run populated the store under the new protocol.
-        assert len(store) == 3
-
     def test_run_cells_rejects_removed_cache_alias(self, tmp_path):
-        with pytest.raises(TypeError, match="cache= was renamed"):
+        with pytest.raises(TypeError, match="cache"):
             run_cells(self.cells(), cache=LocalFileStore(tmp_path))
 
     def test_experiment_run_accepts_run_config(self, capsys):
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("fig3")
-        legacy = spec.run(spec.config("smoke"), jobs=1)
+        default = spec.run(spec.config("smoke"))
         capsys.readouterr()
         modern = spec.run(spec.config("smoke"),
                           run_config=RunConfig(jobs=1))
-        assert modern == legacy
-
-
-class TestResultCacheShim:
-    def test_is_a_deprecated_local_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning,
-                          match="use repro.store.LocalFileStore"):
-            cache = ResultCache(tmp_path)
-        assert isinstance(cache, LocalFileStore)
-        key = "0" * 64
-        cache.put(key, 1)
-        # A LocalFileStore on the same root reads the same entries.
-        assert LocalFileStore(tmp_path).get(key) == (True, 1)
+        assert modern == default

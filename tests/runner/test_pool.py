@@ -1,11 +1,12 @@
-"""Worker-pool semantics: ordering, errors, interrupt resumption."""
+"""Runner semantics: ordering, errors, interrupt resumption."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError, WorkerError
-from repro.runner import Cell, Progress, ResultCache, run_cells
+from repro.runner import Cell, Progress, RunConfig, run_cells
+from repro.store import LocalFileStore
 
 from .helpers import (
     kill_after_cached,
@@ -19,21 +20,23 @@ from .helpers import (
 class TestOrderingAndJobs:
     def test_sequential_matches_parallel(self):
         cells = square_cells(8)
-        assert run_cells(cells, jobs=1) == run_cells(cells, jobs=2)
+        assert (run_cells(cells, RunConfig(jobs=1))
+                == run_cells(cells, RunConfig(jobs=2)))
 
     def test_results_are_in_cell_order(self):
-        assert run_cells(square_cells(5), jobs=4) == [0, 1, 4, 9, 16]
+        assert run_cells(square_cells(5),
+                         RunConfig(jobs=4)) == [0, 1, 4, 9, 16]
 
     def test_jobs_zero_means_cpu_count(self):
-        assert run_cells(square_cells(2), jobs=0) == [0, 1]
+        assert run_cells(square_cells(2), RunConfig(jobs=0)) == [0, 1]
 
     def test_empty_sweep(self):
-        assert run_cells([], jobs=4) == []
+        assert run_cells([], RunConfig(jobs=4)) == []
 
     def test_progress_counts_every_cell(self, capsys):
         import sys
 
-        run_cells(square_cells(3), progress=Progress(sys.stderr))
+        run_cells(square_cells(3), RunConfig(progress=Progress(sys.stderr)))
         err = capsys.readouterr().err
         assert "[squares 1/3]" in err
         assert "[squares 3/3]" in err
@@ -44,20 +47,20 @@ class TestErrorPropagation:
         cells = square_cells(2) + [
             Cell("t", ("boom",), raise_configuration_error, ("bad knob",))]
         with pytest.raises(ConfigurationError, match="bad knob"):
-            run_cells(cells, jobs=2)
+            run_cells(cells, RunConfig(jobs=2))
 
     def test_foreign_errors_wrapped(self):
         cells = [Cell("t", ("boom",), raise_value_error, ("oops",))]
-        with pytest.raises(ValueError, match="oops"):
-            run_cells(cells, jobs=1)
         with pytest.raises(WorkerError, match="oops"):
-            run_cells(cells + square_cells(1), jobs=2)
+            run_cells(cells, RunConfig(jobs=1))
+        with pytest.raises(WorkerError, match="oops"):
+            run_cells(cells + square_cells(1), RunConfig(jobs=2))
 
     def test_library_errors_unwrapped_inline(self):
         cells = square_cells(2) + [
             Cell("t", ("boom",), raise_configuration_error, ("bad knob",))]
         with pytest.raises(ConfigurationError, match="bad knob"):
-            run_cells(cells, jobs=1)
+            run_cells(cells, RunConfig(jobs=1))
 
     def test_worker_error_lists_every_failed_cell(self):
         """A multi-failure sweep reports ALL failed cells, not just the
@@ -67,7 +70,7 @@ class TestErrorPropagation:
             Cell("t", (1,), raise_value_error, ("second boom",)),
         ] + square_cells(2)
         with pytest.raises(WorkerError) as excinfo:
-            run_cells(cells, jobs=2)
+            run_cells(cells, RunConfig(jobs=2))
         message = str(excinfo.value)
         assert "2 cell(s) failed" in message
         assert "t[a]: ValueError: first boom" in message
@@ -78,7 +81,7 @@ class TestErrorPropagation:
     def test_worker_error_chains_cause_parallel(self):
         cells = [Cell("t", ("boom",), raise_value_error, ("oops",))]
         with pytest.raises(WorkerError) as excinfo:
-            run_cells(cells + square_cells(1), jobs=2)
+            run_cells(cells + square_cells(1), RunConfig(jobs=2))
         assert isinstance(excinfo.value.__cause__, ValueError)
 
 
@@ -88,14 +91,14 @@ class TestResumeAfterInterrupt:
         cell and still produce the full ordered result."""
         sentinels = tmp_path / "s"
         sentinels.mkdir()
-        cache = ResultCache(tmp_path / "cache")
+        cache = LocalFileStore(tmp_path / "cache")
         good = [Cell("t", (i,), touch_and_return, (str(sentinels), f"c{i}", i))
                 for i in range(3)]
         killer = Cell("t", (3,), kill_after_cached,
                       (str(tmp_path / "cache"), 3))
 
         with pytest.raises(WorkerError):
-            run_cells(good + [killer], jobs=2, store=cache)
+            run_cells(good + [killer], RunConfig(jobs=2, store=cache))
         # Every completed cell was persisted before the crash surfaced.
         assert len(cache) == 3
 
@@ -103,5 +106,6 @@ class TestResumeAfterInterrupt:
         for f in sentinels.iterdir():
             f.unlink()
         fixed = Cell("t", (3,), touch_and_return, (str(sentinels), "c3", 3))
-        assert run_cells(good + [fixed], jobs=2, store=cache) == [0, 1, 2, 3]
+        assert run_cells(good + [fixed],
+                         RunConfig(jobs=2, store=cache)) == [0, 1, 2, 3]
         assert [f.name for f in sentinels.iterdir()] == ["c3"]

@@ -69,7 +69,7 @@ class TestHeartbeatChaos:
         baseline = baseline_stdout(tmp_path, capsys)
         monkeypatch.setenv(FAULTS_ENV, SLOW_CELL_PLAN)
         url = f"sqlite:{tmp_path}/chaos.db"
-        rc = main(["fig3", "--store", url, "--queue-workers", "2",
+        rc = main(["fig3", "--store", url, "--jobs", "2",
                    "--queue-lease", "0.4"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
@@ -86,7 +86,7 @@ class TestHeartbeatChaos:
         baseline = baseline_stdout(tmp_path, capsys)
         monkeypatch.setenv(FAULTS_ENV, SLOW_CELL_PLAN)
         url = f"sqlite:{tmp_path}/chaos.db"
-        rc = main(["fig3", "--store", url, "--queue-workers", "2",
+        rc = main(["fig3", "--store", url, "--jobs", "2",
                    "--queue-lease", "0.4", "--queue-renew-interval", "0"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
@@ -104,7 +104,7 @@ class TestStoreFaultChaos:
         baseline = baseline_stdout(tmp_path, capsys)
         monkeypatch.setenv(STORE_FAULTS_ENV, NOISY_STORE_PLAN)
         url = f"sqlite:{tmp_path}/noisy.db"
-        rc = main(["fig3", "--store", url, "--queue-workers", "2"])
+        rc = main(["fig3", "--store", url, "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
         monkeypatch.delenv(STORE_FAULTS_ENV)
@@ -132,7 +132,7 @@ class TestStoreFaultChaos:
         with the store-specific reason."""
         monkeypatch.setenv(STORE_FAULTS_ENV, BROKEN_STORE_PLAN)
         rc = main(["fig3", "--store", f"sqlite:{tmp_path}/broken.db",
-                   "--queue-workers", "2", "--keep-going"])
+                   "--jobs", "2", "--keep-going"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "aborted on permanent store errors" in err

@@ -15,6 +15,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runner import RetryPolicy
 from repro.store import (
     CacheCorruptionWarning,
     FaultyStore,
@@ -24,11 +25,11 @@ from repro.store import (
     RetryingStore,
     StoreFault,
     StoreFaultPlan,
-    StoreRetryPolicy,
     active_store_plan,
     call_with_retries,
     is_transient_store_error,
     maybe_faulty_store,
+    store_retry_policy,
 )
 from repro.store.faults import STORE_FAULTS_ENV, FaultInjector
 
@@ -199,7 +200,7 @@ class TestTransientClassification:
 
 class TestCallWithRetries:
     def test_transient_errors_retry_within_budget(self):
-        policy = StoreRetryPolicy(retries=3, backoff_base=0.0,
+        policy = RetryPolicy(retries=3, backoff_base=0.0,
                                   backoff_cap=0.0)
         seen = []
         attempts = [0]
@@ -218,7 +219,7 @@ class TestCallWithRetries:
         assert seen == [("store.get", 1), ("store.get", 2)]
 
     def test_budget_exhaustion_reraises_the_transient(self):
-        policy = StoreRetryPolicy(retries=2, backoff_base=0.0,
+        policy = RetryPolicy(retries=2, backoff_base=0.0,
                                   backoff_cap=0.0)
 
         def always_busy():
@@ -235,23 +236,27 @@ class TestCallWithRetries:
             raise sqlite3.DatabaseError("malformed")
 
         with pytest.raises(sqlite3.DatabaseError):
-            call_with_retries(broken, policy=StoreRetryPolicy(retries=5))
+            call_with_retries(broken, policy=RetryPolicy(retries=5))
         assert calls[0] == 1
 
     def test_policy_validation_and_delay_shape(self):
         with pytest.raises(ConfigurationError, match=">= 0"):
-            StoreRetryPolicy(retries=-1)
+            RetryPolicy(retries=-1)
         with pytest.raises(ConfigurationError, match="non-negative"):
-            StoreRetryPolicy(backoff_base=-0.1)
-        policy = StoreRetryPolicy(backoff_base=0.01, backoff_cap=0.05)
+            RetryPolicy(backoff_base=-0.1)
+        policy = RetryPolicy(backoff_base=0.01, backoff_cap=0.05)
         assert [policy.delay(n) for n in (1, 2, 3, 4)] == \
             [0.01, 0.02, 0.04, 0.05]
+        store = store_retry_policy(7)
+        assert store.retries == 7
+        assert [store.delay(n) for n in (1, 2, 5, 6)] == \
+            pytest.approx([0.01, 0.02, 0.16, 0.25])
 
 
 # -------------------------------------------------- wrapped store/queue --
 
 
-FAST = StoreRetryPolicy(retries=5, backoff_base=0.0, backoff_cap=0.0)
+FAST = RetryPolicy(retries=5, backoff_base=0.0, backoff_cap=0.0)
 
 
 def faulty_local(tmp_path, *faults: StoreFault) -> FaultyStore:
