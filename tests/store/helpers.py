@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from typing import Any, List, Tuple
 
 from repro.store import ExperimentStore
@@ -29,3 +30,9 @@ def get_many(store: ExperimentStore, keys: List[str]) -> List[Any]:
 def key_of(n: int) -> str:
     """A deterministic 64-hex-char pseudo-key for test entry ``n``."""
     return f"{n:064x}"
+
+
+def pause_then(seconds: float, value: Any) -> Any:
+    """Cell body: sleep ``seconds``, then return ``value``."""
+    time.sleep(seconds)
+    return value

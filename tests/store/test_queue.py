@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 from repro.store import STORE_BACKENDS, ItemState, QueueItem
-from repro.store.queue import LOST_ERROR_TYPE, sweep_fingerprint
+from repro.store.queue import LOST_ERROR_TYPE, sweep_fingerprint, sweep_queue
 
 from .helpers import make_store
 
@@ -24,17 +24,27 @@ BACKENDS = sorted(STORE_BACKENDS.values(), key=lambda cls: cls.scheme)
 
 
 @pytest.fixture(params=BACKENDS, ids=lambda cls: cls.scheme)
-def queue(request, tmp_path):
+def store(request, tmp_path):
     store = make_store(request.param, tmp_path)
-    yield store.make_queue("sweep")
+    yield store
     store.close()
 
 
-def items_for(n, max_attempts=1):
-    return [QueueItem(item_id=i, key=f"{i:064x}", label=f"cell-{i}",
-                      payload=pickle.dumps(("cell", i)),
-                      max_attempts=max_attempts)
+@pytest.fixture
+def queue(store):
+    return store.make_queue("sweep")
+
+
+def items_for(n, max_attempts=1, sweep=0, retry_delays=()):
+    return [QueueItem(item_id=i, key=f"{sweep:032x}{i:032x}",
+                      label=f"cell-{i}", payload=pickle.dumps(("cell", i)),
+                      max_attempts=max_attempts, retry_delays=retry_delays)
             for i in range(n)]
+
+
+def queue_for(store, items, name="fig"):
+    """The queue a coordinator opens for the sweep of ``items``."""
+    return store.make_queue(sweep_queue(name, [item.key for item in items]))
 
 
 class TestPublish:
@@ -300,6 +310,79 @@ class TestClear:
         queue.clear()
         assert queue.snapshot() == {}
         assert queue.unfinished() == 0
+
+
+class TestBackoff:
+    def test_nacked_item_waits_out_its_retry_delay(self, queue, monkeypatch):
+        """The publisher's delays hold a retried item back from *every*
+        worker, not just the one that nacked it."""
+        now = [1_000_000.0]
+        monkeypatch.setattr("repro.store.queue.time.time",
+                            lambda: now[0])
+        queue.publish(items_for(1, max_attempts=3, retry_delays=(5.0, 10.0)))
+        assert queue.nack(queue.claim("w0", 60.0).item_id, "E", "1") is True
+        assert queue.claim("w1", lease=60.0) is None
+        assert queue.unfinished() == 1
+        now[0] += 5.0  # the delay is over at its last instant
+        item = queue.claim("w1", lease=60.0)
+        assert item is not None and item.attempts == 1
+        assert queue.nack(item.item_id, "E", "2") is True
+        now[0] += 9.9
+        assert queue.claim("w2", lease=60.0) is None
+        now[0] += 0.1
+        assert queue.claim("w2", lease=60.0).attempts == 2
+
+    def test_items_without_delays_retry_at_once(self, queue):
+        queue.publish(items_for(1, max_attempts=2))
+        assert queue.nack(queue.claim("w0", 60.0).item_id, "E", "1") is True
+        assert queue.claim("w1", lease=60.0) is not None
+
+    def test_requeue_clears_the_backoff(self, queue):
+        queue.publish(items_for(1, max_attempts=2, retry_delays=(600.0,)))
+        assert queue.nack(queue.claim("w0", 60.0).item_id, "E", "1") is True
+        assert queue.reset_items([0]) == 1
+        assert queue.claim("w1", lease=60.0) is not None
+
+
+class TestSweepQueues:
+    def test_sweeps_under_one_name_keep_their_own_items(self, store):
+        first, other = items_for(3, sweep=1), items_for(3, sweep=2)
+        q_first, q_other = queue_for(store, first), queue_for(store, other)
+        q_first.publish(first)
+        q_other.publish(other)
+        item = q_first.claim("w0", lease=60.0)
+        q_first.ack(item.item_id, 0.5, b"result")
+        assert q_first.counts()["done"] == 1
+        assert q_other.counts() == {"pending": 3, "claimed": 0, "done": 0,
+                                    "failed": 0}
+        assert q_other.claim("w1", lease=60.0).key == other[0].key
+        # The plain name follows the sweep published last.
+        assert store.make_queue("fig").snapshot() == q_other.snapshot()
+        assert store.queues() == ["fig"]
+
+    def test_publishing_a_subset_keeps_the_sweep(self, store):
+        """A resumed sweep publishes only its pending cells and still
+        meets the rows a plain-name publish of all its cells made."""
+        items = items_for(3, sweep=1)
+        store.make_queue("fig").publish(items)
+        item = store.make_queue("fig").claim("w0", lease=60.0)
+        store.make_queue("fig").ack(item.item_id, 0.5, b"result")
+        resumed = queue_for(store, items)
+        assert resumed.publish(items[1:]) == 0
+        assert resumed.snapshot()[0].result == b"result"
+
+    def test_publishing_drops_only_finished_sweeps(self, store):
+        finished, stalled = items_for(2, sweep=1), items_for(2, sweep=2)
+        q_finished = queue_for(store, finished)
+        q_finished.publish(finished)
+        while (item := q_finished.claim("w0", lease=60.0)) is not None:
+            q_finished.ack(item.item_id, 0.1, b"result")
+            q_finished.clear_result(item.item_id)
+        q_stalled = queue_for(store, stalled)
+        q_stalled.publish(stalled)
+        queue_for(store, items_for(1, sweep=3)).publish(items_for(1, sweep=3))
+        assert q_finished.snapshot() == {}
+        assert q_stalled.counts()["pending"] == 2
 
 
 class TestFingerprint:
