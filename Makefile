@@ -46,9 +46,9 @@ bench-paper:
 telemetry-smoke:
 	rm -rf telemetry-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 2 \
-		--cache-dir telemetry-run/cache --telemetry=telemetry-run/obs
+		--store local:telemetry-run/cache --telemetry=telemetry-run/obs
 	$(PY) -m repro.experiments fig6 --scale smoke --jobs 2 \
-		--cache-dir telemetry-run/cache --telemetry=telemetry-run/obs
+		--store local:telemetry-run/cache --telemetry=telemetry-run/obs
 	$(PY) -m repro.obs validate telemetry-run/obs/fig3
 	$(PY) -m repro.obs validate telemetry-run/obs/fig6
 	$(PY) -m repro.obs report telemetry-run/obs/fig6
@@ -62,23 +62,23 @@ scenario-smoke:
 	$(PY) -m repro.experiments scenarios --scale smoke --jobs 1 \
 		--no-cache > scenario-run/baseline.out
 	$(PY) -m repro.experiments scenarios --scale smoke --jobs 2 \
-		--cache-dir scenario-run/cache \
+		--store local:scenario-run/cache \
 		--telemetry=scenario-run/obs > scenario-run/telemetry.out
 	cmp scenario-run/baseline.out scenario-run/telemetry.out
 	$(PY) -m repro.obs validate scenario-run/obs/scenarios
 	test -n "$$(ls scenario-run/obs/scenarios/lifecycle/*.jsonl)"
 
 # Local mirror of the CI store-chaos job: a fig3 run by 2 forked workers
-# under injected store faults (lock contention, claim latency) plus a
-# cell slower than its lease must print exactly the bytes a fault-free
-# --jobs 1 run prints; the heartbeat keeps steals at zero.  Then a
-# worker killed mid-cell must cost nothing but a rerun of that cell.
+# under one fault plan — injected store faults (lock contention, claim
+# latency) plus a cell slower than its lease — must print exactly the
+# bytes a fault-free --jobs 1 run prints; the heartbeat keeps steals at
+# zero.  Then a worker killed mid-cell must cost nothing but a rerun of
+# that cell.
 chaos-smoke:
 	rm -rf chaos-run && mkdir -p chaos-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
-		--cache-dir chaos-run/baseline > chaos-run/baseline.out
-	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]}' \
-	REPRO_STORE_FAULTS='{"faults": [{"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
+		--store local:chaos-run/baseline > chaos-run/baseline.out
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}, {"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
 		--jobs 2 --queue-lease 0.5 > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
@@ -93,11 +93,13 @@ chaos-smoke:
 # untraced run prints, leave schema-valid trace artifacts that stitch
 # into one complete span tree, project to a canonical form that is
 # byte-identical whatever the worker count, and pass the live
-# aggregator's alert gate (steals/failures/stragglers all zero).
+# aggregator's alert gate (steals/failures/stragglers all zero).  A
+# traced sweep whose worker is killed mid-cell must also print the
+# baseline bytes and stitch into a complete tree.
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
-		--cache-dir trace-run/baseline > trace-run/baseline.out
+		--store local:trace-run/baseline > trace-run/baseline.out
 	$(PY) -m repro.experiments fig3 --scale smoke \
 		--store sqlite:trace-run/results.db --jobs 2 \
 		--trace --telemetry=trace-run/obs > trace-run/fleet.out
@@ -121,6 +123,12 @@ trace-smoke:
 		> trace-run/report.json
 	$(PY) -m repro.store status --store sqlite:trace-run/results.db --json \
 		> trace-run/queue.json
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.9]", "kind": "kill"}]}' \
+	$(PY) -m repro.experiments fig3 --scale smoke \
+		--store sqlite:trace-run/kill.db --jobs 2 --retries 1 \
+		--trace --telemetry=trace-run/obs-kill > trace-run/kill.out
+	cmp trace-run/baseline.out trace-run/kill.out
+	$(PY) -m repro.obs trace --check trace-run/obs-kill/fig3
 
 figures:
 	python -m repro.experiments all

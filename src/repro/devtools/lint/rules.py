@@ -128,7 +128,7 @@ class WallClockRule(Rule):
     the live fleet dashboard ``repro/obs/top.py``, a pure *observer*
     (lease countdowns, throughput rates, refresh stamps — display and
     alert evaluation only, nothing feeds results or cache keys).  The
-    store backends, proxies and the fault-injection harness
+    store backends, the retry wrapper and the fault plan
     (``repro/store/faults.py``) stay *unsanctioned*: injection
     schedules must be pure functions of call counts and seeds or chaos
     runs stop being reproducible.  Note ``repro/obs/trace.py`` is *not*

@@ -16,11 +16,11 @@ Sweep cells go through a work queue drained by ``--jobs N`` workers
 ``N`` forks ``N`` worker processes), and every cell's result is
 memoized in a pluggable content-addressed experiment store —
 ``--store local:PATH`` (directory of pickles, the default at
-``--cache-dir`` / ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-experiments``)
-or ``--store sqlite:PATH`` (one WAL-mode database file) — so
-interrupted or repeated runs resume instantly.  ``--no-cache``
-disables the store, ``--force`` recomputes and overwrites existing
-entries.  Workers heartbeat their claim leases
+``$REPRO_CACHE_DIR`` / ``~/.cache/repro-experiments``; a bare path
+opens this backend too) or ``--store sqlite:PATH`` (one WAL-mode
+database file) — so interrupted or repeated runs resume instantly.
+``--no-cache`` disables the store, ``--force`` recomputes and
+overwrites existing entries.  Workers heartbeat their claim leases
 (``--queue-renew-interval``) so slow cells are never stolen from a
 live worker, and transient store errors retry with bounded backoff
 (``--store-retries``).  More workers can join a running sweep from
@@ -88,13 +88,11 @@ def main(argv=None) -> int:
                              "1 runs cells in this process, N forks N "
                              "worker processes (default: os.cpu_count())")
     store_group = parser.add_mutually_exclusive_group()
-    store_group.add_argument("--cache-dir", default=None, metavar="DIR",
-                             help="result store directory, opened with the "
-                                  "local backend (default: $REPRO_CACHE_DIR "
-                                  "or ~/.cache/repro-experiments)")
     store_group.add_argument("--store", default=None, metavar="URL",
                              help="experiment store URL: local:PATH or "
-                                  "sqlite:PATH (see repro.store)")
+                                  "sqlite:PATH; a bare path opens the local "
+                                  "backend (default: local:$REPRO_CACHE_DIR "
+                                  "or local:~/.cache/repro-experiments)")
     store_group.add_argument("--no-cache", action="store_true",
                              help="disable the result store entirely")
     parser.add_argument("--force", action="store_true",
@@ -124,14 +122,14 @@ def main(argv=None) -> int:
                              "coordinator (default: 5)")
     parser.add_argument("--keep-going", action="store_true",
                         help="complete the sweep despite failing cells, "
-                             "write a JSON failure manifest under the "
-                             "cache dir, and exit 1")
+                             "write a JSON failure manifest in the "
+                             "store's failures/ directory, and exit 1")
     parser.add_argument("--telemetry", nargs="?", const=True, default=None,
                         metavar="PATH",
                         help="record metrics, per-cell spans and "
                              "per-partition time series under "
-                             "PATH/<experiment> (default: "
-                             "<cache-dir>/telemetry/<experiment>)")
+                             "PATH/<experiment> (default: the store's "
+                             "telemetry/<experiment> directory)")
     parser.add_argument("--telemetry-interval", type=int, default=1024,
                         metavar="N",
                         help="time-series sampling window in cache "
@@ -159,9 +157,8 @@ def main(argv=None) -> int:
     jobs = args.jobs if args.jobs and args.jobs > 0 else default_jobs()
     store = None
     if not args.no_cache:
-        store = open_store(args.store if args.store else
-                           (args.cache_dir if args.cache_dir
-                            else default_cache_dir()))
+        store = open_store(args.store if args.store
+                           else default_cache_dir())
     progress = Progress(sys.stderr)
 
     exit_code = 0

@@ -14,7 +14,7 @@ under its ``"wall"`` sub-object and nowhere else.  Stripping ``"wall"``
 from each row leaves content that is byte-identical across repeated
 identical runs (attempt counts and error types included, provided
 failures themselves are deterministic, e.g. under a
-:mod:`repro.runner.faults` plan).  Rows are emitted in cell order, not
+:mod:`repro.store.faults` plan).  Rows are emitted in cell order, not
 completion order, for the same reason.  Content-addressed cache keys
 and figure outputs never see any of this.
 """
@@ -109,9 +109,10 @@ class RunTelemetry:
         self.trace_dir: Optional[Path] = None
         self.trace_id: str = ""
         self._trace_wall0: Optional[float] = None
-        #: ``(index, error_type, attempts)`` of cells that died without
-        #: a worker-side terminal span (lease exhausted, fleet aborted).
-        self._trace_lost: List[Tuple[int, str, int]] = []
+        #: ``(index, attempt) -> error_type`` of attempts that ended
+        #: without a worker-side terminal span (worker reaped or killed
+        #: for a timeout, lease exhausted, fleet aborted).
+        self._trace_lost: Dict[Tuple[int, int], str] = {}
 
     # -- lifecycle hooks (called by repro.runner) ----------------------------
     def begin(self, cells: Sequence["Cell"], keys: Sequence[str]) -> None:
@@ -125,7 +126,7 @@ class RunTelemetry:
         if self.trace_dir is not None:
             self.trace_id = trace_id_for(list(keys))
             self._trace_wall0 = wall_now()
-            self._trace_lost = []
+            self._trace_lost = {}
         self.spans = [
             CellSpan(i, cell.label, cell.experiment, keys[i])
             for i, cell in enumerate(cells)]
@@ -269,15 +270,18 @@ class RunTelemetry:
 
     def trace_lost(self, index: int, error_type: str,
                    attempts: int) -> None:
-        """Record a coordinator-side terminal for a worker-less failure.
+        """Record a coordinator-side ``lost`` terminal for attempt
+        ``attempts`` of cell ``index``.
 
-        Only for cells whose workers died *without* nacking (lease
-        stolen past the loss budget, fleet aborted): worker-side
-        failures already wrote their own ``nack`` terminal span, and a
-        second terminal would break the one-leaf-per-cell invariant.
+        Only for attempts that ended *without* a worker-side terminal:
+        a worker the coordinator reaped dead or killed for a timeout, a
+        lease stolen past the loss budget, an aborted fleet.  Worker-side
+        failures already wrote their own ``nack`` span, and a second
+        terminal would break the one-terminal-per-attempt invariant.
+        Recording one attempt twice keeps the first record.
         """
         if self.trace_id:
-            self._trace_lost.append((index, error_type, attempts))
+            self._trace_lost.setdefault((index, attempts), error_type)
 
     def write_trace(self) -> Optional[Path]:
         """Write the coordinator's trace file (root sweep + cell spans).
@@ -317,7 +321,7 @@ class RunTelemetry:
                          "end": at(span.finished_s),
                          "worker": "coordinator"},
             })
-        for index, error_type, attempts in self._trace_lost:
+        for (index, attempts), error_type in self._trace_lost.items():
             span = self._by_index[index]
             rows.append({
                 "trace": tid,

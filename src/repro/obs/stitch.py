@@ -17,15 +17,16 @@ process having coordinated with another:
 * :func:`completeness` checks the causal invariants — one rooted
   sweep, resolvable parents, and for every claimed cell a full
   attempt ladder ending in exactly one terminal (``ack`` / ``nack`` /
-  ``lost``);
+  ``lost``), where every attempt whose worker died or was killed ends
+  in the coordinator's ``lost`` terminal;
 * :func:`canonical` is the deterministic projection (no ``"wall"``, no
   ``det=False`` events) that is byte-identical across ``--jobs`` and
   worker counts — the chaos tests compare it literally;
 * :func:`critical_path` attributes the sweep's cell-seconds to
   queue-wait vs execute vs retry vs store I/O.
 
-``lost`` terminals are the one schedule-dependent *row* (they exist
-only when a worker died past the loss budget), so canonical equality is
+``lost`` terminals are the one *row* that can depend on the schedule
+(which worker died holding which attempt), so canonical equality is
 asserted for deterministic fault plans (``raise``), not kill-based
 ones.
 """
@@ -215,6 +216,11 @@ def completeness(tree: Dict[str, Any]) -> List[str]:
       one terminal — ``ack`` (cell ok), ``nack`` or ``lost`` (cell
       failed) — and never more than one ``ack``;
     * every claim has its ``execute`` (the attempt actually ran).
+
+    ``lost`` terminals match attempts by number: a claimed attempt
+    that ends in one (its worker was reaped dead or killed for a
+    timeout) needs no ``execute`` or ``nack``, and the final attempt is
+    the highest claimed or lost one.
     """
     problems: List[str] = []
     spans = tree["spans"]
@@ -254,8 +260,11 @@ def completeness(tree: Dict[str, Any]) -> List[str]:
         acks = [t for t in terminals if t["kind"] == "ack"]
         if len(acks) > 1:
             problems.append(f"{label}: {len(acks)} ack spans (max 1)")
-        final = attempts[-1] if attempts else 0
+        lost = {t["attempt"] for t in terminals if t["kind"] == "lost"}
+        final = max([*attempts, *lost])
         for claim in claims:
+            if claim["attempt"] in lost:
+                continue
             ckids = [spans[c]
                      for c in tree["children"].get(claim["span"], ())]
             if not any(k["kind"] == "execute" for k in ckids):
@@ -267,8 +276,7 @@ def completeness(tree: Dict[str, Any]) -> List[str]:
                 problems.append(
                     f"{label}: attempt {claim['attempt']} was retried "
                     f"but has no nack span")
-        final_terms = [t for t in terminals
-                       if t["kind"] == "lost" or t["attempt"] == final]
+        final_terms = [t for t in terminals if t["attempt"] == final]
         if not final_terms:
             problems.append(
                 f"{label}: no terminal span (ack/nack/lost) for final "

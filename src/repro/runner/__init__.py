@@ -16,11 +16,13 @@ Execution is fault tolerant (:mod:`repro.runner.resilience`): failing
 cells retry with capped deterministic backoff, hung cells are killed by
 per-cell timeouts, a dead worker's cell is stolen and rerun, and
 ``keep_going`` sweeps complete with :class:`FailedCell` sentinels plus
-a JSON failure manifest instead of aborting.  A deterministic
-fault-injection harness (:mod:`repro.runner.faults`) makes all of it
-testable.
+a JSON failure manifest instead of aborting.  One deterministic
+fault plan (``$REPRO_FAULTS``, :mod:`repro.store.faults`; re-exported
+here) makes all of it testable: cell faults fire around cell attempts,
+store-op faults inside the store-retry wrapper.
 """
 
+from ..store.faults import FAULTS_ENV, Fault, FaultPlan, InjectedFaultError
 from .cache import (
     CacheCorruptionWarning,
     canonical_encode,
@@ -30,7 +32,6 @@ from .cache import (
 )
 from .cells import Cell
 from .config import RunConfig
-from .faults import FAULTS_ENV, Fault, FaultPlan, InjectedFaultError
 from .pool import default_jobs, run_cells
 from .progress import Progress
 from .resilience import (

@@ -50,12 +50,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import CellTimeoutError, ConfigurationError, ReproError, WorkerError
 from ..store import ExperimentStore, QueueItem, SQLiteStore
+from ..store.faults import active_plan, corrupt_cache_entries
 from ..store.queue import (LOST_ERROR_TYPE, AttemptError, ItemState,
                            sweep_queue)
 from .cache import cell_key
 from .cells import Cell
 from .config import RunConfig
-from .faults import active_plan, corrupt_cache_entries
 from .resilience import FailedCell
 
 # repro.runner.worker is imported where it is used, never at import
@@ -89,8 +89,11 @@ def run_cells(cells: Sequence[Cell],
     progress/telemetry sinks in one value; the default runs every cell
     on the calling thread without a store.
 
-    Store hits short-circuit execution; fresh results persist as each
-    cell completes, so interrupted sweeps resume from the store.  Under
+    The store is wrapped once (:func:`repro.runner.worker.wrap_store`),
+    so hit reads, the sweep's queue traffic and result writes all retry
+    transient errors and see the fault plan's store-op faults.  Store
+    hits short-circuit execution; fresh results persist as each cell
+    completes, so interrupted sweeps resume from the store.  Under
     ``keep_going`` permanently failed cells yield
     :class:`~repro.runner.FailedCell` sentinels instead of aborting;
     otherwise a single failing :class:`~repro.errors.ReproError`
@@ -98,9 +101,13 @@ def run_cells(cells: Sequence[Cell],
     :class:`~repro.errors.WorkerError` listing *every* failed cell,
     chained to the first one's exception.
     """
+    from .worker import wrap_store
+
     cfg = config if config is not None else RunConfig()
     jobs = cfg.jobs if cfg.jobs and cfg.jobs > 0 else default_jobs()
     store = cfg.open_store()
+    if store is not None:
+        store = wrap_store(store, cfg.store_retries)
     progress = cfg.progress
     telemetry = cfg.telemetry
     if cfg.trace and (telemetry is None or telemetry.trace_dir is None):
@@ -207,17 +214,15 @@ class _Sweep:
         from .worker import work_loop, wrap_store
 
         tmp = None
-        host = self.store
-        if host is None:
+        if self.store is not None:
+            self.host = self.store
+        else:  # a store-less sweep's queue traffic is wrapped too
             tmp = tempfile.mkdtemp(prefix="repro-queue-")
-            host = SQLiteStore(os.path.join(tmp, "queue.sqlite"))
-        self.host = host
-        # The coordinator's own traffic — publish, snapshots, puts —
-        # gets the fault-injection + retry stack workers build too.
-        wrapped = wrap_store(self.host, self.cfg.store_retries)
-        self.sink = wrapped if self.store is not None else None
+            self.host = wrap_store(
+                SQLiteStore(os.path.join(tmp, "queue.sqlite")),
+                self.cfg.store_retries)
         self.queue_name = sweep_queue(self.cfg.queue_name, self.keys)
-        self.queue = wrapped.make_queue(self.queue_name)
+        self.queue = self.host.make_queue(self.queue_name)
         try:
             self.publish()
             if jobs == 1 and self.policy.cell_timeout is None:
@@ -323,9 +328,7 @@ class _Sweep:
                         lost = self.queue.expire(wid)
                         if not lost:
                             spare -= 1
-                        for i in lost:
-                            if self.telemetry is not None and i in self.open:
-                                self.telemetry.lost(i)
+                        self.reaped(lost)
                 if self.policy.cell_timeout is not None:
                     for i, wid in self.queue.overdue(
                             self.policy.cell_timeout):
@@ -362,17 +365,39 @@ class _Sweep:
                     proc.kill()
                     proc.join()
 
+    def reaped(self, items: List[int]) -> None:
+        """Record the attempts a reaped worker died in: the claimed
+        ``items`` :meth:`~repro.store.queue.WorkQueue.expire` returned
+        for it.  Each attempt's trace ends in a ``lost`` terminal."""
+        if self.telemetry is None:
+            return
+        states = (self.queue.snapshot() if items and self.telemetry.trace_id
+                  else {})
+        for i in items:
+            if i not in self.open:
+                continue
+            self.telemetry.lost(i)
+            if i in states:
+                # expire() counted the death: attempts + deaths is now
+                # the number of the attempt that died.
+                self.telemetry.trace_lost(
+                    i, LOST_ERROR_TYPE,
+                    states[i].attempts + states[i].deaths)
+
     def time_out(self, i: int, wid: str) -> None:
         """Nack cell ``i`` for the killed worker ``wid`` that held it."""
         state = self.queue.snapshot().get(i)
         if state is not None and state.status == "claimed" \
                 and state.worker == wid:
+            attempt = state.attempts + state.deaths + 1
             exc = CellTimeoutError(
                 f"cell {self.cells[i].label} exceeded its cell-timeout "
-                f"of {self.policy.cell_timeout:g}s on attempt "
-                f"{state.attempts + state.deaths + 1}")
+                f"of {self.policy.cell_timeout:g}s on attempt {attempt}")
             self.queue.nack(i, type(exc).__name__, str(exc),
                             pickle.dumps(exc))
+            if self.telemetry is not None:
+                # The killed worker wrote no execute or nack span.
+                self.telemetry.trace_lost(i, type(exc).__name__, attempt)
         self.queue.expire(wid)  # anything else it held
 
     # -- collecting ------------------------------------------------------
@@ -424,10 +449,10 @@ class _Sweep:
     def completed(self, i: int, state: ItemState) -> None:
         assert state.result is not None
         value = pickle.loads(state.result)
-        if self.sink is not None:
+        if self.store is not None:
             # Persist before dropping the queue's copy: an interrupt
             # later in the sweep must not lose a finished cell.
-            self.sink.put(self.keys[i], value)
+            self.store.put(self.keys[i], value)
         self.queue.clear_result(i)
         self.finish(i, value, state)
 
@@ -435,8 +460,8 @@ class _Sweep:
         """Cell ``i``'s row holds no result to collect: another run of
         this sweep collected it first, or the row is gone.  Take the
         result from the store, or run the cell again."""
-        hit, value = (self.sink.get(self.keys[i]) if self.sink is not None
-                      else (False, None))
+        hit, value = (self.store.get(self.keys[i])
+                      if self.store is not None else (False, None))
         if hit:
             self.finish(i, value, state)
             return
@@ -479,6 +504,8 @@ class _Sweep:
             state = states.get(i)
             self.failed(i, exc, type(exc).__name__, reason, state)
             if self.telemetry is not None:
+                # The attempt the cell was waiting for, or running in a
+                # worker that left without a terminal, is lost.
                 self.telemetry.trace_lost(
                     i, type(exc).__name__,
-                    max(state.attempts + state.deaths, 1) if state else 1)
+                    state.attempts + state.deaths + 1 if state else 1)

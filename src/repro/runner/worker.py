@@ -31,12 +31,13 @@ at-least-once, which is safe by construction: cells are deterministic,
 so a double execution is invisible in the results.
 
 Store resilience: every store/queue operation a worker makes goes
-through :mod:`repro.store.retry` — transient errors (SQLite lock
-contention, ``EAGAIN``-family ``OSError``) retry with bounded
-deterministic backoff; a *permanent* store error (malformed database,
-``ENOSPC``) ends the worker with :data:`EXIT_STORE_PERMANENT`, which
-the coordinator treats as "do not respawn" — a broken store will not
-heal by throwing fresh processes at it.
+through the one store wrapper (:func:`wrap_store`) — transient errors
+(SQLite lock contention, ``EAGAIN``-family ``OSError``) retry with
+bounded deterministic backoff; a *permanent* store error (malformed
+database, ``ENOSPC``) ends the worker with
+:data:`EXIT_STORE_PERMANENT`, which the coordinator treats as "do not
+respawn" — a broken store will not heal by throwing fresh processes at
+it.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ import time
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..store import ExperimentStore, open_store
-from ..store.faults import maybe_faulty_store
+from ..store.faults import active_plan, inject_cell_faults
 from ..store.queue import WorkQueue
 from ..store.retry import (RetryingStore, is_transient_store_error,
                            store_retry_policy)
 from .cells import Cell
-from .faults import inject
 
 __all__ = ["EXIT_STORE_PERMANENT", "execute_attempt", "main", "serve",
            "work_loop", "wrap_store"]
@@ -88,18 +88,23 @@ def _trace_store_retry(operation: str, exc: BaseException,
 
 
 def wrap_store(store: ExperimentStore,
-               store_retries: int) -> ExperimentStore:
-    """The standard resilience stack around a freshly opened store.
+               store_retries: int) -> RetryingStore:
+    """The one store wrapper, around a freshly opened store.
 
-    Fault injection (when ``$REPRO_STORE_FAULTS`` is set) goes innermost
-    so the retry layer sees — and absorbs — the injected transients,
-    exactly as it would absorb real ones.  With tracing on, each
-    absorbed transient becomes a ``store_retry`` event on the active
-    span.
+    Every store/queue operation retries transient errors within
+    ``store_retries``.  When ``$REPRO_FAULTS`` has store-op entries,
+    the wrapper holds a fresh injector for them: each attempt fires its
+    faults first, so the retries absorb injected transients exactly as
+    they absorb real ones.  With tracing on, each absorbed transient
+    becomes a ``store_retry`` event on the active span.  The
+    coordinator wraps its store once per sweep, and every worker
+    process wraps the store it opens.
     """
+    plan = active_plan()
     return RetryingStore(
-        maybe_faulty_store(store), store_retry_policy(store_retries),
-        _trace_store_retry if os.environ.get("REPRO_TRACE") else None)
+        store, store_retry_policy(store_retries),
+        _trace_store_retry if os.environ.get("REPRO_TRACE") else None,
+        plan.injector() if plan is not None else None)
 
 
 def _seed_from_key(key: str) -> None:
@@ -140,7 +145,7 @@ def execute_attempt(key: str, cell: Cell, attempt: int,
 
 def _run_attempt(key: str, cell: Cell, attempt: int) -> Tuple[float, Any]:
     _seed_from_key(key)
-    inject(cell.label, attempt)
+    inject_cell_faults(cell.label, attempt)
     if os.environ.get("REPRO_TELEMETRY"):
         # Telemetry is on: name the cell so series files land at
         # deterministic paths, and optionally capture a cProfile.

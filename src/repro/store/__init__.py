@@ -12,10 +12,12 @@ Public surface:
 * :mod:`repro.store.queue` — the claim/renew/ack/requeue work queue
   every sweep drains (:func:`repro.runner.run_cells`).
 * :mod:`repro.store.retry` — transient-vs-permanent error
-  classification and :class:`RetryingStore` / :class:`RetryingQueue`
-  bounded-backoff wrappers.
-* :mod:`repro.store.faults` — the ``REPRO_STORE_FAULTS`` deterministic
-  fault-injection harness (:func:`maybe_faulty_store`).
+  classification and the one store wrapper, :class:`RetryingStore` /
+  :class:`RetryingQueue`: bounded-backoff retries, with injected
+  store-op faults firing inside each attempt.
+* :mod:`repro.store.faults` — the ``REPRO_FAULTS`` deterministic
+  fault plan (:class:`FaultPlan`): cell faults the runner fires around
+  cell attempts, store-op faults the wrapper fires.
 * ``python -m repro.store status --store URL`` — queue/lease status CLI
   (:mod:`repro.store.__main__`).
 
@@ -30,7 +32,6 @@ from .base import (
     CacheCorruptionWarning,
     ExperimentStore,
     PurgeResult,
-    StoreProxy,
     StoreSpec,
     StoreStats,
     decode_entry,
@@ -40,15 +41,14 @@ from .base import (
     resolve_store,
 )
 from .faults import (
-    STORE_FAULTS_ENV,
-    FaultyStore,
+    FAULTS_ENV,
+    Fault,
+    FaultPlan,
     StoreFault,
-    StoreFaultPlan,
-    active_store_plan,
-    maybe_faulty_store,
+    active_plan,
 )
 from .local import LocalFileStore
-from .queue import ItemState, QueueItem, WorkQueue, WorkQueueProxy
+from .queue import ItemState, QueueItem, WorkQueue
 from .retry import (
     RetryingQueue,
     RetryingStore,
@@ -59,13 +59,14 @@ from .retry import (
 from .sqlite import SQLiteStore
 
 __all__ = [
+    "FAULTS_ENV",
     "STORE_BACKENDS",
-    "STORE_FAULTS_ENV",
     "STORE_FORMAT_VERSION",
     "STORE_MAGIC",
     "CacheCorruptionWarning",
     "ExperimentStore",
-    "FaultyStore",
+    "Fault",
+    "FaultPlan",
     "ItemState",
     "LocalFileStore",
     "PurgeResult",
@@ -74,18 +75,14 @@ __all__ = [
     "RetryingStore",
     "SQLiteStore",
     "StoreFault",
-    "StoreFaultPlan",
-    "StoreProxy",
     "StoreSpec",
     "StoreStats",
     "WorkQueue",
-    "WorkQueueProxy",
-    "active_store_plan",
+    "active_plan",
     "call_with_retries",
     "decode_entry",
     "encode_entry",
     "is_transient_store_error",
-    "maybe_faulty_store",
     "open_store",
     "register_backend",
     "resolve_store",

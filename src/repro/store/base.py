@@ -61,7 +61,6 @@ __all__ = [
     "CacheCorruptionWarning",
     "ExperimentStore",
     "PurgeResult",
-    "StoreProxy",
     "StoreStats",
     "decode_entry",
     "encode_entry",
@@ -267,7 +266,7 @@ class ExperimentStore(ABC):
     def write_raw(self, key: str, blob: bytes) -> None:
         """Write raw bytes under ``key``, bypassing entry encoding.
 
-        Test and fault-injection hook (:mod:`repro.runner.faults` uses
+        Test and fault-injection hook (:mod:`repro.store.faults` uses
         it to plant corrupt entries); normal code wants :meth:`put`.
         """
         self._write(key, blob)
@@ -290,82 +289,6 @@ class ExperimentStore(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.url!r})"
-
-
-class StoreProxy(ExperimentStore):
-    """Transparent pass-through wrapper around another store.
-
-    Base class for decorating stores — fault injection
-    (:mod:`repro.store.faults`) and transient-error retries
-    (:mod:`repro.store.retry`) subclass this and override only the
-    operations they intercept.  *Every* operation, public protocol
-    included, delegates to ``inner``: hit/miss/put traffic keeps
-    accruing on the wrapped store's counters, so ``stats()`` telemetry
-    is identical with or without a proxy in the stack.
-    """
-
-    def __init__(self, inner: ExperimentStore) -> None:
-        super().__init__()
-        self.inner = inner
-
-    @property
-    def scheme(self) -> str:  # type: ignore[override]
-        return self.inner.scheme
-
-    # -- storage primitives --------------------------------------------
-
-    def _read(self, key: str) -> Optional[bytes]:
-        return self.inner._read(key)
-
-    def _write(self, key: str, blob: bytes) -> None:
-        self.inner._write(key, blob)
-
-    def quarantine(self, key: str) -> Optional[str]:
-        return self.inner.quarantine(key)
-
-    def purge(self) -> PurgeResult:
-        return self.inner.purge()
-
-    def contains(self, key: str) -> bool:
-        return self.inner.contains(key)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def quarantined_count(self) -> int:
-        return self.inner.quarantined_count()
-
-    # -- shared protocol (delegated so traffic counters stay inner) ----
-
-    def get(self, key: str) -> Tuple[bool, Any]:
-        return self.inner.get(key)
-
-    def put(self, key: str, value: Any) -> None:
-        self.inner.put(key, value)
-
-    def write_raw(self, key: str, blob: bytes) -> None:
-        self.inner.write_raw(key, blob)
-
-    def stats(self) -> StoreStats:
-        return self.inner.stats()
-
-    # -- identity ------------------------------------------------------
-
-    @property
-    def url(self) -> str:
-        return self.inner.url
-
-    def aux_dir(self, name: str) -> Path:
-        return self.inner.aux_dir(name)
-
-    def make_queue(self, name: str) -> "WorkQueue":
-        return self.inner.make_queue(name)
-
-    def queues(self) -> List[str]:
-        return self.inner.queues()
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 #: Registered backends: URL scheme -> store class.
@@ -391,8 +314,7 @@ def open_store(spec: StoreSpec) -> ExperimentStore:
 
     ``local:PATH`` and ``sqlite:PATH`` select a registered backend; a
     bare path (no scheme, or a one-letter Windows drive) opens the
-    default ``local`` backend there, preserving the historical
-    cache-directory arguments.  Unknown schemes raise
+    default ``local`` backend there.  Unknown schemes raise
     :class:`~repro.errors.ConfigurationError` listing what exists.
     """
     if isinstance(spec, ExperimentStore):

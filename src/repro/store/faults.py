@@ -1,53 +1,70 @@
-"""Deterministic fault injection for the store/queue layer.
+"""Deterministic fault injection: one plan for cells and store operations.
 
-The storage counterpart of :mod:`repro.runner.faults`: none of the
-fleet's storage resilience — transient-error retries
-(:mod:`repro.store.retry`), lease renewal under latency, torn-write
-quarantine, the coordinator's permanent-error handling — is testable
-without a disk that misbehaves on command.  A :class:`StoreFaultPlan`
-wraps any :class:`~repro.store.ExperimentStore` /
-:class:`~repro.store.queue.WorkQueue` pair and injects failures on a
-*deterministic schedule*: each fault counts the operations it matches
-and fires on every ``every``-th one (capped by ``times``), or on a
-seeded pseudo-random ``rate`` — never on wall-clock state, so a chaos
-run's final stdout stays byte-identical to a fault-free run.
+None of the fleet's resilience — cell retries, timeouts, worker deaths,
+quarantine, transient store-error retries, lease renewal under latency,
+torn-write recovery, permanent-error handling — is testable without
+failures on command.  A :class:`FaultPlan` injects them on a
+*deterministic schedule*, never on wall-clock state, so a plan plus a
+retry budget either always recovers or always fails, and a chaos run's
+final stdout stays byte-identical to a fault-free run.
 
-The plan travels through :data:`REPRO_STORE_FAULTS <STORE_FAULTS_ENV>`
-(inline JSON, or ``@/path/to/plan.json``), which worker processes
-inherit — each process wraps its own store on startup and replays the
-same schedule.
+The plan travels through :data:`REPRO_FAULTS <FAULTS_ENV>` (inline
+JSON, or ``@/path/to/plan.json``), which worker processes inherit, so
+faults trigger identically whether a cell runs on the coordinator's
+thread (``jobs=1``) or in a worker process.  Each entry names exactly
+one target.
 
-Fault kinds (raised exceptions are the *real* production types, so the
-classification in :mod:`repro.store.retry` is exercised, not mocked):
+**Cell faults** (``"cell"``: a cell label) fire on the listed 1-based
+``attempts``, in the executing process, before the cell body runs:
+
+``raise``
+    Raise :class:`InjectedFaultError` (a transient cell exception).
+``hang``
+    Sleep ``seconds`` (default 30; pair with ``cell_timeout``).
+``kill``
+    ``SIGKILL`` the executing process — a dead worker the coordinator
+    reaps and replaces at ``jobs > 1``, the whole run at ``jobs == 1``.
+``corrupt``
+    Coordinator-side, before store hits are resolved: overwrite the
+    cell's *existing* store entry with garbage, exercising the
+    checksum/quarantine path.  Ignores ``attempts``.
+
+**Store-op faults** (``"op"``: one of :data:`STORE_OPS`, or ``"*"`` for
+all of them) fire inside the store-retry wrapper
+(:class:`~repro.store.retry.RetryingStore`) as the first step of every
+attempt.  Each counts the operations it matches in its process and
+fires on every ``every``-th one (capped by ``times``), or on a seeded
+pseudo-random ``rate``.  Raised exceptions are the *real* production
+types, so the classification in :mod:`repro.store.retry` is exercised,
+not mocked:
 
 ``busy``
-    Raise ``sqlite3.OperationalError('database is locked [injected]')``
-    — the transient contention error any concurrent SQLite writer can
-    see.
+    ``sqlite3.OperationalError('database is locked ...')`` — transient
+    lock contention.
 ``oserror``
-    Raise ``OSError(EAGAIN)`` — a momentarily overloaded disk.
+    ``OSError(EAGAIN)`` — a momentarily overloaded disk.
 ``latency``
-    Sleep ``seconds`` before the operation proceeds (a slow disk; pair
-    with a short ``--queue-lease`` to exercise heartbeat renewal).
+    Sleep ``seconds`` (default 0.05) first — a slow disk; pair with a
+    short ``--queue-lease`` to exercise heartbeat renewal.
 ``torn``
-    On ``put`` only: write a *truncated* entry (the prefix of the real
-    checksummed blob), then raise ``OSError(EIO)`` — a crash mid-write.
-    The retry layer rewrites the entry; an unretried torn write is
-    caught later by the checksum/quarantine path.
+    On ``put`` only: write the first half of the checksummed entry,
+    then raise ``OSError(EIO)`` — a crash mid-write, which the retry
+    rewrites and the checksum catches if unretried.
 ``fatal``
-    Raise ``sqlite3.DatabaseError('database disk image is malformed
-    [injected]')`` — a *permanent* error; workers must exit with
+    ``sqlite3.DatabaseError('database disk image is malformed ...')`` —
+    a *permanent* error; workers exit with
     :data:`repro.runner.worker.EXIT_STORE_PERMANENT`.
 
 Plan JSON::
 
     {"faults": [
+        {"cell": "fig3[0.6]", "kind": "raise", "attempts": [1]},
+        {"cell": "fig3[0.7]", "kind": "kill"},
+        {"cell": "fig3[0.8]", "kind": "corrupt"},
         {"op": "put", "kind": "busy", "every": 3, "times": 2},
         {"op": "claim", "kind": "latency", "seconds": 0.05, "every": 2},
         {"op": "get", "kind": "oserror", "rate": 0.2, "seed": 7}
     ]}
-
-``op`` is one of :data:`STORE_FAULT_OPS` (``*`` matches any).
 """
 
 from __future__ import annotations
@@ -56,68 +73,118 @@ import errno
 import json
 import os
 import random
+import signal
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..errors import ConfigurationError
-from .base import ExperimentStore, StoreProxy, encode_entry
-from .queue import ItemState, QueueItem, WorkQueue, WorkQueueProxy
+from .base import ExperimentStore
+
+if TYPE_CHECKING:  # repro.runner imports this package at its own init
+    from ..runner.cells import Cell
 
 __all__ = [
-    "STORE_FAULTS_ENV",
+    "FAULTS_ENV",
+    "FAULT_KINDS",
     "STORE_FAULT_KINDS",
-    "STORE_FAULT_OPS",
+    "STORE_OPS",
+    "Fault",
     "FaultInjector",
-    "FaultyQueue",
-    "FaultyStore",
+    "FaultPlan",
+    "InjectedFaultError",
     "StoreFault",
-    "StoreFaultPlan",
-    "active_store_plan",
-    "maybe_faulty_store",
+    "active_plan",
+    "corrupt_cache_entries",
+    "inject_cell_faults",
 ]
 
 #: Environment variable carrying the active plan (inline JSON or ``@path``).
-STORE_FAULTS_ENV = "REPRO_STORE_FAULTS"
+FAULTS_ENV = "REPRO_FAULTS"
 
-#: Recognized fault kinds.
+#: Cell-fault kinds.
+FAULT_KINDS = ("raise", "hang", "kill", "corrupt")
+
+#: Store-op fault kinds.
 STORE_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
 
-#: Interceptable operations; ``*`` matches all of them.
-STORE_FAULT_OPS = ("get", "put", "quarantine", "claim", "ack", "nack",
-                   "renew", "publish", "snapshot", "*")
+#: Every operation the store-retry wrapper guards — the names its
+#: retries report and a fault's ``op`` may name (``"*"`` matches all).
+STORE_OPS = (
+    "get", "put", "write_raw", "quarantine", "contains", "len",
+    "quarantined_count",
+    "publish", "claim", "renew", "expire", "ack", "nack", "clear_result",
+    "overdue", "requeue_failed", "reset_items", "snapshot", "peek",
+)
 
-_PLAN_FIELDS = frozenset(
-    {"op", "kind", "every", "times", "seconds", "rate", "seed", "message"})
+#: What a ``corrupt`` fault writes over a store entry (fails the
+#: checksum check by construction: no valid header).
+_CORRUPT_BYTES = b"\x00injected corruption (repro.store.faults)\x00"
+
+#: The JSON fields of each entry family, with their conversions.
+_CELL_FIELDS: Dict[str, Callable[[Any], Any]] = {
+    "cell": str, "kind": str, "message": str, "seconds": float,
+    "attempts": lambda v: tuple(int(a) for a in v)}
+_OP_FIELDS: Dict[str, Callable[[Any], Any]] = {
+    "op": str, "kind": str, "message": str, "seconds": float,
+    "every": int, "seed": int,
+    "times": lambda v: None if v is None else int(v),
+    "rate": lambda v: None if v is None else float(v)}
+
+
+class InjectedFaultError(RuntimeError):
+    """Raised by a ``raise`` fault.
+
+    Deliberately *not* a :class:`~repro.errors.ReproError`: injected
+    exceptions exercise the foreign-exception wrapping path, the one a
+    genuine infrastructure failure would take.
+    """
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One injected cell failure: ``kind`` (:data:`FAULT_KINDS`) hits
+    the cell labelled ``cell`` on each 1-based attempt in ``attempts``
+    (``corrupt`` ignores them — it applies once per sweep).  A
+    ``raise`` carries ``message``; a ``hang`` sleeps ``seconds``."""
+
+    cell: str
+    kind: str
+    attempts: Tuple[int, ...] = (1,)
+    message: str = "injected fault"
+    seconds: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ConfigurationError(
+                f"unknown fault kind {self.kind!r}; expected one of "
+                f"{list(FAULT_KINDS)}")
+        if not self.attempts or any(a < 1 for a in self.attempts):
+            raise ConfigurationError(
+                f"fault attempts must be 1-based attempt numbers, got "
+                f"{self.attempts!r}")
+        if self.seconds < 0:
+            raise ConfigurationError(
+                f"fault seconds must be non-negative, got {self.seconds!r}")
+
+    def triggers(self, label: str, attempt: int) -> bool:
+        """Does this fault fire for ``label`` on ``attempt``?"""
+        return self.cell == label and attempt in self.attempts
 
 
 @dataclass(frozen=True)
 class StoreFault:
-    """One injected storage failure on a deterministic schedule.
+    """One injected store-operation failure on a deterministic schedule.
 
-    Parameters
-    ----------
-    op:
-        Which store/queue operation to intercept (:data:`STORE_FAULT_OPS`).
-    kind:
-        One of :data:`STORE_FAULT_KINDS`.
-    every:
-        Fire on every ``every``-th matching operation (1 = every call).
-        Mutually exclusive with ``rate``.
-    times:
-        Stop firing after this many injections (``None`` = unlimited).
-    seconds:
-        Sleep duration for ``latency`` faults.
-    rate:
-        Fire with this seeded pseudo-random probability per matching
-        operation instead of the modular ``every`` schedule.
-    seed:
-        Seed of the fault's private RNG (``rate`` mode only) — the
-        schedule is a pure function of (seed, call sequence).
-    message:
-        Text carried inside the injected exception.
+    ``kind`` (:data:`STORE_FAULT_KINDS`) hits operation ``op``
+    (:data:`STORE_OPS`, or ``"*"``) on every ``every``-th matching call
+    or, with ``rate`` set, with that probability drawn from a private
+    RNG seeded with ``seed`` — either way a pure function of the call
+    sequence — until it has fired ``times`` times (``None``: no cap).
+    A ``latency`` sleeps ``seconds``; raised errors carry ``message``.
     """
 
     op: str
@@ -130,10 +197,10 @@ class StoreFault:
     message: str = "injected store fault"
 
     def __post_init__(self) -> None:
-        if self.op not in STORE_FAULT_OPS:
+        if self.op != "*" and self.op not in STORE_OPS:
             raise ConfigurationError(
                 f"unknown store-fault op {self.op!r}; expected one of "
-                f"{list(STORE_FAULT_OPS)}")
+                f"{list(STORE_OPS) + ['*']}")
         if self.kind not in STORE_FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown store-fault kind {self.kind!r}; expected one of "
@@ -159,80 +226,93 @@ class StoreFault:
         return self.op == "*" or self.op == op
 
 
+def _parse_entry(entry: Any) -> Union[Fault, StoreFault]:
+    """One plan entry as a :class:`Fault` or a :class:`StoreFault`."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"each fault must be an object, got {entry!r}")
+    if "cell" in entry and "op" in entry:
+        raise ConfigurationError(
+            f"fault entry names both a 'cell' and an 'op' target; "
+            f"split it in two: {entry!r}")
+    cls: Any
+    if "cell" in entry:
+        cls, family, fields, foreign = (
+            Fault, "fault", _CELL_FIELDS, _OP_FIELDS)
+    elif "op" in entry:
+        cls, family, fields, foreign = (
+            StoreFault, "store-fault", _OP_FIELDS, _CELL_FIELDS)
+    else:
+        raise ConfigurationError(
+            f"fault entry is missing required field 'cell' or 'op': "
+            f"{entry!r}")
+    borrowed = sorted(set(entry) & set(foreign) - set(fields))
+    if borrowed:
+        raise ConfigurationError(
+            f"{family} entry carries fields of the other family "
+            f"{borrowed}; expected a subset of {sorted(fields)}")
+    unknown = sorted(set(entry) - set(fields))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {family} fields {unknown}; expected a subset of "
+            f"{sorted(fields)}")
+    if "kind" not in entry:
+        raise ConfigurationError(
+            f"{family} entry is missing required field 'kind'")
+    return cls(**{name: fields[name](value)
+                  for name, value in entry.items()})
+
+
 @dataclass(frozen=True)
-class StoreFaultPlan:
-    """An ordered collection of :class:`StoreFault`\\ s."""
+class FaultPlan:
+    """An ordered collection of cell :class:`Fault`\\ s and
+    :class:`StoreFault`\\ s."""
 
-    faults: Tuple[StoreFault, ...] = ()
+    faults: Tuple[Union[Fault, StoreFault], ...] = ()
 
-    def __bool__(self) -> bool:
-        return bool(self.faults)
+    def for_cell(self, label: str,
+                 kind: Optional[str] = None) -> List[Fault]:
+        """Cell faults aimed at ``label`` (optionally of one ``kind``)."""
+        return [f for f in self.faults
+                if isinstance(f, Fault) and f.cell == label
+                and (kind is None or f.kind == kind)]
+
+    def injector(self) -> Optional[FaultInjector]:
+        """A fresh injector for the store-op faults; ``None`` without
+        any."""
+        ops = [f for f in self.faults if isinstance(f, StoreFault)]
+        return FaultInjector(ops) if ops else None
 
     def to_json(self) -> str:
-        """Serialize to the ``REPRO_STORE_FAULTS`` JSON format."""
-        entries: List[Dict[str, Any]] = []
-        for f in self.faults:
-            entry: Dict[str, Any] = {
-                "op": f.op, "kind": f.kind, "every": f.every,
-                "seconds": f.seconds, "seed": f.seed, "message": f.message}
-            if f.times is not None:
-                entry["times"] = f.times
-            if f.rate is not None:
-                entry["rate"] = f.rate
-            entries.append(entry)
-        return json.dumps({"faults": entries}, sort_keys=True)
+        """Serialize to the ``REPRO_FAULTS`` JSON format."""
+        return json.dumps({"faults": [asdict(f) for f in self.faults]},
+                          sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "StoreFaultPlan":
+    def from_json(cls, text: str) -> "FaultPlan":
         """Parse a plan document, failing loudly on malformed input."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
-                f"store-fault plan is not valid JSON: {exc}") from exc
+                f"fault plan is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(
                 doc.get("faults", []), list):
             raise ConfigurationError(
-                "store-fault plan must be an object with a 'faults' list")
-        faults: List[StoreFault] = []
-        for entry in doc.get("faults", []):
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"each store fault must be an object, got {entry!r}")
-            unknown = sorted(set(entry) - _PLAN_FIELDS)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown store-fault fields {unknown}; expected a "
-                    f"subset of {sorted(_PLAN_FIELDS)}")
-            try:
-                op = str(entry["op"])
-                kind = str(entry["kind"])
-            except KeyError as missing:
-                raise ConfigurationError(
-                    f"store-fault entry is missing required field "
-                    f"{missing}") from missing
-            times = entry.get("times")
-            rate = entry.get("rate")
-            faults.append(StoreFault(
-                op=op, kind=kind,
-                every=int(entry.get("every", 1)),
-                times=None if times is None else int(times),
-                seconds=float(entry.get("seconds", 0.05)),
-                rate=None if rate is None else float(rate),
-                seed=int(entry.get("seed", 0)),
-                message=str(entry.get("message", "injected store fault"))))
-        return cls(faults=tuple(faults))
+                "fault plan must be an object with a 'faults' list")
+        return cls(faults=tuple(_parse_entry(entry)
+                                for entry in doc.get("faults", [])))
 
 
-def active_store_plan() -> Optional[StoreFaultPlan]:
-    """The plan named by ``$REPRO_STORE_FAULTS``, or ``None`` when unset.
+def active_plan() -> Optional[FaultPlan]:
+    """The plan named by ``$REPRO_FAULTS``, or ``None`` when unset.
 
-    ``@/path/to/plan.json`` loads from a file; anything else parses as
-    inline JSON.  (Unlike cell faults, the plan is read once per
-    wrapper — injection schedules are stateful counters, so a store
-    keeps the plan it was wrapped with.)
+    A value of ``@/path/to/plan.json`` loads the plan from a file;
+    anything else is parsed as inline JSON.  Re-read on every call so
+    long-lived workers never hold a stale plan (a wrapped store keeps
+    the injector it was built with: op schedules are stateful).
     """
-    raw = os.environ.get(STORE_FAULTS_ENV)
+    raw = os.environ.get(FAULTS_ENV)
     if not raw:
         return None
     if raw.startswith("@"):
@@ -241,29 +321,80 @@ def active_store_plan() -> Optional[StoreFaultPlan]:
             raw = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigurationError(
-                f"cannot read store-fault plan file {path}: {exc}") from exc
-    return StoreFaultPlan.from_json(raw)
+                f"cannot read fault plan file {path}: {exc}") from exc
+    return FaultPlan.from_json(raw)
+
+
+def inject_cell_faults(label: str, attempt: int) -> None:
+    """Fire any execution-side faults aimed at ``label``/``attempt``.
+
+    Called in the executing process (any queue worker) immediately
+    before the cell body runs.  No-op without an active plan.
+    """
+    plan = active_plan()
+    if plan is None:
+        return
+    for fault in plan.for_cell(label):
+        if fault.kind == "corrupt" or not fault.triggers(label, attempt):
+            continue
+        if os.environ.get("REPRO_TRACE"):
+            # Which fault fired where is a deterministic fact of the
+            # plan, so the trace event survives canonical projection.
+            from ..obs.trace import add_event
+
+            add_event("fault", det=True, kind=fault.kind, cell=label,
+                      attempt=attempt)
+        if fault.kind == "raise":
+            raise InjectedFaultError(
+                f"{fault.message} (cell {label}, attempt {attempt})")
+        if fault.kind == "hang":
+            time.sleep(fault.seconds)
+        elif fault.kind == "kill":
+            os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
+
+
+def corrupt_cache_entries(plan: FaultPlan, cells: Sequence["Cell"],
+                          keys: Sequence[str],
+                          store: ExperimentStore) -> int:
+    """Apply the plan's ``corrupt`` faults to existing store entries.
+
+    Coordinator-side, before store hits are resolved: each targeted
+    cell's existing entry is overwritten with garbage (via
+    :meth:`~repro.store.ExperimentStore.write_raw`, so it works on any
+    backend) and the subsequent
+    :meth:`~repro.store.ExperimentStore.get` exercises checksum
+    detection and quarantine.  Returns the number of entries corrupted.
+    """
+    corrupted = 0
+    for cell, key in zip(cells, keys):
+        if plan.for_cell(cell.label, kind="corrupt"):
+            if key in store:
+                store.write_raw(key, _CORRUPT_BYTES)
+                corrupted += 1
+    return corrupted
 
 
 class FaultInjector:
-    """Stateful schedule evaluator shared by a wrapped store + queues.
+    """Stateful schedule evaluator for one process's store-op faults.
 
     Counts matching operations per fault and decides, deterministically,
     which faults fire on each call.  ``injected`` tallies fired faults
-    by ``"op:kind"`` for tests and diagnostics.
+    by ``"op:kind"`` for tests and diagnostics.  A wrapped store and the
+    queues it opens share one injector, so one plan's counters cover
+    the whole surface.
     """
 
-    def __init__(self, plan: StoreFaultPlan) -> None:
-        self.plan = plan
+    def __init__(self, faults: Sequence[StoreFault]) -> None:
+        self.faults = tuple(faults)
         self.injected: Dict[str, int] = {}
-        self._seen = [0] * len(plan.faults)
-        self._fired = [0] * len(plan.faults)
-        self._rngs = [random.Random(f.seed) for f in plan.faults]
+        self._seen = [0] * len(self.faults)
+        self._fired = [0] * len(self.faults)
+        self._rngs = [random.Random(f.seed) for f in self.faults]
 
     def fire(self, op: str) -> List[StoreFault]:
         """Faults firing on this occurrence of ``op``, in plan order."""
         fired: List[StoreFault] = []
-        for i, fault in enumerate(self.plan.faults):
+        for i, fault in enumerate(self.faults):
             if not fault.matches(op):
                 continue
             self._seen[i] += 1
@@ -280,9 +411,13 @@ class FaultInjector:
                 fired.append(fault)
         return fired
 
-    def raise_or_wait(self, op: str,
-                      fired: Sequence[StoreFault]) -> None:
-        """Apply non-torn faults: sleep latencies, raise the first error."""
+    def inject(self, op: str,
+               tear: Optional[Callable[[], None]] = None) -> None:
+        """Fire this occurrence of ``op``: sleep latencies, raise the
+        first error; a ``torn`` fault calls ``tear`` (which writes the
+        truncated entry) and raises ``EIO``.  Operations that write no
+        entry pass no ``tear``, and torn faults skip them."""
+        fired = self.fire(op)
         for fault in fired:
             if fault.kind == "latency":
                 time.sleep(fault.seconds)
@@ -297,90 +432,9 @@ class FaultInjector:
                 raise sqlite3.DatabaseError(
                     f"database disk image is malformed "
                     f"[{fault.message}: {op}]")
-
-    def inject(self, op: str) -> List[StoreFault]:
-        """:meth:`fire` + :meth:`raise_or_wait`; returns torn faults."""
-        fired = self.fire(op)
         torn = [f for f in fired if f.kind == "torn"]
-        self.raise_or_wait(op, fired)
-        return torn
-
-
-class FaultyQueue(WorkQueueProxy):
-    """A :class:`~repro.store.queue.WorkQueue` that injects faults."""
-
-    def __init__(self, inner: WorkQueue, injector: FaultInjector) -> None:
-        super().__init__(inner)
-        self.injector = injector
-
-    def publish(self, items: Sequence[QueueItem]) -> int:
-        self.injector.inject("publish")
-        return self.inner.publish(items)
-
-    def claim(self, worker: str, lease: float) -> Optional[QueueItem]:
-        self.injector.inject("claim")
-        return self.inner.claim(worker, lease)
-
-    def renew(self, item_id: int, worker: str, lease: float) -> bool:
-        self.injector.inject("renew")
-        return self.inner.renew(item_id, worker, lease)
-
-    def ack(self, item_id: int, elapsed: float = 0.0,
-            result: Optional[bytes] = None) -> None:
-        self.injector.inject("ack")
-        self.inner.ack(item_id, elapsed, result)
-
-    def nack(self, item_id: int, error_type: str, message: str,
-             error: bytes = b"") -> bool:
-        self.injector.inject("nack")
-        return self.inner.nack(item_id, error_type, message, error)
-
-    def snapshot(self) -> Dict[int, ItemState]:
-        self.injector.inject("snapshot")
-        return self.inner.snapshot()
-
-
-class FaultyStore(StoreProxy):
-    """An :class:`~repro.store.ExperimentStore` that injects faults.
-
-    Queues opened through :meth:`make_queue` share this store's
-    injector, so one plan's counters cover the whole surface.
-    """
-
-    def __init__(self, inner: ExperimentStore,
-                 plan: StoreFaultPlan) -> None:
-        super().__init__(inner)
-        self.injector = FaultInjector(plan)
-
-    def get(self, key: str) -> Tuple[bool, Any]:
-        self.injector.inject("get")
-        return self.inner.get(key)
-
-    def put(self, key: str, value: Any) -> None:
-        torn = self.injector.inject("put")
-        if torn:
-            # A crash mid-write: persist a truncated prefix of the real
-            # entry, then fail the call like the kernel would.
-            blob = encode_entry(value)
-            self.inner.write_raw(key, blob[:max(len(blob) // 2, 1)])
-            raise OSError(errno.EIO, f"{torn[0].message} [torn put]")
-        self.inner.put(key, value)
-
-    def quarantine(self, key: str) -> Optional[str]:
-        self.injector.inject("quarantine")
-        return self.inner.quarantine(key)
-
-    def make_queue(self, name: str) -> WorkQueue:
-        return FaultyQueue(self.inner.make_queue(name), self.injector)
-
-
-def maybe_faulty_store(store: ExperimentStore) -> ExperimentStore:
-    """Wrap ``store`` when ``$REPRO_STORE_FAULTS`` names a plan.
-
-    The coordinator and every worker call this on the store they just
-    opened; without a plan the store passes through untouched.
-    """
-    plan = active_store_plan()
-    if plan is None or not plan:
-        return store
-    return FaultyStore(store, plan)
+        if torn and tear is not None:
+            # A crash mid-write: the truncated prefix is on disk, and
+            # the call fails like the kernel would.
+            tear()
+            raise OSError(errno.EIO, f"{torn[0].message} [torn {op}]")

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-if TYPE_CHECKING:  # runtime-free: retry/faults import this module
+if TYPE_CHECKING:  # runtime-free: the sqlite backend imports this module
     from .sqlite import SQLiteStore
 
 __all__ = [
@@ -82,7 +82,6 @@ __all__ = [
     "ItemState",
     "QueueItem",
     "WorkQueue",
-    "WorkQueueProxy",
     "SQLiteWorkQueue",
     "sweep_fingerprint",
     "sweep_queue",
@@ -605,57 +604,3 @@ class SQLiteWorkQueue(WorkQueue):
             ("DELETE FROM queue_meta WHERE queue = ? AND fingerprint = ?",
              (self.name, self.sweep)),
         ])
-
-
-class WorkQueueProxy(WorkQueue):
-    """Transparent pass-through wrapper around another :class:`WorkQueue`.
-
-    Base class for decorating queues — fault injection
-    (:mod:`repro.store.faults`) and transient-error retries
-    (:mod:`repro.store.retry`) both subclass this and override only the
-    operations they intercept; everything else delegates to ``inner``.
-    """
-
-    def __init__(self, inner: WorkQueue) -> None:
-        self.inner = inner
-
-    def publish(self, items: Sequence[QueueItem]) -> int:
-        return self.inner.publish(items)
-
-    def claim(self, worker: str, lease: float) -> Optional[QueueItem]:
-        return self.inner.claim(worker, lease)
-
-    def renew(self, item_id: int, worker: str, lease: float) -> bool:
-        return self.inner.renew(item_id, worker, lease)
-
-    def expire(self, worker: str) -> List[int]:
-        return self.inner.expire(worker)
-
-    def ack(self, item_id: int, elapsed: float = 0.0,
-            result: Optional[bytes] = None) -> None:
-        self.inner.ack(item_id, elapsed, result)
-
-    def nack(self, item_id: int, error_type: str, message: str,
-             error: bytes = b"") -> bool:
-        return self.inner.nack(item_id, error_type, message, error)
-
-    def clear_result(self, item_id: int) -> None:
-        self.inner.clear_result(item_id)
-
-    def overdue(self, timeout: float) -> List[Tuple[int, str]]:
-        return self.inner.overdue(timeout)
-
-    def requeue_failed(self) -> int:
-        return self.inner.requeue_failed()
-
-    def reset_items(self, item_ids: Sequence[int]) -> int:
-        return self.inner.reset_items(item_ids)
-
-    def snapshot(self) -> Dict[int, ItemState]:
-        return self.inner.snapshot()
-
-    def peek(self, item_id: int) -> Optional[QueueItem]:
-        return self.inner.peek(item_id)
-
-    def clear(self) -> None:
-        self.inner.clear()

@@ -45,7 +45,7 @@ def test_fig5_smoke(capsys):
 
 def test_fig5_smoke_parallel_cached(capsys, tmp_path):
     argv = ["fig5", "--scale", "smoke", "--jobs", "2",
-            "--cache-dir", str(tmp_path)]
+            "--store", f"local:{tmp_path}"]
     assert main(argv) == 0
     first = capsys.readouterr()
     assert "cached" not in first.err

@@ -8,7 +8,9 @@ the experiments CLI:
   a fault-free untraced ``--jobs 1`` run prints (observation is pure);
 * the stitched span tree passes every completeness invariant — the
   claim ladder is 1..K, each claim has its execute, each retried
-  attempt has its nack, and exactly one terminal closes the cell;
+  attempt has its nack, and exactly one terminal closes the cell; an
+  attempt whose worker was killed (a ``kill`` fault, a cell timeout)
+  ends in the coordinator's ``lost`` terminal instead;
 * the canonical projection is byte-identical across worker counts for
   raise-based fault plans (retries are deterministic; schedules are
   not, and they must not leak into the projection).
@@ -23,9 +25,7 @@ import pytest
 from repro.experiments.__main__ import main
 from repro.obs.schema import validate_run_dir
 from repro.obs.stitch import canonical, completeness, load_trace_rows, stitch
-from repro.runner.faults import FAULTS_ENV
-from repro.store import open_store
-from repro.store.faults import STORE_FAULTS_ENV
+from repro.store import FAULTS_ENV, open_store
 
 #: One fig3 cell raises on its first attempt and succeeds on retry.
 RETRY_PLAN = json.dumps({"faults": [
@@ -35,13 +35,20 @@ RETRY_PLAN = json.dumps({"faults": [
 SLOW_PLAN = json.dumps({"faults": [
     {"cell": "fig3[0.6]", "kind": "hang", "seconds": 1.5}]})
 
+#: One fig3 cell kills its worker on its first attempt.
+KILL_PLAN = json.dumps({"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]})
+
+#: One fig3 cell hangs 5x past the 1 s cell timeout used below.
+HANG_PLAN = json.dumps({"faults": [
+    {"cell": "fig3[0.7]", "kind": "hang", "seconds": 5.0}]})
+
 #: Every other queue/store call hits lock contention first.
 BUSY_PLAN = json.dumps({"faults": [{"op": "*", "kind": "busy", "every": 2}]})
 
 
 def baseline_stdout(tmp_path, capsys):
     assert main(["fig3", "--jobs", "1",
-                 "--cache-dir", str(tmp_path / "baseline")]) == 0
+                 "--store", f"local:{tmp_path}/baseline"]) == 0
     return capsys.readouterr().out
 
 
@@ -140,6 +147,44 @@ class TestStolenCellTrace:
             store.close()
 
 
+class TestKilledAttemptTrace:
+    """A worker that dies mid-attempt writes no execute or nack span;
+    the coordinator closes that attempt with a ``lost`` terminal."""
+
+    def assert_lost_then_acked(self, tree):
+        label = "fig3[0.7]"
+        claims = spans_for(tree, label, "claim")
+        assert [c["attempt"] for c in claims] == [1, 2]
+        (lost,) = spans_for(tree, label, "lost")
+        assert lost["attempt"] == 1
+        assert [e["attempt"] for e in spans_for(tree, label, "execute")] \
+            == [2]
+        (ack,) = spans_for(tree, label, "ack")
+        assert ack["attempt"] == 2
+
+    def test_killed_worker_leaves_a_complete_tree(
+            self, tmp_path, capsys, monkeypatch):
+        baseline = baseline_stdout(tmp_path, capsys)
+        monkeypatch.setenv(FAULTS_ENV, KILL_PLAN)
+        run_dir = traced_fleet(tmp_path, "kill", "--jobs", "2",
+                               "--retries", "1")
+        assert capsys.readouterr().out == baseline
+        self.assert_lost_then_acked(stitched(run_dir))
+
+    def test_timed_out_attempt_leaves_a_complete_tree(
+            self, tmp_path, capsys, monkeypatch):
+        baseline = baseline_stdout(tmp_path, capsys)
+        monkeypatch.setenv(FAULTS_ENV, HANG_PLAN)
+        run_dir = traced_fleet(tmp_path, "hang", "--cell-timeout", "1",
+                               "--retries", "1")
+        assert capsys.readouterr().out == baseline
+        tree = stitched(run_dir)
+        self.assert_lost_then_acked(tree)
+        (lost,) = spans_for(tree, "fig3[0.7]", "lost")
+        assert [e["error_type"] for e in lost["events"]] == \
+            ["CellTimeoutError"]
+
+
 class TestStoreFaultTrace:
     def test_store_retries_are_traced_but_canonically_invisible(
             self, tmp_path, capsys, monkeypatch):
@@ -147,9 +192,9 @@ class TestStoreFaultTrace:
         raw rows, yet the canonical projection equals a fault-free
         run's — backoff is schedule, not causality."""
         clean = traced_fleet(tmp_path, "clean", "--jobs", "2")
-        monkeypatch.setenv(STORE_FAULTS_ENV, BUSY_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, BUSY_PLAN)
         busy = traced_fleet(tmp_path, "busy", "--jobs", "2")
-        monkeypatch.delenv(STORE_FAULTS_ENV)
+        monkeypatch.delenv(FAULTS_ENV)
         capsys.readouterr()
         rows = load_trace_rows([busy])
         retry_events = [e for row in rows for e in row["events"]
@@ -172,6 +217,6 @@ class TestTracingOff:
     def test_trace_without_telemetry_is_a_usage_error(self, tmp_path,
                                                       capsys):
         with pytest.raises(SystemExit) as err:
-            main(["fig3", "--cache-dir", str(tmp_path / "c"), "--trace"])
+            main(["fig3", "--store", f"local:{tmp_path}/c", "--trace"])
         assert err.value.code == 2
         assert "--trace requires --telemetry" in capsys.readouterr().err

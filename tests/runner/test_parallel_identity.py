@@ -18,7 +18,7 @@ def _stdout(capsys, argv):
 
 @pytest.mark.parametrize("fig", ["fig3", "fig5"])
 def test_jobs2_byte_identical_to_jobs1(fig, capsys, tmp_path):
-    base = [fig, "--scale", "smoke", "--cache-dir", str(tmp_path)]
+    base = [fig, "--scale", "smoke", "--store", f"local:{tmp_path}"]
     sequential = _stdout(capsys, base + ["--jobs", "1", "--force"])
     parallel = _stdout(capsys, base + ["--jobs", "2", "--force"])
     assert parallel == sequential
@@ -31,5 +31,5 @@ def test_jobs2_byte_identical_to_jobs1(fig, capsys, tmp_path):
 def test_no_cache_matches_cached(capsys, tmp_path):
     base = ["fig5", "--scale", "smoke"]
     uncached = _stdout(capsys, base + ["--no-cache"])
-    cached = _stdout(capsys, base + ["--cache-dir", str(tmp_path)])
+    cached = _stdout(capsys, base + ["--store", f"local:{tmp_path}"])
     assert uncached == cached

@@ -18,20 +18,22 @@ The heartbeat distinction, asserted both ways:
 from __future__ import annotations
 
 import json
+import sqlite3
+
+import pytest
 
 from repro.experiments.__main__ import main
-from repro.runner.faults import FAULTS_ENV
 from repro.runner.worker import EXIT_STORE_PERMANENT
 from repro.runner.worker import main as worker_main
-from repro.store import open_store
-from repro.store.faults import STORE_FAULTS_ENV
+from repro.store import FAULTS_ENV, open_store
 
 #: One fig3 cell sleeps well past the 0.4 s lease used below.
 SLOW_CELL_PLAN = json.dumps({"faults": [
     {"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]})
 
 #: Every third store/queue call hits lock contention, claims see extra
-#: latency, and each worker's first result write is torn mid-blob.
+#: latency, and the coordinator's first result write (workers never
+#: put) is torn mid-blob.
 NOISY_STORE_PLAN = json.dumps({"faults": [
     {"op": "*", "kind": "busy", "every": 3},
     {"op": "claim", "kind": "latency", "seconds": 0.01},
@@ -42,10 +44,17 @@ NOISY_STORE_PLAN = json.dumps({"faults": [
 BROKEN_STORE_PLAN = json.dumps({"faults": [
     {"op": "claim", "kind": "fatal"}]})
 
+#: Every hit read of the store is broken beyond repair.
+BROKEN_GET_PLAN = json.dumps({"faults": [{"op": "get", "kind": "fatal"}]})
+
+#: The first hit read meets lock contention once.
+BUSY_GET_PLAN = json.dumps({"faults": [
+    {"op": "get", "kind": "busy", "times": 1}]})
+
 
 def baseline_stdout(tmp_path, capsys):
     assert main(["fig3", "--jobs", "1",
-                 "--cache-dir", str(tmp_path / "baseline")]) == 0
+                 "--store", f"local:{tmp_path}/baseline"]) == 0
     return capsys.readouterr().out
 
 
@@ -102,12 +111,12 @@ class TestStoreFaultChaos:
         all absorbed by the retry stack: same bytes, full store, no
         quarantined entries."""
         baseline = baseline_stdout(tmp_path, capsys)
-        monkeypatch.setenv(STORE_FAULTS_ENV, NOISY_STORE_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, NOISY_STORE_PLAN)
         url = f"sqlite:{tmp_path}/noisy.db"
         rc = main(["fig3", "--store", url, "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
-        monkeypatch.delenv(STORE_FAULTS_ENV)
+        monkeypatch.delenv(FAULTS_ENV)
         store = open_store(url)
         try:
             assert len(store) == 4
@@ -117,7 +126,7 @@ class TestStoreFaultChaos:
 
     def test_worker_exits_distinctly_on_a_permanent_store_error(
             self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(STORE_FAULTS_ENV, BROKEN_STORE_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
         rc = worker_main(["--store", f"local:{tmp_path}/store",
                           "--queue", "doomed"])
         assert rc == EXIT_STORE_PERMANENT
@@ -130,10 +139,26 @@ class TestStoreFaultChaos:
         """Workers dying with EXIT_STORE_PERMANENT shrink the fleet
         instead of burning the respawn budget; the sweep fails loudly
         with the store-specific reason."""
-        monkeypatch.setenv(STORE_FAULTS_ENV, BROKEN_STORE_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
         rc = main(["fig3", "--store", f"sqlite:{tmp_path}/broken.db",
                    "--jobs", "2", "--keep-going"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "aborted on permanent store errors" in err
         assert "4 failed cell(s)" in err
+
+    def test_get_faults_reach_hit_reads(self, tmp_path, capsys,
+                                        monkeypatch):
+        """A warm store serves every cell from hit reads, and those go
+        through the same wrapper as the sweep: a transient get fault is
+        retried away, a permanent one fails the run."""
+        baseline = baseline_stdout(tmp_path, capsys)
+        url = f"sqlite:{tmp_path}/warm.db"
+        assert main(["fig3", "--store", url, "--jobs", "1"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv(FAULTS_ENV, BUSY_GET_PLAN)
+        assert main(["fig3", "--store", url, "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == baseline
+        monkeypatch.setenv(FAULTS_ENV, BROKEN_GET_PLAN)
+        with pytest.raises(sqlite3.DatabaseError, match="malformed"):
+            main(["fig3", "--store", url, "--jobs", "1"])

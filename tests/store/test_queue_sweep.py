@@ -26,7 +26,7 @@ from .helpers import pause_then
 
 def baseline_stdout(tmp_path, capsys):
     assert main(["fig3", "--jobs", "1",
-                 "--cache-dir", str(tmp_path / "baseline")]) == 0
+                 "--store", f"local:{tmp_path}/baseline"]) == 0
     return capsys.readouterr().out
 
 

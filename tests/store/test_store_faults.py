@@ -1,61 +1,76 @@
-"""Store fault injection + transient-retry stack, end to end.
+"""The fault plan and the store wrapper, end to end.
 
-Covers the three layers the chaos smoke relies on: plan parsing and
-deterministic schedules (:mod:`repro.store.faults`), the
-transient/permanent error line and bounded retries
-(:mod:`repro.store.retry`), and their composition — a retried put
-through an injected torn write must leave a valid entry behind.
+Covers the layers the chaos smoke relies on: plan parsing for both
+entry families and deterministic op schedules
+(:mod:`repro.store.faults`), the transient/permanent error line and
+bounded retries (:mod:`repro.store.retry`), and injection inside the
+retry wrapper — a retried put through an injected torn write must
+leave a valid entry behind.
 """
 
 from __future__ import annotations
 
 import errno
+import json
 import sqlite3
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import RetryPolicy
+from repro.runner import Cell, RetryPolicy, RunConfig, run_cells
+from repro.runner.worker import wrap_store
 from repro.store import (
+    FAULTS_ENV,
     CacheCorruptionWarning,
-    FaultyStore,
+    Fault,
+    FaultPlan,
     LocalFileStore,
     QueueItem,
-    RetryingQueue,
     RetryingStore,
     StoreFault,
-    StoreFaultPlan,
-    active_store_plan,
+    active_plan,
     call_with_retries,
     is_transient_store_error,
-    maybe_faulty_store,
     store_retry_policy,
 )
-from repro.store.faults import STORE_FAULTS_ENV, FaultInjector
+from repro.store.faults import STORE_OPS, FaultInjector
 
-from .helpers import key_of
+from .helpers import key_of, pause_then
 
 
-def plan_of(*faults: StoreFault) -> StoreFaultPlan:
-    return StoreFaultPlan(faults=tuple(faults))
+def injector_of(*faults: StoreFault) -> FaultInjector:
+    return FaultInjector(faults)
+
+
+#: A document with entries of both families.
+MIXED = FaultPlan((
+    Fault(cell="fig3[0.6]", kind="raise", attempts=(1, 2)),
+    StoreFault(op="*", kind="busy", every=3),
+    Fault(cell="fig3[0.7]", kind="hang", seconds=1.5),
+    StoreFault(op="get", kind="oserror", rate=0.5, seed=7),
+    Fault(cell="fig3[0.8]", kind="corrupt"),
+    StoreFault(op="put", kind="busy", every=3, times=2),
+))
 
 
 # ------------------------------------------------------------- parsing --
 
 
 class TestPlanParsing:
+    """One plan schema: ``cell`` entries and ``op`` entries."""
+
     def test_round_trip(self):
-        plan = plan_of(
-            StoreFault(op="put", kind="busy", every=3, times=2),
-            StoreFault(op="get", kind="oserror", rate=0.5, seed=7))
-        assert StoreFaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(MIXED.to_json()) == MIXED
 
     def test_defaults(self):
-        plan = StoreFaultPlan.from_json(
-            '{"faults": [{"op": "claim", "kind": "latency"}]}')
-        fault = plan.faults[0]
-        assert (fault.every, fault.times, fault.rate) == (1, None, None)
-        assert fault.seconds == 0.05
+        plan = FaultPlan.from_json(json.dumps({"faults": [
+            {"cell": "t[0]", "kind": "hang"},
+            {"op": "claim", "kind": "latency"}]}))
+        cell, op = plan.faults
+        assert cell == Fault(cell="t[0]", kind="hang")
+        assert (cell.attempts, cell.seconds) == ((1,), 30.0)
+        assert (op.every, op.times, op.rate) == (1, None, None)
+        assert op.seconds == 0.05
 
     @pytest.mark.parametrize("doc,match", [
         ("nonsense", "not valid JSON"),
@@ -65,10 +80,20 @@ class TestPlanParsing:
         ('{"faults": [{"op": "put"}]}', "missing required field"),
         ('{"faults": [{"op": "put", "kind": "busy", "wat": 1}]}',
          "unknown store-fault fields"),
+        ("{nope", "not valid JSON"),
+        ('{"faults": [{"cell": "t[0]"}]}', "missing required field"),
+        ('{"faults": [{"cell": "t[0]", "kind": "raise", "when": 1}]}',
+         "unknown fault fields"),
+        ('{"faults": [{"cell": "t[0]", "op": "put", "kind": "busy"}]}',
+         "names both"),
+        ('{"faults": [{"cell": "t[0]", "kind": "raise", "every": 2}]}',
+         "carries fields of the other"),
+        ('{"faults": [{"op": "put", "kind": "busy", "attempts": [1]}]}',
+         "carries fields of the other"),
     ])
     def test_malformed_documents_fail_loudly(self, doc, match):
         with pytest.raises(ConfigurationError, match=match):
-            StoreFaultPlan.from_json(doc)
+            FaultPlan.from_json(doc)
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(op="frobnicate", kind="busy"), "unknown store-fault op"),
@@ -78,33 +103,40 @@ class TestPlanParsing:
         (dict(op="put", kind="latency", seconds=-1.0), "non-negative"),
         (dict(op="put", kind="busy", rate=1.5), "rate must be in"),
         (dict(op="get", kind="torn"), "only apply to 'put'"),
+        (dict(cell="t[0]", kind="explode"), "unknown fault kind"),
+        (dict(cell="t[0]", kind="raise", attempts=[0]), "1-based"),
+        (dict(cell="t[0]", kind="hang", seconds=-1.0), "non-negative"),
     ])
     def test_fault_validation(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
-            StoreFault(**kwargs)
+            FaultPlan.from_json(json.dumps({"faults": [kwargs]}))
+
+    def test_triggers_by_label_and_attempt(self):
+        fault = Fault(cell="t[0]", kind="raise", attempts=(2,))
+        assert fault.triggers("t[0]", 2)
+        assert not fault.triggers("t[0]", 1)
+        assert not fault.triggers("t[1]", 2)
+        assert MIXED.for_cell("fig3[0.8]") == [MIXED.faults[4]]
+        assert MIXED.for_cell("fig3[0.8]", kind="raise") == []
 
     def test_env_unset_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv(STORE_FAULTS_ENV, raising=False)
-        assert active_store_plan() is None
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        assert active_plan() is None
 
     def test_env_inline_json(self, monkeypatch):
-        monkeypatch.setenv(
-            STORE_FAULTS_ENV,
-            '{"faults": [{"op": "*", "kind": "busy"}]}')
-        plan = active_store_plan()
-        assert plan is not None and plan.faults[0].op == "*"
+        monkeypatch.setenv(FAULTS_ENV, MIXED.to_json())
+        assert active_plan() == MIXED
 
     def test_env_at_path_indirection(self, monkeypatch, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text('{"faults": [{"op": "ack", "kind": "oserror"}]}')
-        monkeypatch.setenv(STORE_FAULTS_ENV, f"@{path}")
-        plan = active_store_plan()
-        assert plan is not None and plan.faults[0].op == "ack"
+        path.write_text(MIXED.to_json(), encoding="utf-8")
+        monkeypatch.setenv(FAULTS_ENV, f"@{path}")
+        assert active_plan() == MIXED
 
     def test_env_missing_plan_file_raises(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_FAULTS_ENV, f"@{tmp_path}/absent.json")
+        monkeypatch.setenv(FAULTS_ENV, f"@{tmp_path}/absent.json")
         with pytest.raises(ConfigurationError, match="cannot read"):
-            active_store_plan()
+            active_plan()
 
 
 # ----------------------------------------------------------- schedules --
@@ -112,24 +144,23 @@ class TestPlanParsing:
 
 class TestInjectorSchedule:
     def test_every_n_with_times_cap(self):
-        injector = FaultInjector(plan_of(
-            StoreFault(op="get", kind="busy", every=3, times=2)))
+        injector = injector_of(
+            StoreFault(op="get", kind="busy", every=3, times=2))
         fired = [bool(injector.fire("get")) for _ in range(12)]
         # 1-based matches 3 and 6 fire; the times cap stops 9 and 12.
         assert fired == [False, False, True, False, False, True,
                          False, False, False, False, False, False]
 
     def test_ops_are_counted_independently(self):
-        injector = FaultInjector(plan_of(
-            StoreFault(op="put", kind="busy", every=2)))
+        injector = injector_of(StoreFault(op="put", kind="busy", every=2))
         assert injector.fire("get") == []      # no match, no count
         assert injector.fire("put") == []      # put #1
         assert injector.fire("get") == []
         assert len(injector.fire("put")) == 1  # put #2 fires
 
     def test_wildcard_matches_every_op(self):
-        injector = FaultInjector(plan_of(
-            StoreFault(op="*", kind="busy", every=1, times=3)))
+        injector = injector_of(
+            StoreFault(op="*", kind="busy", every=1, times=3))
         assert len(injector.fire("get")) == 1
         assert len(injector.fire("claim")) == 1
         assert len(injector.fire("renew")) == 1
@@ -138,11 +169,11 @@ class TestInjectorSchedule:
                                      "renew:busy": 1}
 
     def test_rate_schedule_is_seed_deterministic(self):
-        plan = plan_of(StoreFault(op="get", kind="busy", rate=0.4, seed=11))
-        pattern_a = [bool(FaultInjector(plan).fire("get"))
+        fault = StoreFault(op="get", kind="busy", rate=0.4, seed=11)
+        pattern_a = [bool(injector_of(fault).fire("get"))
                      for _ in range(1)]  # fresh injector: first call only
-        one = FaultInjector(plan)
-        two = FaultInjector(plan)
+        one = injector_of(fault)
+        two = injector_of(fault)
         seq_one = [bool(one.fire("get")) for _ in range(50)]
         seq_two = [bool(two.fire("get")) for _ in range(50)]
         assert seq_one == seq_two          # pure function of (seed, calls)
@@ -150,21 +181,21 @@ class TestInjectorSchedule:
         assert pattern_a == seq_one[:1]
 
     def test_kinds_raise_their_production_exceptions(self):
-        busy = FaultInjector(plan_of(StoreFault(op="*", kind="busy")))
+        busy = injector_of(StoreFault(op="*", kind="busy"))
         with pytest.raises(sqlite3.OperationalError, match="locked"):
             busy.inject("get")
-        oserr = FaultInjector(plan_of(StoreFault(op="*", kind="oserror")))
+        oserr = injector_of(StoreFault(op="*", kind="oserror"))
         with pytest.raises(OSError) as exc_info:
             oserr.inject("get")
         assert exc_info.value.errno == errno.EAGAIN
-        fatal = FaultInjector(plan_of(StoreFault(op="*", kind="fatal")))
+        fatal = injector_of(StoreFault(op="*", kind="fatal"))
         with pytest.raises(sqlite3.DatabaseError, match="malformed"):
             fatal.inject("get")
 
     def test_latency_delays_without_raising(self):
-        injector = FaultInjector(plan_of(
-            StoreFault(op="get", kind="latency", seconds=0.0)))
-        assert injector.inject("get") == []
+        injector = injector_of(
+            StoreFault(op="get", kind="latency", seconds=0.0))
+        injector.inject("get")
         assert injector.injected == {"get:latency": 1}
 
 
@@ -259,41 +290,42 @@ class TestCallWithRetries:
 FAST = RetryPolicy(retries=5, backoff_base=0.0, backoff_cap=0.0)
 
 
-def faulty_local(tmp_path, *faults: StoreFault) -> FaultyStore:
-    return FaultyStore(LocalFileStore(tmp_path / "store"), plan_of(*faults))
+def faulty_local(tmp_path, *faults: StoreFault,
+                 policy: RetryPolicy = FAST) -> RetryingStore:
+    return RetryingStore(LocalFileStore(tmp_path / "store"), policy,
+                         faults=FaultPlan(faults).injector())
+
+
+def one_item():
+    return [QueueItem(item_id=0, key=key_of(0), label="c", payload=b"p")]
 
 
 class TestRetryingOverFaulty:
     def test_put_get_survive_injected_busy(self, tmp_path):
-        store = RetryingStore(
-            faulty_local(tmp_path,
-                         StoreFault(op="*", kind="busy", every=1, times=4)),
-            FAST)
+        store = faulty_local(
+            tmp_path, StoreFault(op="*", kind="busy", every=1, times=4))
         store.put(key_of(1), {"v": 1})
         assert store.get(key_of(1)) == (True, {"v": 1})
-        assert store.inner.injector.injected["put:busy"] >= 1
+        assert store.faults.injected["put:busy"] >= 1
 
     def test_fatal_fault_escapes_the_retry_stack(self, tmp_path):
-        store = RetryingStore(
-            faulty_local(tmp_path, StoreFault(op="put", kind="fatal")),
-            FAST)
+        store = faulty_local(tmp_path, StoreFault(op="put", kind="fatal"))
         with pytest.raises(sqlite3.DatabaseError, match="malformed"):
             store.put(key_of(2), "doomed")
 
     def test_torn_write_recovers_through_retry(self, tmp_path):
         """The headline chaos case: a torn put leaves truncated bytes
         and raises EIO; the retry rewrites the full checksummed entry."""
-        store = RetryingStore(
-            faulty_local(tmp_path,
-                         StoreFault(op="put", kind="torn", times=1)),
-            FAST)
+        store = faulty_local(
+            tmp_path, StoreFault(op="put", kind="torn", times=1))
         store.put(key_of(3), [1, 2, 3])
         assert store.get(key_of(3)) == (True, [1, 2, 3])
         assert store.quarantined_count() == 0
 
     def test_unretried_torn_write_is_caught_by_the_checksum(self, tmp_path):
         store = faulty_local(
-            tmp_path, StoreFault(op="put", kind="torn", times=1))
+            tmp_path, StoreFault(op="put", kind="torn", times=1),
+            policy=RetryPolicy(retries=0))
         with pytest.raises(OSError):
             store.put(key_of(4), [1, 2, 3])
         # The truncated entry is on disk; the checksum path quarantines
@@ -305,44 +337,113 @@ class TestRetryingOverFaulty:
     def test_queue_shares_the_store_injector(self, tmp_path):
         store = faulty_local(
             tmp_path, StoreFault(op="claim", kind="busy", every=2))
-        queue = RetryingQueue(store.make_queue("sweep"), FAST)
-        queue.publish([QueueItem(item_id=0, key=key_of(0), label="c",
-                                 payload=b"p")])
-        item = queue.claim("w0", 60.0)   # claim #1 clean, retry absorbs #2
+        queue = store.make_queue("sweep")
+        assert queue.store is store
+        queue.publish(one_item())
+        item = queue.claim("w0", 60.0)   # claim #1 clean
         assert item is not None
         queue.ack(item.item_id)
-        assert store.injector.injected.get("claim:busy", 0) >= 0
-        assert store.injector._seen[0] >= 1
+        assert store.faults._seen[0] == 1
 
     def test_renew_faults_are_absorbed(self, tmp_path):
         store = faulty_local(
             tmp_path, StoreFault(op="renew", kind="busy", every=1, times=2))
-        queue = RetryingQueue(store.make_queue("sweep"), FAST)
-        queue.publish([QueueItem(item_id=0, key=key_of(0), label="c",
-                                 payload=b"p")])
+        queue = store.make_queue("sweep")
+        queue.publish(one_item())
         assert queue.claim("w0", 60.0) is not None
         assert queue.renew(0, "w0", 60.0) is True
-        assert store.injector.injected["renew:busy"] >= 1
+        assert store.faults.injected["renew:busy"] == 2
+
+    def test_every_guarded_operation_fires_and_retries(self, tmp_path):
+        """STORE_OPS names exactly what the wrapper guards: a one-shot
+        busy fault on each op fires inside that op and is retried."""
+        calls = {
+            "get": lambda s, q: s.get(key_of(0)),
+            "put": lambda s, q: s.put(key_of(0), 0),
+            "write_raw": lambda s, q: s.write_raw(key_of(1), b"x"),
+            "quarantine": lambda s, q: s.quarantine(key_of(1)),
+            "contains": lambda s, q: s.contains(key_of(0)),
+            "len": lambda s, q: len(s),
+            "quarantined_count": lambda s, q: s.quarantined_count(),
+            "publish": lambda s, q: q.publish(one_item()),
+            "claim": lambda s, q: q.claim("w0", 60.0),
+            "renew": lambda s, q: q.renew(0, "w0", 60.0),
+            "expire": lambda s, q: q.expire("w1"),
+            "ack": lambda s, q: q.ack(0),
+            "nack": lambda s, q: q.nack(0, "E", "m"),
+            "clear_result": lambda s, q: q.clear_result(0),
+            "overdue": lambda s, q: q.overdue(60.0),
+            "requeue_failed": lambda s, q: q.requeue_failed(),
+            "reset_items": lambda s, q: q.reset_items([0]),
+            "snapshot": lambda s, q: q.snapshot(),
+            "peek": lambda s, q: q.peek(0),
+        }
+        assert tuple(calls) == STORE_OPS
+        for op, call in calls.items():
+            seen = []
+            store = RetryingStore(
+                LocalFileStore(tmp_path / "store"), FAST,
+                lambda name, exc, n: seen.append(name),
+                FaultPlan((StoreFault(op=op, kind="busy", times=1),))
+                .injector())
+            queue = store.make_queue("sweep")
+            for other in calls.values():
+                other(store, queue)
+            store.close()
+            assert seen == [op], op
 
 
-class TestMaybeFaultyStore:
-    def test_without_env_the_store_passes_through(self, monkeypatch,
-                                                  tmp_path):
-        monkeypatch.delenv(STORE_FAULTS_ENV, raising=False)
+class TestWrapStore:
+    """The one wrapper gets an injector only for a plan's op entries."""
+
+    def test_without_env_there_is_no_injector(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
         store = LocalFileStore(tmp_path)
-        assert maybe_faulty_store(store) is store
-
-    def test_with_env_the_store_is_wrapped(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(
-            STORE_FAULTS_ENV, '{"faults": [{"op": "get", "kind": "busy"}]}')
-        store = LocalFileStore(tmp_path)
-        wrapped = maybe_faulty_store(store)
-        assert isinstance(wrapped, FaultyStore)
+        wrapped = wrap_store(store, 5)
         assert wrapped.inner is store
-        # Workers respawn the raw URL and wrap it themselves.
+        assert wrapped.faults is None
+
+    def test_op_entries_get_an_injector(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(FAULTS_ENV, MIXED.to_json())
+        store = LocalFileStore(tmp_path)
+        wrapped = wrap_store(store, 5)
+        assert isinstance(wrapped.faults, FaultInjector)
+        assert wrapped.faults.faults == tuple(
+            f for f in MIXED.faults if isinstance(f, StoreFault))
+        # Workers reopen the raw URL and wrap it themselves.
         assert wrapped.url == store.url
 
-    def test_empty_plan_passes_through(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_FAULTS_ENV, '{"faults": []}')
-        store = LocalFileStore(tmp_path)
-        assert maybe_faulty_store(store) is store
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(), FaultPlan((Fault(cell="t[0]", kind="raise"),))])
+    def test_plan_without_op_entries_gets_no_injector(
+            self, monkeypatch, tmp_path, plan):
+        monkeypatch.setenv(FAULTS_ENV, plan.to_json())
+        assert wrap_store(LocalFileStore(tmp_path), 5).faults is None
+
+
+class _LockedOnce(LocalFileStore):
+    """A local store whose first read once ``armed`` hits a locked
+    database."""
+
+    armed = False
+
+    def _read(self, key):
+        if self.armed:
+            self.armed = False
+            raise sqlite3.OperationalError("database is locked")
+        return super()._read(key)
+
+
+class TestHitReads:
+    """Store hits go through the same wrapper as the sweep (the CLI
+    side: ``tests/store/test_chaos.py``)."""
+
+    def test_a_locked_hit_read_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        cells = [Cell("t", (i,), pause_then, (0.0, i)) for i in range(3)]
+        store = _LockedOnce(tmp_path / "store")
+        assert run_cells(cells, RunConfig(store=store)) == [0, 1, 2]
+        store.armed = True
+        assert run_cells(cells, RunConfig(store=store)) == [0, 1, 2]
+        assert not store.armed
+        assert store.stats().hits == 3
