@@ -2,8 +2,8 @@
 
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
 	bench-regression figures figures-parallel report examples lint \
-	lint-baseline typecheck check clean clean-cache telemetry-smoke \
-	chaos-smoke scenario-smoke trace-smoke
+	typecheck check clean clean-cache telemetry-smoke chaos-smoke \
+	scenario-smoke trace-smoke
 
 # PYTHONPATH=src keeps every target usable from a bare checkout
 # (no editable install required), matching the tier-1 test invocation.
@@ -144,21 +144,12 @@ report:
 # installed (`pip install -e .[dev]`) and are skipped — loudly — when
 # not, so offline checkouts aren't blocked; CI always installs both.
 lint:
-	$(PY) -m repro.devtools.lint --baseline \
-		--index-cache .reprolint-cache.json \
-		--aux tests --aux benchmarks src
+	$(PY) -m repro.devtools.lint src
 	@if python -c "import ruff" >/dev/null 2>&1; then \
 		python -m ruff check src tests benchmarks examples; \
 	else \
 		echo "ruff not installed (pip install -e .[dev]); skipping"; \
 	fi
-
-# Regenerate the committed finding baseline.  The tree is clean today,
-# so the baseline is empty; only regenerate it deliberately when
-# grandfathering a finding is the explicit decision.
-lint-baseline:
-	$(PY) -m repro.devtools.lint --write-baseline \
-		--aux tests --aux benchmarks src
 
 typecheck:
 	@if python -c "import mypy" >/dev/null 2>&1; then \
@@ -176,7 +167,6 @@ examples:
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
-	rm -f .reprolint-cache.json
 	find . -name __pycache__ -type d -exec rm -rf {} +
 
 clean-cache:

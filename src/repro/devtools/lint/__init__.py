@@ -10,8 +10,10 @@ reviewers' heads.  Run over the tree with::
     python -m repro.devtools.lint --format json src
     python -m repro.devtools.lint --list-rules
 
-Rules live in :mod:`repro.devtools.lint.rules` (DET001–DET003 and
-COR001–COR003), register through :func:`register_rule` exactly like
+Per-file rules live in :mod:`repro.devtools.lint.rules` (DET001,
+DET002, DET004 and COR001), whole-program rules in
+:mod:`repro.devtools.lint.project_rules` (CON001–CON003, TNT001 and
+API001).  Both register through :func:`register_rule` exactly like
 experiments register through the experiment registry, and are silenced
 per line with ``# reprolint: disable=RULE``.  See CONTRIBUTING.md for
 the full ruleset documentation and ``tests/devtools/`` for the
@@ -36,7 +38,7 @@ from .core import (
     rule_ids,
     unregister_rule,
 )
-from .index import FileIndex, ProjectIndex, ProjectIndexer, build_file_index
+from .index import FileIndex, ProjectIndex, build_file_index
 
 __all__ = [
     "Checker",
@@ -48,7 +50,6 @@ __all__ = [
     "Finding",
     "LintConfigError",
     "ProjectIndex",
-    "ProjectIndexer",
     "ProjectRule",
     "Rule",
     "build_file_index",

@@ -3,22 +3,16 @@
 Exit codes (CI contract):
 
 * ``0`` — no findings;
-* ``1`` — at least one (non-baselined) finding (the build must fail);
+* ``1`` — at least one finding (the build must fail);
 * ``2`` — usage / IO / syntax error (could not complete the analysis).
 
 Findings stream to stdout in ``path:line:col: ID message`` form (or a
-JSON array with ``--format json``, or a SARIF 2.1.0 document with
-``--format sarif`` for GitHub code scanning); the summary line and all
-errors go to stderr so tooling can parse stdout alone.  Output ordering
-is fully deterministic — reprolint practices what it preaches.
+JSON array with ``--format json``); the summary line and all errors go
+to stderr so tooling can parse stdout alone.  Output ordering is fully
+deterministic — reprolint practices what it preaches.
 
-Whole-program analysis: any selected :class:`~.core.ProjectRule` runs
-over a project index of every linted file.  ``--aux PATH`` adds files to
-the index without linting them (tests feeding API002's conformance
-check), ``--index-cache FILE`` persists per-file indexes across runs,
-``--no-project`` restricts the run to per-file rules.  ``--baseline
-[FILE]`` suppresses findings recorded in a committed baseline;
-``--write-baseline`` regenerates it (see ``make lint-baseline``).
+Any selected :class:`~.core.ProjectRule` runs over a project index of
+every linted file, built afresh on each run.
 """
 
 from __future__ import annotations
@@ -28,14 +22,7 @@ import json
 import sys
 from typing import List, Optional, Sequence, Type
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    filter_baselined,
-    load_baseline,
-    write_baseline,
-)
 from .core import Checker, LintConfigError, Rule, iter_rules, rule_ids
-from .sarif import to_sarif
 
 __all__ = ["main"]
 
@@ -117,7 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories to analyze")
     parser.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif"),
+                        choices=("text", "json"),
                         help="findings output format (default: text)")
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule IDs to run exclusively")
@@ -129,24 +116,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--no-suppressions", action="store_true",
                         help="report findings even on lines carrying "
                              "'# reprolint: disable=...' comments")
-    parser.add_argument("--no-project", action="store_true",
-                        help="per-file rules only; skip the "
-                             "whole-program index and project rules")
-    parser.add_argument("--aux", action="append", default=[],
-                        metavar="PATH",
-                        help="index PATH (file or tree) for cross-"
-                             "reference data without linting it; "
-                             "repeatable (e.g. --aux tests/store)")
-    parser.add_argument("--index-cache", default=None, metavar="FILE",
-                        help="JSON cache of per-file indexes, reused "
-                             "across runs for unchanged files")
-    parser.add_argument("--baseline", nargs="?", const=DEFAULT_BASELINE,
-                        default=None, metavar="FILE",
-                        help="suppress findings fingerprinted in FILE "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to the "
-                             "baseline file instead of failing on them")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered ruleset and exit")
     args = parser.parse_args(argv)
@@ -172,12 +141,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    checker = Checker(rules,
-                      respect_suppressions=not args.no_suppressions,
-                      project=not args.no_project,
-                      index_cache=args.index_cache)
+    checker = Checker(rules, respect_suppressions=not args.no_suppressions)
     try:
-        findings = checker.check_paths(args.paths, aux_paths=args.aux)
+        findings = checker.check_paths(args.paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -186,25 +152,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{exc.msg}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        count = write_baseline(findings, target)
-        print(f"reprolint: baseline of {count} finding(s) written to "
-              f"{target}", file=sys.stderr)
-        return EXIT_CLEAN
-    if args.baseline is not None:
-        findings, suppressed = filter_baselined(
-            findings, load_baseline(args.baseline))
-        if suppressed:
-            print(f"reprolint: {suppressed} baselined finding(s) "
-                  f"suppressed ({args.baseline})", file=sys.stderr)
-
     if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings],
-                         indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(findings, [type(r) for r in
-                                             checker.rules]),
                          indent=2, sort_keys=True))
     else:
         for finding in findings:

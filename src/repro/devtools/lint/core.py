@@ -62,7 +62,7 @@ __all__ = [
     "unregister_rule",
 ]
 
-#: Matches ``# reprolint: disable=DET001`` / ``disable=DET001,COR002`` /
+#: Matches ``# reprolint: disable=DET001`` / ``disable=DET001,DET002`` /
 #: ``disable=all`` anywhere in a comment.
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
@@ -322,25 +322,18 @@ def _as_posix(path: str) -> str:
 class Checker:
     """Run a set of rules over source files and collect findings.
 
-    Per-file rules run in phase 1, one AST at a time.  When any
-    :class:`ProjectRule` is selected, phase 2 assembles a
-    :class:`~repro.devtools.lint.index.ProjectIndex` over every linted
-    file (plus any ``aux`` files, indexed for cross-reference only) and
-    runs the project rules over it.  ``index_cache`` names an optional
-    JSON file reused across runs to skip re-indexing unchanged files.
+    Per-file rules run one AST at a time.  When any
+    :class:`ProjectRule` is selected, the checker then indexes every
+    linted file into a
+    :class:`~repro.devtools.lint.index.ProjectIndex` and runs the
+    project rules over it.
     """
 
     def __init__(self, rules: Optional[Iterable[Type[Rule]]] = None, *,
-                 respect_suppressions: bool = True,
-                 project: bool = True,
-                 index_cache: Optional[str] = None) -> None:
+                 respect_suppressions: bool = True) -> None:
         classes = list(rules) if rules is not None else list(iter_rules())
         self.rules: List[Rule] = [cls() for cls in classes]
         self.respect_suppressions = respect_suppressions
-        self.project = project
-        self.index_cache = index_cache
-        #: Last ProjectIndex built, for introspection (``--stats``, tests).
-        self.last_index: Optional[Any] = None
 
     @property
     def file_rules(self) -> List[Rule]:
@@ -348,8 +341,6 @@ class Checker:
 
     @property
     def project_rules(self) -> List[ProjectRule]:
-        if not self.project:
-            return []
         return [r for r in self.rules if isinstance(r, ProjectRule)]
 
     def check_source(self, source: str, path: str = "<string>") -> List[Finding]:
@@ -360,28 +351,28 @@ class Checker:
         """
         return self.check_sources([(path, source)])
 
-    def check_sources(self, pairs: Sequence[Tuple[str, str]],
-                      aux_pairs: Sequence[Tuple[str, str]] = (),
-                      ) -> List[Finding]:
+    def check_sources(self, pairs: Sequence[Tuple[str, str]]) -> List[Finding]:
         """Lint ``(path, source)`` blobs as one project.
 
-        ``aux_pairs`` join the project index (so cross-reference rules
-        can see tests, examples, ...) but never carry findings.
+        Each blob is parsed once: the per-file rules and the project
+        index share its tree.
         """
+        parsed = [(path, source, ast.parse(source, filename=path))
+                  for path, source in pairs]
         findings: List[Finding] = []
-        for path, source in pairs:
-            findings.extend(self._check_file_phase(source, path))
+        for path, source, tree in parsed:
+            findings.extend(self._check_file_phase(source, path, tree))
         if self.project_rules:
-            from .index import ProjectIndexer  # circular-at-import guard
+            from .index import (  # circular-at-import guard
+                ProjectIndex, build_file_index)
 
-            indexer = ProjectIndexer(self.index_cache)
-            index = indexer.build(pairs, aux_pairs)
-            self.last_index = index
+            index = ProjectIndex([build_file_index(source, path, tree=tree)
+                                  for path, source, tree in parsed])
             findings.extend(self._check_project_phase(index))
         return sorted(findings)
 
-    def _check_file_phase(self, source: str, path: str) -> List[Finding]:
-        tree = ast.parse(source, filename=path)
+    def _check_file_phase(self, source: str, path: str,
+                          tree: ast.Module) -> List[Finding]:
         ctx = FileContext(
             path=path, posix=_as_posix(path), source=source, tree=tree,
             suppressions=parse_suppressions(source),
@@ -411,15 +402,9 @@ class Checker:
                 findings.append(finding)
         return findings
 
-    def check_file(self, path: str) -> List[Finding]:
-        """Lint one file from disk."""
-        return self.check_paths([path])
-
-    def check_paths(self, paths: Sequence[str],
-                    aux_paths: Sequence[str] = ()) -> List[Finding]:
+    def check_paths(self, paths: Sequence[str]) -> List[Finding]:
         """Lint files and directory trees (``*.py``, sorted walk)."""
-        return self.check_sources(self._collect(paths),
-                                  self._collect(aux_paths))
+        return self.check_sources(self._collect(paths))
 
     @staticmethod
     def _collect(paths: Sequence[str]) -> List[Tuple[str, str]]:

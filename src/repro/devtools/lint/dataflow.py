@@ -1,11 +1,10 @@
 """Summary-based taint dataflow for the whole-program analyzer.
 
 Phase 1 (:func:`summarize_functions`, called while indexing) digests
-every function body into a JSON-serializable *taint summary*: which
-calls feed which arguments, what flows into the return value, which
-``self`` attributes are written with what, and which dict fields receive
-flowing values.  Provenance is tracked as strings so summaries round-trip
-through the index cache:
+every function body into a plain-data *taint summary*: which calls feed
+which arguments, what flows into the return value, which ``self``
+attributes are written with what, and which dict fields receive flowing
+values.  Provenance is tracked as strings:
 
 * ``call:<dotted>@<line>`` — the result of a call (a taint source if a
   rule says ``<dotted>`` is one, an edge to follow if ``<dotted>`` is a
@@ -527,7 +526,7 @@ class TaintEngine:
         return None
 
     def find_flows(self) -> Iterator[TaintFlow]:
-        """Witnessed source-to-sink flows in non-aux files.
+        """Witnessed source-to-sink flows in the indexed files.
 
         De-duplicated per sink location: many provenances can reach one
         sink call, but one finding with one checkable chain is what a
@@ -536,8 +535,6 @@ class TaintEngine:
         seen: Set[Tuple[str, int, int]] = set()
         forward = self._param_forwarders()
         for qual, (summary, file) in sorted(self.project.functions.items()):
-            if file.aux:
-                continue
             for call in summary.get("calls", ()):
                 site = (file.path, call["line"], call["col"])
                 if site in seen:

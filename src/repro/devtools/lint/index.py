@@ -1,33 +1,25 @@
-"""Phase 1 of the whole-program analyzer: the project index.
+"""The project index the whole-program rules run over.
 
 Per-file rules (:class:`~repro.devtools.lint.core.Rule`) see one AST at
 a time; cross-module rules (:class:`~repro.devtools.lint.core.ProjectRule`)
-instead see a :class:`ProjectIndex` — a JSON-serializable digest of every
-file built here: module symbol tables, the import graph, class attribute
-maps (locks, guarded attributes, sqlite connections, dataclass fields),
-argparse flags, backend registrations, and the per-function taint
-summaries computed by :mod:`repro.devtools.lint.dataflow`.
+instead see a :class:`ProjectIndex` — a plain-data digest of every
+linted file built here: import aliases, class attribute maps (locks,
+guarded attributes, sqlite connections, dataclass fields), argparse
+flags, and the per-function taint summaries computed by
+:mod:`repro.devtools.lint.dataflow`.
 
-Two properties matter:
-
-* **Everything is plain data.**  A :class:`FileIndex` round-trips
-  through JSON, which is what makes the incremental cache sound: the
-  index of an unchanged file (same SHA-256) is reloaded, never re-built,
-  so ``make lint`` stays fast as the tree grows.
-* **Annotations are comments.**  ``# reprolint: guarded-by=_lock`` on an
-  attribute assignment declares the lock that guards it;
-  ``# reprolint: requires-lock=_lock`` on a ``def`` line declares that
-  callers must hold the lock (the body is analyzed as if locked);
-  ``# reprolint: cli-exempt`` on a dataclass field excuses it from the
-  CLI-drift check (API001).  See CONTRIBUTING.md.
+Annotations are comments.  ``# reprolint: guarded-by=_lock`` on an
+attribute assignment declares the lock that guards it;
+``# reprolint: requires-lock=_lock`` on a ``def`` line declares that
+callers must hold the lock (the body is analyzed as if locked);
+``# reprolint: cli-exempt`` on a dataclass field excuses it from the
+CLI-drift check (API001).  See CONTRIBUTING.md.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -50,19 +42,12 @@ from .dataflow import summarize_functions
 _FnDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 __all__ = [
-    "INDEX_FORMAT_VERSION",
     "FileIndex",
-    "IndexStats",
     "ProjectIndex",
-    "ProjectIndexer",
     "build_file_index",
     "module_name_for",
     "parse_annotations",
 ]
-
-#: Bump whenever the FileIndex layout changes: stale caches are
-#: discarded wholesale instead of misread.
-INDEX_FORMAT_VERSION = 1
 
 #: ``# reprolint: key=value key2 ...`` annotation comments (``disable=``
 #: belongs to the suppression parser in :mod:`.core`, not here).
@@ -74,10 +59,6 @@ CONSTRUCTION_METHODS = frozenset({
     "__init__", "__new__", "__del__", "__getstate__", "__setstate__",
     "__reduce__", "__copy__", "__deepcopy__",
 })
-
-#: Names whose module-level references are worth recording (API002 uses
-#: ``STORE_BACKENDS`` to find the conformance-suite parametrization).
-_WATCHED_NAMES = frozenset({"STORE_BACKENDS"})
 
 
 def parse_annotations(source: str) -> Dict[int, Dict[str, str]]:
@@ -145,17 +126,13 @@ def _resolve_relative(module: str, is_package: bool, level: int,
 
 @dataclass
 class FileIndex:
-    """Everything phase 2 knows about one source file (plain data)."""
+    """Everything the project rules know about one source file."""
 
     path: str
     posix: str
     module: str
-    sha256: str
-    aux: bool = False
     #: local name -> dotted origin, relative imports resolved.
     imports: Dict[str, str] = field(default_factory=dict)
-    #: project-level import-graph edges (dotted module names).
-    imported_modules: List[str] = field(default_factory=list)
     #: line -> suppressed rule IDs (mirrors the per-file table).
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
     #: line -> {annotation key: value}.
@@ -166,52 +143,15 @@ class FileIndex:
     functions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: argparse ``add_argument`` flags: {"flag", "dest", "line"}.
     argparse_flags: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``@register_backend`` classes: {"class", "line", "scheme"}.
-    registered_backends: List[Dict[str, Any]] = field(default_factory=list)
-    #: watched names (``STORE_BACKENDS``) referenced anywhere in the file.
-    references: List[str] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "path": self.path, "posix": self.posix, "module": self.module,
-            "sha256": self.sha256, "aux": self.aux, "imports": self.imports,
-            "imported_modules": self.imported_modules,
-            "suppressions": {str(k): v for k, v in self.suppressions.items()},
-            "annotations": {str(k): v for k, v in self.annotations.items()},
-            "classes": self.classes, "functions": self.functions,
-            "argparse_flags": self.argparse_flags,
-            "registered_backends": self.registered_backends,
-            "references": self.references,
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping[str, Any]) -> "FileIndex":
-        return cls(
-            path=doc["path"], posix=doc["posix"], module=doc["module"],
-            sha256=doc["sha256"], aux=bool(doc.get("aux", False)),
-            imports=dict(doc.get("imports", {})),
-            imported_modules=list(doc.get("imported_modules", [])),
-            suppressions={int(k): list(v) for k, v
-                          in doc.get("suppressions", {}).items()},
-            annotations={int(k): dict(v) for k, v
-                         in doc.get("annotations", {}).items()},
-            classes=dict(doc.get("classes", {})),
-            functions=dict(doc.get("functions", {})),
-            argparse_flags=list(doc.get("argparse_flags", [])),
-            registered_backends=list(doc.get("registered_backends", [])),
-            references=list(doc.get("references", [])),
-        )
 
 
 def _rich_aliases(tree: ast.Module, module: str,
-                  is_package: bool) -> Tuple[Dict[str, str], List[str]]:
-    """Import aliases with relative imports resolved, plus graph edges."""
+                  is_package: bool) -> Dict[str, str]:
+    """Import aliases with relative imports resolved."""
     aliases: Dict[str, str] = {}
-    edges: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for name in node.names:
-                edges.add(name.name)
                 if name.asname:
                     aliases[name.asname] = name.name
                 else:
@@ -227,16 +167,11 @@ def _rich_aliases(tree: ast.Module, module: str,
                 base = node.module
                 if base is None:
                     continue
-            edges.add(base)
             for name in node.names:
                 if name.name == "*":
                     continue
                 aliases[name.asname or name.name] = f"{base}.{name.name}"
-                # ``from pkg import sub`` may bind a submodule; record the
-                # candidate edge — the BFS drops names that aren't project
-                # modules, so speculation is free.
-                edges.add(f"{base}.{name.name}")
-    return aliases, sorted(edges)
+    return aliases
 
 
 def _const_str(node: ast.expr) -> Optional[str]:
@@ -526,36 +461,26 @@ class _ClassIndexer(ast.NodeVisitor):
                 })
 
 
-def _index_module_level(tree: ast.Module, aliases: Mapping[str, str],
-                        idx: FileIndex) -> None:
-    """Module-level facts: argparse flags, watched refs."""
-    refs: Set[str] = set()
+def _argparse_flags(tree: ast.Module) -> List[Dict[str, Any]]:
+    """Every ``add_argument("--flag", ...)`` call in the file."""
+    flags: List[Dict[str, Any]] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in _WATCHED_NAMES:
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr in _WATCHED_NAMES:
-            refs.add(node.attr)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "add_argument":
-                flag = _const_str(node.args[0]) if node.args else None
-                if flag and flag.startswith("--"):
-                    idx.argparse_flags.append({
-                        "flag": flag,
-                        "dest": flag.lstrip("-").replace("-", "_"),
-                        "line": node.lineno,
-                    })
-    idx.references = sorted(refs)
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            flag = _const_str(node.args[0]) if node.args else None
+            if flag and flag.startswith("--"):
+                flags.append({
+                    "flag": flag,
+                    "dest": flag.lstrip("-").replace("-", "_"),
+                    "line": node.lineno,
+                })
+    return flags
 
 
-_BACKEND_DECOS = frozenset({
-    "register_backend", "repro.store.base.register_backend",
-})
-
-
-def build_file_index(source: str, path: str, *, aux: bool = False,
+def build_file_index(source: str, path: str, *,
                      tree: Optional[ast.Module] = None) -> FileIndex:
-    """Index one file (phase 1 unit of work)."""
+    """Index one file; ``tree`` saves a re-parse of ``source``."""
     from .core import parse_suppressions  # local import: core imports us
 
     path = str(path)
@@ -564,17 +489,15 @@ def build_file_index(source: str, path: str, *, aux: bool = False,
     posix = str(Path(path).as_posix())
     is_package = Path(path).name == "__init__.py"
     module = module_name_for(posix)
-    aliases, edges = _rich_aliases(tree, module, is_package)
+    aliases = _rich_aliases(tree, module, is_package)
     annotations = parse_annotations(source)
     idx = FileIndex(
-        path=path, posix=posix, module=module,
-        sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
-        aux=aux, imports=aliases, imported_modules=edges,
+        path=path, posix=posix, module=module, imports=aliases,
         suppressions={line: sorted(ids) for line, ids
                       in parse_suppressions(source).items()},
         annotations=annotations,
+        argparse_flags=_argparse_flags(tree),
     )
-    _index_module_level(tree, aliases, idx)
     class_methods: Dict[str, FrozenSet[str]] = {}
     for stmt in tree.body:
         if not isinstance(stmt, ast.ClassDef):
@@ -582,75 +505,26 @@ def build_file_index(source: str, path: str, *, aux: bool = False,
         digest = _ClassIndexer(stmt, aliases, annotations).run()
         idx.classes[stmt.name] = digest
         class_methods[stmt.name] = frozenset(digest["methods"])
-        for deco in digest["decorators"]:
-            if deco in _BACKEND_DECOS:
-                scheme = None
-                for sub in stmt.body:
-                    if (isinstance(sub, ast.Assign)
-                            and any(isinstance(t, ast.Name)
-                                    and t.id == "scheme"
-                                    for t in sub.targets)):
-                        scheme = _const_str(sub.value)
-                idx.registered_backends.append({
-                    "class": stmt.name, "line": stmt.lineno,
-                    "scheme": scheme,
-                })
     idx.functions = summarize_functions(tree, module, aliases, class_methods)
     return idx
 
 
-@dataclass(frozen=True)
-class IndexStats:
-    """How an index build went: cache reuse vs fresh parses."""
-
-    built: int
-    reused: int
-
-    @property
-    def total(self) -> int:
-        return self.built + self.reused
-
-
 class ProjectIndex:
-    """The assembled whole-program index phase 2 rules run over."""
+    """The assembled whole-program index the project rules run over."""
 
-    def __init__(self, files: Sequence[FileIndex],
-                 stats: Optional[IndexStats] = None) -> None:
+    def __init__(self, files: Sequence[FileIndex]) -> None:
         self.files: List[FileIndex] = sorted(files, key=lambda f: f.posix)
-        self.stats = stats or IndexStats(built=len(self.files), reused=0)
-        self.by_module: Dict[str, FileIndex] = {}
-        for f in self.files:
-            self.by_module.setdefault(f.module, f)
         #: qualified function name -> (summary, owning FileIndex).
         self.functions: Dict[str, Tuple[Dict[str, Any], FileIndex]] = {}
         for f in self.files:
             for qual, summary in f.functions.items():
                 self.functions.setdefault(qual, (summary, f))
 
-    def lib_files(self) -> List[FileIndex]:
-        """Files subject to findings (aux files are index-only)."""
-        return [f for f in self.files if not f.aux]
-
     def suppressions_for(self, path: str) -> Mapping[int, List[str]]:
         for f in self.files:
             if f.path == path:
                 return f.suppressions
         return {}
-
-    def modules_importing(self, name: str) -> List[FileIndex]:
-        return [f for f in self.files if name in f.imported_modules]
-
-    def reachable_modules(self, root: str) -> Set[str]:
-        """Modules transitively imported from ``root`` (project-only)."""
-        seen: Set[str] = set()
-        frontier = [root]
-        while frontier:
-            module = frontier.pop()
-            if module in seen or module not in self.by_module:
-                continue
-            seen.add(module)
-            frontier.extend(self.by_module[module].imported_modules)
-        return seen
 
     def find_class(self, name: str) -> List[Tuple[FileIndex, Dict[str, Any]]]:
         """Every indexed class with the given bare name."""
@@ -659,69 +533,3 @@ class ProjectIndex:
             if name in f.classes:
                 out.append((f, f.classes[name]))
         return out
-
-
-class ProjectIndexer:
-    """Builds :class:`ProjectIndex` objects with an incremental cache.
-
-    The cache file maps ``posix path -> {sha256, index}``; a file whose
-    content hash matches is reloaded from JSON instead of re-parsed.
-    The cache is versioned by :data:`INDEX_FORMAT_VERSION` and safe to
-    delete at any time.
-    """
-
-    def __init__(self, cache_path: Optional[str] = None) -> None:
-        self.cache_path = Path(cache_path) if cache_path else None
-        self._cache: Dict[str, Dict[str, Any]] = {}
-        if self.cache_path is not None and self.cache_path.exists():
-            try:
-                doc = json.loads(self.cache_path.read_text())
-                if doc.get("version") == INDEX_FORMAT_VERSION:
-                    self._cache = doc.get("files", {})
-            except (OSError, ValueError):
-                self._cache = {}
-
-    def index_source(self, source: str, path: str, *,
-                     aux: bool = False) -> Tuple[FileIndex, bool]:
-        """Index one blob; ``(index, reused_from_cache)``."""
-        posix = str(Path(path).as_posix())
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        cached = self._cache.get(posix)
-        if cached is not None and cached.get("sha256") == digest:
-            idx = FileIndex.from_json(cached["index"])
-            idx.aux = aux
-            return idx, True
-        idx = build_file_index(source, path, aux=aux)
-        self._cache[posix] = {"sha256": digest, "index": idx.to_json()}
-        return idx, False
-
-    def build(self, sources: Sequence[Tuple[str, str]],
-              aux_sources: Sequence[Tuple[str, str]] = ()) -> ProjectIndex:
-        """Index ``(path, source)`` pairs into a :class:`ProjectIndex`.
-
-        ``aux_sources`` are indexed for cross-reference data only
-        (tests, examples): project rules may read them but never report
-        findings in them.
-        """
-        files: List[FileIndex] = []
-        built = reused = 0
-        for aux, pairs in ((False, sources), (True, aux_sources)):
-            for path, source in pairs:
-                idx, hit = self.index_source(source, path, aux=aux)
-                files.append(idx)
-                reused += 1 if hit else 0
-                built += 0 if hit else 1
-        self.save()
-        return ProjectIndex(files, IndexStats(built=built, reused=reused))
-
-    def save(self) -> None:
-        if self.cache_path is None:
-            return
-        doc = {"version": INDEX_FORMAT_VERSION, "files": self._cache}
-        tmp = self.cache_path.with_name(self.cache_path.name + ".tmp")
-        try:
-            self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(doc, sort_keys=True))
-            tmp.replace(self.cache_path)
-        except OSError:
-            pass  # a cache that cannot be written is simply not a cache

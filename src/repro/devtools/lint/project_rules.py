@@ -1,4 +1,4 @@
-"""Whole-program (phase 2) rules: CON0xx, TNT001, API0xx.
+"""Whole-program rules: CON001–CON003, TNT001, API001.
 
 These rules run over the :class:`~repro.devtools.lint.index.ProjectIndex`
 rather than a single AST, which is what lets them enforce the
@@ -17,15 +17,13 @@ reproduction's *cross-module* contracts:
   fields.  This is the dataflow generalization of the syntactic
   DET001/DET002 rules: it catches a ``time.time()`` two modules away
   from the hash it poisons.
-* **API001/API002** — drift detection.  ``RunConfig`` fields and the
-  CLI's ``argparse`` flags must agree; every registered store backend
-  must be importable from ``repro.store`` and covered by the
-  conformance suite.
+* **API001** — drift detection.  ``RunConfig`` fields and the CLI's
+  ``argparse`` flags must agree.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from .core import Finding, ProjectRule, register_rule
 from .dataflow import SinkSpec, TaintEngine
@@ -34,7 +32,6 @@ from .rules import UnseededRandomRule, WallClockRule
 
 __all__ = [
     "ApiDriftRule",
-    "BackendCoverageRule",
     "ConnectionEscapeRule",
     "LockDisciplineRule",
     "MonotonicBoundaryRule",
@@ -44,7 +41,7 @@ __all__ = [
 
 def _class_items(index: ProjectIndex,
                  ) -> Iterator[Tuple[FileIndex, str, Dict[str, Any]]]:
-    for f in index.lib_files():
+    for f in index.files:
         for name, digest in f.classes.items():
             yield f, name, digest
 
@@ -344,7 +341,7 @@ class ApiDriftRule(ProjectRule):
         fields = {entry["name"]: entry for entry in digest.get("fields", ())}
         dests = {
             flag["dest"]
-            for f in index.lib_files()
+            for f in index.files
             for flag in f.argparse_flags
         }
         for name, entry in sorted(fields.items()):
@@ -356,52 +353,3 @@ class ApiDriftRule(ProjectRule):
                 f"(expected an add_argument dest {name!r}); add the "
                 f"flag or annotate `# reprolint: cli-exempt`")
 
-
-@register_rule
-class BackendCoverageRule(ProjectRule):
-    """API002: every registered store backend is importable and tested.
-
-    ``@register_backend`` only runs if the defining module is imported;
-    a backend whose module is unreachable from ``repro.store`` exists
-    in source but not in ``STORE_BACKENDS`` at runtime.  And a backend
-    that no test parametrizes over ``STORE_BACKENDS`` ships without the
-    conformance suite's byte-identical guarantees.
-    """
-
-    rule_id = "API002"
-    summary = ("store backend not imported from repro.store or not "
-               "covered by the STORE_BACKENDS conformance suite")
-    example_bad = (
-        "# repro/store/redis.py defines @register_backend class "
-        "RedisStore\n# ...but repro/store/__init__.py never imports "
-        ".redis  -> API002\n")
-    example_good = (
-        "# repro/store/__init__.py\n"
-        "from . import base, local, queue, redis, sqlite  # registers all\n")
-
-    ROOT_MODULE = "repro.store"
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        backends = [(f, entry) for f in index.lib_files()
-                    for entry in f.registered_backends]
-        if not backends:
-            return
-        have_root = self.ROOT_MODULE in index.by_module
-        reachable = (index.reachable_modules(self.ROOT_MODULE)
-                     if have_root else set())
-        aux_files = [f for f in index.files if f.aux]
-        covered = any("STORE_BACKENDS" in f.references for f in aux_files)
-        for f, entry in backends:
-            if have_root and f.module not in reachable:
-                yield self.finding_at(
-                    f.path, entry["line"], 1,
-                    f"backend {entry['class']} "
-                    f"(scheme {entry.get('scheme')!r}) is never imported "
-                    f"from {self.ROOT_MODULE}, so register_backend never "
-                    f"runs; import it from {self.ROOT_MODULE}/__init__.py")
-            if aux_files and not covered:
-                yield self.finding_at(
-                    f.path, entry["line"], 1,
-                    f"backend {entry['class']} has no conformance-suite "
-                    f"coverage: no indexed test parametrizes over "
-                    f"STORE_BACKENDS")

@@ -1,10 +1,11 @@
-"""The built-in reprolint ruleset.
+"""The per-file reprolint rules.
 
 Determinism rules (``DET``) enforce the invariants the runner's
 content-addressed cache and byte-identical ``--jobs N`` output depend
-on (:mod:`repro.runner`); correctness rules (``COR``) catch classic
-Python footguns in simulation code.  Rule IDs are stable: never reuse
-or renumber a published ID — retire it and mint the next number.
+on (:mod:`repro.runner`); the correctness rule COR001 catches exact
+float comparisons in the numeric core.  Rule IDs are stable: never
+reuse or renumber a published ID — retire it and mint the next number
+(CONTRIBUTING.md lists the retired IDs).
 
 See CONTRIBUTING.md for the user-facing documentation of every rule,
 and ``tests/devtools/fixtures/`` for the canonical tripping /
@@ -14,16 +15,13 @@ non-tripping examples.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, List, Optional, Set
+from typing import FrozenSet, Iterator
 
 from .core import FileContext, Finding, Rule, dotted_name, register_rule
 
 __all__ = [
-    "BareExceptRule",
     "FloatEqualityRule",
-    "MutableDefaultRule",
     "SimulationTimingRule",
-    "UnorderedIterationRule",
     "UnseededRandomRule",
     "WallClockRule",
 ]
@@ -214,112 +212,6 @@ class SimulationTimingRule(Rule):
                     f"measure wall time from repro/runner or repro/obs")
 
 
-#: Builtins whose single-argument call we look through when judging an
-#: iteration target (``enumerate(set(...))`` is still set iteration).
-_TRANSPARENT_WRAPPERS = frozenset({"enumerate", "list", "tuple", "iter"})
-
-#: Set methods that return another (unordered) set.
-_SET_RETURNING_METHODS = frozenset({
-    "union", "intersection", "difference", "symmetric_difference", "copy",
-})
-
-
-@register_rule
-class UnorderedIterationRule(Rule):
-    """DET003: don't iterate unordered collections into output.
-
-    Set iteration order depends on hash randomization and insertion
-    history, so any serialized output derived from it can differ
-    between runs.  Iterating ``d.keys()`` (rather than ``sorted(d)``)
-    is flagged for the same reason: the dict's insertion order is an
-    accident of code path, not a stable contract for rendered output.
-    Wrap the iterable in ``sorted(...)`` or suppress where order
-    provably never reaches serialized output.
-    """
-
-    rule_id = "DET003"
-    summary = ("iteration over a set / dict view that may feed "
-               "order-sensitive output; wrap in sorted(...)")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        set_names = self._set_valued_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.For):
-                targets.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                targets.extend(gen.iter for gen in node.generators)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "join" and len(node.args) == 1):
-                targets.append(node.args[0])
-            for target in targets:
-                unwrapped = self._unwrap(target)
-                reason = self._unordered_reason(unwrapped, set_names)
-                if reason is not None:
-                    yield self.finding(
-                        ctx, target,
-                        f"iterating {reason} has no deterministic order; "
-                        f"wrap it in sorted(...) if the order can reach "
-                        f"serialized output")
-
-    @staticmethod
-    def _unwrap(node: ast.expr) -> ast.expr:
-        while (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id in _TRANSPARENT_WRAPPERS
-               and len(node.args) >= 1):
-            node = node.args[0]
-        return node
-
-    @staticmethod
-    def _set_valued_names(tree: ast.Module) -> Set[str]:
-        """Names bound (anywhere in the file) to an obvious set value.
-
-        A deliberately shallow, file-wide binding scan: precise scope
-        analysis is not worth the complexity for a lint heuristic, and
-        a name that holds a set in *any* scope is worth a second look
-        in every scope.
-        """
-        names: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                value = node.value
-                if UnorderedIterationRule._is_set_expr(value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-        return names
-
-    @staticmethod
-    def _is_set_expr(node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id in (
-                    "set", "frozenset"):
-                return True
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SET_RETURNING_METHODS):
-                return False  # receiver type unknown; stay conservative
-        return False
-
-    def _unordered_reason(self, node: ast.expr,
-                          set_names: Set[str]) -> Optional[str]:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "a set literal"
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id in (
-                    "set", "frozenset"):
-                return f"a {node.func.id}(...)"
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "keys" and not node.args):
-                return "a dict .keys() view"
-        if isinstance(node, ast.Name) and node.id in set_names:
-            return f"{node.id!r} (bound to a set in this file)"
-        return None
-
-
 #: Callables whose result is float-typed for COR001 evidence purposes.
 _FLOAT_CALLS = frozenset({
     "float", "math.sqrt", "math.exp", "math.log", "math.log2", "math.log10",
@@ -378,88 +270,3 @@ class FloatEqualityRule(Rule):
             if isinstance(node.func, ast.Name) and node.func.id == "float":
                 return True
         return False
-
-
-#: Constructors producing freshly-mutable containers.
-_MUTABLE_CALLS = frozenset({
-    "list", "dict", "set", "bytearray",
-    "collections.defaultdict", "collections.OrderedDict",
-    "collections.Counter", "collections.deque",
-})
-
-
-@register_rule
-class MutableDefaultRule(Rule):
-    """COR002: mutable default argument values.
-
-    The default is evaluated once at ``def`` time and shared across
-    every call — state leaks between calls (and between experiment
-    cells sharing a worker process).  Use ``None`` plus an in-body
-    default, or an immutable tuple.
-    """
-
-    rule_id = "COR002"
-    summary = "mutable default argument (list/dict/set/... evaluated once)"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            args = node.args
-            positional = list(args.posonlyargs) + list(args.args)
-            defaulted = positional[len(positional) - len(args.defaults):]
-            pairs = list(zip(defaulted, args.defaults))
-            pairs.extend((arg, default) for arg, default
-                         in zip(args.kwonlyargs, args.kw_defaults)
-                         if default is not None)
-            for arg, default in pairs:
-                reason = self._mutable_reason(default, ctx)
-                if reason is not None:
-                    yield self.finding(
-                        ctx, default,
-                        f"argument {arg.arg!r} defaults to {reason}, "
-                        f"evaluated once and shared across calls; use "
-                        f"None (or a tuple) and build it in the body")
-
-    @staticmethod
-    def _mutable_reason(node: ast.expr, ctx: FileContext) -> Optional[str]:
-        if isinstance(node, ast.List):
-            return "a list literal"
-        if isinstance(node, ast.Dict):
-            return "a dict literal"
-        if isinstance(node, ast.Set):
-            return "a set literal"
-        if isinstance(node, (ast.ListComp, ast.DictComp, ast.SetComp)):
-            return "a comprehension"
-        if isinstance(node, ast.Call):
-            qual = dotted_name(node.func, ctx.aliases)
-            if qual in _MUTABLE_CALLS:
-                return f"{qual}()"
-            if isinstance(node.func, ast.Name) and \
-                    node.func.id in _MUTABLE_CALLS:
-                return f"{node.func.id}()"
-        return None
-
-
-@register_rule
-class BareExceptRule(Rule):
-    """COR003: bare ``except:`` clauses.
-
-    A bare handler swallows ``KeyboardInterrupt`` / ``SystemExit`` and
-    every library error alike, turning interrupted sweeps into silent
-    data corruption.  Catch a concrete class (the library's exceptions
-    all derive from :class:`repro.errors.ReproError`), or at minimum
-    ``Exception``.
-    """
-
-    rule_id = "COR003"
-    summary = "bare except: clause (catches KeyboardInterrupt/SystemExit)"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    ctx, node,
-                    "bare 'except:' also catches KeyboardInterrupt and "
-                    "SystemExit; name a concrete exception class")

@@ -75,6 +75,7 @@ import os
 import random
 import signal
 import sqlite3
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -381,34 +382,39 @@ class FaultInjector:
     which faults fire on each call.  ``injected`` tallies fired faults
     by ``"op:kind"`` for tests and diagnostics.  A wrapped store and the
     queues it opens share one injector, so one plan's counters cover
-    the whole surface.
+    the whole surface — including a worker's heartbeat thread, whose
+    ``renew`` calls race the main thread's ``claim``/``ack``/``nack``;
+    ``_lock`` makes each :meth:`fire` one atomic step of the schedule.
     """
 
     def __init__(self, faults: Sequence[StoreFault]) -> None:
         self.faults = tuple(faults)
-        self.injected: Dict[str, int] = {}
-        self._seen = [0] * len(self.faults)
-        self._fired = [0] * len(self.faults)
-        self._rngs = [random.Random(f.seed) for f in self.faults]
+        self._lock = threading.Lock()
+        self.injected: Dict[str, int] = {}  # reprolint: guarded-by=_lock
+        self._seen = [0] * len(self.faults)  # reprolint: guarded-by=_lock
+        self._fired = [0] * len(self.faults)  # reprolint: guarded-by=_lock
+        self._rngs = [  # reprolint: guarded-by=_lock
+            random.Random(f.seed) for f in self.faults]
 
     def fire(self, op: str) -> List[StoreFault]:
         """Faults firing on this occurrence of ``op``, in plan order."""
         fired: List[StoreFault] = []
-        for i, fault in enumerate(self.faults):
-            if not fault.matches(op):
-                continue
-            self._seen[i] += 1
-            if fault.times is not None and self._fired[i] >= fault.times:
-                continue
-            if fault.rate is not None:
-                due = self._rngs[i].random() < fault.rate
-            else:
-                due = self._seen[i] % fault.every == 0
-            if due:
-                self._fired[i] += 1
-                key = f"{op}:{fault.kind}"
-                self.injected[key] = self.injected.get(key, 0) + 1
-                fired.append(fault)
+        with self._lock:
+            for i, fault in enumerate(self.faults):
+                if not fault.matches(op):
+                    continue
+                self._seen[i] += 1
+                if fault.times is not None and self._fired[i] >= fault.times:
+                    continue
+                if fault.rate is not None:
+                    due = self._rngs[i].random() < fault.rate
+                else:
+                    due = self._seen[i] % fault.every == 0
+                if due:
+                    self._fired[i] += 1
+                    key = f"{op}:{fault.kind}"
+                    self.injected[key] = self.injected.get(key, 0) + 1
+                    fired.append(fault)
         return fired
 
     def inject(self, op: str,

@@ -7,12 +7,4 @@ unseeded = random.Random()  # reprolint: disable=DET001
 started = time.time()  # reprolint: disable=DET002,DET004
 both = (random.Random(), time.time())  # reprolint: disable=DET001,DET002,DET004
 anything = random.randint(0, 3)  # reprolint: disable=all
-
-
-def f(items=[]):  # reprolint: disable=COR002
-    try:
-        for x in {1, 2, 3}:  # reprolint: disable=DET003
-            items.append(x)
-    except:  # reprolint: disable=COR003
-        pass
-    return items
+exact = started == 0.5  # reprolint: disable=COR001

@@ -16,7 +16,7 @@ from repro.devtools.lint import (
     unregister_rule,
 )
 
-BUILTIN_IDS = {"DET001", "DET002", "DET003", "COR001", "COR002", "COR003"}
+BUILTIN_IDS = {"DET001", "DET002", "DET004", "COR001"}
 
 
 def test_builtin_ruleset_registered():
@@ -85,13 +85,13 @@ def test_parse_suppressions_lines_and_ids():
     source = (
         "x = 1  # reprolint: disable=DET001\n"
         "y = 2\n"
-        "z = 3  # reprolint: disable=DET002, COR003\n"
+        "z = 3  # reprolint: disable=DET002, COR001\n"
         "w = 4  # reprolint: disable=all\n"
     )
     table = parse_suppressions(source)
     assert table[1] == frozenset({"DET001"})
     assert 2 not in table
-    assert table[3] == frozenset({"DET002", "COR003"})
+    assert table[3] == frozenset({"DET002", "COR001"})
     assert table[4] == frozenset({"all"})
 
 

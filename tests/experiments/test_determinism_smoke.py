@@ -3,10 +3,10 @@
 The content-addressed result cache (:mod:`repro.runner.cache`) is only
 sound if a cell's result is a pure function of its config + seed; the
 byte-identical ``--jobs N`` guarantee additionally requires the
-*serialized* form to be stable.  reprolint (DET001–DET003) approximates
-this statically; this test checks it dynamically by running real cells
-twice in-process — reseeding exactly as a queue worker does — and
-comparing the pickled bytes the cache would store.
+*serialized* form to be stable.  reprolint (DET001, DET002, DET004 and
+TNT001) approximates this statically; this test checks it dynamically
+by running real cells twice in-process — reseeding exactly as a queue
+worker does — and comparing the pickled bytes the cache would store.
 """
 
 import pickle

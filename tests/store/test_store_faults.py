@@ -13,6 +13,9 @@ from __future__ import annotations
 import errno
 import json
 import sqlite3
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -197,6 +200,35 @@ class TestInjectorSchedule:
             StoreFault(op="get", kind="latency", seconds=0.0))
         injector.inject("get")
         assert injector.injected == {"get:latency": 1}
+
+    def test_concurrent_fires_keep_the_schedule(self):
+        """A worker's heartbeat thread fires ``renew`` on the injector
+        its main thread fires ``claim``/``ack``/``nack`` on: with
+        threads switching every microsecond, no ``every`` count may be
+        lost and no ``times`` cap overrun."""
+        injector = injector_of(StoreFault(op="*", kind="busy", every=3),
+                               StoreFault(op="renew", kind="oserror",
+                                          times=1))
+        tallies = [Counter() for _ in range(4)]
+
+        def renew_loop(tally):
+            for _ in range(3000):
+                tally.update(fault.kind for fault in injector.fire("renew"))
+
+        threads = [threading.Thread(target=renew_loop, args=(tally,))
+                   for tally in tallies]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(tallies, Counter()) == {"busy": 4000, "oserror": 1}
+        assert injector.injected == {"renew:busy": 4000, "renew:oserror": 1}
 
 
 # ------------------------------------------------------ classification --
