@@ -68,21 +68,29 @@ scenario-smoke:
 	$(PY) -m repro.obs validate scenario-run/obs/scenarios
 	test -n "$$(ls scenario-run/obs/scenarios/lifecycle/*.jsonl)"
 
+# Asserts that every row of a store's work queue is done on its first
+# attempt: no retries, no dead workers, nothing failed or unfinished.
+QUEUE_CLEAN := $(PY) -c 'import sqlite3, sys; \
+rows = sqlite3.connect(sys.argv[1]).execute( \
+"SELECT status, attempts, deaths FROM work_queue").fetchall(); \
+assert rows and all(r == ("done", 0, 0) for r in rows), rows; \
+print(f"ok: {len(rows)} queue rows done, no retries, no deaths")'
+
 # Local mirror of the CI store-chaos job: a fig3 run by 2 forked workers
 # under one fault plan — injected store faults (lock contention, claim
-# latency) plus a cell slower than its lease — must print exactly the
-# bytes a fault-free --jobs 1 run prints; the heartbeat keeps steals at
-# zero.  Then a worker killed mid-cell must cost nothing but a rerun of
-# that cell.
+# latency) plus a cell that hangs for 2 s — must print exactly the bytes
+# a fault-free --jobs 1 run prints, and leave every queue row done on
+# its first attempt.  Then a worker killed mid-cell must cost nothing
+# but a rerun of that cell.
 chaos-smoke:
 	rm -rf chaos-run && mkdir -p chaos-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
 		--store local:chaos-run/baseline > chaos-run/baseline.out
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}, {"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
-		--jobs 2 --queue-lease 0.5 > chaos-run/chaos.out
+		--jobs 2 > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
-	$(PY) -m repro.store status --store sqlite:chaos-run/results.db
+	$(QUEUE_CLEAN) chaos-run/results.db
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/kill.db \
 		--jobs 2 --retries 1 > chaos-run/kill.out
@@ -92,10 +100,10 @@ chaos-smoke:
 # workers with --trace must print exactly the bytes a sequential
 # untraced run prints, leave schema-valid trace artifacts that stitch
 # into one complete span tree, project to a canonical form that is
-# byte-identical whatever the worker count, and pass the live
-# aggregator's alert gate (steals/failures/stragglers all zero).  A
-# traced sweep whose worker is killed mid-cell must also print the
-# baseline bytes and stitch into a complete tree.
+# byte-identical whatever the worker count, and leave every queue row
+# done on its first attempt (nothing failed or unfinished).  A traced
+# sweep whose worker is killed mid-cell must also print the baseline
+# bytes and stitch into a complete tree.
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
@@ -116,13 +124,9 @@ trace-smoke:
 	$(PY) -m repro.obs trace --canonical trace-run/obs-solo/fig3 \
 		> trace-run/canon-1w.txt
 	cmp trace-run/canon-2w.txt trace-run/canon-1w.txt
-	$(PY) -m repro.obs top trace-run/obs/fig3 \
-		--store sqlite:trace-run/results.db --once \
-		--rule "steals > 0" --rule "failed > 0" --rule "unfinished > 0"
+	$(QUEUE_CLEAN) trace-run/results.db
 	$(PY) -m repro.obs report --json trace-run/obs/fig3 \
 		> trace-run/report.json
-	$(PY) -m repro.store status --store sqlite:trace-run/results.db --json \
-		> trace-run/queue.json
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.9]", "kind": "kill"}]}' \
 	$(PY) -m repro.experiments fig3 --scale smoke \
 		--store sqlite:trace-run/kill.db --jobs 2 --retries 1 \

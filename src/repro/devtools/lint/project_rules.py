@@ -1,16 +1,15 @@
-"""Whole-program rules: CON001–CON003, TNT001, API001.
+"""Whole-program rules: CON001, CON003, TNT001, API001.
 
 These rules run over the :class:`~repro.devtools.lint.index.ProjectIndex`
 rather than a single AST, which is what lets them enforce the
 reproduction's *cross-module* contracts:
 
-* **CON001/CON002/CON003** — concurrency discipline.  Every access to a
+* **CON001/CON003** — concurrency discipline.  Every access to a
   lock-guarded attribute happens under the lock (declared with
   ``# reprolint: guarded-by=_lock`` or inferred from majority-under-lock
-  usage), monotonic clock readings never cross a process boundary (the
-  inverse of the queue's sanctioned wall-clock leases), and sqlite
-  connections opened with ``check_same_thread=False`` never escape the
-  class that serializes them.
+  usage), and sqlite connections opened with
+  ``check_same_thread=False`` never escape the class that serializes
+  them.
 * **TNT001** — taint tracking.  Wall-clock / OS-entropy values must not
   flow, through any chain of assignments, returns, attributes and calls,
   into cache-key hashing, store payloads, or non-``"wall"`` telemetry
@@ -34,7 +33,6 @@ __all__ = [
     "ApiDriftRule",
     "ConnectionEscapeRule",
     "LockDisciplineRule",
-    "MonotonicBoundaryRule",
     "WallTaintRule",
 ]
 
@@ -158,53 +156,6 @@ class LockDisciplineRule(ProjectRule):
 
 
 @register_rule
-class MonotonicBoundaryRule(ProjectRule):
-    """CON002: monotonic clock values must not cross a process boundary.
-
-    ``time.monotonic()`` readings are only comparable within one
-    process; persisting one (sqlite, json, pickle) and comparing it in
-    another process silently breaks lease expiry and timeouts.  The
-    work queue's leases are sanctioned to use ``time.time()`` for
-    exactly this reason — this rule is the inverse guard.
-    """
-
-    rule_id = "CON002"
-    summary = ("time.monotonic/perf_counter value serialized or stored "
-               "across a process boundary (use time.time for leases)")
-    # Scoped to the persistence layer: the runner/obs layers stream
-    # monotonic *durations* (differences, valid anywhere) to stderr and
-    # telemetry manifests, which DET002's docstring already sanctions.
-    include = ("repro/store/",)
-    example_bad = (
-        "    deadline = time.monotonic() + lease\n"
-        "    conn.execute('UPDATE items SET lease_expiry=?', (deadline,))\n")
-    example_good = (
-        "    deadline = time.time() + lease  # comparable across workers\n")
-
-    SOURCES = (
-        "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-    )
-    SINKS = (
-        SinkSpec(label="process-boundary serialization",
-                 calls=frozenset({
-                     "json.dump", "json.dumps", "pickle.dump",
-                     "pickle.dumps", "marshal.dump", "marshal.dumps",
-                 }),
-                 methods=frozenset({".execute", ".executemany", ".put"})),
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        engine = TaintEngine(index, self.SOURCES, self.SINKS)
-        for flow in engine.find_flows():
-            yield self.finding_at(
-                flow.path, flow.line, flow.col,
-                f"monotonic clock value reaches {flow.sink} "
-                f"[{flow.describe()}]; monotonic readings are "
-                f"meaningless in other processes — use time.time()")
-
-
-@register_rule
 class ConnectionEscapeRule(ProjectRule):
     """CON003: thread-shared sqlite connections must not escape.
 
@@ -293,6 +244,7 @@ class WallTaintRule(ProjectRule):
                  dict_field_paths=("repro/obs/", "obs/")),
         SinkSpec(label="trace-id derivation",
                  calls=frozenset({
+                     "repro.store.queue.sweep_digest",
                      "repro.obs.trace.trace_id_for",
                      "repro.obs.trace.span_id",
                  })),

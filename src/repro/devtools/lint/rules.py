@@ -113,20 +113,13 @@ class WallClockRule(Rule):
     ``time.monotonic``) is deliberately *not* flagged: the runner uses
     it for per-cell timings that stream to stderr, never into results,
     and for retry backoff and worker shutdown — scheduling decisions
-    that never reach results or cache keys.  Three sanctioned
+    that never reach results or cache keys.  Two sanctioned
     wall-clock sites remain: the CLI's progress/timing path in
-    ``repro/experiments/__main__.py``; the work queue's claim leases
-    (claim, renewal heartbeats, steal checks) in
-    ``repro/store/queue.py`` — lease expiries must be comparable
-    *across worker processes*, which monotonic clocks are not, and
-    lease timing only schedules work (it never feeds results or cache
-    keys); the read-only queue-status CLI in
-    ``repro/store/__main__.py``, which compares those stored lease
-    deadlines against the wall clock for time-to-expiry display; and
-    the live fleet dashboard ``repro/obs/top.py``, a pure *observer*
-    (lease countdowns, throughput rates, refresh stamps — display and
-    alert evaluation only, nothing feeds results or cache keys).  The
-    store backends, the retry wrapper and the fault plan
+    ``repro/experiments/__main__.py``, and the work queue's
+    ``claimed_at`` and ``not_before`` stamps in
+    ``repro/store/queue.py``, which other worker processes compare
+    (cell timeouts, retry backoff) and which only schedule work — they
+    never feed results or cache keys.  The store backends, the retry wrapper and the fault plan
     (``repro/store/faults.py``) stay *unsanctioned*: injection
     schedules must be pure functions of call counts and seeds or chaos
     runs stop being reproducible.  Note ``repro/obs/trace.py`` is *not*
@@ -138,8 +131,7 @@ class WallClockRule(Rule):
     rule_id = "DET002"
     summary = ("wall-clock read (time.time / datetime.now) in code that "
                "may feed results or cache keys")
-    allow = ("repro/experiments/__main__.py", "repro/store/queue.py",
-             "repro/store/__main__.py", "repro/obs/top.py")
+    allow = ("repro/experiments/__main__.py", "repro/store/queue.py")
 
     WALL_CLOCK: FrozenSet[str] = frozenset({
         "time.time", "time.time_ns", "time.localtime", "time.gmtime",
@@ -176,7 +168,7 @@ class SimulationTimingRule(Rule):
     outside belongs in ``repro/runner/`` or ``repro/obs/``.
 
     ``repro/obs/trace.py`` is held to the same bar: trace and span IDs
-    are pure hashes of the sweep fingerprint, cell key and attempt —
+    are pure hashes of the sweep digest, cell key and attempt —
     byte-identical at any ``--jobs`` — so the module may touch a host
     clock only at its one fenced ``wall_now()`` site (explicitly
     suppressed, and its value confined to ``"wall"`` sub-objects).  Any

@@ -20,11 +20,10 @@ memoized in a pluggable content-addressed experiment store —
 opens this backend too) or ``--store sqlite:PATH`` (one WAL-mode
 database file) — so interrupted or repeated runs resume instantly.
 ``--no-cache`` disables the store, ``--force`` recomputes and
-overwrites existing entries.  Workers heartbeat their claim leases
-(``--queue-renew-interval``) so slow cells are never stolen from a
-live worker, and transient store errors retry with bounded backoff
-(``--store-retries``).  More workers can join a running sweep from
-any machine that reaches its store (``python -m repro.runner.worker``).
+overwrites existing entries, and transient store errors retry with
+bounded backoff (``--store-retries``).  A sweep that was killed or
+interrupted resumes on the next run: finished cells come from the
+store, and the cells its dead workers held run again at once.
 Figure tables go to stdout and are byte-identical for any ``--jobs``
 or store backend; per-cell progress and timing stream to stderr.
 
@@ -106,16 +105,6 @@ def main(argv=None) -> int:
                              "hung cell is killed and replaced, and the "
                              "cell retried or failed (runs cells in a "
                              "forked worker even at --jobs 1)")
-    parser.add_argument("--queue-lease", type=float, default=60.0,
-                        metavar="SEC",
-                        help="seconds a worker may hold a claimed cell "
-                             "without renewing before another worker may "
-                             "steal it (crash recovery; default: 60)")
-    parser.add_argument("--queue-renew-interval", type=float, default=None,
-                        metavar="SEC",
-                        help="lease-renewal heartbeat period while a "
-                             "worker runs a cell (default: lease/3; 0 "
-                             "disables renewal so slow cells are stolen)")
     parser.add_argument("--store-retries", type=int, default=5, metavar="N",
                         help="bounded retries for transient store errors "
                              "(locked database, EAGAIN) in workers and "
@@ -176,8 +165,6 @@ def main(argv=None) -> int:
                 retries=args.retries, cell_timeout=args.cell_timeout,
                 keep_going=args.keep_going, progress=progress,
                 telemetry=telemetry, trace=args.trace,
-                queue_name=name, queue_lease=args.queue_lease,
-                queue_renew_interval=args.queue_renew_interval,
                 store_retries=args.store_retries)
             try:
                 with session.phase("sweep") if session else nullcontext():

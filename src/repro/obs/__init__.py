@@ -61,12 +61,10 @@ from .spans import CellSpan, RunTelemetry
 from .stitch import (canonical, completeness, critical_path, load_trace_rows,
                      render_critical_path, render_tree, stitch)
 from .timeseries import TimeSeriesRecorder
-from .top import AlertRule, sample_fleet, top
 from .trace import (TRACE_ENV, Span, Tracer, TraceWriter, ambient_tracer,
                     execute_span, span_id, trace_id_for)
 
 __all__ = [
-    "AlertRule",
     "CellSpan",
     "Counter",
     "Gauge",
@@ -94,12 +92,10 @@ __all__ = [
     "render_report",
     "render_tree",
     "report_data",
-    "sample_fleet",
     "series_config",
     "set_cell",
     "span_id",
     "stitch",
-    "top",
     "trace_id_for",
     "validate_run_dir",
     "write_lifecycle",

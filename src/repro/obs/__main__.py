@@ -12,10 +12,6 @@
     traces dirs, files) into the sweep's span tree; print the tree and
     the critical-path report, or ``--check`` causal completeness, or
     emit the ``--canonical`` schedule-independent projection.
-``top``
-    Live fleet dashboard over a store's work queue and/or a run
-    directory's trace and series tails, with declarative ``--rule``
-    alerts; exits 1 when any rule fires (``--once`` for CI).
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from .report import render_report, report_data
 from .schema import validate_run_dir
 from .stitch import (canonical, completeness, critical_path, load_trace_rows,
                      render_critical_path, render_tree, stitch)
-from .top import AlertRule, top
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -87,13 +82,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    rules = [AlertRule.parse(text) for text in args.rule]
-    return top(store_url=args.store, queue_name=args.queue,
-               run_dir=args.dir, rules=rules, once=args.once,
-               interval=args.interval, max_samples=args.max_samples)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -131,29 +119,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace.add_argument("--max-cells", type=int, default=0, metavar="N",
                        help="cap rendered cell subtrees (0 = all)")
 
-    live = sub.add_parser(
-        "top", help="live fleet dashboard over queue + telemetry tails")
-    live.add_argument("dir", nargs="?", default=None,
-                      help="telemetry run directory to tail (optional)")
-    live.add_argument("--store", default=None, metavar="URL",
-                      help="experiment store URL whose queue to sample")
-    live.add_argument("--queue", default=None, metavar="NAME",
-                      help="work-queue name (default: the store's only "
-                           "queue; required when it holds several)")
-    live.add_argument("--rule", action="append", default=[],
-                      metavar="EXPR",
-                      help="alert rule '<metric> <op> <number>'; "
-                           "repeatable; any firing rule exits 1")
-    live.add_argument("--once", action="store_true",
-                      help="sample once and exit (CI mode)")
-    live.add_argument("--interval", type=float, default=1.0,
-                      help="refresh interval in seconds (default 1.0)")
-    live.add_argument("--max-samples", type=int, default=None, metavar="N",
-                      help="stop after N refreshes (default: until drained)")
-
     args = parser.parse_args(argv)
     handlers = {"report": _cmd_report, "validate": _cmd_validate,
-                "trace": _cmd_trace, "top": _cmd_top}
+                "trace": _cmd_trace}
     try:
         return handlers[args.command](args)
     except ConfigurationError as exc:

@@ -111,7 +111,7 @@ class RunTelemetry:
         self._trace_wall0: Optional[float] = None
         #: ``(index, attempt) -> error_type`` of attempts that ended
         #: without a worker-side terminal span (worker reaped or killed
-        #: for a timeout, lease exhausted, fleet aborted).
+        #: for a timeout, loss budget exhausted, fleet aborted).
         self._trace_lost: Dict[Tuple[int, int], str] = {}
 
     # -- lifecycle hooks (called by repro.runner) ----------------------------
@@ -235,30 +235,12 @@ class RunTelemetry:
         self.metrics.gauge("store.quarantines", labels).set(
             stats.quarantines, backend=stats.backend)
 
-    def queue_stats(self, queue: str, *, renewals: int,
-                    steals: int) -> None:
-        """Mirror the work queue's end-of-sweep heartbeat counters.
-
-        ``renewals`` counts lease-renewal heartbeats (live workers
-        running cells longer than their lease); ``steals`` counts
-        expired-lease steals (workers that died holding an item).
-        Together they prove the distinction the heartbeat exists for: a
-        healthy fleet shows ``steals == 0`` however slow its cells.
-        Both are timing-dependent (like ``runner.retries``), so they
-        describe the run without feeding results or cache keys.
-        """
-        labels = ("queue",)
-        self.metrics.gauge("queue.renewals", labels).set(
-            renewals, queue=queue)
-        self.metrics.gauge("queue.steals", labels).set(
-            steals, queue=queue)
-
     # -- distributed tracing -------------------------------------------------
     def trace_context(self, index: int) -> Optional[Dict[str, str]]:
         """Trace context to stamp into cell ``index``'s queue payload.
 
         ``{"trace": ..., "parent": ...}`` — the parent is the cell
-        span's derived ID, so a worker on any machine can hang its
+        span's derived ID, so any worker process can hang its
         ``claim``/``execute`` spans under the right node without
         talking to the coordinator.  ``None`` when tracing is off.
         """
@@ -275,7 +257,7 @@ class RunTelemetry:
 
         Only for attempts that ended *without* a worker-side terminal:
         a worker the coordinator reaped dead or killed for a timeout, a
-        lease stolen past the loss budget, an aborted fleet.  Worker-side
+        cell past its loss budget, an aborted fleet.  Worker-side
         failures already wrote their own ``nack`` span, and a second
         terminal would break the one-terminal-per-attempt invariant.
         Recording one attempt twice keeps the first record.

@@ -11,9 +11,10 @@ process having coordinated with another:
 
 * :func:`load_trace_rows` collects rows from run dirs / traces dirs /
   files (schema headers skipped, malformed rows reported);
-* :func:`stitch` merges duplicate span IDs (an at-least-once double
-  execution or a steal re-claim collapses to one node) and hangs
-  children under parents;
+* :func:`stitch` merges duplicate span IDs (a rerun that rewrites the
+  coordinator's spans, or a cell whose claim was wrongly judged dead
+  and ran twice, collapses to one node) and hangs children under
+  parents;
 * :func:`completeness` checks the causal invariants — one rooted
   sweep, resolvable parents, and for every claimed cell a full
   attempt ladder ending in exactly one terminal (``ack`` / ``nack`` /
@@ -63,8 +64,8 @@ def _trace_sources(source: Union[str, Path]) -> List[Path]:
     """The ``*.jsonl`` files one source stands for.
 
     A source may be a telemetry run directory (its ``traces/`` subdir
-    is used), a traces directory itself, or a single file — so a fleet
-    split across machines stitches from whatever subset was gathered.
+    is used), a traces directory itself, or a single file — so a trace
+    stitches from whatever subset of its files was gathered.
     """
     path = Path(source)
     if path.is_dir():
@@ -105,11 +106,12 @@ def load_trace_rows(sources: Sequence[Union[str, Path]],
 def _merge(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Fold duplicate rows for one span ID into one node.
 
-    Duplicates are legitimate — at-least-once delivery double-executes,
-    a stolen item is re-claimed at the same attempt — and deterministic
-    IDs make them collapse here instead of forking the tree.  Events
-    concatenate (exact duplicates dropped), the status with the most
-    definite outcome wins, and the wall window is the union.
+    Duplicates are legitimate — a rerun rewrites the coordinator's
+    spans, a cell judged dead while alive runs twice — and
+    deterministic IDs make them collapse here instead of forking the
+    tree.  Events concatenate (exact duplicates dropped), the status
+    with the most definite outcome wins, and the wall window is the
+    union.
     """
     out = dict(a)
     seen = {json.dumps(e, sort_keys=True) for e in a.get("events", [])}
@@ -297,9 +299,8 @@ def canonical(tree: Dict[str, Any]) -> str:
     """The deterministic projection: byte-identical across schedules.
 
     Drops every ``"wall"`` sub-object and every ``det=False`` event
-    (renewals, steals, store-retry backoffs — schedule facts), orders
-    rows by (key, causal kind order, attempt, span), and emits compact
-    JSON lines.  What survives is a pure function of config + seed +
+    (store-retry backoffs — schedule facts), orders rows by (key,
+    causal kind order, attempt, span), and emits compact JSON lines.  What survives is a pure function of config + seed +
     fault plan, so two runs of the same sweep — any ``--jobs``, any
     worker count — compare equal with ``==``.
     """

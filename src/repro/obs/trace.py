@@ -1,24 +1,23 @@
-"""Deterministic distributed tracing for sweep fleets.
+"""Deterministic distributed tracing for sweeps.
 
 One sweep = one trace.  The coordinator opens a root ``sweep`` span and
 one ``cell`` span per cell; whichever worker executes an attempt — the
-coordinator's own thread, a forked worker, or a worker joining from
-another machine — appends ``claim`` / ``execute`` / ``ack`` / ``nack``
-child spans to its own ``traces/<worker>.jsonl`` file, parented
-through the trace context each queue item carries.  The stitcher
-(:mod:`repro.obs.stitch`) rebuilds the tree from any mix of those
-files, so a fleet spread over machines still yields one causal story
-per cell.
+coordinator's own thread or a forked worker — appends ``claim`` /
+``execute`` / ``ack`` / ``nack`` child spans to its own
+``traces/<worker>.jsonl`` file, parented through the trace context each
+queue item carries.  The stitcher (:mod:`repro.obs.stitch`) rebuilds
+the tree from any mix of those files, so a sweep spread over processes
+still yields one causal story per cell.
 
 Identity is the whole trick.  Trace and span IDs are pure functions of
-the sweep fingerprint, cell key, span kind and attempt number —
-**never** the clock, the PID, or ``uuid4()``:
+the sweep digest, cell key, span kind and attempt number — **never**
+the clock, the PID, or ``uuid4()``:
 
 * any process can compute any span's ID without coordination (a worker
   derives its parent ``cell`` span ID from the trace ID + cell key);
-* at-least-once delivery is free to double-execute a cell — both
-  executions produce the *same* span ID with the same deterministic
-  content, and the stitcher collapses them;
+* a span written twice — a rerun rewriting the coordinator's spans, a
+  cell run twice — gets the *same* span ID with the same deterministic
+  content, and the stitcher collapses the copies;
 * the deterministic projection of a trace (drop ``"wall"``, drop
   timing-dependent events) is byte-identical across ``--jobs`` and
   worker counts, which the chaos tests assert literally.
@@ -28,9 +27,8 @@ only under each row's ``"wall"`` sub-object, mirroring the span/manifest
 convention, and they are read through the single sanctioned
 :func:`wall_now` below.  Events carry a ``"det"`` flag: ``det=True``
 events (fault injections, error types) are facts of the computation and
-survive into the canonical projection; ``det=False`` events (lease
-renewals, steals, store-retry backoffs) describe the *schedule* and are
-stripped.
+survive into the canonical projection; ``det=False`` events
+(store-retry backoffs) describe the *schedule* and are stripped.
 
 Nothing here runs unless ``$REPRO_TRACE`` is set: the runner guards
 every hook on that variable, so tracing disabled is zero code executed
@@ -52,6 +50,7 @@ from typing import IO, Any, Dict, Iterator, List, Optional, Sequence, Type
 from contextlib import contextmanager
 
 from ..errors import ConfigurationError
+from ..store.queue import sweep_digest
 
 __all__ = [
     "SPAN_KINDS",
@@ -93,25 +92,20 @@ def wall_now() -> float:
 
 
 def trace_id_for(keys: Sequence[str]) -> str:
-    """Deterministic trace ID for one sweep: a fingerprint of its cells.
-
-    Hashes the ordered ``(index, key)`` pairs — the same identity
-    :func:`repro.store.queue.sweep_fingerprint` gives a published
-    queue — so the same sweep traced twice yields the same trace ID,
-    and no clock or RNG can leak in by construction.
-    """
-    blob = json.dumps([[i, key] for i, key in enumerate(keys)],
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+    """Deterministic trace ID for one sweep: a prefix of
+    :func:`repro.store.queue.sweep_digest`, the hash of its ordered
+    ``(index, key)`` pairs whose shorter prefix names the sweep's queue
+    rows.  The same sweep traced twice yields the same trace ID, and no
+    clock or RNG can leak in by construction."""
+    return sweep_digest(keys)[:32]
 
 
 def span_id(trace_id: str, kind: str, key: str = "", attempt: int = 0) -> str:
     """Deterministic span ID: pure function of (trace, kind, key, attempt).
 
-    Because the ID carries no process identity, a stolen item
-    re-executed by another worker produces the *same* ``claim`` /
-    ``execute`` span IDs — the stitcher's dedup then collapses the
-    duplicates instead of showing a forked tree.
+    Because the ID carries no process identity, an attempt written by
+    two processes produces the *same* span IDs — the stitcher's dedup
+    then collapses the duplicates instead of showing a forked tree.
     """
     if kind not in SPAN_KINDS:
         raise ConfigurationError(
@@ -150,8 +144,8 @@ class TraceWriter:
     """Append-mode JSONL writer for one ``traces/*.jsonl`` file.
 
     Opens lazily on first write, stamps the ``schema_version`` header
-    row into fresh files, and flushes every line so ``repro.obs top``
-    can tail a live fleet.  Append mode (not truncate) lets a worker
+    row into fresh files, and flushes every line so a killed process
+    loses no finished span.  Append mode (not truncate) lets a worker
     process reopen its file across work items without losing rows.
     """
 
@@ -186,8 +180,8 @@ class Span:
 
     Context-manager use pushes the span onto the process-local active
     stack so :func:`add_event` calls from anywhere in the process — the
-    fault injector, the store retry observer, the lease-renewal
-    heartbeat thread — attach to the innermost running span.
+    fault injector, the store retry observer — attach to the innermost
+    running span.
     """
 
     def __init__(self, tracer: "Tracer", kind: str, name: str, *,
@@ -286,10 +280,10 @@ _writers: Dict[str, TraceWriter] = {}
 def add_event(name: str, det: bool = False, **fields: Any) -> None:
     """Attach an event to the innermost active span; no-op otherwise.
 
-    This is the hook the fault injector, the store retry observer and
-    the heartbeat thread call — none of them need (or get) a span
-    handle, and all of them must cost nothing when tracing is off
-    (callers guard on ``$REPRO_TRACE`` before importing this module).
+    This is the hook the fault injector and the store retry observer
+    call — neither needs (or gets) a span handle, and both must cost
+    nothing when tracing is off (callers guard on ``$REPRO_TRACE``
+    before importing this module).
     """
     with _stack_lock:
         span = _stack[-1] if _stack else None
@@ -307,7 +301,7 @@ def ambient_tracer(trace_id: str) -> Optional[Tracer]:
     """A tracer for ``trace_id`` in this process, or ``None`` when
     tracing is off (or there is no trace ID).
 
-    Queue items carry the trace ID across processes and machines; the
+    Queue items carry the trace ID across processes; the
     output file is ``$REPRO_TRACE/<worker>.jsonl``.  Writers are cached
     per path so one worker process appends to one file.
     """

@@ -3,8 +3,7 @@
 The runner decomposes an experiment into independent :class:`Cell`\\ s
 and executes them through one engine (:func:`run_cells` with a
 :class:`RunConfig`): pending cells are published to a work queue and
-drained by workers — the calling thread, forked worker processes, or
-workers joining from other machines.  Each cell's result is memoized in
+drained by workers — the calling thread or forked worker processes.  Each cell's result is memoized in
 a pluggable :class:`~repro.store.ExperimentStore` keyed by a SHA-256 of
 its full configuration (checksummed and self-quarantining; see
 :mod:`repro.store`), and per-cell progress streams to stderr
@@ -14,7 +13,7 @@ experiments plug in.
 
 Execution is fault tolerant (:mod:`repro.runner.resilience`): failing
 cells retry with capped deterministic backoff, hung cells are killed by
-per-cell timeouts, a dead worker's cell is stolen and rerun, and
+per-cell timeouts, a dead worker's cell is released and rerun, and
 ``keep_going`` sweeps complete with :class:`FailedCell` sentinels plus
 a JSON failure manifest instead of aborting.  One deterministic
 fault plan (``$REPRO_FAULTS``, :mod:`repro.store.faults`; re-exported

@@ -3,9 +3,9 @@
 :class:`RunConfig` is how :func:`repro.runner.run_cells`,
 :meth:`ExperimentSpec.run <repro.experiments.registry.ExperimentSpec.run>`
 and :func:`repro.api.run_experiment` learn how to execute a sweep —
-workers, the experiment store, the resilience policy, progress and
-telemetry sinks and the work queue all travel together as one
-validated, immutable value::
+workers, the experiment store, the resilience policy and the progress
+and telemetry sinks all travel together as one validated, immutable
+value::
 
     from repro.runner import RunConfig, run_cells
 
@@ -71,20 +71,6 @@ class RunConfig:
         :class:`~repro.obs.session.TelemetrySession` constructed with
         ``trace=True`` — the session owns the trace directory.  Off by
         default; when off, no trace code runs and no artifacts appear.
-    queue_name:
-        The name the sweep's queue goes under in the store; workers
-        joining from outside use it.  Each sweep gets a queue of its
-        own under the name, so concurrent sweeps may share it.
-    queue_lease:
-        Seconds a worker may hold a claimed cell without renewing
-        before another worker may steal it (crash recovery for workers
-        the coordinator cannot reap; see :mod:`repro.store.queue`).
-    queue_renew_interval:
-        Seconds between lease-renewal heartbeats while a worker
-        executes a cell.  ``None`` (default) derives ``queue_lease / 3``;
-        ``0`` disables renewal entirely — a cell slower than the lease
-        *will* be stolen, which is only useful for exercising the steal
-        path.
     store_retries:
         Bounded retries for *transient* store/queue errors (SQLite
         ``database is locked``, ``EAGAIN``-family ``OSError``) in
@@ -103,22 +89,11 @@ class RunConfig:
     progress: Optional[Progress] = None  # reprolint: cli-exempt
     telemetry: Optional["RunTelemetry"] = None
     trace: bool = False
-    queue_name: str = "sweep"  # reprolint: cli-exempt
-    queue_lease: float = 60.0
-    queue_renew_interval: Optional[float] = None
     store_retries: int = 5
 
     def __post_init__(self) -> None:
         # RetryPolicy construction validates the resilience fields.
         self.policy()
-        if self.queue_lease <= 0:
-            raise ConfigurationError(
-                f"queue_lease must be positive, got {self.queue_lease}")
-        if (self.queue_renew_interval is not None
-                and self.queue_renew_interval < 0):
-            raise ConfigurationError(
-                f"queue_renew_interval must be >= 0 (0 disables renewal) "
-                f"or None for auto, got {self.queue_renew_interval}")
         if self.store_retries < 0:
             raise ConfigurationError(
                 f"store_retries must be >= 0, got {self.store_retries}")

@@ -12,8 +12,8 @@ makes output byte-identical at any ``--jobs``.
 
 The queue always lives in SQLite: a ``sqlite:`` store's own database,
 a sidecar database under a ``local:`` store's ``aux_dir("queue")``, or
-a temporary database when the sweep has no store.  Each sweep gets a
-queue of its own (:func:`repro.store.queue.sweep_queue`), so sweeps
+a temporary database when the sweep has no store.  Each sweep gets
+rows of its own (:func:`repro.store.queue.sweep_queue`), so sweeps
 running side by side on one store never touch each other's items,
 while two runs of the same sweep share the work.  The coordinator is
 the only writer of the experiment store; workers hand results back
@@ -29,10 +29,12 @@ Failures are handled the same way at every ``jobs``, per the
   nacked with :class:`~repro.errors.CellTimeoutError` — a cell on the
   calling thread cannot be killed, so a timeout forks a worker even at
   ``jobs=1``;
-* a worker that dies is reaped at once, its lease expired and a fresh
-  worker forked, so the next claim steals the cell as a charged loss; a
-  cell lost more than its loss budget allows fails with
-  :class:`~repro.errors.WorkerError`.
+* a worker that dies is reaped at once and a fresh worker forked; its
+  claims are released, each charged to its cell as a death, and a cell
+  whose worker died more often than its loss budget allows fails with
+  :class:`~repro.errors.WorkerError`.  Claims left behind by a
+  coordinator that died itself are released by the next run of the
+  sweep (:mod:`repro.store.queue`).
 
 Determinism: every attempt reseeds the global RNGs from the cell key
 (:func:`repro.runner.worker.execute_attempt`), so neither ``jobs`` nor
@@ -52,23 +54,17 @@ from ..errors import CellTimeoutError, ConfigurationError, ReproError, WorkerErr
 from ..store import ExperimentStore, QueueItem, SQLiteStore
 from ..store.faults import active_plan, corrupt_cache_entries
 from ..store.queue import (LOST_ERROR_TYPE, AttemptError, ItemState,
-                           sweep_queue)
+                           sweep_queue, worker_id)
 from .cache import cell_key
 from .cells import Cell
 from .config import RunConfig
 from .resilience import FailedCell
-
-# repro.runner.worker is imported where it is used, never at import
-# time: ``python -m repro.runner.worker`` must not find the module
-# already imported by this package.
+from .worker import (_POLL, EXIT_STORE_PERMANENT, serve, work_loop,
+                     wrap_store)
 
 __all__ = ["run_cells", "default_jobs"]
 
 _PENDING = object()
-
-#: Seconds between the coordinator's looks at the queue and its
-#: workers, and between an idle forked worker's claim attempts.
-_POLL = 0.05
 
 #: Seconds finished workers get to exit on their own before a kill.
 _EXIT_GRACE = 10.0
@@ -101,8 +97,6 @@ def run_cells(cells: Sequence[Cell],
     :class:`~repro.errors.WorkerError` listing *every* failed cell,
     chained to the first one's exception.
     """
-    from .worker import wrap_store
-
     cfg = config if config is not None else RunConfig()
     jobs = cfg.jobs if cfg.jobs and cfg.jobs > 0 else default_jobs()
     store = cfg.open_store()
@@ -162,15 +156,6 @@ def run_cells(cells: Sequence[Cell],
     return results
 
 
-def _forked_worker(url: str, queue_name: str, worker_id: str,
-                   store_retries: int, loop: Dict[str, Any]) -> None:
-    """Body of a worker process forked by :meth:`_Sweep.run_fleet`."""
-    from .worker import serve
-
-    raise SystemExit(serve(url, queue_name, worker_id=worker_id,
-                           store_retries=store_retries, **loop))
-
-
 def _error_of(err: AttemptError) -> BaseException:
     """The exception a nack carried, or a :class:`WorkerError` standing
     in for one that did not survive pickling."""
@@ -211,8 +196,6 @@ class _Sweep:
         """Publish the open cells and drain the queue with ``jobs``
         workers (the calling thread when ``jobs == 1`` and no cell
         timeout applies)."""
-        from .worker import work_loop, wrap_store
-
         tmp = None
         if self.store is not None:
             self.host = self.store
@@ -221,37 +204,27 @@ class _Sweep:
             self.host = wrap_store(
                 SQLiteStore(os.path.join(tmp, "queue.sqlite")),
                 self.cfg.store_retries)
-        self.queue_name = sweep_queue(self.cfg.queue_name, self.keys)
-        self.queue = self.host.make_queue(self.queue_name)
+        self.sweep = sweep_queue(self.keys)
+        self.queue = self.host.make_queue(self.sweep)
         try:
             self.publish()
             if jobs == 1 and self.policy.cell_timeout is None:
+                pid = os.getpid()
                 while self.open:
-                    work_loop(self.queue, f"worker-{os.getpid()}",
-                              after_item=self.collect, poll=_POLL,
-                              **self.loop_options())
+                    work_loop(self.queue, worker_id(pid, pid),
+                              after_item=self.collect)
                     self.collect()
             else:
                 self.run_fleet(min(jobs, len(self.open)))
-            if self.telemetry is not None:
-                final = self.queue.snapshot()
-                self.telemetry.queue_stats(
-                    self.cfg.queue_name,
-                    renewals=sum(s.renewals for s in final.values()),
-                    steals=sum(s.losses for s in final.values()))
         finally:
             if tmp is not None:
                 self.host.close()
                 shutil.rmtree(tmp, ignore_errors=True)
 
-    def loop_options(self) -> Dict[str, Any]:
-        return {"lease": self.cfg.queue_lease,
-                "renew_interval": self.cfg.queue_renew_interval}
-
     def item(self, i: int) -> QueueItem:
         """The queue item for cell ``i``."""
         # With tracing on, items carry their trace context so a worker
-        # on any machine can parent its spans.
+        # process can parent its spans.
         ctx = self.telemetry.trace_context(i) if self.telemetry is not None \
             else None
         body = ((i, self.keys[i], self.cells[i], ctx) if ctx
@@ -280,38 +253,33 @@ class _Sweep:
     def run_fleet(self, workers: int) -> None:
         """Drain the queue with ``workers`` forked worker processes.
 
-        Each pass reaps the workers that exited, kills workers whose
-        claim outlived ``cell_timeout``, collects finished items and
-        tops the fleet back up while the queue has work.  A worker that
-        died holding a claim is always replaced: its cell's loss budget
-        bounds those deaths.  A death outside any claim draws on a
-        spare budget of ``workers * (loss_budget + 1)``.  A worker that
-        found the store permanently broken stops the top-ups.
+        Each pass reaps the workers that exited (releasing the claims a
+        dead one held), kills workers whose claim outlived
+        ``cell_timeout``, collects finished items and tops the fleet
+        back up while the queue has work.  A worker that died holding a
+        claim is always replaced: its cell's loss budget bounds those
+        deaths.  A death outside any claim draws on a spare budget of
+        ``workers * (loss_budget + 1)``.  A worker that found the store
+        permanently broken stops the top-ups.
         """
         import multiprocessing
         from multiprocessing.connection import wait
 
-        from .worker import EXIT_STORE_PERMANENT
-
         context = multiprocessing.get_context("fork")
-        loop = dict(self.loop_options(), poll=_POLL)
+        pid = os.getpid()
         procs: Dict[str, Any] = {}
-        spawned = 0
         spare = workers * (self.policy.loss_budget + 1)
         permanent = 0
 
         def spawn() -> None:
-            nonlocal spawned
-            spawned += 1
-            wid = f"worker-{os.getpid()}-{spawned}"
             # The child opens its own connection; none crosses the fork.
             self.host.close()
             proc = context.Process(
-                target=_forked_worker, name=wid, daemon=True,
-                args=(self.host.url, self.queue_name, wid,
-                      self.cfg.store_retries, loop))
+                target=serve, daemon=True,
+                args=(self.host.url, self.sweep, pid,
+                      self.cfg.store_retries))
             proc.start()
-            procs[wid] = proc
+            procs[worker_id(proc.pid, pid)] = proc
 
         for _ in range(workers):
             spawn()
@@ -322,13 +290,14 @@ class _Sweep:
                     if proc.exitcode is None:
                         continue
                     del procs[wid]
+                    if proc.exitcode == 0:
+                        continue
+                    lost = self.queue.expire(wid)
                     if proc.exitcode == EXIT_STORE_PERMANENT:
                         permanent += 1
-                    elif proc.exitcode != 0:
-                        lost = self.queue.expire(wid)
-                        if not lost:
-                            spare -= 1
-                        self.reaped(lost)
+                    elif not lost:
+                        spare -= 1
+                    self.reaped(lost)
                 if self.policy.cell_timeout is not None:
                     for i, wid in self.queue.overdue(
                             self.policy.cell_timeout):
@@ -428,7 +397,7 @@ class _Sweep:
                             state)
             elif state.status == "failed":
                 exc = WorkerError(
-                    f"worker pool broke {state.losses} times while cell "
+                    f"worker pool broke {state.deaths} times while cell "
                     f"{self.cells[i].label} was in flight (worker killed "
                     f"or died?)")
                 self.failed(i, exc, type(exc).__name__, str(exc), state)

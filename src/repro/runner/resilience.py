@@ -14,9 +14,10 @@ do the enforcing, identically at every ``--jobs``:
 * **Timeouts** — with ``cell_timeout`` set, the worker still running a
   cell past its wall-clock deadline is killed and the cell charged a
   failed attempt.
-* **Worker deaths** — a dead worker's cell is stolen by the next claim
-  and charged against a separate loss budget, so a cell that *keeps*
-  killing its worker eventually fails instead of looping forever.
+* **Worker deaths** — a dead worker's claim is released and its cell
+  runs again, charged against a separate loss budget, so a cell that
+  *keeps* killing its worker eventually fails instead of looping
+  forever.
 * **Keep-going** — permanently failed cells become
   :class:`FailedCell` sentinels in the result list instead of aborting
   the sweep; every other cell completes and persists to the store, and

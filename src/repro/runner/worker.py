@@ -6,11 +6,8 @@ Every sweep runs through a work queue (:mod:`repro.store.queue`), and
 * on the coordinator's own thread at ``--jobs 1``, so profilers and
   instrumentation see the cells, and a ``kill`` fault kills the run;
 * in the ``--jobs N`` processes the coordinator forks
-  (:mod:`repro.runner.pool`), each opening its own store connection
-  after the fork;
-* in ``python -m repro.runner.worker --store URL`` processes that join
-  a sweep from outside, on this machine or any machine that can reach
-  the store.
+  (:mod:`repro.runner.pool`), each running :func:`serve`, which opens
+  its own store connection after the fork.
 
 Each claimed item runs through :func:`execute_attempt` — the global
 RNGs are reseeded from the cell key before every attempt, then fault
@@ -19,16 +16,11 @@ carrying the pickled result or a ``nack`` carrying the pickled
 exception.  Workers never write the experiment store: the coordinator
 collects results from the queue and persists them.
 
-Crash recovery is the lease protocol of :mod:`repro.store.queue`: while
-a cell runs, a background *heartbeat thread* renews the worker's lease
-every ``renew_interval`` seconds (default ``lease / 3``), so a **live**
-worker running a long cell is never stolen from.  A worker that
-**dies** mid-cell stops heartbeating: the coordinator expires the
-leases of a forked worker as soon as it reaps it, any other worker's
-lease runs out on its own, and the next claim steals the item —
-charged against the item's loss budget.  Delivery is therefore
-at-least-once, which is safe by construction: cells are deterministic,
-so a double execution is invisible in the results.
+Crash recovery asks nothing of a live worker.  Each claim records the
+pids of its worker and of that worker's coordinator
+(:func:`~repro.store.queue.worker_id`): the coordinator releases a
+forked worker's claims as soon as it reaps the worker dead, and once
+the coordinator is gone too, the next idle claim releases them.
 
 Store resilience: every store/queue operation a worker makes goes
 through the one store wrapper (:func:`wrap_store`) — transient errors
@@ -42,30 +34,32 @@ it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
 import random
 import sqlite3
 import sys
-import threading
 import time
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..store import ExperimentStore, open_store
 from ..store.faults import active_plan, inject_cell_faults
-from ..store.queue import WorkQueue
+from ..store.queue import WorkQueue, worker_id
 from ..store.retry import (RetryingStore, is_transient_store_error,
                            store_retry_policy)
 from .cells import Cell
 
-__all__ = ["EXIT_STORE_PERMANENT", "execute_attempt", "main", "serve",
+__all__ = ["EXIT_STORE_PERMANENT", "execute_attempt", "serve",
            "work_loop", "wrap_store"]
 
 #: Worker exit code for a permanent store failure (malformed database,
 #: ``ENOSPC``, missing table) — distinct from a cell-induced crash so
 #: the coordinator knows respawning cannot help.
 EXIT_STORE_PERMANENT = 3
+
+#: Seconds between an idle worker's claim attempts, and between the
+#: coordinator's looks at the queue and its workers.
+_POLL = 0.05
 
 
 def _trace_event(name: str, det: bool = False, **fields: Any) -> None:
@@ -171,95 +165,31 @@ def _pickled_error(exc: BaseException) -> bytes:
         return b""
 
 
-class _Heartbeat:
-    """Background lease-renewal loop for one claimed queue item.
+def work_loop(queue: WorkQueue, worker: str, *,
+              after_item: Optional[Callable[[], None]] = None) -> None:
+    """Claim and execute ``queue``'s items as ``worker`` until every
+    published item is ``done`` or ``failed``.
 
-    Beats every ``interval`` seconds until stopped.  A renewal that
-    *fails* transiently (the retry stack re-raises past its budget) is
-    skipped — the next beat tries again, and the lease survives one
-    missed beat because ``interval < lease``.  A renewal that is
-    *refused* (the item was stolen; this worker no longer holds it)
-    sets :attr:`lost` and stops beating — finishing the cell stays
-    safe, delivery is at-least-once.
+    Retry backoff is the queue's: a nacked item is not claimable before
+    its delay has passed, so this loop just polls.  ``after_item`` (the
+    in-process coordinator's collection hook) runs after every item.
+    Store errors that survive the retry stack propagate.
     """
-
-    def __init__(self, queue: WorkQueue, item_id: int, worker: str,
-                 lease: float, interval: float) -> None:
-        self.queue = queue
-        self.item_id = item_id
-        self.worker = worker
-        self.lease = lease
-        self.interval = interval
-        self.lost = threading.Event()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True,
-            name=f"heartbeat-{worker}-{item_id}")
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                renewed = self.queue.renew(self.item_id, self.worker,
-                                           self.lease)
-            except Exception:
-                # Renewal could not reach the store even after retries;
-                # keep beating — the item may survive, and the cell's
-                # outcome is protected by at-least-once delivery anyway.
-                continue
-            if not renewed:
-                # Someone stole the lease: a schedule fact, not a
-                # computation fact, hence det=False.
-                _trace_event("lease_lost", worker=self.worker)
-                self.lost.set()
-                return
-            _trace_event("lease_renew", worker=self.worker)
-
-
-def work_loop(queue: WorkQueue, worker_id: str, *,
-              lease: float = 60.0, poll: float = 0.2,
-              max_items: Optional[int] = None,
-              renew_interval: Optional[float] = None,
-              after_item: Optional[Callable[[], None]] = None) -> int:
-    """Claim and execute ``queue``'s items until it drains.
-
-    Returns the number of items processed (successful or not).  The
-    loop exits when every published item is ``done`` or ``failed``, or
-    after ``max_items`` claims (an ops hook: a worker stopped at
-    ``--max-items K`` leaves a partially drained queue that the next
-    worker — or a full rerun — picks up seamlessly).  Retry backoff is
-    the queue's: a nacked item is not claimable before its delay has
-    passed, so this loop just polls.  ``after_item`` (the in-process
-    coordinator's collection hook) runs after every item.
-
-    While a cell runs, a :class:`_Heartbeat` thread renews the lease
-    every ``renew_interval`` seconds (``None`` = ``lease / 3``; ``0``
-    disables renewal, restoring steal-on-slow behavior).  Store errors
-    that survive the retry stack propagate.
-    """
-    interval = lease / 3.0 if renew_interval is None else renew_interval
     tracing = bool(os.environ.get("REPRO_TRACE"))
     if tracing:
         from ..obs.trace import ambient_tracer, set_worker, span_id, wall_now
 
-        set_worker(worker_id)  # names this worker's traces/<id>.jsonl
-    processed = 0
+        set_worker(worker)  # names this worker's traces/<id>.jsonl
     try:
-        while max_items is None or processed < max_items:
+        while True:
             claim_t0 = wall_now() if tracing else None
-            item = queue.claim(worker_id, lease)
+            item = queue.claim(worker)
             if item is None:
                 if queue.unfinished() == 0:
                     break
                 # Everything runnable is claimed by someone else (or
-                # backing off); poll until a lease frees or expires.
-                time.sleep(poll)
+                # backing off); poll until that changes.
+                time.sleep(_POLL)
                 continue
             loaded = pickle.loads(item.payload)
             key, cell = loaded[1], loaded[2]
@@ -267,40 +197,25 @@ def work_loop(queue: WorkQueue, worker_id: str, *,
             # context ({"trace", "parent"}).
             ctx = loaded[3] if len(loaded) > 3 else None
             attempt = item.attempt
-            processed += 1
             tracer = (ambient_tracer(ctx["trace"])
                       if tracing and ctx else None)
             exec_ctx: Optional[Dict[str, Any]] = None
             if tracer is not None:
                 # The claim span covers queue.claim itself (claim_t0 ..
-                # now); a re-claim of a stolen item carries the same
-                # attempt number, so its span ID — and the stitched
-                # tree — deduplicate instead of forking.
-                claim = tracer.span("claim", cell.label, key=key,
-                                    attempt=attempt, parent=ctx["parent"],
-                                    start=claim_t0)
-                if item.stolen:
-                    claim.event("steal", worker=worker_id)
-                claim.end()
+                # now).
+                tracer.span("claim", cell.label, key=key, attempt=attempt,
+                            parent=ctx["parent"], start=claim_t0).end()
                 # Derived from the pure ID function (== claim.span), so
                 # the context provably carries no wall-clock taint.
                 exec_ctx = {"trace": tracer.trace_id,
                             "parent": span_id(tracer.trace_id, "claim",
                                               key, attempt)}
-            beat: Optional[_Heartbeat] = None
-            if interval > 0:
-                beat = _Heartbeat(queue, item.item_id, worker_id, lease,
-                                  interval)
-                beat.start()
             failure: Optional[Exception] = None
             try:
                 elapsed, value = execute_attempt(key, cell, attempt,
                                                  exec_ctx)
             except Exception as exc:
                 failure = exc
-            finally:
-                if beat is not None:
-                    beat.stop()
             if failure is not None:
                 name, error = type(failure).__name__, _pickled_error(failure)
                 if tracer is not None and exec_ctx is not None:
@@ -317,9 +232,6 @@ def work_loop(queue: WorkQueue, worker_id: str, *,
                 else:
                     queue.nack(item.item_id, name, str(failure), error)
             else:
-                # Ack even when the lease was stolen mid-cell: an ack of
-                # an already-reassigned item merely marks it done — the
-                # at-least-once contract.
                 result = pickle.dumps(value,
                                       protocol=pickle.HIGHEST_PROTOCOL)
                 if tracer is not None and exec_ctx is not None:
@@ -337,26 +249,21 @@ def work_loop(queue: WorkQueue, worker_id: str, *,
 
             close_ambient_writers()
             set_worker("")
-    return processed
 
 
-def serve(store_url: str, queue_name: str = "sweep", *,
-          worker_id: Optional[str] = None, store_retries: int = 5,
-          **loop: Any) -> int:
-    """Open ``store_url``, drain its queue ``queue_name``, return an
-    exit status.
+def serve(store_url: str, sweep: str, coordinator: int,
+          store_retries: int) -> None:
+    """Body of a worker process the coordinator forks: open
+    ``store_url`` and drain the queue of sweep ``sweep``.
 
-    The body of every worker process — forked by the coordinator or
-    started as ``python -m repro.runner.worker``: 0 once the queue
-    drained (or ``max_items`` were processed), or
-    :data:`EXIT_STORE_PERMANENT` when a store error survived the retry
-    budget.  ``loop`` passes through to :func:`work_loop`.
+    Its claims record this process and ``coordinator``.  A store error
+    ends the process with :data:`EXIT_STORE_PERMANENT`.
     """
-    wid = worker_id or f"worker-{os.getpid()}"
+    wid = worker_id(os.getpid(), coordinator)
     try:
         store = wrap_store(open_store(store_url), store_retries)
         try:
-            work_loop(store.make_queue(queue_name), wid, **loop)
+            work_loop(store.make_queue(sweep), wid)
         finally:
             store.close()
     except (sqlite3.Error, OSError) as exc:
@@ -367,53 +274,4 @@ def serve(store_url: str, queue_name: str = "sweep", *,
                   if is_transient_store_error(exc) else "permanent")
         print(f"[{wid}] store failure ({flavor}): "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_STORE_PERMANENT
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: drain a store's work queue in this process."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runner.worker",
-        description="Join a running sweep: claim and execute cells from "
-                    "a store's work queue (see repro.store.queue).  The "
-                    "sweep's coordinator persists the results.")
-    parser.add_argument("--store", required=True, metavar="URL",
-                        help="experiment store URL (local:PATH or "
-                             "sqlite:PATH) holding the queue")
-    parser.add_argument("--queue", default="sweep", metavar="NAME",
-                        help="queue name within the store; the worker "
-                             "joins the sweep most recently published "
-                             "under it (default: sweep)")
-    parser.add_argument("--lease", type=float, default=60.0, metavar="SEC",
-                        help="claim lease; a worker silent past this is "
-                             "presumed dead and its item is stolen "
-                             "(default: 60)")
-    parser.add_argument("--poll", type=float, default=0.2, metavar="SEC",
-                        help="idle poll interval while other workers "
-                             "hold the remaining items (default: 0.2)")
-    parser.add_argument("--max-items", type=int, default=None, metavar="N",
-                        help="exit after processing N items (default: "
-                             "run until the queue drains)")
-    parser.add_argument("--worker-id", default=None, metavar="ID",
-                        help="claim identity (default: worker-<pid>)")
-    parser.add_argument("--renew-interval", type=float, default=None,
-                        metavar="SEC",
-                        help="lease-renewal heartbeat period while a cell "
-                             "runs (default: lease/3; 0 disables renewal "
-                             "and restores steal-on-slow behavior)")
-    parser.add_argument("--store-retries", type=int, default=5, metavar="N",
-                        help="bounded retries for transient store errors "
-                             "(locked database, EAGAIN); permanent errors "
-                             f"exit {EXIT_STORE_PERMANENT} immediately "
-                             "(default: 5)")
-    args = parser.parse_args(argv)
-    return serve(args.store, args.queue, worker_id=args.worker_id,
-                 store_retries=args.store_retries,
-                 lease=args.lease, poll=args.poll,
-                 max_items=args.max_items,
-                 renew_interval=args.renew_interval)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        raise SystemExit(EXIT_STORE_PERMANENT)

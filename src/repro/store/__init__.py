@@ -1,4 +1,4 @@
-"""Pluggable experiment-result stores and the distributed work queue.
+"""Pluggable experiment-result stores and the sweep work queue.
 
 Public surface:
 
@@ -9,8 +9,8 @@ Public surface:
   file, safe for concurrent worker processes.
 * :func:`open_store` / :func:`resolve_store` — URL/path/instance →
   store resolution against :data:`STORE_BACKENDS`.
-* :mod:`repro.store.queue` — the claim/renew/ack/requeue work queue
-  every sweep drains (:func:`repro.runner.run_cells`).
+* :mod:`repro.store.queue` — the claim/ack/requeue work queue every
+  sweep drains (:func:`repro.runner.run_cells`).
 * :mod:`repro.store.retry` — transient-vs-permanent error
   classification and the one store wrapper, :class:`RetryingStore` /
   :class:`RetryingQueue`: bounded-backoff retries, with injected
@@ -18,8 +18,6 @@ Public surface:
 * :mod:`repro.store.faults` — the ``REPRO_FAULTS`` deterministic
   fault plan (:class:`FaultPlan`): cell faults the runner fires around
   cell attempts, store-op faults the wrapper fires.
-* ``python -m repro.store status --store URL`` — queue/lease status CLI
-  (:mod:`repro.store.__main__`).
 
 See DESIGN.md (“Experiment store and work queue”) for the architecture
 and CONTRIBUTING.md for the add-a-backend checklist.

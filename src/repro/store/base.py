@@ -39,7 +39,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    List,
     NamedTuple,
     Optional,
     Tuple,
@@ -214,16 +213,10 @@ class ExperimentStore(ABC):
         ``queue``) tied to this store's lifetime.  Created on demand."""
 
     @abstractmethod
-    def make_queue(self, name: str) -> "WorkQueue":
-        """Open the named work queue backed by this store's storage."""
-
-    @abstractmethod
-    def queues(self) -> List[str]:
-        """Names of every work queue this store holds (sorted).
-
-        Discovery hook for the status CLI (``python -m repro.store``);
-        listing must not create anything.
-        """
+    def make_queue(self, sweep: str) -> "WorkQueue":
+        """Open the work queue of sweep ``sweep``
+        (:func:`~repro.store.queue.sweep_queue`) in this store's
+        storage."""
 
     def close(self) -> None:
         """Release backend resources (connections); idempotent."""

@@ -1,9 +1,8 @@
 """Deterministic fault injection: one plan for cells and store operations.
 
-None of the fleet's resilience — cell retries, timeouts, worker deaths,
-quarantine, transient store-error retries, lease renewal under latency,
-torn-write recovery, permanent-error handling — is testable without
-failures on command.  A :class:`FaultPlan` injects them on a
+None of the sweep's resilience — cell retries, timeouts, worker deaths,
+quarantine, transient store-error retries, torn-write recovery,
+permanent-error handling — is testable without failures on command.  A :class:`FaultPlan` injects them on a
 *deterministic schedule*, never on wall-clock state, so a plan plus a
 retry budget either always recovers or always fails, and a chaos run's
 final stdout stays byte-identical to a fault-free run.
@@ -44,8 +43,7 @@ not mocked:
 ``oserror``
     ``OSError(EAGAIN)`` — a momentarily overloaded disk.
 ``latency``
-    Sleep ``seconds`` (default 0.05) first — a slow disk; pair with a
-    short ``--queue-lease`` to exercise heartbeat renewal.
+    Sleep ``seconds`` (default 0.05) first — a slow disk.
 ``torn``
     On ``put`` only: write the first half of the checksummed entry,
     then raise ``OSError(EIO)`` — a crash mid-write, which the retry
@@ -117,8 +115,8 @@ STORE_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
 STORE_OPS = (
     "get", "put", "write_raw", "quarantine", "contains", "len",
     "quarantined_count",
-    "publish", "claim", "renew", "expire", "ack", "nack", "clear_result",
-    "overdue", "requeue_failed", "reset_items", "snapshot", "peek",
+    "publish", "claim", "expire", "ack", "nack", "clear_result",
+    "overdue", "requeue_failed", "reset_items", "snapshot",
 )
 
 #: What a ``corrupt`` fault writes over a store entry (fails the
@@ -382,9 +380,8 @@ class FaultInjector:
     which faults fire on each call.  ``injected`` tallies fired faults
     by ``"op:kind"`` for tests and diagnostics.  A wrapped store and the
     queues it opens share one injector, so one plan's counters cover
-    the whole surface — including a worker's heartbeat thread, whose
-    ``renew`` calls race the main thread's ``claim``/``ack``/``nack``;
-    ``_lock`` makes each :meth:`fire` one atomic step of the schedule.
+    the whole surface; ``_lock`` makes each :meth:`fire` one atomic
+    step of the schedule, whichever thread calls it.
     """
 
     def __init__(self, faults: Sequence[StoreFault]) -> None:

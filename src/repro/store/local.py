@@ -19,7 +19,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .base import CacheCorruptionWarning, ExperimentStore, PurgeResult, register_backend
 from .sqlite import SQLiteStore
@@ -127,15 +127,10 @@ class LocalFileStore(ExperimentStore):
             self._queue_db = SQLiteStore(self.aux_dir("queue") / QUEUE_DB)
         return self._queue_db
 
-    def make_queue(self, name: str) -> "WorkQueue":
+    def make_queue(self, sweep: str) -> "WorkQueue":
         from .queue import SQLiteWorkQueue
 
-        return SQLiteWorkQueue(self._queue_store(), name)
-
-    def queues(self) -> List[str]:
-        if not (self.root / "queue" / QUEUE_DB).is_file():
-            return []
-        return self._queue_store().queues()
+        return SQLiteWorkQueue(self._queue_store(), sweep)
 
     def close(self) -> None:
         if self._queue_db is not None:

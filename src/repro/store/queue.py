@@ -6,9 +6,8 @@ The queue is how every sweep executes: the coordinator
 items, execute them and ack with the pickled result, and the
 coordinator collects each result from its row, persists it to the
 experiment store and clears the row's copy.  Workers are the
-coordinator's own thread (``--jobs 1``), processes it forks
-(``--jobs N``), or ``python -m repro.runner.worker`` processes joining
-from outside.
+coordinator's own thread (``--jobs 1``) or processes it forks
+(``--jobs N``).
 
 The queue always lives in SQLite (:class:`SQLiteWorkQueue`): a
 ``sqlite:`` store's own database, a sidecar database under a
@@ -17,19 +16,11 @@ the sweep has no store.
 
 Protocol:
 
-* **claim** — atomically take the lowest-id runnable item and hold a
-  wall-clock *lease* on it.  An item whose lease expired is claimable
-  again (its worker is presumed dead); each such steal charges the item
-  a *loss*, and an item lost more than its loss budget times fails
-  permanently — a poison cell cannot wedge the sweep.
-* **renew** — extend a held lease from a worker heartbeat.  A live
-  worker running a cell longer than its lease renews periodically and
-  is never stolen from; only a worker that *stops* renewing (crashed,
-  killed, wedged) loses its item.  Renewal is guarded by the holder's
-  identity, so a stolen item cannot be revived by its old worker.
-* **expire** — the coordinator reaped a dead worker: its leases end
-  now, so the next claim steals the item instead of waiting out the
-  lease, and the item's next attempt gets a fresh attempt number.
+* **claim** — atomically take the lowest-id item that is ``pending``
+  and past its retry backoff.  The claim records its holder
+  (:func:`worker_id`): the pid of the process running the cell and the
+  pid of the coordinator that owns that process.
+* **expire** — a worker is dead: release every claim it holds.
 * **ack** — the attempt succeeded; the item is done and its row keeps
   the pickled result until the coordinator collects it.
 * **nack** — the attempt raised; the error (with the pickled exception)
@@ -37,36 +28,46 @@ Protocol:
   its ``max_attempts`` budget (retries + 1) is spent, then it is marked
   ``failed``.  A returned item is not claimable before its backoff has
   passed: the publisher fixes each item's ``retry_delays``, so every
-  worker — forked or joining from outside — honors the same schedule.
+  worker honors the same schedule.
 
-Delivery is **at-least-once**: a worker that stalls past its lease may
-race a stealer, and both may execute the same cell.  That is safe by
-construction — cells are deterministic (the runner reseeds per attempt
-from the cell key), so both produce byte-identical results.
+A released claim charges its item one *death* and returns it to
+``pending``, so its next attempt gets a fresh attempt number; an item
+whose deaths exceed its loss budget, ``max(max_attempts - 1, 1)``,
+fails as :data:`LOST_ERROR_TYPE` instead — a cell that keeps killing
+its worker cannot wedge the sweep.  Two paths release a claim, through
+the one :meth:`~WorkQueue.expire` statement:
 
-Every sweep has a queue of its own.  Its rows live under
-``<name>@<sweep id>``, where the sweep id is a prefix of the
-fingerprint of the sweep's ordered cell keys (:func:`sweep_queue`), so
-two different sweeps published under one name never share a row, and
-every run of one sweep meets the same rows: publishing is idempotent
-and keeps ``done`` states (the resume path), and two coordinators of
-the same sweep cooperate on it.  A handle opened by the plain name
-(an outside worker, the status CLI) follows the sweep most recently
-published under that name; publishing drops the rows of the name's
-other sweeps once every item there is done and collected.
+* a live coordinator reaps a dead child and expires its claims at
+  once; it is the only process that releases its own workers' claims;
+* when *both* pids of a claim are gone — no coordinator is left to reap
+  the worker — the next claim that finds nothing runnable releases it.
 
-Wall-clock note: leases deliberately use ``time.time`` — monotonic
-clocks are per-process and leases must be comparable *across* worker
-processes.  Lease timing schedules work; it never feeds results or
-cache keys (reprolint DET002 sanctions this file for exactly that
-reason).
+Liveness is ``os.kill(pid, 0)``, with its limits: a zombie counts as
+alive until it is reaped, a reused pid keeps a dead claim held, and
+pids mean nothing across hosts or pid namespaces — there a foreign
+claim looks dead and its cell reruns, which determinism makes harmless.
+
+Every sweep has rows of its own, named by its sweep id
+(:func:`sweep_queue`, a prefix of :func:`sweep_digest`), so two
+different sweeps on one store never share a row, and every run of one
+sweep meets the same rows: publishing is idempotent and keeps ``done``
+states (the resume path), and two coordinators of the same sweep
+cooperate on it.  Publishing drops the rows of other sweeps once every
+item there is done and collected.
+
+Wall-clock note: ``claimed_at`` (cell timeouts) and ``not_before``
+(retry backoff) are ``time.time`` stamps compared in other processes.
+They schedule work; they never feed results or cache keys (reprolint
+DET002 sanctions this file for exactly that reason).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import re
 import sqlite3
 import time
 from abc import ABC, abstractmethod
@@ -83,15 +84,16 @@ __all__ = [
     "QueueItem",
     "WorkQueue",
     "SQLiteWorkQueue",
-    "sweep_fingerprint",
+    "sweep_digest",
     "sweep_queue",
+    "worker_id",
 ]
 
 #: Item lifecycle states.
 STATUSES = ("pending", "claimed", "done", "failed")
 
 #: Error type recorded when an item exhausts its loss budget (workers
-#: kept dying while holding its lease).
+#: kept dying while holding its claim).
 LOST_ERROR_TYPE = "WorkerLost"
 
 
@@ -103,14 +105,10 @@ class QueueItem:
     runs of the same config — that is what makes resume work);
     ``payload`` is the pickled :class:`~repro.runner.cells.Cell`,
     opaque to the queue.  ``attempts`` counts nacked attempts and
-    ``deaths`` attempts whose worker died; ``stolen`` is stamped by
-    :meth:`~WorkQueue.claim` when this claim took the item from an
-    expired lease — observability only (trace events, dashboards),
-    never part of queue identity, and always ``False`` on rows returned
-    by ``peek``.  ``retry_delays[n - 1]`` is how many seconds the item
-    waits after its ``n``-th nack before it may be claimed again
-    (missing entries mean no wait); only :meth:`~WorkQueue.publish`
-    reads it.
+    ``deaths`` attempts whose worker died.  ``retry_delays[n - 1]`` is
+    how many seconds the item waits after its ``n``-th nack before it
+    may be claimed again (missing entries mean no wait); only
+    :meth:`~WorkQueue.publish` reads it.
     """
 
     item_id: int
@@ -119,25 +117,14 @@ class QueueItem:
     payload: bytes
     attempts: int = 0
     max_attempts: int = 1
-    stolen: bool = False
     deaths: int = 0
     retry_delays: Tuple[float, ...] = ()
 
     @property
     def attempt(self) -> int:
-        """The 1-based number of the attempt this claim runs.
-
-        A steal from a live-but-slow worker re-runs the *same* attempt
-        (at-least-once delivery; trace spans deduplicate), while an
-        attempt that ended in a nack or a reaped worker's death counts.
-        """
+        """The 1-based number of the attempt this claim runs: every
+        attempt that ended in a nack or a dead worker counts."""
         return self.attempts + self.deaths + 1
-
-    @property
-    def loss_budget(self) -> int:
-        """How many lease expiries this item survives (cf.
-        :attr:`repro.runner.resilience.RetryPolicy.loss_budget`)."""
-        return max(self.max_attempts - 1, 1)
 
 
 class AttemptError(NamedTuple):
@@ -157,63 +144,72 @@ class AttemptError(NamedTuple):
 class ItemState:
     """Mutable status of one published item (payload excluded).
 
-    ``worker`` / ``lease_expires`` identify the current claim holder
-    (empty / ``0.0`` outside ``claimed``); ``losses`` counts lease
-    steals, ``deaths`` the leases the coordinator expired for a dead
-    worker, and ``renewals`` heartbeat renewals — together they tell a
-    live long cell (renewals, no losses) from a dead worker (losses).
+    ``worker`` is the current claim holder (empty outside ``claimed``);
+    ``deaths`` counts the claims released because their worker died.
     ``result`` is the pickled result of an acked attempt until the
     coordinator collects it; ``errors`` every failed attempt, in order.
     """
 
     status: str = "pending"
     attempts: int = 0
-    losses: int = 0
-    renewals: int = 0
+    deaths: int = 0
     error_type: str = ""
     message: str = ""
     elapsed: float = 0.0
     worker: str = ""
-    lease_expires: float = 0.0
-    deaths: int = 0
     result: Optional[bytes] = None
     errors: Tuple[AttemptError, ...] = ()
 
 
-#: Hex digits of a sweep fingerprint that name the sweep's queue rows.
+#: Hex digits of a sweep digest that name the sweep's queue rows.
 SWEEP_ID_LEN = 16
 
 
-def _pairs_fingerprint(pairs: Sequence[Tuple[int, str]]) -> str:
-    blob = json.dumps([[item_id, key] for item_id, key in sorted(pairs)],
+def sweep_digest(keys: Sequence[str]) -> str:
+    """Identity of a sweep: the SHA-256 of its ordered (index, key) pairs.
+
+    Changed config or changed code changes the keys, hence the sweep.
+    Its prefixes name the sweep's queue rows (:func:`sweep_queue`) and
+    its trace (:func:`repro.obs.trace.trace_id_for`).
+    """
+    blob = json.dumps([[i, key] for i, key in enumerate(keys)],
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def sweep_fingerprint(items: Sequence[QueueItem]) -> str:
-    """Identity of a published sweep: its ordered (index, key) pairs.
-
-    Changed config or changed code changes the keys, hence the sweep:
-    it gets a queue of its own.
-    """
-    return _pairs_fingerprint([(item.item_id, item.key) for item in items])
+def sweep_queue(keys: Sequence[str]) -> str:
+    """The sweep id naming the queue rows of the sweep whose cells have
+    ``keys``: shared by every run of that sweep, so a resumed sweep that
+    publishes only its pending cells still meets the earlier rows."""
+    return sweep_digest(keys)[:SWEEP_ID_LEN]
 
 
-def sweep_queue(name: str, keys: Sequence[str]) -> str:
-    """The queue, under ``name``, of the sweep whose cells have ``keys``.
+def worker_id(pid: int, coordinator: int) -> str:
+    """The holder a claim records: the pid running the cell and the pid
+    of the coordinator that owns it (the same pid at ``--jobs 1``)."""
+    return f"worker-{pid}-{coordinator}"
 
-    ``name@<sweep id>``: a name of its own for every sweep, shared by
-    every run of that sweep.  A coordinator opens its queue by this
-    name, so publishing only the pending cells of a resumed sweep still
-    finds the rows of the earlier run; publishing all the cells through
-    a plain-name handle lands in the same rows.
-    """
-    sweep = _pairs_fingerprint(list(enumerate(keys)))[:SWEEP_ID_LEN]
-    return f"{name}@{sweep}"
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, but another user's
+        pass
+    return True
+
+
+def _gone(worker: str) -> bool:
+    """Whether both pids of ``worker`` are gone.  A holder that names no
+    pids is never presumed dead."""
+    match = re.fullmatch(r"worker-(\d+)-(\d+)", worker)
+    return match is not None and not any(
+        _alive(int(pid)) for pid in match.groups())
 
 
 class WorkQueue(ABC):
-    """Abstract claim/ack/requeue queue; one instance per sweep name."""
+    """Abstract claim/ack/requeue queue; one instance per sweep."""
 
     @abstractmethod
     def publish(self, items: Sequence[QueueItem]) -> int:
@@ -221,40 +217,27 @@ class WorkQueue(ABC):
 
         Items already present keep their state — that is the resume
         path — but take the new payload, attempt budget and retry
-        delays.  A queue opened as ``name@<sweep id>`` publishes into
-        that sweep; one opened by the plain name publishes ``items`` as
-        the sweep they make up (:func:`sweep_fingerprint`) and follows
-        it from then on.
+        delays.
         """
 
     @abstractmethod
-    def claim(self, worker: str, lease: float) -> Optional[QueueItem]:
-        """Atomically claim the lowest-id runnable item, or ``None``.
+    def claim(self, worker: str) -> Optional[QueueItem]:
+        """Atomically claim the lowest-id runnable item for ``worker``
+        (:func:`worker_id`), or ``None``.
 
-        Runnable means ``pending`` and past its retry backoff, or
-        ``claimed`` with an expired lease (charged as a loss;
-        over-budget items fail instead).
-        """
-
-    @abstractmethod
-    def renew(self, item_id: int, worker: str, lease: float) -> bool:
-        """Extend ``worker``'s lease on ``item_id`` by ``lease`` seconds.
-
-        The heartbeat operation: succeeds (``True``) only while the
-        item is still ``claimed`` *by this worker* — after a steal the
-        old holder's renewals return ``False`` and it must abandon the
-        item's bookkeeping (finishing the cell itself stays safe:
-        delivery is at-least-once).  A renewal past expiry but before
-        any steal revives the lease — the worker is demonstrably alive,
-        just late.
+        Runnable means ``pending`` and past its retry backoff.  When
+        nothing is, the claims whose worker and coordinator are both
+        gone are expired and the claim looks again.
         """
 
     @abstractmethod
     def expire(self, worker: str) -> List[int]:
-        """End every lease ``worker`` holds; returns the item ids.
+        """Release every claim the dead ``worker`` holds; returns the
+        item ids.
 
-        The coordinator calls this for a worker it reaped dead: the
-        items become stealable at once, and each counts a death.
+        Each item is charged a death and returns to ``pending``, or
+        fails as :data:`LOST_ERROR_TYPE` once its deaths exceed its
+        loss budget.
         """
 
     @abstractmethod
@@ -303,18 +286,6 @@ class WorkQueue(ABC):
     def snapshot(self) -> Dict[int, ItemState]:
         """Current state of every published item, by id."""
 
-    @abstractmethod
-    def peek(self, item_id: int) -> Optional[QueueItem]:
-        """The published item (payload included) without claiming it.
-
-        Inspection hook for the status CLI (``python -m repro.store``);
-        ``None`` for unknown ids.
-        """
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop every item of this queue's sweep."""
-
     def counts(self) -> Dict[str, int]:
         """Item counts by status (every status always present)."""
         out = {status: 0 for status in STATUSES}
@@ -329,10 +300,21 @@ class WorkQueue(ABC):
 
 
 #: Column assignments that return an item to a freshly published state.
-_FRESH = ("status = 'pending', attempts = 0, losses = 0, renewals = 0, "
-          "deaths = 0, error_type = '', message = '', elapsed = 0, "
-          "worker = '', lease_expires = 0, claimed_at = 0, result = NULL, "
-          "errors = NULL, not_before = 0")
+_FRESH = ("status = 'pending', attempts = 0, deaths = 0, error_type = '', "
+          "message = '', elapsed = 0, worker = '', claimed_at = 0, "
+          "result = NULL, errors = NULL, not_before = 0")
+
+#: The one release statement: a dead worker's claims each count a death
+#: and return to ``pending``, or fail once past the loss budget.
+_OVER_BUDGET = "deaths + 1 > MAX(max_attempts - 1, 1)"
+_RELEASE = (
+    f"UPDATE work_queue SET deaths = deaths + 1, worker = '', "
+    f"status = CASE WHEN {_OVER_BUDGET} THEN 'failed' ELSE 'pending' END, "
+    f"error_type = CASE WHEN {_OVER_BUDGET} THEN '{LOST_ERROR_TYPE}' "
+    f"ELSE error_type END, "
+    f"message = CASE WHEN {_OVER_BUDGET} THEN 'worker died ' || "
+    f"(deaths + 1) || ' times running ' || label ELSE message END "
+    f"WHERE queue = ? AND status = 'claimed' AND worker = ?")
 
 
 def _load_errors(blob: Optional[bytes]) -> List[AttemptError]:
@@ -343,50 +325,25 @@ def _load_errors(blob: Optional[bytes]) -> List[AttemptError]:
 class SQLiteWorkQueue(WorkQueue):
     """Queue rows in a SQLite database (``work_queue`` table).
 
-    The rows of sweep ``S`` published under ``name`` carry ``queue =
-    'name@S'``; ``queue_meta`` maps each plain name to its most recently
-    published sweep.  Claims run inside ``BEGIN IMMEDIATE``
-    transactions, so concurrent workers on one database file serialize
-    through SQLite's write lock; the store's WAL mode keeps readers
-    unblocked meanwhile.
+    The rows of sweep ``S`` carry ``queue = 'S'``.  Claims run inside
+    ``BEGIN IMMEDIATE`` transactions, so concurrent workers on one
+    database file serialize through SQLite's write lock; the store's
+    WAL mode keeps readers unblocked meanwhile.
     """
 
-    def __init__(self, store: "SQLiteStore", name: str) -> None:
+    def __init__(self, store: "SQLiteStore", sweep: str) -> None:
         self.store = store
-        self.name, _, sweep = name.partition("@")
-        #: A handle opened as ``name@sweep`` never leaves that sweep.
-        self.pinned = bool(sweep)
-        #: The sweep this handle works on; ``None`` until a publish or
-        #: the first look at ``queue_meta`` settles it.
-        self.sweep: Optional[str] = sweep or None
-
-    def _rows(self) -> str:
-        """The ``queue`` value of this handle's rows (``""``, which no
-        row has, while nothing is published under the name)."""
-        if self.sweep is None:
-            found = self.store.query(
-                "SELECT fingerprint FROM queue_meta WHERE queue = ?",
-                (self.name,))
-            if not found:
-                return ""
-            self.sweep = str(found[0][0])
-        return f"{self.name}@{self.sweep}"
+        self.sweep = sweep
 
     def publish(self, items: Sequence[QueueItem]) -> int:
-        if not self.pinned:
-            self.sweep = sweep_fingerprint(items)[:SWEEP_ID_LEN]
-        rows = self._rows()
         statements: List[Tuple[str, Tuple[Any, ...]]] = [
-            ("INSERT OR REPLACE INTO queue_meta (queue, fingerprint) "
-             "VALUES (?, ?)", (self.name, self.sweep)),
-            # The name's other sweeps are dropped once they are over:
-            # every item done and its result collected.
+            # Other sweeps are dropped once they are over: every item
+            # done and its result collected.
             ("DELETE FROM work_queue WHERE queue IN ("
-             "SELECT queue FROM work_queue "
-             "WHERE substr(queue, 1, ?) = ? AND queue != ? "
+             "SELECT queue FROM work_queue WHERE queue != ? "
              "GROUP BY queue "
              "HAVING MAX(status != 'done' OR result IS NOT NULL) = 0)",
-             (len(self.name) + 1, f"{self.name}@", rows))]
+             (self.sweep,))]
         statements += [
             ("INSERT INTO work_queue "
              "(queue, item_id, key, label, payload, max_attempts, "
@@ -395,7 +352,7 @@ class SQLiteWorkQueue(WorkQueue):
              "label = excluded.label, payload = excluded.payload, "
              "max_attempts = excluded.max_attempts, "
              "retry_delays = excluded.retry_delays",
-             (rows, item.item_id, item.key, item.label,
+             (self.sweep, item.item_id, item.key, item.label,
               sqlite3.Binary(item.payload), item.max_attempts,
               json.dumps(list(item.retry_delays))))
             for item in items]
@@ -406,10 +363,9 @@ class SQLiteWorkQueue(WorkQueue):
     def _count_items(self) -> int:
         return int(self.store.query(
             "SELECT COUNT(*) FROM work_queue WHERE queue = ?",
-            (self._rows(),))[0][0])
+            (self.sweep,))[0][0])
 
-    def claim(self, worker: str, lease: float) -> Optional[QueueItem]:
-        rows = self._rows()
+    def claim(self, worker: str) -> Optional[QueueItem]:
         while True:
             now = time.time()
             with self.store.locked() as conn:
@@ -417,85 +373,54 @@ class SQLiteWorkQueue(WorkQueue):
                 try:
                     row = conn.execute(
                         "SELECT item_id, key, label, payload, attempts, "
-                        "max_attempts, status, losses, deaths "
-                        "FROM work_queue "
-                        "WHERE queue = ? AND ((status = 'pending' AND "
-                        "not_before <= ?) OR "
-                        "(status = 'claimed' AND lease_expires < ?)) "
-                        "ORDER BY item_id LIMIT 1",
-                        (rows, now, now)).fetchone()
-                    if row is None:
-                        conn.execute("COMMIT")
-                        return None
-                    (item_id, key, label, payload, attempts,
-                     max_attempts, status, losses, deaths) = row
-                    item = QueueItem(
-                        item_id=int(item_id), key=key, label=label,
-                        payload=bytes(payload), attempts=int(attempts),
-                        max_attempts=int(max_attempts),
-                        stolen=(status == "claimed"), deaths=int(deaths))
-                    if status == "claimed":
-                        # Lease expired under another worker: a loss.
-                        losses = int(losses) + 1
-                        if losses > item.loss_budget:
-                            conn.execute(
-                                "UPDATE work_queue SET status = 'failed', "
-                                "losses = ?, error_type = ?, message = ? "
-                                "WHERE queue = ? AND item_id = ?",
-                                (losses, LOST_ERROR_TYPE,
-                                 f"lease on {label} expired {losses} "
-                                 f"times (worker killed or died?)",
-                                 rows, item_id))
-                            conn.execute("COMMIT")
-                            continue
-                    conn.execute(
-                        "UPDATE work_queue SET status = 'claimed', "
-                        "worker = ?, lease_expires = ?, claimed_at = ?, "
-                        "losses = ? WHERE queue = ? AND item_id = ?",
-                        (worker, now + lease, now, int(losses),
-                         rows, item_id))
+                        "max_attempts, deaths FROM work_queue "
+                        "WHERE queue = ? AND status = 'pending' AND "
+                        "not_before <= ? ORDER BY item_id LIMIT 1",
+                        (self.sweep, now)).fetchone()
+                    if row is not None:
+                        conn.execute(
+                            "UPDATE work_queue SET status = 'claimed', "
+                            "worker = ?, claimed_at = ? "
+                            "WHERE queue = ? AND item_id = ?",
+                            (worker, now, self.sweep, row[0]))
                     conn.execute("COMMIT")
-                    return item
                 except BaseException:
                     conn.execute("ROLLBACK")
                     raise
-
-    def renew(self, item_id: int, worker: str, lease: float) -> bool:
-        rows = self._rows()
-        now = time.time()
-        with self.store.locked() as conn:
-            cursor = conn.execute(
-                "UPDATE work_queue SET lease_expires = ?, "
-                "renewals = renewals + 1 "
-                "WHERE queue = ? AND item_id = ? AND status = 'claimed' "
-                "AND worker = ?",
-                (now + lease, rows, item_id, worker))
-            return cursor.rowcount == 1
+            if row is not None:
+                return QueueItem(
+                    item_id=int(row[0]), key=row[1], label=row[2],
+                    payload=bytes(row[3]), attempts=int(row[4]),
+                    max_attempts=int(row[5]), deaths=int(row[6]))
+            holders = self.store.query(
+                "SELECT DISTINCT worker FROM work_queue "
+                "WHERE queue = ? AND status = 'claimed'", (self.sweep,))
+            gone = [str(r[0]) for r in holders if _gone(str(r[0]))]
+            if not gone:
+                return None
+            for holder in gone:
+                self.expire(holder)
 
     def expire(self, worker: str) -> List[int]:
-        held = "queue = ? AND status = 'claimed' AND worker = ?"
-        params = (self._rows(), worker)
+        params = (self.sweep, worker)
         rows = self.store.query(
-            f"SELECT item_id FROM work_queue WHERE {held}", params)
-        self.store.execute(
-            f"UPDATE work_queue SET lease_expires = 0, "
-            f"deaths = deaths + 1 WHERE {held}", params)
+            "SELECT item_id FROM work_queue "
+            "WHERE queue = ? AND status = 'claimed' AND worker = ?", params)
+        self.store.execute(_RELEASE, params)
         return sorted(int(r[0]) for r in rows)
 
     def ack(self, item_id: int, elapsed: float = 0.0,
             result: Optional[bytes] = None) -> None:
         self.store.execute(
             "UPDATE work_queue SET status = 'done', elapsed = ?, "
-            "result = ?, error_type = '', message = '', worker = '', "
-            "lease_expires = 0 "
+            "result = ?, error_type = '', message = '', worker = '' "
             "WHERE queue = ? AND item_id = ?",
             (round(elapsed, 6),
              None if result is None else sqlite3.Binary(result),
-             self._rows(), item_id))
+             self.sweep, item_id))
 
     def nack(self, item_id: int, error_type: str, message: str,
              error: bytes = b"") -> bool:
-        rows = self._rows()
         with self.store.locked() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
@@ -503,7 +428,7 @@ class SQLiteWorkQueue(WorkQueue):
                     "SELECT attempts, max_attempts, deaths, errors, "
                     "retry_delays "
                     "FROM work_queue WHERE queue = ? AND item_id = ?",
-                    (rows, item_id)).fetchone()
+                    (self.sweep, item_id)).fetchone()
                 if row is None:
                     conn.execute("COMMIT")
                     return False
@@ -517,14 +442,13 @@ class SQLiteWorkQueue(WorkQueue):
                 conn.execute(
                     "UPDATE work_queue SET status = ?, attempts = ?, "
                     "error_type = ?, message = ?, errors = ?, worker = '', "
-                    "lease_expires = 0, not_before = ? "
-                    "WHERE queue = ? AND item_id = ?",
+                    "not_before = ? WHERE queue = ? AND item_id = ?",
                     ("pending" if retry else "failed", attempts,
                      error_type, message,
                      sqlite3.Binary(pickle.dumps(
                          [tuple(e) for e in errors],
                          protocol=pickle.HIGHEST_PROTOCOL)),
-                     time.time() + delay, rows, item_id))
+                     time.time() + delay, self.sweep, item_id))
                 conn.execute("COMMIT")
                 return retry
             except BaseException:
@@ -534,73 +458,49 @@ class SQLiteWorkQueue(WorkQueue):
     def clear_result(self, item_id: int) -> None:
         self.store.execute(
             "UPDATE work_queue SET result = NULL "
-            "WHERE queue = ? AND item_id = ?", (self._rows(), item_id))
+            "WHERE queue = ? AND item_id = ?", (self.sweep, item_id))
 
     def overdue(self, timeout: float) -> List[Tuple[int, str]]:
         rows = self.store.query(
             "SELECT item_id, worker FROM work_queue "
             "WHERE queue = ? AND status = 'claimed' AND claimed_at < ? "
-            "ORDER BY item_id", (self._rows(), time.time() - timeout))
+            "ORDER BY item_id", (self.sweep, time.time() - timeout))
         return [(int(r[0]), str(r[1])) for r in rows]
 
     def requeue_failed(self) -> int:
-        rows = self._rows()
         failed = int(self.store.query(
             "SELECT COUNT(*) FROM work_queue "
-            "WHERE queue = ? AND status = 'failed'", (rows,))[0][0])
+            "WHERE queue = ? AND status = 'failed'", (self.sweep,))[0][0])
         if failed:
-            # A fresh pending state clears *everything* — the stale
-            # worker/lease of the last holder included.
+            # A fresh pending state clears *everything* — the deaths
+            # and stale worker of the last holder included.
             self.store.execute(
                 f"UPDATE work_queue SET {_FRESH} "
-                f"WHERE queue = ? AND status = 'failed'", (rows,))
+                f"WHERE queue = ? AND status = 'failed'", (self.sweep,))
         return failed
 
     def reset_items(self, item_ids: Sequence[int]) -> int:
         wanted = sorted({int(i) for i in item_ids})
         if not wanted:
             return 0
-        rows = self._rows()
         found = self.store.query(
-            "SELECT item_id FROM work_queue WHERE queue = ?", (rows,))
+            "SELECT item_id FROM work_queue WHERE queue = ?", (self.sweep,))
         existing = sorted({int(r[0]) for r in found} & set(wanted))
         if existing:
             self.store.transaction([
                 (f"UPDATE work_queue SET {_FRESH} "
-                 f"WHERE queue = ? AND item_id = ?", (rows, item_id))
+                 f"WHERE queue = ? AND item_id = ?", (self.sweep, item_id))
                 for item_id in existing])
         return len(existing)
 
     def snapshot(self) -> Dict[int, ItemState]:
         rows = self.store.query(
-            "SELECT item_id, status, attempts, losses, renewals, "
-            "error_type, message, elapsed, worker, lease_expires, deaths, "
-            "result, errors FROM work_queue WHERE queue = ?",
-            (self._rows(),))
+            "SELECT item_id, status, attempts, deaths, error_type, message, "
+            "elapsed, worker, result, errors FROM work_queue "
+            "WHERE queue = ?", (self.sweep,))
         return {int(r[0]): ItemState(
-            status=r[1], attempts=int(r[2]), losses=int(r[3]),
-            renewals=int(r[4]), error_type=r[5], message=r[6],
-            elapsed=float(r[7]), worker=r[8], lease_expires=float(r[9]),
-            deaths=int(r[10]),
-            result=None if r[11] is None else bytes(r[11]),
-            errors=tuple(_load_errors(r[12])))
+            status=r[1], attempts=int(r[2]), deaths=int(r[3]),
+            error_type=r[4], message=r[5], elapsed=float(r[6]),
+            worker=r[7], result=None if r[8] is None else bytes(r[8]),
+            errors=tuple(_load_errors(r[9])))
             for r in rows}
-
-    def peek(self, item_id: int) -> Optional[QueueItem]:
-        rows = self.store.query(
-            "SELECT item_id, key, label, payload, attempts, max_attempts, "
-            "deaths FROM work_queue WHERE queue = ? AND item_id = ?",
-            (self._rows(), int(item_id)))
-        if not rows:
-            return None
-        row = rows[0]
-        return QueueItem(item_id=int(row[0]), key=row[1], label=row[2],
-                         payload=bytes(row[3]), attempts=int(row[4]),
-                         max_attempts=int(row[5]), deaths=int(row[6]))
-
-    def clear(self) -> None:
-        self.store.transaction([
-            ("DELETE FROM work_queue WHERE queue = ?", (self._rows(),)),
-            ("DELETE FROM queue_meta WHERE queue = ? AND fingerprint = ?",
-             (self.name, self.sweep)),
-        ])

@@ -153,12 +153,8 @@ class RetryingQueue(WorkQueue):
     def publish(self, items: Sequence[QueueItem]) -> int:
         return self._call("publish", lambda: self.inner.publish(items))
 
-    def claim(self, worker: str, lease: float) -> Optional[QueueItem]:
-        return self._call("claim", lambda: self.inner.claim(worker, lease))
-
-    def renew(self, item_id: int, worker: str, lease: float) -> bool:
-        return self._call("renew",
-                          lambda: self.inner.renew(item_id, worker, lease))
+    def claim(self, worker: str) -> Optional[QueueItem]:
+        return self._call("claim", lambda: self.inner.claim(worker))
 
     def expire(self, worker: str) -> List[int]:
         return self._call("expire", lambda: self.inner.expire(worker))
@@ -188,12 +184,6 @@ class RetryingQueue(WorkQueue):
 
     def snapshot(self) -> Dict[int, ItemState]:
         return self._call("snapshot", self.inner.snapshot)
-
-    def peek(self, item_id: int) -> Optional[QueueItem]:
-        return self._call("peek", lambda: self.inner.peek(item_id))
-
-    def clear(self) -> None:
-        self.inner.clear()
 
 
 class RetryingStore(ExperimentStore):
@@ -268,11 +258,8 @@ class RetryingStore(ExperimentStore):
     def aux_dir(self, name: str) -> Path:
         return self.inner.aux_dir(name)
 
-    def make_queue(self, name: str) -> WorkQueue:
-        return RetryingQueue(self.inner.make_queue(name), self)
-
-    def queues(self) -> List[str]:
-        return self.inner.queues()
+    def make_queue(self, sweep: str) -> WorkQueue:
+        return RetryingQueue(self.inner.make_queue(sweep), self)
 
     def close(self) -> None:
         self.inner.close()

@@ -54,12 +54,9 @@ _SCHEMA = (
         payload BLOB NOT NULL,
         attempts INTEGER NOT NULL DEFAULT 0,
         max_attempts INTEGER NOT NULL DEFAULT 1,
-        losses INTEGER NOT NULL DEFAULT 0,
-        renewals INTEGER NOT NULL DEFAULT 0,
         deaths INTEGER NOT NULL DEFAULT 0,
         status TEXT NOT NULL DEFAULT 'pending',
         worker TEXT NOT NULL DEFAULT '',
-        lease_expires REAL NOT NULL DEFAULT 0,
         claimed_at REAL NOT NULL DEFAULT 0,
         error_type TEXT NOT NULL DEFAULT '',
         message TEXT NOT NULL DEFAULT '',
@@ -69,16 +66,13 @@ _SCHEMA = (
         retry_delays TEXT NOT NULL DEFAULT '[]',
         not_before REAL NOT NULL DEFAULT 0,
         PRIMARY KEY (queue, item_id))""",
-    """CREATE TABLE IF NOT EXISTS queue_meta (
-        queue TEXT PRIMARY KEY,
-        fingerprint TEXT NOT NULL)""",
 )
 
 #: Columns grown after the table first shipped; ``CREATE TABLE IF NOT
 #: EXISTS`` never alters an existing file, so each is applied as an
-#: idempotent ``ALTER TABLE`` migration on connect.
+#: idempotent ``ALTER TABLE`` migration on connect.  Older files may
+#: also carry columns (and a table) that nothing reads any more.
 _MIGRATIONS = (
-    "ALTER TABLE work_queue ADD COLUMN renewals INTEGER NOT NULL DEFAULT 0",
     "ALTER TABLE work_queue ADD COLUMN deaths INTEGER NOT NULL DEFAULT 0",
     "ALTER TABLE work_queue ADD COLUMN claimed_at REAL NOT NULL DEFAULT 0",
     "ALTER TABLE work_queue ADD COLUMN result BLOB",
@@ -239,14 +233,10 @@ class SQLiteStore(ExperimentStore):
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def make_queue(self, name: str) -> "WorkQueue":
+    def make_queue(self, sweep: str) -> "WorkQueue":
         from .queue import SQLiteWorkQueue
 
-        return SQLiteWorkQueue(self, name)
-
-    def queues(self) -> List[str]:
-        return sorted(str(row[0]) for row in
-                      self.query("SELECT queue FROM queue_meta"))
+        return SQLiteWorkQueue(self, sweep)
 
     def close(self) -> None:
         with self._lock:

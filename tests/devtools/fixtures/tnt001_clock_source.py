@@ -1,8 +1,9 @@
 """Half of the TNT001 acceptance pair: a *sanctioned* wall-clock read.
 
 Linted per-file under its virtual path (``repro/store/queue.py``) this
-module is completely clean: DET002 explicitly allows wall-clock leases
-in the queue module, and nothing here hashes or stores the value.  The
+module is completely clean: DET002 explicitly allows the queue
+module's wall-clock stamps, and nothing here hashes or stores the
+value.  The
 leak only exists across the module boundary — see
 ``tnt001_clock_sink.py``.
 """
@@ -10,6 +11,7 @@ leak only exists across the module boundary — see
 import time
 
 
-def lease_stamp(lease_seconds):
-    """Wall-clock lease expiry (sanctioned: compared across workers)."""
-    return time.time() + lease_seconds
+def backoff_stamp(delay):
+    """Wall-clock retry backoff end (sanctioned: compared across
+    workers)."""
+    return time.time() + delay

@@ -6,14 +6,20 @@ folding it into the *name* handed to ``span_id`` keys the span's
 identity on the wall clock — two workers replaying the same cell would
 mint different span IDs, the stitcher would fork the tree instead of
 merging duplicates, and the canonical projection would stop being
-byte-identical across ``--jobs``.  TNT001's trace-id derivation sink
-fires with the full provenance chain.
+byte-identical across ``--jobs``.  The same stamp folded into the
+sweep digest would key the sweep's queue rows and trace ID on the
+clock.  TNT001's trace-id derivation sink fires on both, with the full
+provenance chain.
 """
 
 from repro.obs.trace import span_id
-from repro.store.queue import claim_stamp
+from repro.store.queue import claim_stamp, sweep_digest
 
 
 def stamped_span(trace_id, key):
     stamp = claim_stamp()
     return span_id(trace_id, "claim", f"{key}@{stamp:.0f}", 1)
+
+
+def stamped_sweep(keys):
+    return sweep_digest([*keys, str(claim_stamp())])

@@ -1,7 +1,7 @@
 """Half of the TNT001 trace-identity pair: a *sanctioned* clock read.
 
 Linted per-file under its virtual path (``repro/store/queue.py``) this
-module is clean: DET002 allows wall-clock leases in the queue module,
+module is clean: DET002 allows the queue module's wall-clock stamps,
 and nothing here derives an ID from the value.  The identity bug only
 exists across the module boundary — see ``tnt001_trace_sink.py``.
 """
@@ -10,5 +10,6 @@ import time
 
 
 def claim_stamp():
-    """Wall-clock claim timestamp (sanctioned: lease bookkeeping)."""
+    """Wall-clock claim timestamp (sanctioned: cell-timeout
+    bookkeeping)."""
     return time.time()

@@ -14,7 +14,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE_DIR = Path(repro.__file__).parent
 
 ALL_RULES = ["DET001", "DET002", "DET004", "COR001",
-             "CON001", "CON002", "CON003", "TNT001", "API001"]
+             "CON001", "CON003", "TNT001", "API001"]
 
 #: Findings each known-bad fixture must produce (lower bound, so adding
 #: detection breadth never breaks the suite).
@@ -24,7 +24,6 @@ MIN_BAD_FINDINGS = {
     "DET004": 6,
     "COR001": 4,
     "CON001": 3,
-    "CON002": 3,
     "CON003": 2,
     "TNT001": 3,
     "API001": 2,
@@ -34,12 +33,9 @@ MIN_BAD_FINDINGS = {
 #: DET002's good fixture *demonstrates* sanctioned monotonic timing,
 #: which DET004 bans inside the simulation substrate — pinning it to a
 #: runner path keeps DET004's include gate closed, exactly as it is for
-#: the real timing code in ``repro/runner/``.  CON002's good fixture
-#: uses the queue module's sanctioned wall-clock lease for the same
-#: reason.
+#: the real timing code in ``repro/runner/``.
 VIRTUAL_PATHS = {
     "det002_good.py": "repro/runner/det002_good.py",
-    "con002_good.py": "repro/store/queue.py",
 }
 
 
@@ -73,22 +69,18 @@ def test_good_fixture_is_clean(rule_id):
 
 
 def test_det002_sanctions_leases_only_in_the_queue_module():
-    """The work queue's wall-clock leases (claim + renewal heartbeat)
+    """The work queue's wall-clock stamps (claim time, retry backoff)
     are allow-listed by *path*: identical code in any other store
     module — the backends, the retry layer, and especially the
     fault-injection harness, whose schedules must stay pure functions
     of call counts and seeds — still trips DET002, so the store stays
-    inside the determinism gate.  The read-only status CLI shares the
-    sanction: it compares stored lease deadlines against the wall
-    clock for display only."""
-    for sanctioned_path in ("repro/store/queue.py",
-                            "repro/store/__main__.py"):
-        sanctioned = lint_fixture("det002_queue_lease.py", sanctioned_path)
-        assert [f for f in sanctioned if f.rule_id == "DET002"] == []
+    inside the determinism gate."""
+    sanctioned = lint_fixture("det002_queue_clock.py", "repro/store/queue.py")
+    assert [f for f in sanctioned if f.rule_id == "DET002"] == []
     for virtual in ("repro/store/local.py", "repro/store/sqlite.py",
                     "repro/store/base.py", "repro/store/retry.py",
                     "repro/store/faults.py"):
-        findings = lint_fixture("det002_queue_lease.py", virtual)
+        findings = lint_fixture("det002_queue_clock.py", virtual)
         fired = [f for f in findings if f.rule_id == "DET002"]
         assert len(fired) == 3, (
             f"all three time.time() reads must trip DET002 under "
@@ -150,8 +142,9 @@ def _fixture(name):
 
 def test_tnt001_catches_cross_module_clock_leak():
     """The acceptance pair: each half is clean per-file, but linting
-    them as one project traces ``time.time()`` through ``lease_stamp``'s
-    return into the cache-key hash two modules away."""
+    them as one project traces ``time.time()`` through
+    ``backoff_stamp``'s return into the cache-key hash two modules
+    away."""
     source = _fixture("tnt001_clock_source.py")
     sink = _fixture("tnt001_clock_sink.py")
     src_path = "repro/store/queue.py"
@@ -165,16 +158,16 @@ def test_tnt001_catches_cross_module_clock_leak():
     fired = [f for f in findings if f.rule_id == "TNT001"]
     assert fired, f"whole-program pass must flag the leak: {findings}"
     assert all(f.path == sink_path for f in fired)
-    assert any("lease_stamp" in f.message for f in fired)
+    assert any("backoff_stamp" in f.message for f in fired)
 
 
 def test_tnt001_guards_trace_id_derivation():
     """Span identity is a reproducibility surface: trace/span IDs must
-    be pure hashes of sweep fingerprint + cell key + attempt, or the
+    be pure hashes of sweep digest + cell key + attempt, or the
     stitcher's duplicate-merging and the canonical projection's
     byte-identity across ``--jobs`` both break.  A wall-clock value
     that reaches ``span_id`` — even laundered through another module's
-    sanctioned lease stamp and an f-string — fires the trace-id
+    sanctioned claim stamp and an f-string — fires the trace-id
     derivation sink."""
     source = _fixture("tnt001_trace_source.py")
     sink = _fixture("tnt001_trace_sink.py")
@@ -182,7 +175,7 @@ def test_tnt001_guards_trace_id_derivation():
     sink_path = "repro/runner/traced.py"
 
     # Each half is clean on its own (the source's clock read is the
-    # queue module's sanctioned lease stamp).
+    # queue module's sanctioned claim stamp).
     assert Checker().check_sources([(src_path, source)]) == []
     assert Checker().check_sources([(sink_path, sink)]) == []
 
@@ -191,7 +184,9 @@ def test_tnt001_guards_trace_id_derivation():
     fired = [f for f in findings if f.rule_id == "TNT001"]
     assert fired, f"whole-program pass must flag the leak: {findings}"
     assert all(f.path == sink_path for f in fired)
-    assert any("trace-id derivation" in f.message for f in fired)
+    derived = [f for f in fired if "trace-id derivation" in f.message]
+    # Both the span ID and the sweep digest behind the trace ID.
+    assert len({f.line for f in derived}) == 2, derived
     assert any("claim_stamp" in f.message for f in fired)
 
 

@@ -127,20 +127,6 @@ def test_retried_cell_span_on_every_queue_host(tmp_path, host):
             bad["errors"]) == ("failed", 2, 1, ["ValueError", "ValueError"])
 
 
-def test_queue_stats_gauges():
-    """The fleet-health counters: renewals (live-but-slow workers) and
-    steals (dead workers) land as per-queue gauges."""
-    telemetry = RunTelemetry()
-    telemetry.queue_stats("fig3", renewals=14, steals=0)
-    telemetry.queue_stats("fig4", renewals=0, steals=2)
-    renewals = telemetry.metrics.gauge("queue.renewals", ("queue",))
-    steals = telemetry.metrics.gauge("queue.steals", ("queue",))
-    assert renewals.value(queue="fig3") == 14
-    assert steals.value(queue="fig3") == 0
-    assert renewals.value(queue="fig4") == 0
-    assert steals.value(queue="fig4") == 2
-
-
 def test_write_jsonl_in_cell_order(tmp_path):
     telemetry = RunTelemetry()
     run_cells(_cells(), RunConfig(jobs=2, telemetry=telemetry))

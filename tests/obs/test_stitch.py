@@ -96,12 +96,12 @@ class TestStitch:
         b = row("execute", attempt=1, parent="p", start=1.5, end=3.0,
                 worker="w2", status="error",
                 events=[{"name": "fault", "det": True},
-                        {"name": "steal", "det": False}])
+                        {"name": "store_retry", "det": False}])
         tree = stitch([a, b])
         (merged,) = tree["spans"].values()
         assert merged["status"] == "error"
         assert merged["events"] == [{"name": "fault", "det": True},
-                                    {"name": "steal", "det": False}]
+                                    {"name": "store_retry", "det": False}]
         assert merged["wall"] == {"start": 1.0, "end": 3.0,
                                   "worker": "w1+w2"}
 

@@ -21,6 +21,7 @@ from repro.obs.trace import (
     span_id,
     trace_id_for,
 )
+from repro.store.queue import sweep_queue
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +39,13 @@ class TestIdentity:
         assert a != trace_id_for(["k1", "k0"])  # order is identity
         assert a != trace_id_for(["k0"])
         assert len(a) == 32
+
+    def test_sweep_id_is_the_trace_id_prefix(self):
+        """One digest names a sweep's queue rows and its trace; pinned,
+        so neither identity can drift."""
+        keys = ["k0", "k1"]
+        assert trace_id_for(keys) == "56e330a66e2308987c5f1a479210acdd"
+        assert sweep_queue(keys) == trace_id_for(keys)[:16]
 
     def test_span_id_depends_on_every_component(self):
         tid = trace_id_for(["k"])
@@ -89,14 +97,14 @@ class TestSpan:
     def test_row_shape_is_schema_valid_and_wall_confined(self, tmp_path):
         tracer = make_tracer(tmp_path)
         with tracer.span("claim", "cell[0]", key="k0", attempt=1) as span:
-            span.event("steal", worker="w2")
+            span.event("store_retry", op="claim", n=1)
             span.event("fault", det=True, kind="raise")
         (row,) = load_jsonl(tmp_path / "w1.jsonl")
         assert validate_trace_row(row) == []
         assert row["span"] == span_id(tracer.trace_id, "claim", "k0", 1)
         assert row["status"] == "ok"
         assert row["events"] == [
-            {"name": "steal", "det": False, "worker": "w2"},
+            {"name": "store_retry", "det": False, "op": "claim", "n": 1},
             {"name": "fault", "det": True, "kind": "raise"},
         ]
         # Wall facts live under "wall" and nowhere else.

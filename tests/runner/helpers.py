@@ -14,6 +14,8 @@ from pathlib import Path
 
 from repro.runner import Cell
 
+from ..store.helpers import pause_then
+
 
 def square(config, x):
     return x * x
@@ -60,6 +62,11 @@ def kill_after_cached(cache_root, count):
 
 def square_cells(n, config=None):
     return [Cell("squares", (i,), square, (config, i)) for i in range(n)]
+
+
+def nap_cells(n, seconds):
+    """Cells that each sleep ``seconds``, then return their index."""
+    return [Cell("nap", (i,), pause_then, (seconds, i)) for i in range(n)]
 
 
 def succeed_after(sentinel_dir, name, failures, value):

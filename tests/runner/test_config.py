@@ -48,11 +48,7 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(cell_timeout=0)
 
-    def test_queue_fields_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="queue_lease"):
-            RunConfig(store=tmp_path, queue_lease=0.0)
-        with pytest.raises(ConfigurationError, match="queue_renew_interval"):
-            RunConfig(queue_renew_interval=-1.0)
+    def test_queue_fields_validated(self):
         with pytest.raises(ConfigurationError, match="store_retries"):
             RunConfig(store_retries=-1)
 

@@ -9,10 +9,16 @@ fault-free runs.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import CellTimeoutError, ConfigurationError, WorkerError
 from repro.runner import (
@@ -38,6 +44,7 @@ from .helpers import (
     kill_after_cached,
     kill_after_peers,
     kill_once,
+    nap_cells,
     raise_value_error,
     sleep_forever,
     square,
@@ -274,8 +281,8 @@ class TestEveryQueueHost:
 
     def test_killed_worker_cell_reruns_without_waiting_out_the_lease(
             self, host, tmp_path):
-        """The coordinator reaps the dead worker and expires its lease
-        at once; nobody waits for the default 60 s lease to run out."""
+        """The coordinator reaps the dead worker and releases its claim
+        at once; nothing waits for a timeout."""
         cells = square_cells(3) + [
             Cell("t", ("k",), kill_once, (str(tmp_path), "k", 42))]
         start = time.monotonic()
@@ -300,6 +307,83 @@ class TestEveryQueueHost:
         assert results[:2] == [0, 1]
         assert results[2].error_type == "WorkerError"
         assert results[2].attempts == 2
+
+
+#: Runs the sweep of ``nap_cells(4, 0.5)`` in a process of its own and
+#: prints its results: ``python -c SWEEP JOBS STORE_URL``.
+SWEEP = ("import sys\n"
+         "from repro.runner import RunConfig, run_cells\n"
+         "from tests.runner.helpers import nap_cells\n"
+         "print(run_cells(nap_cells(4, 0.5),\n"
+         "                RunConfig(jobs=int(sys.argv[1]),\n"
+         "                          store=sys.argv[2])))\n")
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+class TestDeadCoordinator:
+    """A coordinator that dies mid-cell leaves its claims behind: its own
+    at ``--jobs 1``, its children's at ``--jobs N``.  The rerun releases
+    them at its first idle claim instead of waiting for a timeout."""
+
+    def sweep(self, jobs, url, log):
+        """Start the sweep in a session of its own (so its process group
+        can be signalled and cleaned up as one)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), str(ROOT)]))
+        return subprocess.Popen(
+            [sys.executable, "-c", SWEEP, str(jobs), url], cwd=ROOT,
+            env=env, stdout=subprocess.PIPE, stderr=log,
+            start_new_session=True)
+
+    def claimed(self, probe):
+        return [int(r[0]) for r in probe.query(
+            "SELECT item_id FROM work_queue WHERE status = 'claimed'")]
+
+    @pytest.mark.parametrize("jobs, interrupt", [(1, False), (2, True)],
+                             ids=["kill9-jobs1", "sigint-jobs2"])
+    def test_rerun_releases_the_dead_claims_at_once(self, tmp_path, jobs,
+                                                    interrupt):
+        db = tmp_path / "store.sqlite"
+        url = f"sqlite:{db}"
+        procs = []
+        with open(tmp_path / "sweep.log", "wb") as log:
+            procs.append(self.sweep(jobs, url, log))
+        probe = SQLiteStore(db)
+        try:
+            # Signal mid-cell: one result is stored, a later cell runs.
+            deadline = time.monotonic() + 30
+            while not (len(probe) and self.claimed(probe)):
+                assert time.monotonic() < deadline, "the sweep never ran"
+                time.sleep(0.01)
+            if interrupt:
+                os.killpg(procs[0].pid, signal.SIGINT)  # Ctrl-C
+            else:
+                procs[0].kill()
+            # Reap it first: kill(pid, 0) sees a zombie as alive.
+            procs[0].communicate(timeout=30)
+            held = self.claimed(probe)
+            assert held, "the dead sweep must leave claims behind"
+
+            with open(tmp_path / "rerun.log", "wb") as log:
+                procs.append(self.sweep(jobs, url, log))
+            try:
+                out, _ = procs[1].communicate(timeout=15)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the rerun did not finish within 15 s")
+            assert procs[1].returncode == 0
+            assert out.decode() == "[0, 1, 2, 3]\n"
+            deaths = dict(probe.query(
+                "SELECT item_id, deaths FROM work_queue"))
+            assert {i: deaths[i] for i in held} == {i: 1 for i in held}
+        finally:
+            for proc in procs:  # the whole group: no worker outlives it
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+            probe.close()
 
 
 class TestFaultPlan:

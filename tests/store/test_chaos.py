@@ -1,35 +1,22 @@
-"""Chaos runs: the worker fleet under injected faults, byte for byte.
+"""Chaos runs: queue workers under injected faults, byte for byte.
 
 The acceptance bar for the resilience layer: a fig3 sweep executed by
-queue workers under store fault injection, a cell slower than its
-lease, and a broken store prints exactly the bytes a fault-free
-``--jobs 1`` run prints — or fails loudly with the right exit code.
-
-The heartbeat distinction, asserted both ways:
-
-* renewal **on** (the default): the slow cell's lease is renewed while
-  it runs, so ``steals == 0`` and ``renewals >= 1``;
-* renewal **off** (``--queue-renew-interval 0``): the idle worker
-  steals the expired lease and re-executes the cell, so
-  ``steals > 0`` — and the output *still* matches, because cells are
-  deterministic and delivery is at-least-once.
+queue workers under store fault injection, or against a broken store,
+prints exactly the bytes a fault-free ``--jobs 1`` run prints — or
+fails loudly with the right exit code.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.runner.worker import EXIT_STORE_PERMANENT
-from repro.runner.worker import main as worker_main
+from repro.runner.worker import EXIT_STORE_PERMANENT, serve
 from repro.store import FAULTS_ENV, open_store
-
-#: One fig3 cell sleeps well past the 0.4 s lease used below.
-SLOW_CELL_PLAN = json.dumps({"faults": [
-    {"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]})
 
 #: Every third store/queue call hits lock contention, claims see extra
 #: latency, and the coordinator's first result write (workers never
@@ -58,52 +45,6 @@ def baseline_stdout(tmp_path, capsys):
     return capsys.readouterr().out
 
 
-def queue_totals(url):
-    """(sum of renewals, sum of losses) over the fig3 queue."""
-    store = open_store(url)
-    try:
-        states = store.make_queue("fig3").snapshot()
-        return (sum(s.renewals for s in states.values()),
-                sum(s.losses for s in states.values()))
-    finally:
-        store.close()
-
-
-class TestHeartbeatChaos:
-    def test_renewal_keeps_a_slow_cell_unstolen(self, tmp_path, capsys,
-                                                monkeypatch):
-        """A cell 5x slower than the lease is never stolen while its
-        worker heartbeats (the default), and the output is
-        byte-identical to a fault-free sequential run."""
-        baseline = baseline_stdout(tmp_path, capsys)
-        monkeypatch.setenv(FAULTS_ENV, SLOW_CELL_PLAN)
-        url = f"sqlite:{tmp_path}/chaos.db"
-        rc = main(["fig3", "--store", url, "--jobs", "2",
-                   "--queue-lease", "0.4"])
-        assert rc == 0
-        assert capsys.readouterr().out == baseline
-        renewals, steals = queue_totals(url)
-        assert steals == 0, "a heartbeating worker must never be stolen from"
-        assert renewals >= 1, "the slow cell must have renewed its lease"
-
-    def test_disabled_renewal_forces_a_steal_and_output_still_matches(
-            self, tmp_path, capsys, monkeypatch):
-        """With heartbeats off the idle worker steals the expired lease
-        and re-executes the slow cell — charged to the loss budget, yet
-        invisible in the output (deterministic cells, idempotent puts,
-        at-least-once delivery)."""
-        baseline = baseline_stdout(tmp_path, capsys)
-        monkeypatch.setenv(FAULTS_ENV, SLOW_CELL_PLAN)
-        url = f"sqlite:{tmp_path}/chaos.db"
-        rc = main(["fig3", "--store", url, "--jobs", "2",
-                   "--queue-lease", "0.4", "--queue-renew-interval", "0"])
-        assert rc == 0
-        assert capsys.readouterr().out == baseline
-        renewals, steals = queue_totals(url)
-        assert steals >= 1, "an expired lease with no heartbeat is stolen"
-        assert renewals == 0
-
-
 class TestStoreFaultChaos:
     def test_injected_store_faults_are_absorbed_byte_identically(
             self, tmp_path, capsys, monkeypatch):
@@ -126,10 +67,11 @@ class TestStoreFaultChaos:
 
     def test_worker_exits_distinctly_on_a_permanent_store_error(
             self, tmp_path, capsys, monkeypatch):
+        """The forked worker's body ends with EXIT_STORE_PERMANENT."""
         monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
-        rc = worker_main(["--store", f"local:{tmp_path}/store",
-                          "--queue", "doomed"])
-        assert rc == EXIT_STORE_PERMANENT
+        with pytest.raises(SystemExit) as exit_info:
+            serve(f"local:{tmp_path}/store", "doomed", os.getpid(), 5)
+        assert exit_info.value.code == EXIT_STORE_PERMANENT
         err = capsys.readouterr().err
         assert "store failure (permanent)" in err
         assert "malformed" in err

@@ -175,21 +175,6 @@ class TestStatsAndIdentity:
         assert path.is_dir()
         assert store.aux_dir("failures") == path
 
-    def test_queues_lists_published_queues_sorted(self, store):
-        from repro.store import QueueItem
-
-        assert store.queues() == []
-        for name in ("zeta", "alpha"):
-            store.make_queue(name).publish([QueueItem(
-                item_id=0, key=key_of(0), label="cell", payload=b"p")])
-        assert store.queues() == ["alpha", "zeta"]
-
-    def test_queues_listing_does_not_create_anything(self, store):
-        """Discovery is read-only: make_queue may create storage, but
-        queues() itself never does."""
-        assert store.queues() == []
-        assert store.queues() == []
-
 
 class TestOpenStore:
     def test_bare_path_opens_local(self, tmp_path):

@@ -8,6 +8,7 @@ run prints.
 
 from __future__ import annotations
 
+import os
 import pickle
 import sys
 import threading
@@ -20,6 +21,7 @@ from repro.experiments.registry import get_experiment
 from repro.runner import Cell, RunConfig, run_cells
 from repro.runner.cache import cell_key
 from repro.store import LocalFileStore, QueueItem, open_store
+from repro.store.queue import sweep_queue, worker_id
 
 from .helpers import pause_then
 
@@ -37,10 +39,9 @@ def paused_cells(tag, n, seconds=0.1):
 
 @pytest.mark.parametrize("url", ["local:{}/store", "sqlite:{}/store.db"])
 def test_overlapping_sweeps_on_one_store(tmp_path, url):
-    """A sweep, a different sweep under the same queue name and a second
-    run of the first sweep, all at once on one store: every run gets
-    exactly its own results and the store holds the right value under
-    every key."""
+    """A sweep, a different sweep and a second run of the first sweep,
+    all at once on one store: every run gets exactly its own results
+    and the store holds the right value under every key."""
     url = url.format(tmp_path)
     first, other = paused_cells("a", 6), paused_cells("b", 6)
     results = {}
@@ -48,8 +49,7 @@ def test_overlapping_sweeps_on_one_store(tmp_path, url):
     def sweep(name, cells):
         store = open_store(url)
         try:
-            results[name] = run_cells(cells, RunConfig(
-                jobs=1, store=store, queue_name="fig"))
+            results[name] = run_cells(cells, RunConfig(jobs=1, store=store))
         finally:
             store.close()
 
@@ -99,12 +99,11 @@ class TestQueueDrivenSweep:
 
     def test_interrupted_worker_resumes_through_the_queue(
             self, tmp_path, capsys):
-        """A worker stopped after 2 of 4 items (an 'interrupt') leaves a
-        half-drained queue whose finished items hold their results; the
-        next full run collects those results into the store, runs only
-        the remainder, and still prints the baseline bytes."""
-        from repro.runner.worker import main as worker_main
-
+        """A worker that acked 2 of 4 items and stopped (an 'interrupt')
+        leaves a half-drained queue whose finished items hold their
+        results; the next full run collects those results into the
+        store, runs only the remainder, and still prints the baseline
+        bytes."""
         baseline = baseline_stdout(tmp_path, capsys)
         store = LocalFileStore(tmp_path / "queue-store")
 
@@ -112,16 +111,19 @@ class TestQueueDrivenSweep:
         spec = get_experiment("fig3")
         cells = list(spec.cells(spec.config("scaled")))
         keys = [cell_key(cell) for cell in cells]
-        queue = store.make_queue("fig3")
+        queue = store.make_queue(sweep_queue(keys))
         queue.publish([
             QueueItem(item_id=i, key=keys[i], label=cells[i].label,
                       payload=pickle.dumps((i, keys[i], cells[i]),
                                            protocol=pickle.HIGHEST_PROTOCOL))
             for i in range(len(cells))])
 
-        # The "interrupted" worker: drains exactly 2 items, then exits.
-        assert worker_main(["--store", store.url, "--queue", "fig3",
-                            "--max-items", "2"]) == 0
+        # The "interrupted" worker: runs and acks exactly 2 items.
+        holder = worker_id(os.getpid(), os.getpid())
+        for _ in range(2):
+            item = queue.claim(holder)
+            value = cells[item.item_id].run()
+            queue.ack(item.item_id, 0.0, pickle.dumps(value))
         counts = queue.counts()
         assert counts["done"] == 2
         assert counts["pending"] == 2
@@ -137,7 +139,7 @@ class TestQueueDrivenSweep:
         assert rc == 0
         assert capsys.readouterr().out == baseline
         assert len(store) == len(cells)
-        resumed = store.make_queue("fig3").snapshot()
+        resumed = queue.snapshot()
         assert len(resumed) == len(cells)
         assert all(s.status == "done" and s.result is None
                    for s in resumed.values())

@@ -166,10 +166,10 @@ class TestInjectorSchedule:
             StoreFault(op="*", kind="busy", every=1, times=3))
         assert len(injector.fire("get")) == 1
         assert len(injector.fire("claim")) == 1
-        assert len(injector.fire("renew")) == 1
+        assert len(injector.fire("expire")) == 1
         assert injector.fire("ack") == []  # times exhausted
         assert injector.injected == {"get:busy": 1, "claim:busy": 1,
-                                     "renew:busy": 1}
+                                     "expire:busy": 1}
 
     def test_rate_schedule_is_seed_deterministic(self):
         fault = StoreFault(op="get", kind="busy", rate=0.4, seed=11)
@@ -202,20 +202,20 @@ class TestInjectorSchedule:
         assert injector.injected == {"get:latency": 1}
 
     def test_concurrent_fires_keep_the_schedule(self):
-        """A worker's heartbeat thread fires ``renew`` on the injector
-        its main thread fires ``claim``/``ack``/``nack`` on: with
+        """Threads sharing one wrapped store share its injector: with
         threads switching every microsecond, no ``every`` count may be
         lost and no ``times`` cap overrun."""
         injector = injector_of(StoreFault(op="*", kind="busy", every=3),
-                               StoreFault(op="renew", kind="oserror",
+                               StoreFault(op="snapshot", kind="oserror",
                                           times=1))
         tallies = [Counter() for _ in range(4)]
 
-        def renew_loop(tally):
+        def snapshot_loop(tally):
             for _ in range(3000):
-                tally.update(fault.kind for fault in injector.fire("renew"))
+                tally.update(fault.kind
+                             for fault in injector.fire("snapshot"))
 
-        threads = [threading.Thread(target=renew_loop, args=(tally,))
+        threads = [threading.Thread(target=snapshot_loop, args=(tally,))
                    for tally in tallies]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -228,7 +228,8 @@ class TestInjectorSchedule:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sum(tallies, Counter()) == {"busy": 4000, "oserror": 1}
-        assert injector.injected == {"renew:busy": 4000, "renew:oserror": 1}
+        assert injector.injected == {"snapshot:busy": 4000,
+                                     "snapshot:oserror": 1}
 
 
 # ------------------------------------------------------ classification --
@@ -372,19 +373,10 @@ class TestRetryingOverFaulty:
         queue = store.make_queue("sweep")
         assert queue.store is store
         queue.publish(one_item())
-        item = queue.claim("w0", 60.0)   # claim #1 clean
+        item = queue.claim("w0")   # claim #1 clean
         assert item is not None
         queue.ack(item.item_id)
         assert store.faults._seen[0] == 1
-
-    def test_renew_faults_are_absorbed(self, tmp_path):
-        store = faulty_local(
-            tmp_path, StoreFault(op="renew", kind="busy", every=1, times=2))
-        queue = store.make_queue("sweep")
-        queue.publish(one_item())
-        assert queue.claim("w0", 60.0) is not None
-        assert queue.renew(0, "w0", 60.0) is True
-        assert store.faults.injected["renew:busy"] == 2
 
     def test_every_guarded_operation_fires_and_retries(self, tmp_path):
         """STORE_OPS names exactly what the wrapper guards: a one-shot
@@ -398,8 +390,7 @@ class TestRetryingOverFaulty:
             "len": lambda s, q: len(s),
             "quarantined_count": lambda s, q: s.quarantined_count(),
             "publish": lambda s, q: q.publish(one_item()),
-            "claim": lambda s, q: q.claim("w0", 60.0),
-            "renew": lambda s, q: q.renew(0, "w0", 60.0),
+            "claim": lambda s, q: q.claim("w0"),
             "expire": lambda s, q: q.expire("w1"),
             "ack": lambda s, q: q.ack(0),
             "nack": lambda s, q: q.nack(0, "E", "m"),
@@ -408,7 +399,6 @@ class TestRetryingOverFaulty:
             "requeue_failed": lambda s, q: q.requeue_failed(),
             "reset_items": lambda s, q: q.reset_items([0]),
             "snapshot": lambda s, q: q.snapshot(),
-            "peek": lambda s, q: q.peek(0),
         }
         assert tuple(calls) == STORE_OPS
         for op, call in calls.items():
