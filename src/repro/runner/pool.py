@@ -33,8 +33,8 @@ Failures are handled the same way at every ``jobs``, per the
   claims are released, each charged to its cell as a death, and a cell
   whose worker died more often than its loss budget allows fails with
   :class:`~repro.errors.WorkerError`.  Claims left behind by a
-  coordinator that died itself are released by the next run of the
-  sweep (:mod:`repro.store.queue`).
+  coordinator that died or was interrupted are released by the next
+  run of the sweep (:mod:`repro.store.queue`).
 
 Determinism: every attempt reseeds the global RNGs from the cell key
 (:func:`repro.runner.worker.execute_attempt`), so neither ``jobs`` nor
@@ -48,13 +48,14 @@ import pickle
 import shutil
 import tempfile
 import time
+from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import CellTimeoutError, ConfigurationError, ReproError, WorkerError
 from ..store import ExperimentStore, QueueItem, SQLiteStore
 from ..store.faults import active_plan, corrupt_cache_entries
 from ..store.queue import (LOST_ERROR_TYPE, AttemptError, ItemState,
-                           sweep_queue, worker_id)
+                           claiming, sweep_queue)
 from .cache import cell_key
 from .cells import Cell
 from .config import RunConfig
@@ -209,13 +210,16 @@ class _Sweep:
         try:
             self.publish()
             if jobs == 1 and self.policy.cell_timeout is None:
-                pid = os.getpid()
-                while self.open:
-                    work_loop(self.queue, worker_id(pid, pid),
-                              after_item=self.collect)
-                    self.collect()
+                with claiming(self.sweep, os.getpid, os.getpid()) as wid:
+                    while self.open:
+                        work_loop(self.queue, wid, after_item=self.collect)
+                        self.collect()
             else:
-                self.run_fleet(min(jobs, len(self.open)))
+                # The workers' claims stay held until the fleet is gone;
+                # what a killed worker still holds is then left for the
+                # next publish.
+                with ExitStack() as held:
+                    self.run_fleet(min(jobs, len(self.open)), held)
         finally:
             if tmp is not None:
                 self.host.close()
@@ -250,8 +254,10 @@ class _Sweep:
             i for i in self.open if i in states
             and states[i].status == "done" and states[i].result is None])
 
-    def run_fleet(self, workers: int) -> None:
-        """Drain the queue with ``workers`` forked worker processes.
+    def run_fleet(self, workers: int, held: ExitStack) -> None:
+        """Drain the queue with ``workers`` forked worker processes, each
+        holding its claims (:func:`~repro.store.queue.claiming`) on
+        ``held``.
 
         Each pass reaps the workers that exited (releasing the claims a
         dead one held), kills workers whose claim outlived
@@ -278,13 +284,17 @@ class _Sweep:
                 target=serve, daemon=True,
                 args=(self.host.url, self.sweep, pid,
                       self.cfg.store_retries))
-            proc.start()
-            procs[worker_id(proc.pid, pid)] = proc
 
-        for _ in range(workers):
-            spawn()
+            def start() -> int:
+                proc.start()
+                return proc.pid
+
+            procs[held.enter_context(claiming(self.sweep, start, pid))] = proc
+
         clean = False
         try:
+            for _ in range(workers):
+                spawn()
             while True:
                 for wid, proc in list(procs.items()):
                     if proc.exitcode is None:

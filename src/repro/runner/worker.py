@@ -19,8 +19,10 @@ collects results from the queue and persists them.
 Crash recovery asks nothing of a live worker.  Each claim records the
 pids of its worker and of that worker's coordinator
 (:func:`~repro.store.queue.worker_id`): the coordinator releases a
-forked worker's claims as soon as it reaps the worker dead, and once
-the coordinator is gone too, the next idle claim releases them.
+forked worker's claims as soon as it reaps the worker dead, an
+interrupted coordinator whose process lives on releases them when it
+next publishes the sweep, and once the coordinator is gone too, the
+next idle claim releases them.
 
 Store resilience: every store/queue operation a worker makes goes
 through the one store wrapper (:func:`wrap_store`) — transient errors

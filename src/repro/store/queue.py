@@ -34,18 +34,27 @@ A released claim charges its item one *death* and returns it to
 ``pending``, so its next attempt gets a fresh attempt number; an item
 whose deaths exceed its loss budget, ``max(max_attempts - 1, 1)``,
 fails as :data:`LOST_ERROR_TYPE` instead — a cell that keeps killing
-its worker cannot wedge the sweep.  Two paths release a claim, through
+its worker cannot wedge the sweep.  Three paths release a claim, through
 the one :meth:`~WorkQueue.expire` statement:
 
 * a live coordinator reaps a dead child and expires its claims at
   once; it is the only process that releases its own workers' claims;
+* a coordinator interrupted in a process that lives on leaves claims
+  naming that process, which no running loop of it holds in that sweep
+  any more (:func:`claiming`): the next publish of the sweep in that
+  process releases them;
 * when *both* pids of a claim are gone — no coordinator is left to reap
   the worker — the next claim that finds nothing runnable releases it.
 
 Liveness is ``os.kill(pid, 0)``, with its limits: a zombie counts as
-alive until it is reaped, a reused pid keeps a dead claim held, and
-pids mean nothing across hosts or pid namespaces — there a foreign
-claim looks dead and its cell reruns, which determinism makes harmless.
+alive until it is reaped, and pids repeat — from run to run in a
+container, and across hosts they mean nothing.  A dead claim that names
+this process's own pid is released at publish.  One whose pids only
+other processes have is released if they are all gone, and its cell
+reruns, which determinism makes harmless; if one of them is alive, the
+claim stays held and the sweep stalls until it is released by hand
+(``UPDATE work_queue SET status = 'pending', worker = ''
+WHERE status = 'claimed'`` with no run of the sweep active).
 
 Every sweep has rows of its own, named by its sweep id
 (:func:`sweep_queue`, a prefix of :func:`sweep_digest`), so two
@@ -69,11 +78,14 @@ import os
 import pickle
 import re
 import sqlite3
+import threading
 import time
 from abc import ABC, abstractmethod
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 if TYPE_CHECKING:  # runtime-free: the sqlite backend imports this module
     from .sqlite import SQLiteStore
@@ -84,6 +96,7 @@ __all__ = [
     "QueueItem",
     "WorkQueue",
     "SQLiteWorkQueue",
+    "claiming",
     "sweep_digest",
     "sweep_queue",
     "worker_id",
@@ -190,6 +203,47 @@ def worker_id(pid: int, coordinator: int) -> str:
     return f"worker-{pid}-{coordinator}"
 
 
+#: How many running loops of this process claim in each sweep as each
+#: holder: runs of one sweep overlapping in threads of one process
+#: share ``worker-<pid>-<pid>``.
+_HELD: "Counter[Tuple[str, str]]" = Counter()
+_HELD_LOCK = threading.Lock()
+
+
+@contextmanager
+def claiming(sweep: str, start: Callable[[], int],
+             coordinator: int) -> Iterator[str]:
+    """Hold the claims one process makes in ``sweep`` for the block;
+    yields its holder (:func:`worker_id`).
+
+    ``start`` begins the claiming and returns that process's pid:
+    ``os.getpid`` for the coordinator's own loop, a forked worker's
+    start otherwise.  While the block runs, publish in this process
+    leaves the holder's claims alone; once it ends, a claim the holder
+    still has was left behind, and the next publish of ``sweep`` in
+    this process releases it.  No publish runs between ``start`` and
+    the hold, so a forked worker cannot claim before its holder is
+    held (forked workers never publish, so the lock they inherit held
+    stays unused).
+    """
+    with _HELD_LOCK:
+        held = (sweep, worker_id(start(), coordinator))
+        _HELD[held] += 1
+    try:
+        yield held[1]
+    finally:
+        with _HELD_LOCK:
+            _HELD[held] -= 1
+            if not _HELD[held]:
+                del _HELD[held]
+
+
+def _pids(worker: str) -> Tuple[int, ...]:
+    """The pids a holder names: none unless it is a :func:`worker_id`."""
+    match = re.fullmatch(r"worker-(\d+)-(\d+)", worker)
+    return tuple(int(pid) for pid in match.groups()) if match else ()
+
+
 def _alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -203,9 +257,8 @@ def _alive(pid: int) -> bool:
 def _gone(worker: str) -> bool:
     """Whether both pids of ``worker`` are gone.  A holder that names no
     pids is never presumed dead."""
-    match = re.fullmatch(r"worker-(\d+)-(\d+)", worker)
-    return match is not None and not any(
-        _alive(int(pid)) for pid in match.groups())
+    pids = _pids(worker)
+    return bool(pids) and not any(_alive(pid) for pid in pids)
 
 
 class WorkQueue(ABC):
@@ -217,7 +270,9 @@ class WorkQueue(ABC):
 
         Items already present keep their state — that is the resume
         path — but take the new payload, attempt budget and retry
-        delays.
+        delays.  First, every claim that names this process and that no
+        running loop of it holds in this sweep (:func:`claiming`) is
+        expired: an interrupted run of the sweep left it behind.
         """
 
     @abstractmethod
@@ -336,6 +391,11 @@ class SQLiteWorkQueue(WorkQueue):
         self.sweep = sweep
 
     def publish(self, items: Sequence[QueueItem]) -> int:
+        me = os.getpid()
+        with _HELD_LOCK:
+            for holder in self._holders():
+                if me in _pids(holder) and (self.sweep, holder) not in _HELD:
+                    self.expire(holder)
         statements: List[Tuple[str, Tuple[Any, ...]]] = [
             # Other sweeps are dropped once they are over: every item
             # done and its result collected.
@@ -365,6 +425,12 @@ class SQLiteWorkQueue(WorkQueue):
             "SELECT COUNT(*) FROM work_queue WHERE queue = ?",
             (self.sweep,))[0][0])
 
+    def _holders(self) -> List[str]:
+        """Every holder of a claim in this sweep."""
+        return [str(r[0]) for r in self.store.query(
+            "SELECT DISTINCT worker FROM work_queue "
+            "WHERE queue = ? AND status = 'claimed'", (self.sweep,))]
+
     def claim(self, worker: str) -> Optional[QueueItem]:
         while True:
             now = time.time()
@@ -392,10 +458,7 @@ class SQLiteWorkQueue(WorkQueue):
                     item_id=int(row[0]), key=row[1], label=row[2],
                     payload=bytes(row[3]), attempts=int(row[4]),
                     max_attempts=int(row[5]), deaths=int(row[6]))
-            holders = self.store.query(
-                "SELECT DISTINCT worker FROM work_queue "
-                "WHERE queue = ? AND status = 'claimed'", (self.sweep,))
-            gone = [str(r[0]) for r in holders if _gone(str(r[0]))]
+            gone = [holder for holder in self._holders() if _gone(holder)]
             if not gone:
                 return None
             for holder in gone:

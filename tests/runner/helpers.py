@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.runner import Cell
+from repro.store import open_store
 
 from ..store.helpers import pause_then
 
@@ -91,6 +92,27 @@ def kill_once(sentinel_dir, name, value):
     if not marker.exists():
         marker.write_text("killed")
         os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
+def interrupt_once(sentinel_dir, store_url, coordinator, value):
+    """Ctrl-C the ``coordinator`` process on the first call, once it has
+    stored a result, then hang until killed; return ``value`` on the
+    rerun.  Run by the coordinator itself, the interrupt is raised
+    inside this cell."""
+    marker = Path(sentinel_dir, "interrupted")
+    if marker.exists():
+        return value
+    marker.write_text("interrupted")
+    store = open_store(store_url)
+    try:
+        deadline = time.time() + 30
+        while not len(store) and time.time() < deadline:
+            time.sleep(0.01)
+    finally:
+        store.close()
+    os.kill(coordinator, signal.SIGINT)
+    time.sleep(60)
     return value
 
 

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from repro.store import LocalFileStore, SQLiteStore, active_plan
 
 from .helpers import (
     FlakyConfig,
+    interrupt_once,
     kill_after_cached,
     kill_after_peers,
     kill_once,
@@ -321,6 +323,12 @@ SWEEP = ("import sys\n"
 ROOT = Path(__file__).resolve().parents[2]
 
 
+def _claimed(probe):
+    """Ids of the items claimed in ``probe``'s queue rows."""
+    return [int(r[0]) for r in probe.query(
+        "SELECT item_id FROM work_queue WHERE status = 'claimed'")]
+
+
 class TestDeadCoordinator:
     """A coordinator that dies mid-cell leaves its claims behind: its own
     at ``--jobs 1``, its children's at ``--jobs N``.  The rerun releases
@@ -336,10 +344,6 @@ class TestDeadCoordinator:
             env=env, stdout=subprocess.PIPE, stderr=log,
             start_new_session=True)
 
-    def claimed(self, probe):
-        return [int(r[0]) for r in probe.query(
-            "SELECT item_id FROM work_queue WHERE status = 'claimed'")]
-
     @pytest.mark.parametrize("jobs, interrupt", [(1, False), (2, True)],
                              ids=["kill9-jobs1", "sigint-jobs2"])
     def test_rerun_releases_the_dead_claims_at_once(self, tmp_path, jobs,
@@ -353,7 +357,7 @@ class TestDeadCoordinator:
         try:
             # Signal mid-cell: one result is stored, a later cell runs.
             deadline = time.monotonic() + 30
-            while not (len(probe) and self.claimed(probe)):
+            while not (len(probe) and _claimed(probe)):
                 assert time.monotonic() < deadline, "the sweep never ran"
                 time.sleep(0.01)
             if interrupt:
@@ -362,7 +366,7 @@ class TestDeadCoordinator:
                 procs[0].kill()
             # Reap it first: kill(pid, 0) sees a zombie as alive.
             procs[0].communicate(timeout=30)
-            held = self.claimed(probe)
+            held = _claimed(probe)
             assert held, "the dead sweep must leave claims behind"
 
             with open(tmp_path / "rerun.log", "wb") as log:
@@ -383,6 +387,55 @@ class TestDeadCoordinator:
                 except ProcessLookupError:
                     pass
                 proc.wait()
+            probe.close()
+
+
+class TestInterruptedInProcess:
+    """A sweep interrupted in a process that lives on — a REPL, a
+    notebook, a service that catches ``KeyboardInterrupt`` — leaves
+    claims naming that still-live process: its own at ``--jobs 1``, its
+    killed children's at ``--jobs N``.  Rerunning the sweep there
+    releases them when it publishes."""
+
+    @pytest.fixture(autouse=True)
+    def ctrl_c(self):
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        yield
+        signal.signal(signal.SIGINT, previous)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rerun_in_the_same_process_releases_its_claims(self, tmp_path,
+                                                          jobs):
+        db = tmp_path / "store.sqlite"
+        url = f"sqlite:{db}"
+        cells = [Cell("t", (0,), square, (None, 3)),
+                 Cell("t", ("ctrl-c",), interrupt_once,
+                      (str(tmp_path), url, os.getpid(), 42)),
+                 *nap_cells(2, 0.2)]
+        with pytest.raises(KeyboardInterrupt):
+            run_cells(cells, RunConfig(jobs=jobs, store=url))
+        probe = SQLiteStore(db)
+        try:
+            held = _claimed(probe)
+            assert 1 in held, "the interrupted sweep must leave its claim"
+            results = []
+            rerun = threading.Thread(
+                target=lambda: results.append(
+                    run_cells(cells, RunConfig(jobs=jobs, store=url))),
+                daemon=True)
+            rerun.start()
+            rerun.join(15)
+            if rerun.is_alive():
+                # Free the stalled rerun by hand before failing.
+                probe.execute("UPDATE work_queue SET status = 'pending', "
+                              "worker = '' WHERE status = 'claimed'")
+                rerun.join(30)
+                pytest.fail("the rerun did not finish within 15 s")
+            assert results == [[9, 42, 0, 1]]
+            deaths = dict(probe.query(
+                "SELECT item_id, deaths FROM work_queue"))
+            assert {i: deaths[i] for i in held} == {i: 1 for i in held}
+        finally:
             probe.close()
 
 

@@ -2,9 +2,10 @@
 backend.
 
 Claim holders are real processes: a child forked to claim an item
-exits and is reaped, so its pid is really gone, and the release rule —
-a claim is released once its worker and its coordinator are both dead
-— is exercised against the same ``os.kill(pid, 0)`` liveness the
+exits and is reaped, so its pid is really gone, and the release rules
+— a claim is released once its worker and its coordinator are both
+dead, or at publish once it names this process and no running loop of
+it — are exercised against the same ``os.kill(pid, 0)`` liveness the
 runner meets.  Backoff tests pin ``time.time`` itself (both backends
 read it through the queue module), so "at exactly the delay's end" is a
 testable moment rather than a race.
@@ -20,7 +21,8 @@ import time
 import pytest
 
 from repro.store import STORE_BACKENDS, ItemState, QueueItem, open_store
-from repro.store.queue import LOST_ERROR_TYPE, sweep_queue, worker_id
+from repro.store.queue import (LOST_ERROR_TYPE, claiming, sweep_queue,
+                               worker_id)
 
 from .helpers import make_store
 
@@ -252,6 +254,42 @@ class TestRelease:
         assert state.error_type == LOST_ERROR_TYPE
         assert "worker died 2 times" in state.message
         assert queue.unfinished() == 0
+
+    def test_publish_releases_the_claims_this_process_left_behind(
+            self, queue):
+        """A claim that names this process — as its coordinator, or as
+        its worker under any coordinator — is left over once no running
+        loop of this process holds it: the next publish here releases
+        it, and leaves other processes' claims alone."""
+        items = items_for(4, max_attempts=3)
+        queue.publish(items)
+        assert queue.claim(me()).item_id == 0  # an interrupted loop
+        claim_in_child(queue, os.getpid())  # a killed child's claim
+        # A stale claim whose worker pid is now this process's.
+        assert queue.claim(worker_id(os.getpid(), os.getppid())) \
+            .item_id == 2
+        foreign = claim_in_child(queue, reaped_pid())
+        assert queue.publish(items) == 0
+        states = queue.snapshot()
+        assert [(states[i].status, states[i].deaths) for i in range(3)] \
+            == [("pending", 1)] * 3
+        assert (states[3].status, states[3].worker, states[3].deaths) == \
+            ("claimed", foreign, 0)
+
+    def test_publish_keeps_the_claims_of_running_loops(self, queue):
+        """Only a hold in this very sweep keeps a claim that names this
+        process from the release at publish."""
+        queue.publish(items_for(1, max_attempts=3))
+        with claiming(queue.sweep, os.getpid, os.getpid()) as holder:
+            assert holder == me()
+            assert queue.claim(holder).item_id == 0
+            queue.publish(items_for(1, max_attempts=3))
+            state = queue.snapshot()[0]
+            assert (state.status, state.deaths) == ("claimed", 0)
+        with claiming("another sweep", os.getpid, os.getpid()):
+            queue.publish(items_for(1, max_attempts=3))
+        state = queue.snapshot()[0]
+        assert (state.status, state.deaths) == ("pending", 1)
 
     def test_holders_that_name_no_pids_are_never_released(self, queue):
         queue.publish(items_for(1))
