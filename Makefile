@@ -41,8 +41,10 @@ bench-smoke:
 bench-paper:
 	REPRO_BENCH_SCALE=paper pytest benchmarks/ --benchmark-only
 
-# Local mirror of the CI telemetry job: record a smoke run, validate
-# every JSONL artifact against repro.obs.schema, render the dashboard.
+# The CI telemetry job: record fig3 and fig6 smoke runs, validate every
+# JSONL artifact against repro.obs.schema, check that each run's trace
+# stitches into one complete span tree, and render both dashboards to
+# the report.txt files CI uploads.
 telemetry-smoke:
 	rm -rf telemetry-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 2 \
@@ -51,7 +53,13 @@ telemetry-smoke:
 		--store local:telemetry-run/cache --telemetry=telemetry-run/obs
 	$(PY) -m repro.obs validate telemetry-run/obs/fig3
 	$(PY) -m repro.obs validate telemetry-run/obs/fig6
-	$(PY) -m repro.obs report telemetry-run/obs/fig6
+	$(PY) -m repro.obs trace --check telemetry-run/obs/fig3
+	$(PY) -m repro.obs trace --check telemetry-run/obs/fig6
+	$(PY) -m repro.obs report telemetry-run/obs/fig3 \
+		--out telemetry-run/obs/fig3/report.txt
+	$(PY) -m repro.obs report telemetry-run/obs/fig6 \
+		--out telemetry-run/obs/fig6/report.txt
+	cat telemetry-run/obs/fig3/report.txt telemetry-run/obs/fig6/report.txt
 
 # Local mirror of the CI scenario job: the lifecycle scenario suite
 # (tenant churn + phase change) under telemetry, byte-compared across
@@ -97,20 +105,20 @@ chaos-smoke:
 	cmp chaos-run/baseline.out chaos-run/kill.out
 
 # Local mirror of the CI tracing job: a fig3 sweep drained by 2 queue
-# workers with --trace must print exactly the bytes a sequential
-# untraced run prints, leave schema-valid trace artifacts that stitch
-# into one complete span tree, project to a canonical form that is
-# byte-identical whatever the worker count, and leave every queue row
-# done on its first attempt (nothing failed or unfinished).  A traced
-# sweep whose worker is killed mid-cell must also print the baseline
-# bytes and stitch into a complete tree.
+# workers with --telemetry (which always traces) must print exactly the
+# bytes a sequential untraced run prints, leave schema-valid trace
+# artifacts that stitch into one complete span tree, project to a
+# canonical form that is byte-identical whatever the worker count, and
+# leave every queue row done on its first attempt (nothing failed or
+# unfinished).  A traced sweep whose worker is killed mid-cell must also
+# print the baseline bytes and stitch into a complete tree.
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
 		--store local:trace-run/baseline > trace-run/baseline.out
 	$(PY) -m repro.experiments fig3 --scale smoke \
 		--store sqlite:trace-run/results.db --jobs 2 \
-		--trace --telemetry=trace-run/obs > trace-run/fleet.out
+		--telemetry=trace-run/obs > trace-run/fleet.out
 	cmp trace-run/baseline.out trace-run/fleet.out
 	$(PY) -m repro.obs validate trace-run/obs/fig3
 	$(PY) -m repro.obs trace --check trace-run/obs/fig3
@@ -119,7 +127,7 @@ trace-smoke:
 		> trace-run/canon-2w.txt
 	$(PY) -m repro.experiments fig3 --scale smoke \
 		--store sqlite:trace-run/solo.db --jobs 1 \
-		--trace --telemetry=trace-run/obs-solo > trace-run/solo.out
+		--telemetry=trace-run/obs-solo > trace-run/solo.out
 	cmp trace-run/baseline.out trace-run/solo.out
 	$(PY) -m repro.obs trace --canonical trace-run/obs-solo/fig3 \
 		> trace-run/canon-1w.txt
@@ -130,7 +138,7 @@ trace-smoke:
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.9]", "kind": "kill"}]}' \
 	$(PY) -m repro.experiments fig3 --scale smoke \
 		--store sqlite:trace-run/kill.db --jobs 2 --retries 1 \
-		--trace --telemetry=trace-run/obs-kill > trace-run/kill.out
+		--telemetry=trace-run/obs-kill > trace-run/kill.out
 	cmp trace-run/baseline.out trace-run/kill.out
 	$(PY) -m repro.obs trace --check trace-run/obs-kill/fig3
 

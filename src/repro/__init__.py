@@ -83,7 +83,7 @@ from .core import (
     scaling,
 )
 from .api import build_array, build_cache, run_experiment
-from .obs import MetricsRegistry, TelemetrySession, TimeSeriesRecorder
+from .obs import TelemetrySession, TimeSeriesRecorder
 from .errors import (
     CellTimeoutError,
     ConfigurationError,
@@ -116,7 +116,7 @@ __all__ = [
     # subpackages
     "alloc", "analysis", "cache", "core", "obs", "runner", "sim", "store", "trace",
     # observability
-    "MetricsRegistry", "TelemetrySession", "TimeSeriesRecorder",
+    "TelemetrySession", "TimeSeriesRecorder",
     # stable facade
     "build_array", "build_cache", "run_experiment",
     # experiment runner

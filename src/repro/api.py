@@ -189,13 +189,14 @@ def run_experiment(name: str, *, scale: str = "scaled",
       ``keep_going`` a sweep with permanently failed cells raises
       :class:`~repro.errors.SweepError` carrying the
       :class:`~repro.runner.FailedCell` sentinels and partial results.
-    - ``telemetry`` names a directory: the run records metrics, per-cell
-      spans, per-partition time series (one sample every
+    - ``telemetry`` names a directory: the run records a trace of the
+      sweep, per-partition time series (one sample every
       ``telemetry_interval`` accesses) and, with
       ``telemetry_profile=True``, per-cell cProfile captures there, plus
       a ``manifest.json`` tying them together.  Recording never changes
       results, figure bytes, or cache keys.  Inspect with
-      ``python -m repro.obs report DIR``.
+      ``python -m repro.obs report DIR`` and ``python -m repro.obs
+      trace DIR``.
     """
     # Lazy: `repro` imports this module at package-import time, and the
     # experiment modules register themselves on first import — pulling

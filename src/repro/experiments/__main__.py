@@ -37,14 +37,14 @@ recording them in a JSON failure manifest in the store's
 the same command re-executes only the failed cells — everything else
 is served from the cache.
 
-Telemetry: ``--telemetry[=PATH]`` records a full observability trace of
-each run — metrics, per-cell spans, per-partition time series sampled
-every ``--telemetry-interval`` accesses, and (with
-``--telemetry-profile``) per-cell cProfile captures — into
-``PATH/<experiment>/`` (default: the store's ``telemetry/`` sidecar
-directory).
-Inspect with ``python -m repro.obs report DIR``.  Telemetry never
-touches stdout, figure outputs, or cache keys.
+Telemetry: ``--telemetry[=PATH]`` records what happened during each
+run — a distributed trace of the sweep (coordinator and every worker
+process), per-partition time series sampled every
+``--telemetry-interval`` accesses, and (with ``--telemetry-profile``)
+per-cell cProfile captures — into ``PATH/<experiment>/`` (default: the
+store's ``telemetry/`` sidecar directory).  Inspect with
+``python -m repro.obs report DIR`` and ``python -m repro.obs trace
+DIR``.  Telemetry never touches stdout, figure outputs, or cache keys.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ from ..runner import (
 )
 from ..store import open_store
 from .registry import experiment_names, get_experiment
-from .tableii import render_table_ii  # noqa: F401  (backward-compat export)
 
-__all__ = ["main", "render_table_ii"]
+__all__ = ["main"]
 
 
 def main(argv=None) -> int:
@@ -115,7 +114,7 @@ def main(argv=None) -> int:
                              "store's failures/ directory, and exit 1")
     parser.add_argument("--telemetry", nargs="?", const=True, default=None,
                         metavar="PATH",
-                        help="record metrics, per-cell spans and "
+                        help="record a trace of the sweep and "
                              "per-partition time series under "
                              "PATH/<experiment> (default: the store's "
                              "telemetry/<experiment> directory)")
@@ -126,16 +125,7 @@ def main(argv=None) -> int:
     parser.add_argument("--telemetry-profile", action="store_true",
                         help="additionally capture a cProfile of every "
                              "executed cell under <telemetry>/profile/")
-    parser.add_argument("--trace", action="store_true",
-                        help="record a distributed trace of each sweep "
-                             "(coordinator + every worker process) under "
-                             "<telemetry>/traces/; requires --telemetry. "
-                             "Inspect with python -m repro.obs trace DIR")
     args = parser.parse_args(argv)
-
-    if args.trace and not args.telemetry:
-        parser.error("--trace requires --telemetry (trace artifacts "
-                     "live in the telemetry run directory)")
 
     if args.figure == "all":
         # Table II leads, then the figures in order — the registry
@@ -164,8 +154,7 @@ def main(argv=None) -> int:
                 jobs=jobs, store=store, force=args.force,
                 retries=args.retries, cell_timeout=args.cell_timeout,
                 keep_going=args.keep_going, progress=progress,
-                telemetry=telemetry, trace=args.trace,
-                store_retries=args.store_retries)
+                telemetry=telemetry, store_retries=args.store_retries)
             try:
                 with session.phase("sweep") if session else nullcontext():
                     result = spec.run(spec.config(args.scale),
@@ -173,7 +162,7 @@ def main(argv=None) -> int:
                 with session.phase("render") if session else nullcontext():
                     rendered = spec.format(result)
             finally:
-                # Even a failed sweep leaves its spans and series behind
+                # Even a failed sweep leaves its trace and series behind
                 # — that record is most valuable exactly then.
                 if session is not None:
                     session.finish()
@@ -226,8 +215,7 @@ def _make_session(args, store, name):
         root = Path("telemetry")
     return TelemetrySession(root / name, experiment=name,
                             interval=args.telemetry_interval,
-                            profile=args.telemetry_profile,
-                            trace=args.trace)
+                            profile=args.telemetry_profile)
 
 
 def _write_failure_manifest(store, name, failures, progress):

@@ -4,11 +4,8 @@ The paper's core claims are *dynamic*: feedback FS holds per-partition
 occupancy near target while the scaling factors alpha_i converge
 (Figs. 3/5), and associativity stays high as partition counts grow.
 End-of-run aggregates cannot show any of that, so this package records
-what happened *during* a run, at three layers:
+what happened *during* a run:
 
-``metrics``
-    :class:`MetricsRegistry` — labeled counters, gauges and histograms
-    with deterministic JSONL export.
 ``timeseries``
     :class:`TimeSeriesRecorder` — a
     :class:`~repro.cache.events.CacheObserver` sampling per-partition
@@ -18,32 +15,38 @@ what happened *during* a run, at three layers:
     identical runs produce byte-identical series.  The cache's compiled
     access kernel inlines the recorder when subscribed and emits *no*
     observability code when it is not.
+``trace`` / ``stitch``
+    The sweep's distributed trace, the one per-cell record on disk: the
+    coordinator writes the root ``sweep`` span and one ``cell`` span
+    per :class:`~repro.runner.Cell`, every process that runs an attempt
+    appends its ``claim`` / ``execute`` / ``ack`` / ``nack`` spans, and
+    :func:`stitch` rebuilds the tree offline.  Span IDs are pure hashes
+    and every wall-clock field sits under a ``"wall"`` sub-object, so
+    the :func:`canonical` projection is byte-comparable across runs.
 ``spans``
-    :class:`RunTelemetry` — one structured span per executed
-    :class:`~repro.runner.Cell` (queued / started / retries / faults /
-    cache-hit / duration), with every wall-clock field segregated under
-    a ``"wall"`` sub-object so the deterministic part of a span stream
-    is byte-comparable across runs.
+    :class:`RunTelemetry` — the coordinator's in-memory record of the
+    sweep (one :class:`CellSpan` per cell); it writes the coordinator's
+    trace file and the manifest's cell counts.
 ``session``
     :class:`TelemetrySession` — owns the on-disk telemetry directory
-    (``metrics.jsonl``, ``spans.jsonl``, ``series/*.jsonl``,
-    ``manifest.json``), activates series recording for worker
+    (``manifest.json``, ``traces/``, ``series/``, ``lifecycle/``,
+    ``profile/``), activates series recording and tracing for worker
     processes, and stamps ``repro.__version__`` into the run manifest.
 
 Surfacing: the experiments CLI grows ``--telemetry[=PATH]``
 (:mod:`repro.experiments.__main__`), the :func:`repro.api.run_experiment`
 facade a ``telemetry=`` argument, and ``python -m repro.obs report DIR``
-renders a text dashboard (sparkline occupancy / alpha_i convergence,
-top-N slowest cells, fault/retry summary);  ``python -m repro.obs
-validate DIR`` checks every artifact against the JSONL schemas
-(:mod:`repro.obs.schema`).
+renders a text dashboard from the manifest and the stitched trace
+(sparkline occupancy / alpha_i convergence, top-N slowest cells,
+fault/retry summary);  ``python -m repro.obs validate DIR`` checks every
+artifact against the JSONL schemas (:mod:`repro.obs.schema`), and
+``python -m repro.obs trace DIR`` stitches and checks the trace.
 
 Nothing in this package is imported by the hot path at module level;
 when telemetry is off the compiled access kernels contain no obs code
 and the runner performs no telemetry calls.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .report import render_report, report_data
 from .runtime import (
     TELEMETRY_ENV,
@@ -61,21 +64,16 @@ from .spans import CellSpan, RunTelemetry
 from .stitch import (canonical, completeness, critical_path, load_trace_rows,
                      render_critical_path, render_tree, stitch)
 from .timeseries import TimeSeriesRecorder
-from .trace import (TRACE_ENV, Span, Tracer, TraceWriter, ambient_tracer,
-                    execute_span, span_id, trace_id_for)
+from .trace import (Span, Tracer, TraceWriter, ambient_tracer, execute_span,
+                    span_id, trace_id_for)
 
 __all__ = [
     "CellSpan",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RunTelemetry",
     "Span",
     "TELEMETRY_ENV",
     "TELEMETRY_INTERVAL_ENV",
     "TELEMETRY_PROFILE_ENV",
-    "TRACE_ENV",
     "TelemetrySession",
     "TimeSeriesRecorder",
     "TraceWriter",

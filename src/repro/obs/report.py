@@ -1,11 +1,16 @@
 """Text dashboard over a telemetry run directory.
 
-``python -m repro.obs report DIR`` renders, from the artifacts a
-:class:`~repro.obs.session.TelemetrySession` wrote:
+``python -m repro.obs report DIR`` renders, from the run manifest and
+the stitched trace a :class:`~repro.obs.session.TelemetrySession`
+wrote:
 
 * a run header (experiment, package version, cell counts, wall time);
-* the top-N slowest cells with attempt/retry/fault annotations;
-* a fault & retry summary grouped by error type;
+* the top-N slowest cells — by the execute time of the attempt that
+  finished them — with attempt/retry/loss annotations, taken from
+  :func:`repro.obs.stitch.critical_path`'s per-cell entries;
+* a fault & retry summary: the manifest's counts, plus failed attempts
+  grouped by error type (the ``error`` events of ``nack`` spans and the
+  ``lost`` spans);
 * per-partition sparklines of the recorded time series — occupancy
   against target, and the alpha_i convergence that Figs. 3/5 of the
   paper argue from — rendered via
@@ -23,15 +28,9 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..analysis.text_plots import sparkline
 from .schema import load_jsonl
+from .stitch import critical_path, load_trace_rows, stitch
 
 __all__ = ["render_report", "report_data"]
-
-
-def _load_jsonl(path: Path) -> List[Dict[str, Any]]:
-    """Data rows of one artifact file (schema header skipped)."""
-    if not path.is_file():
-        return []
-    return load_jsonl(path)
 
 
 def _fmt_seconds(value: Optional[float]) -> str:
@@ -51,15 +50,15 @@ def _spark(values: List[float], width: int, *,
     return sparkline(values, low=low, high=high)
 
 
-def _header_section(manifest: Dict[str, Any]) -> List[str]:
-    cells = manifest.get("cells", {})
-    wall = manifest.get("wall", {})
+def _header_section(data: Dict[str, Any]) -> List[str]:
+    cells = data["cells"]
+    wall = data["wall"]
     total_s = wall.get("total_s")
     lines = [
         "== run ==",
-        f"experiment : {manifest.get('experiment') or '(unnamed)'}",
-        f"version    : repro {manifest.get('version', '?')}",
-        f"interval   : every {manifest.get('interval', '?')} accesses",
+        f"experiment : {data['experiment'] or '(unnamed)'}",
+        f"version    : repro {data['version'] or '?'}",
+        f"interval   : every {data['interval'] or '?'} accesses",
         (f"cells      : {cells.get('total', 0)} total, "
          f"{cells.get('completed', 0)} run, {cells.get('cached', 0)} cached, "
          f"{cells.get('failed', 0)} failed"),
@@ -74,52 +73,45 @@ def _header_section(manifest: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def _slowest_section(spans: List[Dict[str, Any]], top_n: int) -> List[str]:
+def _slowest_section(slowest: List[Dict[str, Any]],
+                     top_n: int) -> List[str]:
     lines = [f"== slowest cells (top {top_n}) =="]
-    timed = [s for s in spans
-             if s.get("wall", {}).get("duration_s") is not None]
-    timed.sort(key=lambda s: (-s["wall"]["duration_s"], s.get("index", 0)))
-    if not timed:
+    if not slowest:
         lines.append("(no executed cells)")
         return lines
-    for span in timed[:top_n]:
+    for cell in slowest:
         notes = []
-        if span.get("retries"):
-            notes.append(f"{span['retries']} retries")
-        if span.get("losses"):
-            notes.append(f"{span['losses']} pool losses")
-        if span.get("status") == "failed":
+        if cell["retries"]:
+            notes.append(f"{cell['retries']} retries")
+        if cell["losses"]:
+            notes.append(f"{cell['losses']} pool losses")
+        if cell["status"] == "failed":
             notes.append("FAILED")
         suffix = f"  ({', '.join(notes)})" if notes else ""
-        lines.append(f"{_fmt_seconds(span['wall']['duration_s'])}  "
-                     f"{span.get('cell', '?')}{suffix}")
+        lines.append(f"{_fmt_seconds(cell['duration_s'])}  "
+                     f"{cell['cell']}{suffix}")
     return lines
 
 
-def _faults_section(spans: List[Dict[str, Any]]) -> List[str]:
+def _faults_section(faults: Dict[str, Any]) -> List[str]:
     lines = ["== faults & retries =="]
-    by_error: Dict[str, int] = {}
-    for span in spans:
-        for error in span.get("errors", []):
-            by_error[error] = by_error.get(error, 0) + 1
-    retries = sum(s.get("retries", 0) for s in spans)
-    losses = sum(s.get("losses", 0) for s in spans)
-    failed = [s for s in spans if s.get("status") == "failed"]
-    if not by_error and not losses:
+    by_error = faults["by_error"]
+    if not by_error and not faults["losses"]:
         lines.append("(clean run: no faults, no retries)")
         return lines
-    lines.append(f"retries={retries}  pool-losses={losses}  "
-                 f"failed-cells={len(failed)}")
-    for error in sorted(by_error):
-        lines.append(f"  {error}: {by_error[error]} failed attempt(s)")
-    for span in failed:
-        lines.append(f"  FAILED {span.get('cell', '?')} after "
-                     f"{span.get('attempts', 0)} attempt(s)")
+    lines.append(f"retries={faults['retries']}  "
+                 f"pool-losses={faults['losses']}  "
+                 f"failed-cells={faults['failed_cells']}")
+    for error, count in by_error.items():
+        lines.append(f"  {error}: {count} failed attempt(s)")
+    for cell in faults["failed"]:
+        lines.append(f"  FAILED {cell['cell']} after "
+                     f"{cell['attempts']} attempt(s)")
     return lines
 
 
 def _series_section(path: Path, width: int) -> List[str]:
-    rows = _load_jsonl(path)
+    rows = load_jsonl(path)
     lines = [f"-- {path.name} --"]
     if not rows:
         lines.append("(no samples)")
@@ -155,46 +147,55 @@ def report_data(run_dir: Union[str, Path], *,
 
     Mirrors the text sections — manifest header, slowest cells, fault
     summary, series file inventory — without any rendering, so CI can
-    assert on fields instead of scraping the dashboard text.
+    assert on fields instead of scraping the dashboard text.  Cell
+    counts come from the manifest, everything per cell from the
+    stitched trace.
     """
     root = Path(run_dir)
-    manifest: Dict[str, Any] = {}
     manifest_path = root / "manifest.json"
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    spans = _load_jsonl(root / "spans.jsonl")
-    timed = [s for s in spans
-             if s.get("wall", {}).get("duration_s") is not None]
-    timed.sort(key=lambda s: (-s["wall"]["duration_s"], s.get("index", 0)))
+    manifest: Dict[str, Any] = (
+        json.loads(manifest_path.read_text(encoding="utf-8"))
+        if manifest_path.is_file() else {})
+    counts = manifest.get("cells", {})
+    trace_files = sorted(p.name for p in (root / "traces").glob("*.jsonl"))
+    per_cell: List[Dict[str, Any]] = []
     by_error: Dict[str, int] = {}
-    for span in spans:
-        for error in span.get("errors", []):
-            by_error[error] = by_error.get(error, 0) + 1
-    series_files = sorted(p.name for p in (root / "series").glob("*.jsonl")) \
-        if (root / "series").is_dir() else []
-    trace_files = sorted(p.name for p in (root / "traces").glob("*.jsonl")) \
-        if (root / "traces").is_dir() else []
+    if trace_files:
+        tree = stitch(load_trace_rows([root]))
+        per_cell = critical_path(tree)["per_cell"]
+        for span in tree["spans"].values():
+            if span["kind"] == "nack":
+                errors = [e["error"] for e in span["events"]
+                          if e["name"] == "error"]
+            elif span["kind"] == "lost":
+                errors = [e["error_type"] for e in span["events"]]
+            else:
+                continue
+            for error in errors:
+                by_error[error] = by_error.get(error, 0) + 1
+    per_cell.sort(key=lambda c: (-c["breakdown"]["execute"], c["key"]))
     return {
         "run_dir": str(root),
         "experiment": manifest.get("experiment", ""),
         "version": manifest.get("version", ""),
-        "cells": manifest.get("cells", {}),
+        "interval": manifest.get("interval"),
+        "cells": counts,
         "wall": manifest.get("wall", {}),
         "slowest": [
-            {"cell": s.get("cell", "?"),
-             "duration_s": s["wall"]["duration_s"],
-             "retries": s.get("retries", 0),
-             "losses": s.get("losses", 0),
-             "status": s.get("status", "")}
-            for s in timed[:top_n]],
+            {"cell": c["cell"], "duration_s": c["breakdown"]["execute"],
+             "retries": c["retries"], "losses": c["losses"],
+             "status": c["status"]}
+            for c in per_cell[:top_n]],
         "faults": {
-            "retries": sum(s.get("retries", 0) for s in spans),
-            "losses": sum(s.get("losses", 0) for s in spans),
-            "failed_cells": sum(1 for s in spans
-                                if s.get("status") == "failed"),
+            "retries": counts.get("retries", 0),
+            "losses": counts.get("losses", 0),
+            "failed_cells": counts.get("failed", 0),
             "by_error": {k: by_error[k] for k in sorted(by_error)},
+            "failed": [{"cell": c["cell"], "attempts": c["attempts"]}
+                       for c in per_cell if c["status"] == "failed"],
         },
-        "series": series_files,
+        "series": sorted(
+            p.name for p in (root / "series").glob("*.jsonl")),
         "traces": trace_files,
     }
 
@@ -208,27 +209,21 @@ def render_report(run_dir: Union[str, Path], *, top_n: int = 10,
     rest are listed by name).
     """
     root = Path(run_dir)
-    manifest: Dict[str, Any] = {}
-    manifest_path = root / "manifest.json"
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    spans = _load_jsonl(root / "spans.jsonl")
-
-    sections = [_header_section(manifest)] if manifest else []
-    if spans:
-        sections.append(_slowest_section(spans, top_n))
-        sections.append(_faults_section(spans))
-
-    series_files = sorted((root / "series").glob("*.jsonl")) \
-        if (root / "series").is_dir() else []
-    if series_files:
+    data = report_data(root, top_n=top_n)
+    sections = []
+    if data["version"]:
+        sections.append(_header_section(data))
+    if data["traces"]:
+        sections.append(_slowest_section(data["slowest"], top_n))
+        sections.append(_faults_section(data["faults"]))
+    if data["series"]:
         block = ["== per-partition series =="]
-        for path in series_files[:max_series]:
-            block.extend(_series_section(path, width))
-        skipped = series_files[max_series:]
+        for name in data["series"][:max_series]:
+            block.extend(_series_section(root / "series" / name, width))
+        skipped = data["series"][max_series:]
         if skipped:
             block.append(f"(+{len(skipped)} more series files: "
-                         + ", ".join(p.name for p in skipped) + ")")
+                         + ", ".join(skipped) + ")")
         sections.append(block)
 
     if not sections:

@@ -1,11 +1,11 @@
 """Hand-rolled validators for the telemetry artifact schemas.
 
-No jsonschema dependency: each artifact kind (metrics / series / spans
-rows, the run manifest) gets a small structural checker that returns a
-list of human-readable problem strings — empty means valid.  The CI
-telemetry smoke job runs ``python -m repro.obs validate DIR`` over a
-real run, so these checkers *are* the schema documentation's executable
-form (the prose lives in EXPERIMENTS.md).
+No jsonschema dependency: each artifact kind (series / lifecycle /
+trace rows, the run manifest) gets a small structural checker that
+returns a list of human-readable problem strings — empty means valid.
+The CI telemetry smoke job runs ``python -m repro.obs validate DIR``
+over a real run, so these checkers *are* the schema documentation's
+executable form (the prose lives in EXPERIMENTS.md).
 
 Checks are exact: unexpected keys are errors, not ignored — the schemas
 are this repo's own output format, so any drift between writer and
@@ -18,6 +18,8 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple, Union
 
+from .trace import SPAN_KINDS
+
 __all__ = [
     "SCHEMA_VERSIONS",
     "header_line",
@@ -26,10 +28,8 @@ __all__ = [
     "load_jsonl",
     "validate_lifecycle_row",
     "validate_manifest",
-    "validate_metrics_row",
     "validate_run_dir",
     "validate_series_row",
-    "validate_span_row",
     "validate_trace_row",
 ]
 
@@ -38,8 +38,6 @@ __all__ = [
 #: — so readers can reject files written by an incompatible future
 #: build with a clear error instead of a KeyError three fields in.
 SCHEMA_VERSIONS = {
-    "metrics": 1,
-    "spans": 1,
     "series": 1,
     "lifecycle": 1,
     "trace": 1,
@@ -98,60 +96,6 @@ def _check_keys(row: Dict[str, Any], required: Tuple[str, ...],
     for key in row:
         if key not in required:
             problems.append(f"{where}: unexpected key {key!r}")
-    return problems
-
-
-def validate_metrics_row(row: Any, where: str = "metrics") -> List[str]:
-    """Problems with one ``metrics.jsonl`` row (empty list = valid)."""
-    if not isinstance(row, dict):
-        return [f"{where}: row must be an object, got {type(row).__name__}"]
-    kind = row.get("type")
-    if kind not in ("counter", "gauge", "histogram"):
-        return [f"{where}: 'type' must be counter/gauge/histogram, "
-                f"got {kind!r}"]
-    base = ("type", "name", "labels")
-    per_kind = {
-        "counter": base + ("value",),
-        "gauge": base + ("value",),
-        "histogram": base + ("buckets", "counts", "count", "sum"),
-    }
-    problems = _check_keys(row, per_kind[kind], where)
-    if not isinstance(row.get("name"), str) or not row.get("name"):
-        problems.append(f"{where}: 'name' must be a non-empty string")
-    labels = row.get("labels")
-    if not isinstance(labels, dict) or not all(
-            isinstance(k, str) and isinstance(v, str)
-            for k, v in labels.items()):
-        problems.append(f"{where}: 'labels' must map strings to strings")
-    if kind == "counter":
-        if not _is_int(row.get("value")) or row.get("value", 0) < 0:
-            problems.append(f"{where}: counter 'value' must be an int >= 0")
-    elif kind == "gauge":
-        if not _is_num(row.get("value")):
-            problems.append(f"{where}: gauge 'value' must be a number")
-    else:
-        buckets = row.get("buckets")
-        counts = row.get("counts")
-        if (not isinstance(buckets, list) or not buckets
-                or not all(_is_num(b) for b in buckets)):
-            problems.append(
-                f"{where}: 'buckets' must be a non-empty number list")
-        elif any(a >= b for a, b in zip(buckets, buckets[1:])):
-            problems.append(f"{where}: 'buckets' must be strictly increasing")
-        if (not isinstance(counts, list)
-                or not all(_is_int(c) and c >= 0 for c in counts)):
-            problems.append(f"{where}: 'counts' must be a list of ints >= 0")
-        elif isinstance(buckets, list) and len(counts) != len(buckets) + 1:
-            problems.append(
-                f"{where}: 'counts' must have len(buckets)+1 entries "
-                f"(+Inf overflow)")
-        if not _is_int(row.get("count")) or row.get("count", 0) < 0:
-            problems.append(f"{where}: 'count' must be an int >= 0")
-        elif isinstance(counts, list) and all(
-                _is_int(c) for c in counts) and sum(counts) != row["count"]:
-            problems.append(f"{where}: 'count' must equal sum of 'counts'")
-        if not _is_num(row.get("sum")):
-            problems.append(f"{where}: 'sum' must be a number")
     return problems
 
 
@@ -219,51 +163,8 @@ def validate_lifecycle_row(row: Any, where: str = "lifecycle") -> List[str]:
     return problems
 
 
-_SPAN_KEYS = ("index", "cell", "experiment", "key", "status", "attempts",
-              "retries", "losses", "cache_hit", "errors", "wall")
-_WALL_KEYS = ("queued_s", "started_s", "finished_s", "duration_s")
-_SPAN_STATUSES = ("ok", "cached", "failed", "pending")
-
-
-def validate_span_row(row: Any, where: str = "spans") -> List[str]:
-    """Problems with one ``spans.jsonl`` row (empty list = valid)."""
-    if not isinstance(row, dict):
-        return [f"{where}: row must be an object, got {type(row).__name__}"]
-    problems = _check_keys(row, _SPAN_KEYS, where)
-    if not _is_int(row.get("index")) or row.get("index", 0) < 0:
-        problems.append(f"{where}: 'index' must be an int >= 0")
-    for key in ("cell", "experiment", "key"):
-        if not isinstance(row.get(key), str):
-            problems.append(f"{where}: {key!r} must be a string")
-    if row.get("status") not in _SPAN_STATUSES:
-        problems.append(
-            f"{where}: 'status' must be one of {list(_SPAN_STATUSES)}")
-    for key in ("attempts", "retries", "losses"):
-        value = row.get(key)
-        if not _is_int(value) or value < 0:
-            problems.append(f"{where}: {key!r} must be an int >= 0")
-    if not isinstance(row.get("cache_hit"), bool):
-        problems.append(f"{where}: 'cache_hit' must be a bool")
-    errors = row.get("errors")
-    if not isinstance(errors, list) or not all(
-            isinstance(e, str) for e in errors):
-        problems.append(f"{where}: 'errors' must be a list of strings")
-    wall = row.get("wall")
-    if not isinstance(wall, dict):
-        problems.append(f"{where}: 'wall' must be an object")
-    else:
-        problems.extend(_check_keys(wall, _WALL_KEYS, f"{where}.wall"))
-        for key in _WALL_KEYS:
-            value = wall.get(key)
-            if value is not None and not _is_num(value):
-                problems.append(
-                    f"{where}.wall: {key!r} must be a number or null")
-    return problems
-
-
 _TRACE_KEYS = ("trace", "span", "parent", "kind", "name", "key",
                "attempt", "status", "events", "wall")
-_TRACE_KINDS = ("sweep", "cell", "claim", "execute", "ack", "nack", "lost")
 _TRACE_STATUSES = ("ok", "error", "cached", "failed", "pending")
 _TRACE_WALL_KEYS = ("start", "end", "worker")
 
@@ -281,9 +182,9 @@ def validate_trace_row(row: Any, where: str = "trace") -> List[str]:
     if parent is not None and not (isinstance(parent, str) and parent):
         problems.append(
             f"{where}: 'parent' must be a non-empty string or null")
-    if row.get("kind") not in _TRACE_KINDS:
+    if row.get("kind") not in SPAN_KINDS:
         problems.append(
-            f"{where}: 'kind' must be one of {list(_TRACE_KINDS)}")
+            f"{where}: 'kind' must be one of {list(SPAN_KINDS)}")
     for key in ("name", "key"):
         if not isinstance(row.get(key), str):
             problems.append(f"{where}: {key!r} must be a string")
@@ -363,19 +264,13 @@ def validate_manifest(doc: Any, where: str = "manifest") -> List[str]:
     else:
         # "lifecycle" and "traces" are optional: lifecycle appears only
         # for runs whose cells saw partition control-plane activity,
-        # traces only for runs recorded with tracing enabled.
-        for key in ("metrics", "spans", "series"):
-            if key not in artifacts:
-                problems.append(f"{where}.artifacts: missing key {key!r}")
+        # traces only once a sweep ran.
+        if "series" not in artifacts:
+            problems.append(f"{where}.artifacts: missing key 'series'")
         for key in artifacts:
-            if key not in ("metrics", "spans", "series", "lifecycle",
-                           "traces"):
+            if key not in ("series", "lifecycle", "traces"):
                 problems.append(
                     f"{where}.artifacts: unexpected key {key!r}")
-        for key in ("metrics", "spans"):
-            if not isinstance(artifacts.get(key), str):
-                problems.append(
-                    f"{where}.artifacts: {key!r} must be a string")
         for key in ("series", "lifecycle", "traces"):
             listed = artifacts.get(key, [])
             if not isinstance(listed, list) or not all(
@@ -447,11 +342,11 @@ def _validate_jsonl(path: Path, checker: Callable[[Any, str], List[str]],
 def validate_run_dir(path: Union[str, Path]) -> List[str]:
     """Validate every telemetry artifact of one run directory.
 
-    Checks ``manifest.json``, ``metrics.jsonl``, ``spans.jsonl``, every
-    ``series/*.jsonl`` and (when present) every ``lifecycle/*.jsonl``
-    and ``traces/*.jsonl`` — including each file's ``schema_version``
-    header — plus manifest/directory agreement on the series, lifecycle
-    and traces file lists.  Returns all problems found (empty = valid).
+    Checks ``manifest.json``, every ``series/*.jsonl`` and (when
+    present) every ``lifecycle/*.jsonl`` and ``traces/*.jsonl`` —
+    including each file's ``schema_version`` header — plus
+    manifest/directory agreement on the series, lifecycle and traces
+    file lists.  Returns all problems found (empty = valid).
     """
     root = Path(path)
     problems: List[str] = []
@@ -472,34 +367,16 @@ def validate_run_dir(path: Union[str, Path]) -> List[str]:
                 listed = artifacts.get(key, [])
                 if isinstance(listed, list):
                     actual = sorted(
-                        p.name for p in (root / key).glob("*.jsonl")
-                    ) if (root / key).is_dir() else []
+                        p.name for p in (root / key).glob("*.jsonl"))
                     if sorted(listed) != actual:
                         problems.append(
                             f"manifest.json: artifacts.{key} "
                             f"{sorted(listed)} does not match {key}/ "
                             f"contents {actual}")
-    for name, checker, kind in (
-            ("metrics.jsonl", validate_metrics_row, "metrics"),
-            ("spans.jsonl", validate_span_row, "spans")):
-        file_path = root / name
-        if not file_path.is_file():
-            problems.append(f"{name}: missing")
-        else:
+    for subdir, checker, kind in (
+            ("series", validate_series_row, "series"),
+            ("lifecycle", validate_lifecycle_row, "lifecycle"),
+            ("traces", validate_trace_row, "trace")):
+        for file_path in sorted((root / subdir).glob("*.jsonl")):
             problems.extend(_validate_jsonl(file_path, checker, kind))
-    series_dir = root / "series"
-    if series_dir.is_dir():
-        for file_path in sorted(series_dir.glob("*.jsonl")):
-            problems.extend(
-                _validate_jsonl(file_path, validate_series_row, "series"))
-    lifecycle_dir = root / "lifecycle"
-    if lifecycle_dir.is_dir():
-        for file_path in sorted(lifecycle_dir.glob("*.jsonl")):
-            problems.extend(_validate_jsonl(
-                file_path, validate_lifecycle_row, "lifecycle"))
-    traces_dir = root / "traces"
-    if traces_dir.is_dir():
-        for file_path in sorted(traces_dir.glob("*.jsonl")):
-            problems.extend(
-                _validate_jsonl(file_path, validate_trace_row, "trace"))
     return problems

@@ -5,36 +5,37 @@ experiment run::
 
     <dir>/
         manifest.json     run manifest (version, config, counts, wall)
-        metrics.jsonl     every metric series (deterministic)
-        spans.jsonl       one span per cell (wall fields under "wall")
+        traces/*.jsonl    the sweep's trace, the one per-cell record:
+                          coordinator.jsonl plus one file per worker
+                          process; see repro.obs.trace
         series/*.jsonl    per-partition time series, one file per
                           simulation a cell ran (deterministic)
         lifecycle/*.jsonl partition control-plane events (create /
                           retire / retarget), written only by cells
                           whose caches saw lifecycle activity
-        traces/*.jsonl    distributed-trace spans (``trace=True``):
-                          coordinator.jsonl plus one file per worker
-                          process; see repro.obs.trace
         profile/*.prof    optional cProfile captures (wall-clock)
 
 Used as a context manager around the runner call::
 
     with TelemetrySession(path, experiment="fig3") as session:
-        run_experiment("fig3", ..., telemetry=session.telemetry)
+        run_cells(cells, RunConfig(telemetry=session.telemetry))
 
-``__enter__`` exports the :mod:`repro.obs.runtime` environment variables
-(and creates the directory) so worker processes spawned afterwards
-record series; ``__exit__`` restores the environment and writes the
-artifacts.  The manifest separates the deterministic facts of the run
-(version, configuration, cell counts) from everything wall-clock, which
-lives under the single ``"wall"`` key — mirroring the span convention —
-so reproducibility checks can compare manifests minus ``"wall"``.
+``__enter__`` clears what an earlier run left in the four per-run
+subdirectories and exports the :mod:`repro.obs.runtime` environment
+variables, so worker processes spawned afterwards record series and
+trace spans; ``__exit__`` restores the environment and writes the
+coordinator's trace and the manifest.  The manifest separates the
+deterministic facts of the run (version, configuration, cell counts)
+from everything wall-clock, which lives under the single ``"wall"``
+key — mirroring the trace convention — so reproducibility checks can
+compare manifests minus ``"wall"``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -42,7 +43,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from .metrics import MetricsRegistry
 from .runtime import (
     DEFAULT_INTERVAL,
     TELEMETRY_ENV,
@@ -50,9 +50,11 @@ from .runtime import (
     TELEMETRY_PROFILE_ENV,
 )
 from .spans import RunTelemetry
-from .trace import TRACE_ENV
 
 __all__ = ["TelemetrySession"]
+
+#: The subdirectories one run writes into.
+_PER_RUN = ("series", "lifecycle", "profile", "traces")
 
 
 def _package_version() -> str:
@@ -65,7 +67,7 @@ class TelemetrySession:
 
     def __init__(self, path: Union[str, Path], *, experiment: str = "",
                  interval: int = DEFAULT_INTERVAL,
-                 profile: bool = False, trace: bool = False) -> None:
+                 profile: bool = False) -> None:
         if interval < 1:
             raise ConfigurationError(
                 f"sampling interval must be >= 1, got {interval}")
@@ -73,14 +75,8 @@ class TelemetrySession:
         self.experiment = experiment
         self.interval = int(interval)
         self.profile = bool(profile)
-        self.trace = bool(trace)
-        self.metrics = MetricsRegistry()
-        #: Hand this to ``run_cells(..., telemetry=...)`` to collect spans.
-        self.telemetry = RunTelemetry(self.metrics, experiment)
-        if self.trace:
-            # Points RunTelemetry.begin at traces/; activation exports
-            # $REPRO_TRACE so worker processes write their own files.
-            self.telemetry.trace_dir = self.dir / "traces"
+        #: Hand this to ``RunConfig(telemetry=...)`` to trace the sweep.
+        self.telemetry = RunTelemetry(experiment, self.dir / "traces")
         self._phases: List[Tuple[str, float]] = []
         self._saved_env: Dict[str, Optional[str]] = {}
         self._t0: Optional[float] = None
@@ -89,24 +85,21 @@ class TelemetrySession:
 
     # -- activation -----------------------------------------------------------
     def activate(self) -> "TelemetrySession":
-        """Create the directory and export the worker environment."""
+        """Clear the per-run subdirectories, create the directory and
+        export the worker environment."""
         if self._active:
             raise ConfigurationError("telemetry session is already active")
-        self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / "series").mkdir(exist_ok=True)
+        # A reused directory must not mix runs: the manifest lists what
+        # these hold, and trace files are append-mode (workers reopen
+        # them across items).
+        for name in _PER_RUN:
+            shutil.rmtree(self.dir / name, ignore_errors=True)
+        (self.dir / "series").mkdir(parents=True, exist_ok=True)
         env = {
             TELEMETRY_ENV: str(self.dir),
             TELEMETRY_INTERVAL_ENV: str(self.interval),
             TELEMETRY_PROFILE_ENV: "1" if self.profile else "0",
         }
-        if self.trace:
-            traces = self.dir / "traces"
-            traces.mkdir(exist_ok=True)
-            # Trace files are append-mode (workers reopen across
-            # items), so a fresh run must start from an empty dir.
-            for stale in sorted(traces.glob("*.jsonl")):
-                stale.unlink()
-            env[TRACE_ENV] = str(traces)
         self._saved_env = {key: os.environ.get(key) for key in env}
         os.environ.update(env)
         self._t0 = time.monotonic()
@@ -135,42 +128,19 @@ class TelemetrySession:
             self._phases.append((name, time.monotonic() - start))
 
     # -- artifacts ------------------------------------------------------------
-    def _series_files(self) -> List[str]:
-        series_dir = self.dir / "series"
-        if not series_dir.is_dir():
-            return []
-        return sorted(p.name for p in series_dir.glob("*.jsonl"))
-
-    def _lifecycle_files(self) -> List[str]:
-        lifecycle_dir = self.dir / "lifecycle"
-        if not lifecycle_dir.is_dir():
-            return []
-        return sorted(p.name for p in lifecycle_dir.glob("*.jsonl"))
-
-    def _trace_files(self) -> List[str]:
-        traces_dir = self.dir / "traces"
-        if not traces_dir.is_dir():
-            return []
-        return sorted(p.name for p in traces_dir.glob("*.jsonl"))
-
     def manifest(self) -> Dict[str, Any]:
         """The run manifest; wall-clock facts live under ``"wall"``.
 
-        The ``artifacts.lifecycle`` key appears only when a cell wrote
-        partition-lifecycle events, so runs without control-plane
-        activity produce manifests identical to pre-lifecycle ones.
+        ``artifacts`` lists the ``*.jsonl`` files of ``series/``, and of
+        ``lifecycle/`` and ``traces/`` when they have any: lifecycle
+        files appear only when a cell saw partition control-plane
+        activity, trace files only once a sweep ran.
         """
-        artifacts: Dict[str, Any] = {
-            "metrics": "metrics.jsonl",
-            "spans": "spans.jsonl",
-            "series": self._series_files(),
-        }
-        lifecycle = self._lifecycle_files()
-        if lifecycle:
-            artifacts["lifecycle"] = lifecycle
-        traces = self._trace_files()
-        if traces:
-            artifacts["traces"] = traces
+        artifacts: Dict[str, Any] = {}
+        for name in ("series", "lifecycle", "traces"):
+            files = sorted(p.name for p in (self.dir / name).glob("*.jsonl"))
+            if files or name == "series":
+                artifacts[name] = files
         return {
             "version": _package_version(),
             "experiment": self.experiment,
@@ -189,7 +159,8 @@ class TelemetrySession:
         }
 
     def finish(self) -> Path:
-        """Restore the environment and write metrics/spans/manifest."""
+        """Restore the environment and write the coordinator's trace and
+        the manifest."""
         if self._active:
             for key, value in self._saved_env.items():
                 if value is None:
@@ -198,10 +169,7 @@ class TelemetrySession:
                     os.environ[key] = value
             self._saved_env = {}
             self._active = False
-        self.metrics.export_jsonl(self.dir / "metrics.jsonl")
-        self.telemetry.write_jsonl(self.dir / "spans.jsonl")
-        if self.trace:
-            self.telemetry.write_trace()
+        self.telemetry.write_trace()
         manifest_path = self.dir / "manifest.json"
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(self.manifest(), fh, indent=2, sort_keys=True)

@@ -92,7 +92,7 @@ def load_trace_rows(sources: Sequence[Union[str, Path]],
     if not files:
         raise ConfigurationError(
             f"no trace files found under {[str(s) for s in sources]}; "
-            f"was the sweep run with --trace?")
+            f"was the sweep run with --telemetry?")
     for path in files:
         for n, row in enumerate(load_jsonl(path), start=1):
             problems = validate_trace_row(row)
@@ -346,9 +346,12 @@ def critical_path(tree: Dict[str, Any]) -> Dict[str, Any]:
     * ``queue_wait`` — the rest of the cell's window: published but
       unclaimed, or backing off between attempts.
 
-    The ``critical_cell`` is the longest cell window — the sweep cannot
-    finish before it does, so its breakdown is where optimization
-    effort pays first.
+    ``per_cell`` holds one entry per executed cell, longest window
+    first, with its status, attempts, breakdown, ``retries`` (attempts
+    whose ``nack`` scheduled a retry) and ``losses`` (attempts the
+    coordinator closed with ``lost``).  The ``critical_cell`` is its
+    head — the sweep cannot finish before that cell does, so its
+    breakdown is where optimization effort pays first.
     """
     spans = tree["spans"]
     totals = {"queue_wait": 0.0, "execute": 0.0, "retry": 0.0, "store": 0.0}
@@ -385,6 +388,10 @@ def critical_path(tree: Dict[str, Any]) -> Dict[str, Any]:
         cells.append({
             "cell": cell["name"], "key": cell["key"],
             "status": cell["status"], "attempts": cell["attempt"],
+            "retries": sum(
+                1 for r in subtree if r["kind"] == "nack" and any(
+                    e["name"] == "retry_scheduled" for e in r["events"])),
+            "losses": sum(1 for r in subtree if r["kind"] == "lost"),
             "window_s": window, "breakdown": breakdown,
         })
     cells.sort(key=lambda c: (-c["window_s"], c["key"]))
@@ -395,7 +402,7 @@ def critical_path(tree: Dict[str, Any]) -> Dict[str, Any]:
         "cells": len(cells),
         "totals": totals,
         "critical_cell": cells[0] if cells else None,
-        "slowest": cells[:5],
+        "per_cell": cells,
     }
 
 

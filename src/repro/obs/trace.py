@@ -23,16 +23,19 @@ the clock, the PID, or ``uuid4()``:
   worker counts, which the chaos tests assert literally.
 
 Wall-clock timestamps are the *point* of a trace, so they exist — but
-only under each row's ``"wall"`` sub-object, mirroring the span/manifest
+only under each row's ``"wall"`` sub-object, mirroring the manifest
 convention, and they are read through the single sanctioned
 :func:`wall_now` below.  Events carry a ``"det"`` flag: ``det=True``
 events (fault injections, error types) are facts of the computation and
 survive into the canonical projection; ``det=False`` events
 (store-retry backoffs) describe the *schedule* and are stripped.
 
-Nothing here runs unless ``$REPRO_TRACE`` is set: the runner guards
-every hook on that variable, so tracing disabled is zero code executed
-and zero artifacts written.
+Tracing follows telemetry: an active
+:class:`~repro.obs.session.TelemetrySession` sets ``$REPRO_TELEMETRY``,
+and every process writes its trace file to that directory's
+``traces/``.  Nothing here runs unless the variable is set: the runner
+guards every hook on it, so telemetry disabled is zero trace code
+executed and zero artifacts written.
 """
 
 from __future__ import annotations
@@ -51,10 +54,10 @@ from contextlib import contextmanager
 
 from ..errors import ConfigurationError
 from ..store.queue import sweep_digest
+from .runtime import TELEMETRY_ENV
 
 __all__ = [
     "SPAN_KINDS",
-    "TRACE_ENV",
     "Span",
     "TraceWriter",
     "Tracer",
@@ -69,11 +72,6 @@ __all__ = [
     "worker_name",
 ]
 
-#: Directory for ``traces/*.jsonl`` files; set by an active
-#: :class:`~repro.obs.session.TelemetrySession` with tracing enabled.
-#: Unset = tracing off everywhere (the runner's zero-overhead guard).
-TRACE_ENV = "REPRO_TRACE"
-
 #: Every span kind, in causal order.  ``sweep`` and ``cell`` are
 #: coordinator-side; ``claim``/``execute``/``ack``/``nack`` are emitted
 #: by the process that ran the attempt; ``lost`` is the coordinator's
@@ -86,7 +84,7 @@ def wall_now() -> float:
 
     Trace rows are *about* wall time, but every reading funnels through
     here and lands exclusively under a row's ``"wall"`` sub-object —
-    the same contract as cell spans and the run manifest.
+    the same contract as the run manifest.
     """
     return time.time()  # reprolint: disable=DET002,DET004
 
@@ -282,7 +280,7 @@ def add_event(name: str, det: bool = False, **fields: Any) -> None:
 
     This is the hook the fault injector and the store retry observer
     call — neither needs (or gets) a span handle, and both must cost
-    nothing when tracing is off (callers guard on ``$REPRO_TRACE``
+    nothing when tracing is off (callers guard on ``$REPRO_TELEMETRY``
     before importing this module).
     """
     with _stack_lock:
@@ -292,9 +290,10 @@ def add_event(name: str, det: bool = False, **fields: Any) -> None:
 
 
 def trace_dir() -> Optional[Path]:
-    """The ``traces/`` directory from the environment, or ``None``."""
-    raw = os.environ.get(TRACE_ENV)
-    return Path(raw) if raw else None
+    """The telemetry directory's ``traces/`` from the environment, or
+    ``None`` when telemetry is off."""
+    raw = os.environ.get(TELEMETRY_ENV)
+    return Path(raw) / "traces" if raw else None
 
 
 def ambient_tracer(trace_id: str) -> Optional[Tracer]:
@@ -302,8 +301,8 @@ def ambient_tracer(trace_id: str) -> Optional[Tracer]:
     tracing is off (or there is no trace ID).
 
     Queue items carry the trace ID across processes; the
-    output file is ``$REPRO_TRACE/<worker>.jsonl``.  Writers are cached
-    per path so one worker process appends to one file.
+    output file is ``$REPRO_TELEMETRY/traces/<worker>.jsonl``.  Writers
+    are cached per path so one worker process appends to one file.
     """
     directory = trace_dir()
     if directory is None or not trace_id:

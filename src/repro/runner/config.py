@@ -64,13 +64,9 @@ class RunConfig:
         Optional :class:`~repro.runner.Progress` stderr reporter.
     telemetry:
         Optional :class:`~repro.obs.spans.RunTelemetry` span collector.
-    trace:
-        Record a distributed trace of the sweep (``traces/*.jsonl``
-        under the telemetry directory; see :mod:`repro.obs.trace`).
-        Requires a ``telemetry`` collector wired to a
-        :class:`~repro.obs.session.TelemetrySession` constructed with
-        ``trace=True`` — the session owns the trace directory.  Off by
-        default; when off, no trace code runs and no artifacts appear.
+        A :class:`~repro.obs.session.TelemetrySession`'s collector also
+        traces the sweep into the session's ``traces/`` directory (see
+        :mod:`repro.obs.trace`).
     store_retries:
         Bounded retries for *transient* store/queue errors (SQLite
         ``database is locked``, ``EAGAIN``-family ``OSError``) in
@@ -88,7 +84,6 @@ class RunConfig:
     backoff_cap: float = 2.0  # reprolint: cli-exempt
     progress: Optional[Progress] = None  # reprolint: cli-exempt
     telemetry: Optional["RunTelemetry"] = None
-    trace: bool = False
     store_retries: int = 5
 
     def __post_init__(self) -> None:
@@ -97,11 +92,6 @@ class RunConfig:
         if self.store_retries < 0:
             raise ConfigurationError(
                 f"store_retries must be >= 0, got {self.store_retries}")
-        if self.trace and self.telemetry is None:
-            raise ConfigurationError(
-                "trace=True requires a telemetry collector "
-                "(TelemetrySession(..., trace=True).telemetry) — the "
-                "trace artifacts live in the telemetry run directory")
 
     def policy(self) -> RetryPolicy:
         """The :class:`~repro.runner.RetryPolicy` these fields define."""

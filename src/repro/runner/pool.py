@@ -51,7 +51,7 @@ import time
 from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..errors import CellTimeoutError, ConfigurationError, ReproError, WorkerError
+from ..errors import CellTimeoutError, ReproError, WorkerError
 from ..store import ExperimentStore, QueueItem, SQLiteStore
 from ..store.faults import active_plan, corrupt_cache_entries
 from ..store.queue import (LOST_ERROR_TYPE, AttemptError, ItemState,
@@ -105,10 +105,6 @@ def run_cells(cells: Sequence[Cell],
         store = wrap_store(store, cfg.store_retries)
     progress = cfg.progress
     telemetry = cfg.telemetry
-    if cfg.trace and (telemetry is None or telemetry.trace_dir is None):
-        raise ConfigurationError(
-            "trace=True but the telemetry collector has no trace "
-            "directory; construct it via TelemetrySession(..., trace=True)")
     cells = list(cells)
     keys = [cell_key(cell) for cell in cells]
     results: List[Any] = [_PENDING] * len(cells)
@@ -136,9 +132,6 @@ def run_cells(cells: Sequence[Cell],
 
     if pending:
         _Sweep(cells, keys, pending, results, cfg, store).drain(jobs)
-
-    if telemetry is not None and store is not None:
-        telemetry.store_stats(store.stats())
 
     failures = [r for r in results if isinstance(r, FailedCell)]
     if failures and not cfg.keep_going:
@@ -417,12 +410,10 @@ class _Sweep:
 
     def retried(self, i: int, failures: int, err: AttemptError) -> None:
         """Report the ``failures``-th failed attempt of a retried cell."""
-        exc = _error_of(err)
         if self.telemetry is not None:
-            self.telemetry.started(i, err.attempt)
-            self.telemetry.retried(i, err.attempt, exc)
+            self.telemetry.retried(i, err.attempt)
         if self.progress is not None:
-            self.progress.retry(self.cells[i], err.attempt, exc,
+            self.progress.retry(self.cells[i], err.attempt, _error_of(err),
                                 self.policy.delay(failures))
 
     def completed(self, i: int, state: ItemState) -> None:
@@ -455,9 +446,9 @@ class _Sweep:
         self.results[i] = value
         elapsed = state.elapsed if state else 0.0
         if self.telemetry is not None:
-            self.telemetry.started(
-                i, state.attempts + state.deaths + 1 if state else 1)
-            self.telemetry.completed(i, elapsed)
+            self.telemetry.completed(
+                i, state.attempts + state.deaths + 1 if state else 1,
+                elapsed)
         if self.progress is not None:
             self.progress.cell(self.cells[i], elapsed=elapsed)
 
@@ -471,7 +462,7 @@ class _Sweep:
             error_type=error_type, message=message, attempts=attempts,
             elapsed=round(elapsed, 3), exc=exc)
         if self.telemetry is not None:
-            self.telemetry.failed(i, exc, attempts, elapsed)
+            self.telemetry.failed(i, attempts, elapsed)
         if self.progress is not None:
             self.progress.cell(self.cells[i], failed=True)
 

@@ -67,11 +67,11 @@ _POLL = 0.05
 def _trace_event(name: str, det: bool = False, **fields: Any) -> None:
     """Forward a point event to the active trace span, if tracing is on.
 
-    The ``$REPRO_TRACE`` guard keeps the tracing-off path at one dict
-    lookup and zero imports — the zero-overhead contract of
+    The ``$REPRO_TELEMETRY`` guard keeps the telemetry-off path at one
+    dict lookup and zero imports — the zero-overhead contract of
     :mod:`repro.obs.trace`.
     """
-    if os.environ.get("REPRO_TRACE"):
+    if os.environ.get("REPRO_TELEMETRY"):
         from ..obs.trace import add_event
 
         add_event(name, det=det, **fields)
@@ -99,7 +99,7 @@ def wrap_store(store: ExperimentStore,
     plan = active_plan()
     return RetryingStore(
         store, store_retry_policy(store_retries),
-        _trace_store_retry if os.environ.get("REPRO_TRACE") else None,
+        _trace_store_retry if os.environ.get("REPRO_TELEMETRY") else None,
         plan.injector() if plan is not None else None)
 
 
@@ -129,9 +129,9 @@ def execute_attempt(key: str, cell: Cell, attempt: int,
     (``{"trace": ..., "parent": ...}``; see :mod:`repro.obs.trace`):
     with tracing on, the attempt runs inside an ``execute`` span so
     retries, faults and errors are causally attributed.  Zero trace
-    code runs without ``$REPRO_TRACE``.
+    code runs without ``$REPRO_TELEMETRY``.
     """
-    if os.environ.get("REPRO_TRACE"):
+    if os.environ.get("REPRO_TELEMETRY"):
         from ..obs.trace import execute_span
 
         with execute_span(cell.label, key, attempt, ctx):
@@ -177,7 +177,7 @@ def work_loop(queue: WorkQueue, worker: str, *,
     in-process coordinator's collection hook) runs after every item.
     Store errors that survive the retry stack propagate.
     """
-    tracing = bool(os.environ.get("REPRO_TRACE"))
+    tracing = bool(os.environ.get("REPRO_TELEMETRY"))
     if tracing:
         from ..obs.trace import ambient_tracer, set_worker, span_id, wall_now
 

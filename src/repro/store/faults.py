@@ -336,7 +336,7 @@ def inject_cell_faults(label: str, attempt: int) -> None:
     for fault in plan.for_cell(label):
         if fault.kind == "corrupt" or not fault.triggers(label, attempt):
             continue
-        if os.environ.get("REPRO_TRACE"):
+        if os.environ.get("REPRO_TELEMETRY"):
             # Which fault fired where is a deterministic fact of the
             # plan, so the trace event survives canonical projection.
             from ..obs.trace import add_event

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.experiments.__main__ import main, render_table_ii
+from repro.experiments.__main__ import main
 from repro.experiments.registry import (
     experiment_names,
     register_experiment,
     unregister,
 )
+from repro.experiments.tableii import render_table_ii
 
 
 def test_cli_choices_track_the_registry(capsys):

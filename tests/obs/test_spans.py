@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import RunTelemetry
+from repro.obs.trace import span_id
 from repro.runner import Cell, RunConfig, run_cells
 from repro.store import LocalFileStore, SQLiteStore
 
@@ -16,32 +17,29 @@ def _cells(n=3):
     return [Cell("obs-e2e", (i,), sim_cell, (64, 200, i)) for i in range(n)]
 
 
+def _facts(span):
+    """A span's deterministic facts (everything but its timings)."""
+    return (span.cell, span.key, span.status, span.attempts, span.retries,
+            span.losses)
+
+
 def test_span_requires_begin():
     with pytest.raises(ConfigurationError):
-        RunTelemetry().completed(0, 0.1)
+        RunTelemetry().completed(0, 1, 0.1)
 
 
 def test_fresh_run_spans():
     telemetry = RunTelemetry(experiment="obs-e2e")
     run_cells(_cells(), RunConfig(jobs=1, telemetry=telemetry))
-    rows = telemetry.rows()
-    assert [r["index"] for r in rows] == [0, 1, 2]
-    for row in rows:
-        assert row["status"] == "ok"
-        assert row["attempts"] == 1
-        assert row["retries"] == 0
-        assert row["cache_hit"] is False
-        assert row["errors"] == []
-        assert row["wall"]["duration_s"] is not None
-        # Wall-clock values live under "wall" and nowhere else.
-        assert set(row) == {"index", "cell", "experiment", "key", "status",
-                            "attempts", "retries", "losses", "cache_hit",
-                            "errors", "wall"}
+    assert [span.cell for span in telemetry.spans] == \
+        [cell.label for cell in _cells()]
+    for span in telemetry.spans:
+        assert (span.status, span.attempts, span.retries, span.losses) == \
+            ("ok", 1, 0, 0)
+        assert span.duration_s is not None
+        assert span.finished_s is not None
     assert telemetry.counts() == {"total": 3, "completed": 3, "cached": 0,
                                   "failed": 0, "retries": 0, "losses": 0}
-    assert telemetry.metrics.counter(
-        "runner.cells.completed", ("experiment",)).value(
-            experiment="obs-e2e") == 3
 
 
 def test_cached_run_spans(tmp_path):
@@ -49,8 +47,8 @@ def test_cached_run_spans(tmp_path):
     run_cells(_cells(), RunConfig(jobs=1, store=cache))
     telemetry = RunTelemetry()
     run_cells(_cells(), RunConfig(jobs=1, store=cache, telemetry=telemetry))
-    assert all(r["status"] == "cached" and r["cache_hit"]
-               for r in telemetry.rows())
+    assert all(span.status == "cached" and span.duration_s is None
+               for span in telemetry.spans)
     assert telemetry.counts()["cached"] == 3
 
 
@@ -61,14 +59,9 @@ def test_retried_cell_span(tmp_path):
     results = run_cells(cells, RunConfig(jobs=1, retries=2,
                                          telemetry=telemetry))
     assert results == [42]
-    (row,) = telemetry.rows()
-    assert row["status"] == "ok"
-    assert row["attempts"] == 2
-    assert row["retries"] == 1
-    assert row["errors"] == ["ValueError"]
-    assert telemetry.metrics.counter(
-        "runner.retries", ("experiment", "error")).value(
-            experiment="obs-e2e", error="ValueError") == 1
+    (span,) = telemetry.spans
+    assert (span.status, span.attempts, span.retries) == ("ok", 2, 1)
+    assert telemetry.counts()["retries"] == 1
 
 
 def test_failed_cell_span_keep_going():
@@ -77,31 +70,26 @@ def test_failed_cell_span_keep_going():
     results = run_cells(cells, RunConfig(jobs=1, retries=1, keep_going=True,
                                          telemetry=telemetry))
     assert results[:2] == [sim_cell(64, 200, 0), sim_cell(64, 200, 1)]
-    bad = telemetry.rows()[2]
-    assert bad["status"] == "failed"
-    assert bad["attempts"] == 2
-    assert bad["errors"] == ["ValueError", "ValueError"]
+    bad = telemetry.spans[2]
+    assert (bad.status, bad.attempts, bad.retries) == ("failed", 2, 1)
     counts = telemetry.counts()
     assert counts["failed"] == 1 and counts["completed"] == 2
 
 
 def test_pool_run_matches_inline_spans(tmp_path):
-    """Spans minus wall must be identical at jobs=1 and jobs=2, a
-    retried cell included."""
+    """Spans minus their timings must be identical at jobs=1 and
+    jobs=2, a retried cell included."""
     cells = _cells(4) + [Cell("obs-e2e", ("flaky",), flaky_cell,
                               (str(tmp_path), "s", 42))]
-    stripped = []
+    facts = []
     for jobs in (1, 2):
         (tmp_path / "s").unlink(missing_ok=True)
         telemetry = RunTelemetry()
         run_cells(cells, RunConfig(jobs=jobs, retries=1, backoff_base=0.001,
                                    telemetry=telemetry))
-        rows = telemetry.rows()
-        for row in rows:
-            row.pop("wall")
-        stripped.append(rows)
-    assert stripped[0][4]["errors"] == ["ValueError"]
-    assert stripped[0] == stripped[1]
+        facts.append([_facts(span) for span in telemetry.spans])
+    assert facts[0][4][2:5] == ("ok", 2, 1)
+    assert facts[0] == facts[1]
 
 
 @pytest.mark.parametrize("host", ["none", "local", "sqlite"])
@@ -120,19 +108,31 @@ def test_retried_cell_span_on_every_queue_host(tmp_path, host):
         jobs=2, store=store, retries=1, backoff_base=0.001, keep_going=True,
         telemetry=telemetry))
     assert results[2] == 42
-    flaky, bad = telemetry.rows()[2:]
-    assert (flaky["status"], flaky["attempts"], flaky["retries"],
-            flaky["errors"]) == ("ok", 2, 1, ["ValueError"])
-    assert (bad["status"], bad["attempts"], bad["retries"],
-            bad["errors"]) == ("failed", 2, 1, ["ValueError", "ValueError"])
+    flaky, bad = telemetry.spans[2:]
+    assert (flaky.status, flaky.attempts, flaky.retries) == ("ok", 2, 1)
+    assert (bad.status, bad.attempts, bad.retries) == ("failed", 2, 1)
 
 
-def test_write_jsonl_in_cell_order(tmp_path):
-    telemetry = RunTelemetry()
+def test_write_trace_in_cell_order(tmp_path):
+    """The coordinator's trace file opens with its schema header, then
+    the sweep span and one cell span per cell, in cell order."""
+    telemetry = RunTelemetry(trace_dir=tmp_path / "traces")
     run_cells(_cells(), RunConfig(jobs=2, telemetry=telemetry))
-    path = telemetry.write_jsonl(tmp_path / "spans.jsonl")
+    path = telemetry.write_trace()
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == {"artifact": "spans",
+    assert json.loads(lines[0]) == {"artifact": "trace",
                                     "schema_version": 1}
-    rows = [json.loads(line) for line in lines[1:]]
-    assert [r["index"] for r in rows] == [0, 1, 2]
+    sweep, *cells = [json.loads(line) for line in lines[1:]]
+    assert sweep["kind"] == "sweep"
+    assert [r["name"] for r in cells] == [cell.label for cell in _cells()]
+    for row, span in zip(cells, telemetry.spans):
+        assert row["span"] == span_id(telemetry.trace_id, "cell", span.key)
+        assert (row["status"], row["attempt"]) == ("ok", 1)
+
+
+def test_no_trace_without_a_trace_dir():
+    telemetry = RunTelemetry()
+    run_cells(_cells(1), RunConfig(jobs=1, telemetry=telemetry))
+    assert telemetry.trace_id == ""
+    assert telemetry.trace_context(0) is None
+    assert telemetry.write_trace() is None

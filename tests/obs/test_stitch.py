@@ -276,7 +276,7 @@ class TestLoadTraceRows:
         with pytest.raises(ConfigurationError, match="does not exist"):
             load_trace_rows([tmp_path / "nope"])
         (tmp_path / "empty").mkdir()
-        with pytest.raises(ConfigurationError, match="--trace"):
+        with pytest.raises(ConfigurationError, match="--telemetry"):
             load_trace_rows([tmp_path / "empty"])
 
     def test_malformed_row_is_reported_with_its_location(self, tmp_path):

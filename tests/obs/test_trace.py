@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.runtime import TELEMETRY_ENV
 from repro.obs.schema import load_jsonl, validate_trace_row
 from repro.obs.trace import (
     SPAN_KINDS,
-    TRACE_ENV,
     TraceWriter,
     Tracer,
     add_event,
@@ -146,28 +146,28 @@ class TestSpan:
 
 class TestAmbient:
     def test_off_without_environment(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
+        monkeypatch.delenv(TELEMETRY_ENV, raising=False)
         assert ambient_tracer("some-trace") is None
 
     def test_off_without_a_trace_id(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, str(tmp_path))
+        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
         assert ambient_tracer("") is None
 
     def test_writes_to_the_worker_named_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, str(tmp_path))
+        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
         tid = trace_id_for(["k0"])
         set_worker("worker-7")
         tracer = ambient_tracer(tid)
         assert tracer is not None and tracer.trace_id == tid
         tracer.span("claim", "cell[0]", key="k0", attempt=1).end()
-        (row,) = load_jsonl(tmp_path / "worker-7.jsonl")
+        (row,) = load_jsonl(tmp_path / "traces" / "worker-7.jsonl")
         assert row["wall"]["worker"] == "worker-7"
 
     def test_explicit_trace_id_beats_the_environment(self, tmp_path,
                                                      monkeypatch):
         """The trace ID travels only in queue items: a stale
         ``REPRO_TRACE_ID`` left in the environment is never read."""
-        monkeypatch.setenv(TRACE_ENV, str(tmp_path))
+        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_ID", trace_id_for(["env"]))
         payload_tid = trace_id_for(["payload"])
         tracer = ambient_tracer(payload_tid)
@@ -177,19 +177,19 @@ class TestAmbient:
 
 class TestExecuteSpan:
     def test_yields_none_when_tracing_is_off(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
+        monkeypatch.delenv(TELEMETRY_ENV, raising=False)
         with execute_span("cell[0]", "k0", 1) as span:
             assert span is None
 
     def test_queue_context_parents_on_the_claim_span(self, tmp_path,
                                                      monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, str(tmp_path))
+        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
         set_worker("w-exec")
         tid = trace_id_for(["k0"])
         ctx = {"trace": tid, "parent": span_id(tid, "claim", "k0", 1)}
         with execute_span("cell[0]", "k0", 1, ctx):
             pass
-        (row,) = load_jsonl(tmp_path / "w-exec.jsonl")
+        (row,) = load_jsonl(tmp_path / "traces" / "w-exec.jsonl")
         assert row["kind"] == "execute"
         assert row["parent"] == ctx["parent"]
         assert row["trace"] == tid

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.experiments.__main__ import main
 from repro.obs.schema import validate_run_dir
 from repro.obs.stitch import canonical, completeness, load_trace_rows, stitch
@@ -53,7 +51,7 @@ def traced_fleet(tmp_path, tag, *extra):
     """Run a traced fig3 queue fleet; returns the telemetry run dir."""
     obs = tmp_path / f"obs-{tag}"
     rc = main(["fig3", "--store", f"sqlite:{tmp_path}/{tag}.db",
-               "--trace", "--telemetry", str(obs), *extra])
+               "--telemetry", str(obs), *extra])
     assert rc == 0
     return obs / "fig3"
 
@@ -173,17 +171,12 @@ class TestStoreFaultTrace:
 
 class TestTracingOff:
     def test_untraced_runs_write_no_trace_artifacts(self, tmp_path,
-                                                    capsys):
-        obs = tmp_path / "obs-plain"
+                                                    capsys, monkeypatch):
+        """Tracing follows telemetry: a run without ``--telemetry``
+        writes no trace file anywhere."""
+        monkeypatch.chdir(tmp_path)
         rc = main(["fig3", "--store", f"sqlite:{tmp_path}/plain.db",
-                   "--jobs", "2", "--telemetry", str(obs)])
+                   "--jobs", "2"])
         assert rc == 0
         capsys.readouterr()
-        assert not (obs / "fig3" / "traces").exists()
-
-    def test_trace_without_telemetry_is_a_usage_error(self, tmp_path,
-                                                      capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["fig3", "--store", f"local:{tmp_path}/c", "--trace"])
-        assert err.value.code == 2
-        assert "--trace requires --telemetry" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.jsonl")) == []
