@@ -1,9 +1,9 @@
 # Convenience targets for the futility-scaling reproduction.
 
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
-	bench-regression figures figures-parallel report examples lint \
-	typecheck check clean clean-cache telemetry-smoke chaos-smoke \
-	scenario-smoke trace-smoke
+	bench-regression perfbench-smoke figures figures-parallel report \
+	examples lint typecheck check clean clean-cache telemetry-smoke \
+	chaos-smoke scenario-smoke trace-smoke
 
 # PYTHONPATH=src keeps every target usable from a bare checkout
 # (no editable install required), matching the tier-1 test invocation.
@@ -34,6 +34,13 @@ bench-regression:
 	$(PY) -m pytest -q -p no:cacheprovider \
 		benchmarks/test_simulator_throughput.py::test_benchmark_covers_every_scheme \
 		benchmarks/test_simulator_throughput.py::test_throughput_regression
+
+# Self-test of the figure-sweep benchmark (perfbench/): every workload
+# at its figures' smoke configs, timed and traced, emits every metric
+# BENCHMARK.json names.  pytest's testpaths is tests/, so tier-1 never
+# collects it.
+perfbench-smoke:
+	python3 -m pytest -q perfbench/test_perfbench.py
 
 bench-smoke:
 	REPRO_BENCH_SCALE=smoke pytest benchmarks/ --benchmark-only

@@ -78,23 +78,23 @@ def duplicated_traces(benchmark: str, n: int, length: int, *,
     random stream so duplicated threads are statistically identical but not
     lock-stepped.
     """
-    profile = get_profile(benchmark)
-    return [profile.trace(length, seed=seed + tid,
-                          addr_base=(tid + 1) * ADDRESS_SPACING, scale=scale)
-            for tid in range(n)]
+    return mixed_traces([benchmark] * n, length, scale=scale, seed=seed)
 
 
 def mixed_traces(benchmarks: Sequence[str], length: int, *,
                  scale: float = 1.0, seed: int = 0) -> List[Trace]:
     """One trace per benchmark name (repeats allowed), disjoint address
-    spaces — the Fig. 7 subject/background mixes."""
-    traces = []
-    for tid, name in enumerate(benchmarks):
-        profile = get_profile(name)
-        traces.append(profile.trace(
-            length, seed=seed + tid,
-            addr_base=(tid + 1) * ADDRESS_SPACING, scale=scale))
-    return traces
+    spaces — the Fig. 7 subject/background mixes.
+
+    The per-thread convention of every multiprogrammed figure: thread
+    ``tid`` draws seed ``seed + tid`` and lives at
+    ``(tid + 1) * ADDRESS_SPACING``.  Figures that follow it share
+    memoized traces (:meth:`repro.trace.spec.BenchmarkProfile.trace`).
+    """
+    return [get_profile(name).trace(length, seed=seed + tid,
+                                    addr_base=(tid + 1) * ADDRESS_SPACING,
+                                    scale=scale)
+            for tid, name in enumerate(benchmarks)]
 
 
 def prefill_to_targets(cache: PartitionedCache, traces: Sequence[Trace],

@@ -35,8 +35,7 @@ from ..core.schemes.futility_scaling import FutilityScalingScheme
 from ..core.schemes.partitioning_first import PartitioningFirstScheme
 from ..runner import Cell, run_cells
 from ..trace.mixing import run_insertion_rate_controlled
-from ..trace.spec import get_profile
-from .common import ADDRESS_SPACING, DEFAULT_SCALE, format_table
+from .common import DEFAULT_SCALE, duplicated_traces, format_table
 from .registry import register_experiment
 
 __all__ = ["Fig4Config", "Fig4Measurement", "Fig4Result", "cells_fig4",
@@ -93,14 +92,6 @@ class Fig4Result:
     measurements: List[Fig4Measurement]
 
 
-def _make_traces(config: Fig4Config):
-    profile = get_profile(config.benchmark)
-    return [profile.trace(config.trace_length, seed=config.seed + tid,
-                          addr_base=(tid + 1) * ADDRESS_SPACING,
-                          scale=config.workload_scale)
-            for tid in range(2)]
-
-
 def _run_one(config: Fig4Config, scheme_name: str,
              split: Tuple[float, float]) -> Fig4Measurement:
     rates = config.insertion_rates
@@ -121,8 +112,10 @@ def _run_one(config: Fig4Config, scheme_name: str,
     targets.append(config.num_lines - targets[0])
     cache = build_cache(array=array, ranking=config.ranking, scheme=scheme,
                         num_partitions=2, targets=targets)
+    traces = duplicated_traces(config.benchmark, 2, config.trace_length,
+                               scale=config.workload_scale, seed=config.seed)
     run_insertion_rate_controlled(
-        cache, _make_traces(config), list(rates), config.num_insertions,
+        cache, traces, list(rates), config.num_insertions,
         warmup_insertions=config.warmup_insertions,
         prefill=config.prefill, seed=config.seed)
     samples = [cache.stats.eviction_futility_samples(p) for p in range(2)]

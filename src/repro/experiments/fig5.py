@@ -36,8 +36,7 @@ from ..core.schemes.futility_scaling import FutilityScalingScheme
 from ..core.schemes.partitioning_first import PartitioningFirstScheme
 from ..runner import Cell, run_cells
 from ..trace.mixing import run_insertion_rate_controlled
-from ..trace.spec import get_profile
-from .common import ADDRESS_SPACING, DEFAULT_SCALE, format_table
+from .common import DEFAULT_SCALE, duplicated_traces, format_table
 from .registry import register_experiment
 
 __all__ = ["Fig5Config", "Fig5Measurement", "Fig5Result", "cells_fig5",
@@ -113,11 +112,8 @@ def _run_one(config: Fig5Config, scheme_name: str,
                         num_partitions=2,
                         targets=[half, config.num_lines - half],
                         deviation_partitions=[0])
-    profile = get_profile(config.benchmark)
-    traces = [profile.trace(config.trace_length, seed=config.seed + tid,
-                            addr_base=(tid + 1) * ADDRESS_SPACING,
-                            scale=config.workload_scale)
-              for tid in range(2)]
+    traces = duplicated_traces(config.benchmark, 2, config.trace_length,
+                               scale=config.workload_scale, seed=config.seed)
     run_insertion_rate_controlled(
         cache, traces, list(split), config.num_insertions,
         warmup_insertions=config.warmup_insertions,

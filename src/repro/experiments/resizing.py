@@ -33,8 +33,7 @@ from ..core.futility import CoarseTimestampLRURanking, LRURanking
 from ..core.schemes.base import make_scheme
 from ..runner import Cell, run_cells
 from ..trace.mixing import TraceCursor
-from ..trace.spec import get_profile
-from .common import ADDRESS_SPACING, DEFAULT_SCALE, format_table
+from .common import DEFAULT_SCALE, format_table, mixed_traces
 from .registry import register_experiment
 
 __all__ = ["ResizingConfig", "ResizingCell", "ResizingResult",
@@ -117,12 +116,9 @@ def _targets(config: ResizingConfig,
 def _run_cell(config: ResizingConfig, scheme_name: str) -> ResizingCell:
     cache = _build(config, scheme_name)
     cache.set_targets(_targets(config, config.split))
-    cursors = [
-        TraceCursor(get_profile(name).trace(
-            config.trace_length, seed=config.seed + tid,
-            addr_base=(tid + 1) * ADDRESS_SPACING,
-            scale=config.workload_scale))
-        for tid, name in enumerate(config.benchmarks)]
+    cursors = [TraceCursor(trace) for trace in mixed_traces(
+        config.benchmarks, config.trace_length,
+        scale=config.workload_scale, seed=config.seed)]
 
     def feed(count: int) -> None:
         access = cache.access

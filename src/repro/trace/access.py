@@ -36,7 +36,14 @@ def annotate_next_use(addresses: Sequence[int]) -> array:
 
 
 class Trace:
-    """An immutable single-thread L2 access trace.
+    """A single-thread L2 access trace.
+
+    The arrays are plain (mutable) ``array.array`` objects, but a trace is
+    treated as read-only: :meth:`repro.trace.spec.BenchmarkProfile.trace`
+    hands one memoized object to every caller in a process, so no consumer
+    may write to ``addresses``, ``gaps`` or ``next_use``.  Derive a new
+    trace (:meth:`slice`, :meth:`with_offset`, :meth:`concatenate`)
+    instead.
 
     Parameters
     ----------
@@ -98,8 +105,8 @@ class Trace:
                      name=name or f"{self.name}[{start}:{stop}]")
 
     def with_offset(self, offset: int, name: Optional[str] = None) -> "Trace":
-        """A copy with every address shifted by ``offset`` (gives duplicated
-        benchmark threads disjoint address spaces, as in Fig. 2's workloads)."""
+        """A copy with every address shifted by ``offset`` (a disjoint
+        address space for another thread)."""
         shifted = array("q", (a + offset for a in self.addresses))
         return Trace(shifted, self.gaps, name=name or self.name)
 

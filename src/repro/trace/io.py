@@ -1,8 +1,13 @@
 """Trace persistence.
 
-Traces can take minutes to synthesize at paper scale; these helpers store
-them as compressed ``.npz`` archives so expensive workloads are generated
-once and replayed across experiments.
+These helpers store traces as compressed ``.npz`` archives, so a workload
+can be generated once and replayed across processes and experiments.
+Synthesis itself is memoized only within a process
+(:meth:`repro.trace.spec.BenchmarkProfile.trace`).  On a 2-vCPU Xeon host
+a 200k-access trace at ``scale=1.0`` synthesizes in 0.3-0.9 s (lbm, mcf,
+cactusADM); a 2M-access paper-scale Fig. 6 trace takes 8 s (mcf), 14 s
+(cactusADM) or 43 s (lbm, whose 1.5M-deep reuses each shift most of the
+LRU stack).
 
 Format: an ``npz`` with ``addresses`` (int64), ``gaps`` (int64) and a
 ``name`` array holding the UTF-8 label.  Round-trips exactly.

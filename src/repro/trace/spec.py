@@ -34,8 +34,10 @@ of instructions per L2 access and sets each benchmark's memory intensity.
 
 from __future__ import annotations
 
+import threading
 import zlib
-from typing import Callable, Dict, List
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .access import Trace
@@ -55,6 +57,50 @@ __all__ = ["BenchmarkProfile", "BENCHMARKS", "benchmark_names",
 LINE_BYTES = 64
 KB = 1024
 MB = 1024 * KB
+
+
+#: Byte budget of the per-process trace memo (:meth:`BenchmarkProfile.trace`):
+#: one paper-scale Fig. 7 cell holds 32 x 200k accesses, about 154 MB.
+TRACE_MEMO_BYTES = 256 * 1024 * 1024
+#: What the memo charges per access: 8 B each for the address, the gap and
+#: the lazily computed next-use position.
+TRACE_MEMO_BYTES_PER_ACCESS = 24
+
+
+class _TraceMemo:
+    """Synthesized traces by key, least recently used first, evicted to
+    stay within :data:`TRACE_MEMO_BYTES`."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.traces: "OrderedDict[Tuple[object, ...], Trace]" = OrderedDict()
+        #: Total length of the retained traces.
+        self.accesses = 0
+
+    def get(self, key: Tuple[object, ...]) -> Optional[Trace]:
+        with self._lock:
+            trace = self.traces.get(key)
+            if trace is not None:
+                self.traces.move_to_end(key)
+            return trace
+
+    def put(self, key: Tuple[object, ...], trace: Trace) -> None:
+        """Retain ``trace`` as the newest entry, then drop the oldest until
+        the memo fits its budget or holds only ``trace``."""
+        with self._lock:
+            # A key already present (two threads synthesized it at once)
+            # names a trace of the same length.
+            if self.traces.pop(key, None) is None:
+                self.accesses += len(trace)
+            self.traces[key] = trace
+            while (self.accesses * TRACE_MEMO_BYTES_PER_ACCESS
+                   > TRACE_MEMO_BYTES and len(self.traces) > 1):
+                self.accesses -= len(self.traces.popitem(last=False)[1])
+
+
+#: The per-process memo behind :meth:`BenchmarkProfile.trace`; a forked
+#: worker extends its own copy.
+_MEMO = _TraceMemo()
 
 
 def lines_for_bytes(num_bytes: int) -> int:
@@ -98,9 +144,20 @@ class BenchmarkProfile:
 
     def trace(self, length: int, *, seed: int = 0, addr_base: int = 0,
               scale: float = 1.0) -> Trace:
-        """Generate a trace of ``length`` L2 accesses."""
-        return self.generator(seed=seed, addr_base=addr_base,
-                              scale=scale).generate(length)
+        """A trace of ``length`` L2 accesses, synthesized once per process.
+
+        The result is memoized under this profile and every argument, in an
+        LRU bounded by :data:`TRACE_MEMO_BYTES`, so the cells of a sweep that
+        replay one thread share one :class:`Trace` (and its cached
+        ``next_use``).  The trace is shared: callers must not mutate it.
+        """
+        key = (self, length, seed, addr_base, scale)
+        trace = _MEMO.get(key)
+        if trace is None:
+            trace = self.generator(seed=seed, addr_base=addr_base,
+                                   scale=scale).generate(length)
+            _MEMO.put(key, trace)
+        return trace
 
 
 def _depth(base: int, scale: float) -> int:

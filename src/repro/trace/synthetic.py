@@ -14,6 +14,11 @@ addresses.  Each access either touches a *new* address (with the profile's
 ``new_fraction`` — the compulsory/streaming component) or re-touches the
 address at a sampled stack depth, moving it to the top.  By construction
 the emitted trace's reuse-distance distribution matches the sampled one.
+The stack is a list whose *end* is the top (depth ``d`` is index
+``len - 1 - d``), so a new address is an append and a reuse at depth ``d``
+shifts only the ``d`` entries above it.  With the top at the front, every
+access would shift the whole stack, and synthesis would grow with the
+square of the footprint.
 
 Components available for profiles:
 
@@ -195,10 +200,9 @@ class StackDistanceGenerator:
             if depth is None or depth >= len(stack):
                 addr = next_addr
                 next_addr += 1
-                stack.insert(0, addr)
             else:
-                addr = stack.pop(depth)
-                stack.insert(0, addr)
+                addr = stack.pop(len(stack) - 1 - depth)
+            stack.append(addr)
             addresses.append(addr)
             gaps.append(gaps_model.sample())
         return Trace(addresses, gaps, name=self.name)
