@@ -1,9 +1,9 @@
 # Convenience targets for the futility-scaling reproduction.
 
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
-	bench-regression perfbench-smoke figures figures-parallel report \
-	examples lint typecheck check clean clean-cache telemetry-smoke \
-	chaos-smoke scenario-smoke trace-smoke
+	bench-regression perfbench-smoke perfbench-pins figures \
+	figures-parallel report examples lint typecheck check clean \
+	clean-cache telemetry-smoke chaos-smoke scenario-smoke trace-smoke
 
 # PYTHONPATH=src keeps every target usable from a bare checkout
 # (no editable install required), matching the tier-1 test invocation.
@@ -41,6 +41,30 @@ bench-regression:
 # collects it.
 perfbench-smoke:
 	python3 -m pytest -q perfbench/test_perfbench.py
+
+# Bench-scale byte identity: a traced run of each workload must pass
+# every check and match every digest and count perfbench/reference.json
+# pins (perfbench itself only reports a pin mismatch).  The workloads
+# are that file's "pins" keys, so a newly pinned one is gated too.  A
+# deliberate re-golden updates those pins in the same change.  About a
+# minute.
+PINNED := python3 -c 'import json; \
+print(" ".join(json.load(open("perfbench/reference.json"))["pins"]))'
+
+PINS_OK := python3 -c 'import json, sys; \
+out = json.loads(sys.stdin.read().splitlines()[-1]); \
+bad = out["metrics"]["bench.pin_mismatches"]["value"]; \
+print("%s: correct %s, %d pin mismatches" % (sys.argv[1], out["correct"], bad)); \
+sys.exit(0 if out["correct"] and bad == 0 else 1)'
+
+perfbench-pins:
+	mkdir -p .perfbench-work
+	workloads=$$($(PINNED)) && test -n "$$workloads" && \
+	for w in $$workloads; do \
+		python3 perfbench/run.py --workload $$w --trace 1 \
+			| tee .perfbench-work/pins-$$w.out; \
+		$(PINS_OK) $$w < .perfbench-work/pins-$$w.out || exit 1; \
+	done
 
 bench-smoke:
 	REPRO_BENCH_SCALE=smoke pytest benchmarks/ --benchmark-only

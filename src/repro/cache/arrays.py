@@ -33,6 +33,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ._util_arrays import check_geometry
 from .hashing import H3Hash, IndexHash, make_hash
@@ -191,38 +193,70 @@ class RandomCandidatesArray(CacheArray):
     This array realizes the paper's Uniformity Assumption *exactly* and is
     what Section IV's experiments run on ("a 2MB random candidates cache").
     Any line may hold any address.
+
+    ``candidates`` returns the first R distinct values of
+    ``randrange(num_lines)`` drawn from ``random.Random(seed)``, each call
+    continuing the stream where the last one stopped.  ``randrange(n)``
+    takes the top ``n.bit_length()`` bits of one Mersenne Twister word per
+    try and rejects tries ``>= n``; one ``getrandbits(32 * B)`` call
+    returns the next B words, lowest first.  So the array draws the words
+    in blocks, shifts and filters them at once, and buffers the accepted
+    values: the same stream, without a Python call per draw
+    (``tests/cache/test_arrays.py`` pins it against ``randrange``).
     """
+
+    #: Mersenne Twister words per buffer refill (16 KiB): at 4096 lines and
+    #: R = 16, one refill serves about 128 calls.
+    BLOCK_WORDS = 4096
 
     def __init__(self, num_lines: int, candidate_count: int, *,
                  seed: int = 0) -> None:
+        if num_lines >= 1 << 32:
+            raise ConfigurationError(
+                f"num_lines {num_lines} needs more than one 32-bit random "
+                f"word per draw (at most 2**32 - 1 lines)")
         if candidate_count > num_lines:
             raise ConfigurationError(
                 f"candidate_count {candidate_count} exceeds num_lines {num_lines}")
         super().__init__(num_lines, candidate_count)
         self._rng = random.Random(seed)
-        # randrange(n) resolves to _randbelow_with_getrandbits: draw
-        # n.bit_length() bits, reject draws >= n.  candidates() inlines that
-        # loop (same RNG call sequence, so historical streams replay
-        # byte-identically) to skip the per-draw wrapper overhead;
-        # tests/cache/test_arrays.py pins the sequence against randrange.
-        self._draw_bits = self.num_lines.bit_length()
+        self._shift = 32 - self.num_lines.bit_length()
+        #: Accepted draws; ``_buf[_pos:]`` are not yet handed out.
+        self._buf: List[int] = []
+        self._pos = 0
+
+    def _refill(self) -> List[int]:
+        """Replace the (used-up) buffer with one block's accepted draws."""
+        words = self._rng.getrandbits(32 * self.BLOCK_WORDS).to_bytes(
+            4 * self.BLOCK_WORDS, "little")
+        drawn = np.frombuffer(words, "<u4") >> self._shift
+        self._buf = drawn[drawn < self.num_lines].tolist()
+        return self._buf
 
     def candidates(self, addr: int) -> List[int]:
-        getrandbits = self._rng.getrandbits
-        n = self.num_lines
-        k = self._draw_bits
         want = self.candidate_count
-        picked: List[int] = []
-        append = picked.append
+        buf = self._buf
+        pos = self._pos
+        end = pos + want
+        if end <= len(buf):
+            picked = buf[pos:end]
+            if len(set(picked)) == want:
+                self._pos = end
+                return picked
+        # A repeat among the next R draws, or too few buffered: dedup in
+        # stream order, refilling when the buffer runs out.
+        picked = []
         seen: set = set()
-        add = seen.add
         while len(picked) < want:
-            idx = getrandbits(k)
-            while idx >= n:
-                idx = getrandbits(k)
+            if pos == len(buf):
+                buf = self._refill()
+                pos = 0
+            idx = buf[pos]
+            pos += 1
             if idx not in seen:
-                add(idx)
-                append(idx)
+                seen.add(idx)
+                picked.append(idx)
+        self._pos = pos
         return picked
 
 

@@ -37,7 +37,8 @@ class TraceCursor:
     annotation OPT rankings need.  ``wraps`` counts completed passes.
     """
 
-    __slots__ = ("trace", "position", "wraps", "_next_use")
+    __slots__ = ("trace", "position", "wraps", "_addresses", "_gaps",
+                 "_next_use", "_length")
 
     def __init__(self, trace: Trace, *, with_next_use: bool = False) -> None:
         if len(trace) == 0:
@@ -45,27 +46,30 @@ class TraceCursor:
         self.trace = trace
         self.position = 0
         self.wraps = 0
+        # Held directly so next() makes no attribute or __len__ call on
+        # the trace per access.
+        self._addresses = trace.addresses
+        self._gaps = trace.gaps
         self._next_use = trace.next_use if with_next_use else None
+        self._length = len(trace.addresses)
 
     def next(self) -> Tuple[int, Optional[int], int]:
         """Advance one access: ``(address, next_use, gap)``."""
         i = self.position
-        trace = self.trace
-        addr = trace.addresses[i]
-        gap = trace.gaps[i]
-        next_use = None
-        if self._next_use is not None:
+        next_use = self._next_use
+        if next_use is not None:
             # Offset by completed passes so keys stay monotone across wraps.
-            next_use = self._next_use[i] + self.wraps * len(trace)
-        self.position += 1
-        if self.position >= len(trace):
+            next_use = next_use[i] + self.wraps * self._length
+        if i + 1 == self._length:
             self.position = 0
             self.wraps += 1
-        return addr, next_use, gap
+        else:
+            self.position = i + 1
+        return self._addresses[i], next_use, self._gaps[i]
 
     @property
     def total_accesses(self) -> int:
-        return self.wraps * len(self.trace) + self.position
+        return self.wraps * self._length + self.position
 
 
 def interleave_round_robin(traces: Sequence[Trace], length: int, *,

@@ -1,11 +1,13 @@
 """Tests for the cache array organizations."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cache.arrays as arrays_module
 from repro.cache.arrays import (
     INVALID,
     DirectMappedArray,
@@ -157,6 +159,44 @@ class TestRandomCandidates:
         a = RandomCandidatesArray(32, 4, seed=2)
         a.place(999, 17)
         assert a.lookup(999) == 17
+
+    @pytest.mark.parametrize("num_lines,want,seed", [
+        (4096, 16, 0),        # randrange draws 13 bits: half rejected
+        (3000, 16, 3),        # not a power of two
+        (2048, 32, 1),        # about one call in five repeats a draw
+        (16, 16, 2),          # every call is a permutation
+        (1, 1, 0),
+        (4096, 16, 2**40 + 7),
+    ])
+    def test_stream_matches_randrange(self, num_lines, want, seed):
+        """Each call returns the first ``want`` distinct values of
+        ``randrange(num_lines)`` drawn from ``random.Random(seed)``,
+        continuing the stream where the previous call stopped."""
+        a = RandomCandidatesArray(num_lines, want, seed=seed)
+        rng = random.Random(seed)
+        # Enough calls to cross several buffer refills at every point.
+        for call in range(max(1000, 20_000 // want)):
+            expected = []
+            while len(expected) < want:
+                idx = rng.randrange(num_lines)
+                if idx not in expected:
+                    expected.append(idx)
+            assert list(a.candidates(call)) == expected, call
+
+    def test_rejects_lines_beyond_one_word(self, monkeypatch):
+        """2**32 lines would need two Mersenne Twister words per draw; the
+        array refuses the geometry before allocating its line table."""
+        def no_table(num_lines):
+            raise AssertionError(f"allocated a {num_lines}-line table")
+        monkeypatch.setattr(arrays_module, "LineTable", no_table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError):
+                RandomCandidatesArray(2**32, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSkewAssociative:

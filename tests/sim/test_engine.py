@@ -9,7 +9,7 @@ from repro.core.schemes.full_assoc import FullAssocScheme
 from repro.core.schemes.partitioning_first import PartitioningFirstScheme
 from repro.core.schemes.unpartitioned import UnpartitionedScheme
 from repro.errors import ConfigurationError
-from repro.sim.config import TABLE_II
+from repro.sim.config import TABLE_II, SystemConfig
 from repro.sim.engine import (
     MultiprogramSimulator,
     ThreadResult,
@@ -140,6 +140,50 @@ class TestMultiprogrammed:
         result = MultiprogramSimulator(cache, [trace],
                                        instruction_limit=200).run()
         assert result.threads[0].accesses == 20
+
+
+class TestPinnedRun:
+    """A 3-thread OPT run pinned bit for bit.  No figure reaches these
+    paths (write marking, the in-engine L1, next-use offsets over many
+    wraps), so the golden hashes cannot guard them."""
+
+    # Footprints above the 16-line L1, traces of 31/37/17 accesses that
+    # each wrap at least 5 times, and a CPI and channel width that make
+    # every cycle count inexact in binary.
+    CONFIG = SystemConfig(l1_size_kb=1, cpi_base=0.7,
+                          memory_bandwidth_gbps=3.0)
+
+    @staticmethod
+    def run(model_l1):
+        traces = [Trace([base + (i * step) % mod for i in range(n)],
+                        gaps=[3 + (i * 5) % gap_mod for i in range(n)])
+                  for base, step, mod, n, gap_mod in (
+                      (0, 7, 23, 31, 11), (1000, 5, 29, 37, 7),
+                      (2000, 3, 13, 17, 13))]
+        cache = PartitionedCache(SetAssociativeArray(32, 4), OPTRanking(),
+                                 PartitioningFirstScheme(), 3)
+        sim = MultiprogramSimulator(
+            cache, traces, TestPinnedRun.CONFIG, instruction_limit=1500,
+            write_fractions=[0.3, 0.0, 0.6], model_l1=model_l1, seed=11)
+        result = sim.run()
+        return ([(t.thread, t.instructions, t.cycles.hex(), t.accesses,
+                  t.misses) for t in result.threads],
+                result.total_cycles.hex(), sim.memory.requests,
+                sim.memory.writebacks, sim.nuca.accesses)
+
+    def test_opt_writes_and_wraps(self):
+        assert self.run(model_l1=False) == (
+            [(0, 1506, "0x1.830b44444442ap+15", 186, 134),
+             (1, 1505, "0x1.2081333333328p+16", 252, 202),
+             (2, 1514, "0x1.b16644444444bp+14", 176, 71)],
+            "0x1.2081333333328p+16", 589, 202, 1065)
+
+    def test_opt_writes_and_wraps_with_l1(self):
+        assert self.run(model_l1=True) == (
+            [(0, 1506, "0x1.c1f177777777cp+14", 186, 109),
+             (1, 1505, "0x1.3e7e666666662p+15", 252, 161),
+             (2, 1514, "0x1.24ad55555555dp+12", 176, 13)],
+            "0x1.3e7e666666662p+15", 328, 51, 431)
 
 
 class TestInEngineL1:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.arrays import RandomCandidatesArray
 from repro.cache.cache import PartitionedCache
-from repro.core.futility import LRURanking
+from repro.core.futility import LRURanking, OPTRanking
 from repro.core.schemes.partitioning_first import PartitioningFirstScheme
 from repro.errors import ConfigurationError, TraceError
 from repro.trace.access import Trace
@@ -125,3 +125,41 @@ class TestInsertionRateControl:
             [0.5, 0.5], 200, seed=2)
         assert len(issued) == 2
         assert sum(issued) >= 200
+
+    def test_opt_feed_matches_trace_cursor(self):
+        """Through prefill, warmup and the measured phase, the driver hands
+        the cache exactly the ``(addr, part, next_use)`` stream that one
+        TraceCursor per thread yields, wrap offsets included, and
+        ``issued`` counts the accesses after the prefill."""
+        # Footprints of 29 and 17 lines against targets of 20 and 12, so
+        # neither thread settles into all hits.
+        traces = [Trace([(i * 7) % 29 for i in range(31)]),
+                  Trace([10**6 + (i * 3) % 17 for i in range(19)])]
+        cache = PartitionedCache(RandomCandidatesArray(32, 8, seed=4),
+                                 OPTRanking(), PartitioningFirstScheme(), 2)
+        cache.set_targets([20, 12])
+        kernel, reset = cache.access, cache.reset_stats
+        fed, resets = [], []
+
+        def access(addr, part, next_use=None, **kwargs):
+            fed.append((addr, part, next_use))
+            return kernel(addr, part, next_use, **kwargs)
+
+        def reset_stats():
+            resets.append(len(fed))
+            reset()
+        cache.access, cache.reset_stats = access, reset_stats
+        issued = run_insertion_rate_controlled(
+            cache, traces, [0.7, 0.3], 300, warmup_insertions=50,
+            prefill=True, seed=9)
+
+        cursors = [TraceCursor(t, with_next_use=True) for t in traces]
+        expected = []
+        for _addr, part, _next_use in fed:
+            addr, next_use, _gap = cursors[part].next()
+            expected.append((addr, part, next_use))
+        assert fed == expected
+        assert all(c.wraps >= 3 for c in cursors)
+        assert len(resets) == 2     # after the prefill, after the warmup
+        measured = [part for _, part, _ in fed[resets[0]:]]
+        assert issued == [measured.count(0), measured.count(1)]
