@@ -3,7 +3,7 @@
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
 	bench-regression perfbench-smoke perfbench-pins figures \
 	figures-parallel report examples lint typecheck check clean \
-	clean-cache telemetry-smoke chaos-smoke scenario-smoke trace-smoke
+	clean-cache telemetry-smoke chaos-smoke trace-smoke
 
 # PYTHONPATH=src keeps every target usable from a bare checkout
 # (no editable install required), matching the tier-1 test invocation.
@@ -91,21 +91,6 @@ telemetry-smoke:
 	$(PY) -m repro.obs report telemetry-run/obs/fig6 \
 		--out telemetry-run/obs/fig6/report.txt
 	cat telemetry-run/obs/fig3/report.txt telemetry-run/obs/fig6/report.txt
-
-# Local mirror of the CI scenario job: the lifecycle scenario suite
-# (tenant churn + phase change) under telemetry, byte-compared across
-# --jobs, with every artifact — including the new lifecycle/*.jsonl
-# control-plane logs — validated against repro.obs.schema.
-scenario-smoke:
-	rm -rf scenario-run && mkdir -p scenario-run
-	$(PY) -m repro.experiments scenarios --scale smoke --jobs 1 \
-		--no-cache > scenario-run/baseline.out
-	$(PY) -m repro.experiments scenarios --scale smoke --jobs 2 \
-		--store local:scenario-run/cache \
-		--telemetry=scenario-run/obs > scenario-run/telemetry.out
-	cmp scenario-run/baseline.out scenario-run/telemetry.out
-	$(PY) -m repro.obs validate scenario-run/obs/scenarios
-	test -n "$$(ls scenario-run/obs/scenarios/lifecycle/*.jsonl)"
 
 # Asserts that every row of a store's work queue is done on its first
 # attempt: no retries, no dead workers, nothing failed or unfinished.

@@ -9,13 +9,6 @@ from .policies import (
     StaticPolicy,
     UtilityBasedPolicy,
 )
-from .reapportion import (
-    FairnessReapportionPolicy,
-    PhaseAwareReapportionPolicy,
-    ReapportionController,
-    ReapportionPolicy,
-    UCPReapportionPolicy,
-)
 
 __all__ = [
     "AllocationPolicy",
@@ -25,9 +18,4 @@ __all__ = [
     "UtilityBasedPolicy",
     "UtilityMonitor",
     "profile_miss_curve",
-    "ReapportionPolicy",
-    "UCPReapportionPolicy",
-    "PhaseAwareReapportionPolicy",
-    "FairnessReapportionPolicy",
-    "ReapportionController",
 ]

@@ -25,11 +25,10 @@ __all__ = ["UtilityMonitor", "profile_miss_curve"]
 class UtilityMonitor:
     """Single-pass reuse-distance (stack-distance) profiler."""
 
-    def __init__(self, *, sampling: int = 1, seed_mask: int = 0) -> None:
+    def __init__(self, *, sampling: int = 1) -> None:
         if sampling < 1:
             raise ConfigurationError(f"sampling must be >= 1, got {sampling}")
         self.sampling = int(sampling)
-        self.seed_mask = int(seed_mask)
         self._last_seq: Dict[int, int] = {}
         self._stack = SortedKeyList()
         self._seq = 0
@@ -41,7 +40,7 @@ class UtilityMonitor:
     def _monitored(self, addr: int) -> bool:
         if self.sampling == 1:
             return True
-        return (addr ^ self.seed_mask) % self.sampling == 0
+        return addr % self.sampling == 0
 
     def access(self, addr: int) -> Optional[int]:
         """Record one access; returns its stack distance (None if cold or
@@ -64,18 +63,6 @@ class UtilityMonitor:
         self._stack.add(seq)
         self.histogram[distance] = self.histogram.get(distance, 0) + 1
         return distance
-
-    def reset(self) -> "UtilityMonitor":
-        """Forget all profiled history (epoch/windowed re-apportioning:
-        each epoch's curve reflects only that epoch's accesses); returns
-        self for chaining."""
-        self._last_seq = {}
-        self._stack = SortedKeyList()
-        self._seq = 0
-        self.histogram = {}
-        self.cold_misses = 0
-        self.accesses = 0
-        return self
 
     def consume(self, trace: Trace) -> "UtilityMonitor":
         """Profile an entire trace; returns self for chaining."""

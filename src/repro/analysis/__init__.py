@@ -9,17 +9,13 @@ from .associativity import (
     worst_case_cdf,
 )
 from .metrics import (
-    antt,
     fairness,
     geometric_mean,
     harmonic_mean_speedup,
     mpki,
     normalized,
-    slowdowns,
     speedups,
-    stp,
     throughput,
-    unfairness_factor,
     weighted_speedup,
 )
 from .report import build_report
@@ -51,10 +47,6 @@ __all__ = [
     "fairness",
     "mpki",
     "normalized",
-    "slowdowns",
-    "unfairness_factor",
-    "stp",
-    "antt",
     "build_report",
     "sparkline",
     "ascii_chart",

@@ -15,8 +15,7 @@ from ..errors import ConfigurationError
 
 __all__ = ["speedups", "weighted_speedup", "throughput",
            "harmonic_mean_speedup", "geometric_mean", "fairness",
-           "mpki", "normalized",
-           "slowdowns", "unfairness_factor", "stp", "antt"]
+           "mpki", "normalized"]
 
 
 def _check_same_length(a: Sequence[float], b: Sequence[float]) -> None:
@@ -89,52 +88,3 @@ def normalized(values: Sequence[float], reference: float) -> List[float]:
         raise ConfigurationError("reference must be positive")
     return [v / reference for v in values]
 
-
-# -- slowdown-based fairness metrics (scenario suite) -------------------------
-#
-# The lifecycle scenarios report fairness in the slowdown vocabulary of the
-# QoS literature (STP/ANTT as in Eyerman & Eeckhout, unfairness as the
-# max/min slowdown spread): each tenant's slowdown is its cost per access
-# sharing the cache divided by its cost running alone in the same cache.
-
-
-def slowdowns(shared_cpis: Sequence[float],
-              alone_cpis: Sequence[float]) -> List[float]:
-    """Per-tenant ``CPI_shared / CPI_alone`` (>= 1 when sharing hurts)."""
-    _check_same_length(shared_cpis, alone_cpis)
-    out = []
-    for shared, alone in zip(shared_cpis, alone_cpis):
-        if alone <= 0:
-            raise ConfigurationError("alone CPI must be positive")
-        out.append(shared / alone)
-    return out
-
-
-def unfairness_factor(slowdown_values: Sequence[float]) -> float:
-    """Max/min slowdown: 1 is perfectly fair, larger is less fair."""
-    if not slowdown_values:
-        raise ConfigurationError("slowdowns must not be empty")
-    low = min(slowdown_values)
-    if low <= 0:
-        raise ConfigurationError("slowdowns must be positive")
-    return max(slowdown_values) / low
-
-
-def stp(slowdown_values: Sequence[float]) -> float:
-    """System throughput: sum of per-tenant ``1 / slowdown``.
-
-    Equals the tenant count when sharing is free; lower means the mix as
-    a whole lost throughput to contention.
-    """
-    if not slowdown_values:
-        raise ConfigurationError("slowdowns must not be empty")
-    if any(v <= 0 for v in slowdown_values):
-        raise ConfigurationError("slowdowns must be positive")
-    return sum(1.0 / v for v in slowdown_values)
-
-
-def antt(slowdown_values: Sequence[float]) -> float:
-    """Average normalized turnaround time: arithmetic mean slowdown."""
-    if not slowdown_values:
-        raise ConfigurationError("slowdowns must not be empty")
-    return sum(slowdown_values) / len(slowdown_values)

@@ -135,17 +135,6 @@ class PartitionedCache:
         self.actual_sizes: List[int] = [0] * self.num_partitions
         self.targets: List[int] = [0] * self.num_partitions
         self._resident = 0
-        #: Partition lifecycle state (control plane): retired partitions
-        #: accept no insertions; their resident lines are *orphans* drained
-        #: by normal replacement.  Mutated in place — the compiled kernel
-        #: binds this list by identity when any partition is retired.
-        self._retired: List[bool] = [False] * self.num_partitions
-        #: Ordered record of control-plane operations (create / retire /
-        #: retarget), each entry a plain dict.  The scenario engine stamps
-        #: access counts onto these; telemetry exports them as the
-        #: ``lifecycle`` artifact.
-        self.lifecycle_log: List[dict] = []
-        self._in_lifecycle = False
         #: True when the most recent replacement evicted a dirty line (the
         #: timing engine reads this to charge writeback bandwidth).
         self.writeback_pending = False
@@ -211,96 +200,6 @@ class PartitionedCache:
         # Rankings may swap internal buffers on retarget (coarse-TS rebuilds
         # its period table); recompile so the kernel sees the new ones.
         self._rebuild_kernel()
-        if self._ready and not self._in_lifecycle:
-            self._log_lifecycle("retarget", -1)
-
-    # -- partition control plane ----------------------------------------------
-    def _log_lifecycle(self, kind: str, part: int) -> None:
-        self.lifecycle_log.append({
-            "seq": len(self.lifecycle_log), "event": kind, "part": part,
-            "targets": list(self.targets)})
-        for handler in self.events.lifecycle:
-            handler(kind, part)
-
-    def create_partition(self, target: int = 0) -> int:
-        """Add a partition (tenant arrival) and return its id.
-
-        The lowest-numbered retired slot that has fully drained is reused
-        (deterministically); otherwise every per-partition structure — the
-        cache's own accounting, the ranking(s), the scheme and the
-        statistics — grows by one zeroed slot and the kernel is recompiled
-        for the new partition count.  ``target`` is the new partition's
-        initial line target; other targets are untouched (call
-        :meth:`set_targets` to re-apportion).
-        """
-        target = int(target)
-        if target < 0:
-            raise ConfigurationError(f"target must be >= 0, got {target}")
-        for p in range(self.num_partitions):
-            if self._retired[p] and self.actual_sizes[p] == 0:
-                self._retired[p] = False
-                targets = list(self.targets)
-                targets[p] = target
-                self._apply_targets(targets)
-                self._log_lifecycle("create", p)
-                return p
-        part = self.num_partitions
-        self.num_partitions = part + 1
-        self.actual_sizes.append(0)
-        self._retired.append(False)
-        targets = list(self.targets) + [target]
-        self.ranking.add_partition()
-        if self._separate_reference:
-            self.reference.add_partition()
-        self.scheme.add_partition()
-        self.stats.add_partition()
-        self._apply_targets(targets)
-        self._log_lifecycle("create", part)
-        return part
-
-    def retire_partition(self, part: int) -> None:
-        """Retire partition ``part`` (tenant departure): no flush.
-
-        The partition's target drops to 0 and further insertions into it
-        raise; its resident lines become *orphans* that every
-        replacement-based scheme drains through normal eviction pressure
-        (a zero-target partition is maximally oversized).  A drained
-        retired slot is reused by the next :meth:`create_partition`.
-        """
-        if not 0 <= part < self.num_partitions:
-            raise ConfigurationError(
-                f"partition {part} out of range (0..{self.num_partitions - 1})")
-        if self._retired[part]:
-            raise ConfigurationError(f"partition {part} is already retired")
-        if sum(1 for r in self._retired if not r) <= 1:
-            raise ConfigurationError(
-                "cannot retire the last active partition")
-        self._retired[part] = True
-        targets = list(self.targets)
-        targets[part] = 0
-        try:
-            self._apply_targets(targets)
-        except Exception:
-            self._retired[part] = False
-            self._rebuild_kernel()
-            raise
-        self._log_lifecycle("retire", part)
-
-    def _apply_targets(self, targets: Sequence[int]) -> None:
-        """``set_targets`` without the standalone retarget log entry."""
-        self._in_lifecycle = True
-        try:
-            self.set_targets(targets)
-        finally:
-            self._in_lifecycle = False
-
-    def is_retired(self, part: int) -> bool:
-        """Whether ``part`` is retired (draining or drained)."""
-        return self._retired[part]
-
-    def active_partitions(self) -> List[int]:
-        """Ids of partitions currently accepting insertions."""
-        return [p for p in range(self.num_partitions) if not self._retired[p]]
 
     def reset_stats(self) -> None:
         """Clear statistics (e.g. after cache warm-up)."""
@@ -737,15 +636,6 @@ class PartitionedCache:
         emit("    if addr < 0:")
         emit("        raise ConfigurationError(")
         emit("            'addresses must be non-negative, got %d' % addr)")
-        # The retired-partition guard is emitted only while a retired
-        # partition exists, so a cache that never sees a lifecycle event
-        # compiles byte-identical kernel source (the golden-hash gate).
-        if any(self._retired):
-            ns["retired"] = self._retired
-            emit("    if retired[part]:")
-            emit("        raise ConfigurationError(")
-            emit("            'partition %d is retired and accepts no "
-                 "insertions' % part)")
         if fast_stats is not None:
             ext(stats_access("    ", "misses"))
         if ts_obs is not None:
@@ -938,6 +828,3 @@ class PartitionedCache:
                 f"ranking size mismatch for partition {p}")
             if self._separate_reference:
                 assert self.reference.partition_size(p) == sizes[p]
-            if self._retired[p]:
-                assert self.targets[p] == 0, (
-                    f"retired partition {p} has non-zero target")

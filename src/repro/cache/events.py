@@ -34,11 +34,6 @@ Event vocabulary (all ``part`` values are partition ids):
 ``flush(idx, part, dirty)``
     A line was forcibly invalidated outside the replacement path
     (placement-scheme resizes).
-``lifecycle(kind, part)``
-    The partition set or target vector changed outside the access path:
-    ``kind`` is ``"create"``, ``"retire"`` or ``"retarget"`` and ``part``
-    is the affected partition (``-1`` for whole-vector retargets).
-    Observers holding per-partition buffers grow them here.
 
 Subscription changes notify the owning cache (via ``on_change``) so it can
 rebuild its compiled access kernel with the new handler tuples.
@@ -83,9 +78,6 @@ class CacheObserver:
     def on_cache_flush(self, idx: int, part: int, dirty: int) -> None:
         """Line ``idx`` was forcibly invalidated (not an eviction)."""
 
-    def on_cache_lifecycle(self, kind: str, part: int) -> None:
-        """The partition set changed: ``kind`` in create/retire/retarget."""
-
 
 #: (event name, handler method name) — the bus exposes one handler tuple
 #: attribute per event name.
@@ -96,18 +88,16 @@ _EVENTS: Tuple[Tuple[str, str], ...] = (
     ("insert", "on_cache_insert"),
     ("relocate", "on_cache_relocate"),
     ("flush", "on_cache_flush"),
-    ("lifecycle", "on_cache_lifecycle"),
 )
 
 
 class CacheEventBus:
     """Registry of :class:`CacheObserver` instances with per-event dispatch
     tuples (``bus.hit``, ``bus.miss``, ``bus.evict``, ``bus.insert``,
-    ``bus.relocate``, ``bus.flush``, ``bus.lifecycle``)."""
+    ``bus.relocate``, ``bus.flush``)."""
 
     __slots__ = ("_observers", "_on_change",
-                 "hit", "miss", "evict", "insert", "relocate", "flush",
-                 "lifecycle")
+                 "hit", "miss", "evict", "insert", "relocate", "flush")
 
     def __init__(self, on_change: Optional[Callable[[], None]] = None) -> None:
         self._observers: List[CacheObserver] = []

@@ -88,26 +88,6 @@ class CacheStats(CacheObserver):
             self.record_writeback(part)
         self.record_flush()
 
-    def add_partition(self) -> int:
-        """Grow every per-partition counter/buffer by one zeroed slot.
-
-        Part of the cache's partition control plane (tenant arrival).  The
-        lists are extended in place — the compiled access kernel binds them
-        by identity — and history is preserved: a reused partition slot is
-        the caller's concern (snapshot deltas around lifecycle events).
-        """
-        part = self.num_partitions
-        self.num_partitions = part + 1
-        self.hits.append(0)
-        self.misses.append(0)
-        self.insertions.append(0)
-        self.evictions.append(0)
-        self.writebacks.append(0)
-        if self.eviction_futilities is not None:
-            self.eviction_futilities.append(array("f"))
-        self._occupancy_sum.append(0)
-        return part
-
     def reset(self) -> None:
         """Zero all counters and clear all sample buffers."""
         n = self.num_partitions

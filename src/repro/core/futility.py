@@ -101,18 +101,6 @@ class FutilityRanking:
         """Notify the ranking of partition target sizes (coarse-TS uses this
         to derive its timestamp increment period)."""
 
-    def add_partition(self) -> int:
-        """Grow per-partition state by one empty partition.
-
-        Part of the cache's partition control plane (tenant arrival):
-        subclasses append one zeroed slot to every per-partition structure.
-        Returns the new partition id.  The caller follows up with
-        :meth:`set_targets` carrying the lengthened target vector.
-        """
-        part = self._num_partitions
-        self._num_partitions = part + 1
-        return part
-
     def partition_size(self, part: int) -> int:
         """Number of resident lines currently ranked in ``part``."""
         raise NotImplementedError
@@ -174,13 +162,6 @@ class _KeyedRanking(FutilityRanking):
         # key -> line index per partition; built lazily by ensure_index()
         # because only most_futile() consumers (FullAssoc) need it.
         self._index_of: Optional[List[dict]] = None
-
-    def add_partition(self) -> int:
-        part = super().add_partition()
-        self._keys.append([])
-        if self._index_of is not None:
-            self._index_of.append(dict())
-        return part
 
     def partition_size(self, part: int) -> int:
         return len(self._keys[part])
@@ -441,14 +422,6 @@ class CoarseTimestampLRURanking(FutilityRanking):
             raise ConfigurationError(
                 f"expected {self._num_partitions} targets, got {len(targets)}")
         self._period = [max(1, int(t) // self.period_fraction) for t in targets]
-
-    def add_partition(self) -> int:
-        part = super().add_partition()
-        self._cur_ts.append(0)
-        self._acc.append(0)
-        self._period.append(1)
-        self._sizes.append(0)
-        return part
 
     def partition_size(self, part: int) -> int:
         return self._sizes[part]

@@ -45,16 +45,6 @@ class PartitioningScheme:
     def set_targets(self, targets: Sequence[int]) -> None:
         """Notify the scheme of (new) per-partition line targets."""
 
-    def add_partition(self) -> None:
-        """Grow per-partition scheme state by one empty partition.
-
-        Part of the cache's partition control plane (tenant arrival): the
-        cache has already lengthened its own occupancy/target vectors and
-        the ranking's state when this fires; stateless schemes (which read
-        ``cache.actual_sizes`` / ``cache.targets`` live) need no action.
-        A :meth:`set_targets` call with the lengthened vector follows.
-        """
-
     # -- replacement -------------------------------------------------------
     def choose_victim(self, candidates: List[int], incoming_part: int) -> int:
         """Pick the victim line index among ``candidates``.

@@ -100,17 +100,6 @@ class FutilityScalingScheme(PartitioningScheme):
                 f"{len(self._alphas)} alphas configured for "
                 f"{len(targets)} partitions")
 
-    def add_partition(self) -> None:
-        if self._insertion_rates is not None:
-            raise ConfigurationError(
-                "analytical FS configured from insertion_rates cannot grow "
-                "partitions online: the rate vector is per-partition and "
-                "fixed at construction (pass alphas, or use fs-feedback)")
-        if self._alphas is not None:
-            # Neutral scaling until the caller supplies a better alpha;
-            # matches the set_targets default for unconfigured partitions.
-            self._alphas.append(1.0)
-
     def choose_victim(self, candidates: List[int], incoming_part: int) -> int:
         cache = self.cache
         if cache._resident != cache.num_lines:
@@ -185,14 +174,6 @@ class FeedbackFutilityScalingScheme(PartitioningScheme):
         # when the ratio is *exactly* two (scaling degenerates to `<< level`).
         self._shift_scan = (
             self.changing_ratio == 2.0)  # reprolint: disable=COR001
-
-    def add_partition(self) -> None:
-        # A fresh tenant starts at the neutral scaling level, exactly as
-        # every partition does at bind time (Algorithm 2 converges from 0).
-        self._levels.append(0)
-        self._ins.append(0)
-        self._evi.append(0)
-        self._weights.append(self._multipliers[0])
 
     def scaling_levels(self) -> List[int]:
         """Current ScalingShiftWidth (exponent) per partition."""

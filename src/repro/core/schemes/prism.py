@@ -71,17 +71,6 @@ class PriSMScheme(PartitioningScheme):
             cumulative[-1] = 1.0  # guard against rounding
         self._cumulative = cumulative
 
-    def add_partition(self) -> None:
-        # The new partition draws no eviction probability until the next
-        # window refresh folds its measured insertions in.  The cumulative
-        # array is extended in place (not rebuilt) so the existing entries —
-        # including the rounding guard on the old last element — are
-        # untouched: every pre-growth draw still lands on the same
-        # partition, and the binary search can never reach the new tail.
-        self._probabilities.append(0.0)
-        self._window_insertions.append(0)
-        self._cumulative = self._cumulative + [1.0]
-
     def eviction_probabilities(self) -> List[float]:
         """The current per-partition eviction probability distribution."""
         return list(self._probabilities)

@@ -77,12 +77,6 @@ class VantageScheme(PartitioningScheme):
         scale = 1.0 - self.unmanaged_fraction
         self._scaled_targets = [t * scale for t in targets]
 
-    def add_partition(self) -> None:
-        # _managed is per-line and needs no growth; a retired slot that is
-        # later reused keeps a zero scaled target until set_targets follows.
-        self._managed_sizes.append(0)
-        self._scaled_targets.append(0.0)
-
     def managed_sizes(self) -> List[int]:
         """Current managed-region occupancy per partition."""
         return list(self._managed_sizes)

@@ -49,16 +49,6 @@ class WayPartitionScheme(PartitioningScheme):
                 f"least one way per partition (ways={ways}, "
                 f"partitions={cache.num_partitions})")
 
-    def add_partition(self) -> None:
-        cache = self.cache
-        if cache.array.ways < cache.num_partitions:
-            raise ConfigurationError(
-                f"way-partitioning cannot grow to {cache.num_partitions} "
-                f"partitions: the array has only {cache.array.ways} ways "
-                f"(one-way floor per partition)")
-        # The following set_targets reapportions the ways (flushing lines
-        # stranded in transferred ways — the placement-scheme resize cost).
-
     def way_assignment(self) -> List[int]:
         """Owner partition of each way."""
         return list(self._way_owner)

@@ -42,13 +42,6 @@ from .resizing import (
     format_resizing,
     run_resizing,
 )
-from .scenarios import (
-    ScenariosConfig,
-    ScenariosResult,
-    build_script,
-    format_scenarios,
-    run_scenarios,
-)
 from .tableii import TableIIConfig, render_table_ii
 
 __all__ = [
@@ -66,6 +59,4 @@ __all__ = [
     "Fig8Config", "Fig8Result", "run_fig8", "format_fig8",
     "TableIIConfig", "render_table_ii",
     "ResizingConfig", "ResizingResult", "run_resizing", "format_resizing",
-    "ScenariosConfig", "ScenariosResult", "run_scenarios",
-    "format_scenarios", "build_script",
 ]

@@ -11,8 +11,8 @@ policy would make).  For each scheme we measure:
 
 * **flushed lines** — data invalidated by the resize itself (placement
   schemes only);
-* **convergence** — accesses until both partitions are within 10% of
-  their new targets;
+* **convergence** — accesses until the *shrinking* partition is within
+  10% of its new target;
 * **disruption** — the miss-rate *increase* in the window right after the
   flip, relative to pre-flip steady state, for the thread whose partition
   *shrank*: its lines must be handed over gradually (replacement-based)
@@ -88,8 +88,6 @@ class ResizingCell:
     steady_miss_rate: float        # shrinking thread, before the flip
     window_miss_rate: float        # shrinking thread, right after the flip
     disruption: float              # window - steady miss-rate delta
-    #: The flip as the control plane logged it (one "retarget" row).
-    lifecycle: List[dict]
 
 
 @dataclass
@@ -134,13 +132,9 @@ def _run_cell(config: ResizingConfig, scheme_name: str) -> ResizingCell:
     shrinking = 0 if config.split[0] > config.split[1] else 1
     steady_miss = cache.stats.miss_rate(shrinking)
 
-    # The flip, through the partition control plane: one retarget event,
-    # logged with the access index it happened at.
+    # The flip.
     flushes_before = cache.stats.flushes
-    log_before = len(cache.lifecycle_log)
     cache.set_targets(_targets(config, config.split[::-1]))
-    flip_log = [dict(row, access=2 * config.steady_accesses)
-                for row in cache.lifecycle_log[log_before:]]
     flushed = cache.stats.flushes - flushes_before
     cache.reset_stats()
 
@@ -172,8 +166,7 @@ def _run_cell(config: ResizingConfig, scheme_name: str) -> ResizingCell:
         scheme=scheme_name, flushed_lines=flushed,
         convergence_accesses=convergence, steady_miss_rate=steady_miss,
         window_miss_rate=window_miss,
-        disruption=window_miss - steady_miss,
-        lifecycle=flip_log)
+        disruption=window_miss - steady_miss)
 
 
 def reduce_resizing(config: ResizingConfig,

@@ -29,9 +29,9 @@ what happened *during* a run:
     trace file and the manifest's cell counts.
 ``session``
     :class:`TelemetrySession` — owns the on-disk telemetry directory
-    (``manifest.json``, ``traces/``, ``series/``, ``lifecycle/``,
-    ``profile/``), activates series recording and tracing for worker
-    processes, and stamps ``repro.__version__`` into the run manifest.
+    (``manifest.json``, ``traces/``, ``series/``, ``profile/``),
+    activates series recording and tracing for worker processes, and
+    stamps ``repro.__version__`` into the run manifest.
 
 Surfacing: the experiments CLI grows ``--telemetry[=PATH]``
 (:mod:`repro.experiments.__main__`), the :func:`repro.api.run_experiment`
@@ -56,7 +56,6 @@ from .runtime import (
     record_series,
     series_config,
     set_cell,
-    write_lifecycle,
 )
 from .schema import validate_run_dir
 from .session import TelemetrySession
@@ -96,5 +95,4 @@ __all__ = [
     "stitch",
     "trace_id_for",
     "validate_run_dir",
-    "write_lifecycle",
 ]

@@ -35,7 +35,6 @@ Environment variables:
 from __future__ import annotations
 
 import cProfile
-import json
 import os
 import re
 from contextlib import contextmanager
@@ -55,7 +54,6 @@ __all__ = [
     "record_series",
     "series_config",
     "set_cell",
-    "write_lifecycle",
 ]
 
 TELEMETRY_ENV = "REPRO_TELEMETRY"
@@ -70,8 +68,6 @@ _cell_label = ""
 #: Per-process sequence number of the next series file for the current
 #: cell (several simulations per cell -> several series files).
 _cell_seq = 0
-#: Per-process sequence number of the next lifecycle file, same scheme.
-_lifecycle_seq = 0
 
 
 def series_config() -> Optional[Tuple[Path, int]]:
@@ -97,10 +93,9 @@ def set_cell(label: str) -> None:
     Resets the series sequence counter so a retried cell rewrites the
     same file paths instead of appending new ones.
     """
-    global _cell_label, _cell_seq, _lifecycle_seq
+    global _cell_label, _cell_seq
     _cell_label = label
     _cell_seq = 0
-    _lifecycle_seq = 0
 
 
 def _slug(label: str) -> str:
@@ -135,39 +130,6 @@ def record_series(cache) -> Iterator[Optional["TimeSeriesRecorder"]]:
         _cell_seq = seq + 1
         name = f"{_slug(_cell_label)}-{seq:03d}.jsonl"
         recorder.write_jsonl(root / "series" / name)
-
-
-def write_lifecycle(cache) -> Optional[Path]:
-    """Write ``cache``'s partition lifecycle log as a telemetry artifact.
-
-    Emits ``lifecycle/<cell-label>-<n>.jsonl`` (one JSON object per
-    control-plane event: create / retire / retarget, with the target
-    snapshot and, when the driver stamped it, the global access index)
-    under the telemetry directory.  No-op returning ``None`` unless
-    ``REPRO_TELEMETRY`` is set and the log has at least one lifecycle
-    event beyond plain retargets — steady-state runs that only ever
-    call ``set_targets`` produce no lifecycle files, keeping their
-    telemetry directories identical to pre-control-plane runs.
-    """
-    config = series_config()
-    if config is None:
-        return None
-    log = getattr(cache, "lifecycle_log", None)
-    if not log or all(row["event"] == "retarget" for row in log):
-        return None
-    global _lifecycle_seq
-    root, _ = config
-    seq = _lifecycle_seq
-    _lifecycle_seq = seq + 1
-    out = root / "lifecycle" / f"{_slug(_cell_label)}-{seq:03d}.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    from .schema import header_line
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(header_line("lifecycle") + "\n")
-        for row in log:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-    return out
 
 
 @contextmanager

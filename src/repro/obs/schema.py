@@ -1,8 +1,8 @@
 """Hand-rolled validators for the telemetry artifact schemas.
 
-No jsonschema dependency: each artifact kind (series / lifecycle /
-trace rows, the run manifest) gets a small structural checker that
-returns a list of human-readable problem strings — empty means valid.
+No jsonschema dependency: each artifact kind (series / trace rows, the
+run manifest) gets a small structural checker that returns a list of
+human-readable problem strings — empty means valid.
 The CI telemetry smoke job runs ``python -m repro.obs validate DIR``
 over a real run, so these checkers *are* the schema documentation's
 executable form (the prose lives in EXPERIMENTS.md).
@@ -26,7 +26,6 @@ __all__ = [
     "header_row",
     "is_header_row",
     "load_jsonl",
-    "validate_lifecycle_row",
     "validate_manifest",
     "validate_run_dir",
     "validate_series_row",
@@ -39,7 +38,6 @@ __all__ = [
 #: build with a clear error instead of a KeyError three fields in.
 SCHEMA_VERSIONS = {
     "series": 1,
-    "lifecycle": 1,
     "trace": 1,
 }
 
@@ -121,45 +119,6 @@ def validate_series_row(row: Any, where: str = "series") -> List[str]:
     rate = row.get("miss_rate")
     if rate is not None and not (_is_num(rate) and 0.0 <= rate <= 1.0):
         problems.append(f"{where}: 'miss_rate' must be null or in [0, 1]")
-    return problems
-
-
-_LIFECYCLE_KEYS = ("seq", "event", "part", "targets")
-_LIFECYCLE_EVENTS = ("create", "retire", "retarget")
-
-
-def validate_lifecycle_row(row: Any, where: str = "lifecycle") -> List[str]:
-    """Problems with one ``lifecycle/*.jsonl`` row (empty list = valid).
-
-    Rows mirror :attr:`PartitionedCache.lifecycle_log`: a sequence
-    number, the event kind, the partition acted on (``-1`` for whole-
-    cache retargets) and a snapshot of the full target vector.  Drivers
-    that know the global access index stamp it as an optional
-    ``"access"`` key.
-    """
-    if not isinstance(row, dict):
-        return [f"{where}: row must be an object, got {type(row).__name__}"]
-    problems = []
-    for key in _LIFECYCLE_KEYS:
-        if key not in row:
-            problems.append(f"{where}: missing key {key!r}")
-    for key in row:
-        if key not in _LIFECYCLE_KEYS and key != "access":
-            problems.append(f"{where}: unexpected key {key!r}")
-    if not _is_int(row.get("seq")) or row.get("seq", 0) < 0:
-        problems.append(f"{where}: 'seq' must be an int >= 0")
-    if row.get("event") not in _LIFECYCLE_EVENTS:
-        problems.append(
-            f"{where}: 'event' must be one of {list(_LIFECYCLE_EVENTS)}")
-    if not _is_int(row.get("part")) or row.get("part", 0) < -1:
-        problems.append(f"{where}: 'part' must be an int >= -1")
-    targets = row.get("targets")
-    if (not isinstance(targets, list) or not targets
-            or not all(_is_int(t) and t >= 0 for t in targets)):
-        problems.append(
-            f"{where}: 'targets' must be a non-empty list of ints >= 0")
-    if "access" in row and (not _is_int(row["access"]) or row["access"] < 0):
-        problems.append(f"{where}: 'access' must be an int >= 0")
     return problems
 
 
@@ -262,16 +221,14 @@ def validate_manifest(doc: Any, where: str = "manifest") -> List[str]:
     if not isinstance(artifacts, dict):
         problems.append(f"{where}: 'artifacts' must be an object")
     else:
-        # "lifecycle" and "traces" are optional: lifecycle appears only
-        # for runs whose cells saw partition control-plane activity,
-        # traces only once a sweep ran.
+        # "traces" is optional: it appears only once a sweep ran.
         if "series" not in artifacts:
             problems.append(f"{where}.artifacts: missing key 'series'")
         for key in artifacts:
-            if key not in ("series", "lifecycle", "traces"):
+            if key not in ("series", "traces"):
                 problems.append(
                     f"{where}.artifacts: unexpected key {key!r}")
-        for key in ("series", "lifecycle", "traces"):
+        for key in ("series", "traces"):
             listed = artifacts.get(key, [])
             if not isinstance(listed, list) or not all(
                     isinstance(s, str) for s in listed):
@@ -343,10 +300,9 @@ def validate_run_dir(path: Union[str, Path]) -> List[str]:
     """Validate every telemetry artifact of one run directory.
 
     Checks ``manifest.json``, every ``series/*.jsonl`` and (when
-    present) every ``lifecycle/*.jsonl`` and ``traces/*.jsonl`` —
-    including each file's ``schema_version`` header — plus
-    manifest/directory agreement on the series, lifecycle and traces
-    file lists.  Returns all problems found (empty = valid).
+    present) every ``traces/*.jsonl`` — including each file's
+    ``schema_version`` header — plus manifest/directory agreement on the
+    series and traces file lists.  Returns all problems found (empty = valid).
     """
     root = Path(path)
     problems: List[str] = []
@@ -363,7 +319,7 @@ def validate_run_dir(path: Union[str, Path]) -> List[str]:
             artifacts = doc.get("artifacts", {})
             if not isinstance(artifacts, dict):
                 artifacts = {}
-            for key in ("series", "lifecycle", "traces"):
+            for key in ("series", "traces"):
                 listed = artifacts.get(key, [])
                 if isinstance(listed, list):
                     actual = sorted(
@@ -375,7 +331,6 @@ def validate_run_dir(path: Union[str, Path]) -> List[str]:
                             f"contents {actual}")
     for subdir, checker, kind in (
             ("series", validate_series_row, "series"),
-            ("lifecycle", validate_lifecycle_row, "lifecycle"),
             ("traces", validate_trace_row, "trace")):
         for file_path in sorted((root / subdir).glob("*.jsonl")):
             problems.extend(_validate_jsonl(file_path, checker, kind))

@@ -10,9 +10,6 @@ experiment run::
                           process; see repro.obs.trace
         series/*.jsonl    per-partition time series, one file per
                           simulation a cell ran (deterministic)
-        lifecycle/*.jsonl partition control-plane events (create /
-                          retire / retarget), written only by cells
-                          whose caches saw lifecycle activity
         profile/*.prof    optional cProfile captures (wall-clock)
 
 Used as a context manager around the runner call::
@@ -20,7 +17,7 @@ Used as a context manager around the runner call::
     with TelemetrySession(path, experiment="fig3") as session:
         run_cells(cells, RunConfig(telemetry=session.telemetry))
 
-``__enter__`` clears what an earlier run left in the four per-run
+``__enter__`` clears what an earlier run left in the three per-run
 subdirectories and exports the :mod:`repro.obs.runtime` environment
 variables, so worker processes spawned afterwards record series and
 trace spans; ``__exit__`` restores the environment and writes the
@@ -54,7 +51,7 @@ from .spans import RunTelemetry
 __all__ = ["TelemetrySession"]
 
 #: The subdirectories one run writes into.
-_PER_RUN = ("series", "lifecycle", "profile", "traces")
+_PER_RUN = ("series", "profile", "traces")
 
 
 def _package_version() -> str:
@@ -132,12 +129,10 @@ class TelemetrySession:
         """The run manifest; wall-clock facts live under ``"wall"``.
 
         ``artifacts`` lists the ``*.jsonl`` files of ``series/``, and of
-        ``lifecycle/`` and ``traces/`` when they have any: lifecycle
-        files appear only when a cell saw partition control-plane
-        activity, trace files only once a sweep ran.
+        ``traces/`` once a sweep ran.
         """
         artifacts: Dict[str, Any] = {}
-        for name in ("series", "lifecycle", "traces"):
+        for name in ("series", "traces"):
             files = sorted(p.name for p in (self.dir / name).glob("*.jsonl"))
             if files or name == "series":
                 artifacts[name] = files

@@ -119,18 +119,6 @@ class TimeSeriesRecorder(CacheObserver):
                         evicted: bool) -> None:
         self._win_ins[part] += 1
 
-    def on_cache_lifecycle(self, kind: str, part: int) -> None:
-        # Partition growth (tenant arrival): extend the window buffers in
-        # place — the compiled kernel binds them by identity, so appending
-        # keeps the inlined counters valid without another recompile.
-        cache = self._cache
-        if cache is None:
-            return
-        for buf in (self._win_acc, self._win_miss, self._win_ins,
-                    self._win_evi):
-            while len(buf) < cache.num_partitions:
-                buf.append(0)
-
     # -- sampling -------------------------------------------------------------
     def _alphas(self) -> Optional[List[float]]:
         """Current per-partition scaling factors, or None for schemes

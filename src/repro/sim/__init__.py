@@ -1,6 +1,5 @@
 """CMP timing simulation: Table II configuration, memory/NUCA models,
-private L1 filter, the multiprogrammed trace-replay engine, and the
-deterministic lifecycle scenario engine."""
+private L1 filter and the multiprogrammed trace-replay engine."""
 
 from .config import TABLE_II, SystemConfig, scaled_config
 from .engine import (
@@ -12,19 +11,6 @@ from .engine import (
 from .l1 import L1Cache, filter_through_l1
 from .memory import MemoryController
 from .nuca import NUCAModel
-from .scenario import (
-    PhaseShift,
-    Reapportion,
-    ScenarioResult,
-    ScenarioScript,
-    Tenant,
-    TenantArrival,
-    TenantDeparture,
-    TenantReport,
-    WorkloadSpec,
-    apportion_by_shares,
-    run_scenario,
-)
 
 __all__ = [
     "SystemConfig",
@@ -38,15 +24,4 @@ __all__ = [
     "SimulationResult",
     "ThreadResult",
     "simulate_single_thread",
-    "WorkloadSpec",
-    "Tenant",
-    "TenantArrival",
-    "TenantDeparture",
-    "Reapportion",
-    "PhaseShift",
-    "ScenarioScript",
-    "TenantReport",
-    "ScenarioResult",
-    "run_scenario",
-    "apportion_by_shares",
 ]

@@ -1,253 +1,24 @@
-"""Partition lifecycle: create/retire/recreate, kernel byte-identity,
-and occupancy conservation.
+"""Kernel byte-identity across cache instances.
 
-Two properties anchor this suite:
-
-* **Byte-identity** — a cache that never sees a lifecycle event compiles
-  the exact same access kernel source as before the control plane
-  existed (the retired-partition guard is emitted only while a retired
-  partition exists), so every pre-refactor golden hash still gates the
-  zero-event path.
-* **Conservation** — retiring a partition flushes nothing: its lines
-  become orphans drained by normal replacement, and the occupancy books
-  (``actual_sizes`` vs an owner-array recount) balance after every
-  create/retire/recreate step for every registered scheme.
+``PartitionedCache`` compiles its access kernel from its configuration
+alone, so two caches built alike compile the exact same source, and
+every golden hash gates that one kernel.
 """
 
-import random
-
-import pytest
-
-from repro.cache.arrays import (FullyAssociativeArray, SetAssociativeArray,
-                                ZCacheArray)
+from repro.cache.arrays import SetAssociativeArray
 from repro.cache.cache import PartitionedCache
 from repro.core.futility import LRURanking
-from repro.core.schemes.base import available_schemes, make_scheme
-from repro.errors import ConfigurationError
+from repro.core.schemes.base import make_scheme
 
 LINES = 256
 WAYS = 8
 
-#: Schemes that can grow online (way-partition needs one physical way
-#: per partition and rejects growth past the way count, tested apart).
-GROWABLE = [name for name in available_schemes() if name != "way-partition"]
-
 
 def _build(scheme_name: str, parts: int = 2) -> PartitionedCache:
-    scheme = make_scheme(scheme_name)
-    if not scheme.uses_candidates:
-        array = FullyAssociativeArray(LINES)
-    elif scheme_name == "fs-feedback":
-        array = ZCacheArray(LINES, 4, WAYS)
-    else:
-        array = SetAssociativeArray(LINES, WAYS)
-    return PartitionedCache(array, LRURanking(), scheme, parts)
-
-
-def _drive(cache: PartitionedCache, parts, accesses: int, seed: int) -> None:
-    rng = random.Random(seed)
-    randrange = rng.randrange
-    parts = list(parts)
-    for _ in range(accesses):
-        part = parts[randrange(len(parts))]
-        cache.access(part * 10**9 + randrange(LINES), part)
-
-
-def _recount(cache: PartitionedCache):
-    counts = [0] * cache.num_partitions
-    for idx in range(cache.num_lines):
-        p = cache.owner[idx]
-        if p >= 0:
-            counts[p] += 1
-    return counts
-
-
-# -- byte-identity ------------------------------------------------------------
-
-@pytest.mark.parametrize("scheme_name", available_schemes())
-def test_zero_lifecycle_kernel_has_no_retired_guard(scheme_name):
-    cache = _build(scheme_name)
-    assert "retired" not in cache.access.__kernel_source__
-    # Plain retargets (the pre-existing API) must not change that.
-    cache.set_targets([LINES * 3 // 4, LINES - LINES * 3 // 4])
-    assert "retired" not in cache.access.__kernel_source__
-
-
-@pytest.mark.parametrize("scheme_name", GROWABLE)
-def test_retired_guard_appears_and_disappears(scheme_name):
-    cache = _build(scheme_name)
-    part = cache.create_partition(target=0)
-    cache.retire_partition(part)
-    assert "retired" in cache.access.__kernel_source__
-    # Drain the (empty) retired slot and reuse it: no partition is
-    # retired any more, so the guard must compile away again.
-    reused = cache.create_partition(target=0)
-    assert reused == part
-    assert "retired" not in cache.access.__kernel_source__
+    return PartitionedCache(SetAssociativeArray(LINES, WAYS), LRURanking(),
+                            make_scheme(scheme_name), parts)
 
 
 def test_fresh_caches_compile_identical_kernels():
     a, b = _build("fs"), _build("fs")
     assert a.access.__kernel_source__ == b.access.__kernel_source__
-
-
-# -- control-plane semantics --------------------------------------------------
-
-def test_create_partition_grows_all_vectors():
-    cache = _build("fs-feedback")
-    part = cache.create_partition(target=0)
-    assert part == 2
-    assert cache.num_partitions == 3
-    assert len(cache.targets) == 3
-    assert len(cache.actual_sizes) == 3
-    assert cache.stats.num_partitions == 3
-    assert cache.active_partitions() == [0, 1, 2]
-    cache.check_invariants()
-
-
-def test_create_partition_rejects_negative_target():
-    cache = _build("fs")
-    with pytest.raises(ConfigurationError, match="target"):
-        cache.create_partition(target=-1)
-
-
-def test_retire_requires_a_survivor():
-    cache = _build("fs")
-    cache.retire_partition(1)
-    with pytest.raises(ConfigurationError, match="last active"):
-        cache.retire_partition(0)
-
-
-def test_retire_twice_rejected():
-    cache = _build("fs")
-    cache.retire_partition(1)
-    with pytest.raises(ConfigurationError, match="already retired"):
-        cache.retire_partition(1)
-
-
-def test_retired_partition_rejects_insertions():
-    cache = _build("fs")
-    _drive(cache, [0, 1], 500, seed=7)
-    cache.retire_partition(1)
-    cache.access(10**9 + 1, 0)  # survivors still run
-    with pytest.raises(ConfigurationError, match="retired"):
-        cache.access(10**9 + 999, 1)
-
-
-def test_way_partition_rejects_growth_past_ways():
-    scheme = make_scheme("way-partition")
-    cache = PartitionedCache(
-        SetAssociativeArray(LINES, 4), LRURanking(), scheme, 4)
-    with pytest.raises(ConfigurationError, match="way"):
-        cache.create_partition()
-
-
-def test_lifecycle_log_records_every_event():
-    cache = _build("fs")
-    cache.set_targets([200, 56])
-    part = cache.create_partition(target=0)
-    cache.retire_partition(part)
-    kinds = [(row["event"], row["part"]) for row in cache.lifecycle_log]
-    assert kinds == [("retarget", -1), ("create", 2), ("retire", 2)]
-    assert [row["seq"] for row in cache.lifecycle_log] == [0, 1, 2]
-    # Each row snapshots the full target vector at that moment.
-    assert cache.lifecycle_log[1]["targets"] == [200, 56, 0]
-    assert cache.lifecycle_log[2]["targets"][2] == 0
-
-
-# -- conservation: create -> retire -> drain -> recreate ----------------------
-
-@pytest.mark.parametrize("scheme_name", GROWABLE)
-def test_create_retire_recreate_conserves_occupancy(scheme_name):
-    cache = _build(scheme_name)
-    _drive(cache, [0, 1], 1_500, seed=42)
-    assert _recount(cache) == list(cache.actual_sizes)
-
-    part = cache.create_partition(target=0)
-    third = LINES // 3
-    cache.set_targets([third, third, LINES - 2 * third])
-    _drive(cache, [0, 1, part], 1_500, seed=43)
-    assert _recount(cache) == list(cache.actual_sizes)
-    assert cache.actual_sizes[part] > 0
-
-    # Retirement flushes nothing: the books balance immediately and the
-    # orphans are still resident.
-    before = list(cache.actual_sizes)
-    flushes_before = cache.stats.flushes
-    cache.retire_partition(part)
-    assert list(cache.actual_sizes) == before
-    assert cache.stats.flushes == flushes_before
-    assert _recount(cache) == before
-
-    # Re-apportion the freed capacity (what the scenario engine does on
-    # departure): survivors must be under quota to claim orphan lines —
-    # quota-driven schemes like CQVP never steal for an over-quota
-    # inserter.
-    cache.set_targets([LINES // 2, LINES - LINES // 2, 0])
-
-    # Under survivor traffic the orphans drain monotonically to zero.
-    last = cache.actual_sizes[part]
-    rng = random.Random(44)
-    for _ in range(300):
-        for _ in range(100):
-            p = rng.randrange(2)
-            cache.access(p * 10**9 + rng.randrange(LINES), p)
-        now = cache.actual_sizes[part]
-        assert now <= last, "retired occupancy must never grow"
-        last = now
-        if now == 0:
-            break
-    assert cache.actual_sizes[part] == 0, (
-        f"{scheme_name}: retired partition never drained")
-    assert _recount(cache) == list(cache.actual_sizes)
-
-    # A drained retired slot is reused instead of growing the vectors.
-    reused = cache.create_partition()
-    assert reused == part
-    assert cache.num_partitions == 3
-    cache.set_targets([LINES // 2, LINES // 4, LINES // 4])
-    _drive(cache, [0, 1, reused], 800, seed=45)
-    assert _recount(cache) == list(cache.actual_sizes)
-    cache.check_invariants()
-
-
-def test_undrained_slot_is_not_reused():
-    cache = _build("fs")
-    part = cache.create_partition()
-    cache.set_targets([LINES // 4, LINES // 4, LINES // 2])
-    _drive(cache, [part], 500, seed=5)
-    assert cache.actual_sizes[part] > 0
-    cache.retire_partition(part)
-    # Still holding orphans: a new arrival must get a fresh slot.
-    fresh = cache.create_partition()
-    assert fresh == cache.num_partitions - 1
-    assert fresh != part
-
-
-# -- observers ----------------------------------------------------------------
-
-def test_timeseries_recorder_grows_with_partitions():
-    from repro.obs.timeseries import TimeSeriesRecorder
-
-    cache = _build("fs")
-    recorder = TimeSeriesRecorder(interval=64).attach(cache)
-    cache.events.subscribe(recorder)
-    _drive(cache, [0, 1], 200, seed=9)
-    part = cache.create_partition(target=0)
-    cache.set_targets([LINES // 2, LINES // 4, LINES // 4])
-    _drive(cache, [0, 1, part], 200, seed=10)
-    parts_seen = {row["part"] for row in recorder.rows()}
-    assert part in parts_seen
-    # Rows sampled after the growth carry the new partition every window.
-    last_access = max(row["access"] for row in recorder.rows())
-    assert {row["part"] for row in recorder.rows()
-            if row["access"] == last_access} == {0, 1, 2}
-
-
-def test_stats_alias_sees_new_partition():
-    cache = _build("fs")
-    part = cache.create_partition(target=0)
-    cache.set_targets([LINES // 2, LINES // 4, LINES // 4])
-    _drive(cache, [part], 100, seed=11)
-    assert cache.stats.misses[part] > 0
-    assert cache.stats.hits[part] + cache.stats.misses[part] == 100

@@ -21,7 +21,7 @@ from repro.runner import Cell
 def test_all_paper_artifacts_registered():
     assert experiment_names() == [
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-        "resizing", "scenarios", "tableII"]
+        "resizing", "tableII"]
 
 
 def test_iter_experiments_sorted():

@@ -118,15 +118,13 @@ def test_reused_dir_keeps_nothing_of_the_earlier_run(tmp_path):
     store = LocalFileStore(tmp_path / "store")
     first, _ = _run_session(tmp_path / "run", profile=True, store=store)
     assert list((first.dir / "profile").glob("*.prof"))
-    stale = first.dir / "lifecycle" / "stale.jsonl"
-    stale.parent.mkdir()
+    stale = first.dir / "traces" / "stale.jsonl"
     stale.write_text("")
 
     again, _ = _run_session(tmp_path / "run", profile=True, store=store)
     manifest = json.loads((again.dir / "manifest.json").read_text())
     assert manifest["cells"]["cached"] == 2
     assert manifest["artifacts"]["series"] == []
-    assert "lifecycle" not in manifest["artifacts"]
     assert not stale.exists()
     assert not (again.dir / "profile").exists()
     assert validate_run_dir(again.dir) == []
