@@ -5,7 +5,9 @@ single-thread accesses per second through the partitioned-cache access
 kernel — for one configuration per registered partitioning scheme, in the
 shape the figure experiments actually run it (exact-LRU decision ranking
 with full measurement attached; the feedback-FS hardware pairing uses the
-8-bit coarse-timestamp ranking as in Fig. 7).
+8-bit coarse-timestamp ranking as in Fig. 7), plus Fig. 6a's two OPT
+pairings (``OPT_CONFIGS``), fed the same workload annotated with next-use
+positions and built as fig6 builds them.
 
 The workload is a hot/cold mix (85% of accesses to a per-partition hot set
 that fits in cache, 15% to a large cold space), approximating the locality
@@ -39,10 +41,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache.arrays import FullyAssociativeArray, SetAssociativeArray
+from repro.cache.arrays import (DirectMappedArray, FullyAssociativeArray,
+                                SetAssociativeArray)
 from repro.cache.cache import PartitionedCache
-from repro.core.futility import CoarseTimestampLRURanking, LRURanking
+from repro.core.futility import (CoarseTimestampLRURanking, LRURanking,
+                                 OPTRanking)
 from repro.core.schemes.base import available_schemes, make_scheme
+from repro.trace.access import annotate_next_use
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -99,6 +104,32 @@ CONFIGS = {
     "way-partition": lambda: _setassoc(make_scheme("way-partition")),
 }
 
+#: Fig. 6a's pairings (fully-associative and direct-mapped under Belady's
+#: OPT), built as fig6 builds them: fig6 reports IPC only, so no
+#: eviction futility is recorded.
+OPT_CONFIGS = {
+    "full-assoc-opt": lambda: PartitionedCache(
+        FullyAssociativeArray(LINES), OPTRanking(),
+        make_scheme("full-assoc"), PARTS, track_eviction_futility=False),
+    "direct-mapped-opt": lambda: PartitionedCache(
+        DirectMappedArray(LINES), OPTRanking(),
+        make_scheme("unpartitioned"), PARTS, track_eviction_futility=False),
+}
+ALL_CONFIGS = {**CONFIGS, **OPT_CONFIGS}
+
+
+def with_next_use(warm, stream):
+    """``warm`` and ``stream`` as ``(addr, part, next_use)`` accesses:
+    each partition's accesses form one thread-local trace (warm-up first)
+    annotated by :func:`annotate_next_use`, as the trace feeders do."""
+    both = warm + stream
+    per_part = {}
+    for addr, part in both:
+        per_part.setdefault(part, []).append(addr)
+    next_use = {p: iter(annotate_next_use(a)) for p, a in per_part.items()}
+    out = [(addr, part, next(next_use[part])) for addr, part in both]
+    return out[:len(warm)], out[len(warm):]
+
 
 def drive(cache, stream):
     access = cache.access
@@ -106,14 +137,30 @@ def drive(cache, stream):
         access(addr, part)
 
 
-def measure(factory, stream, warm, rounds=ROUNDS):
+def drive_opt(cache, stream):
+    access = cache.access
+    for addr, part, next_use in stream:
+        access(addr, part, next_use)
+
+
+def workload(label):
+    """``(feed, measured stream, warm-up stream)`` for one config."""
+    stream = make_stream()
+    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
+    if label in OPT_CONFIGS:
+        warm, stream = with_next_use(warm, stream)
+        return drive_opt, stream, warm
+    return drive, stream, warm
+
+
+def measure(factory, stream, warm, rounds=ROUNDS, feed=drive):
     """Best-of-``rounds`` lines/sec for one configuration."""
     best = None
     for _ in range(rounds):
         cache = factory()
-        drive(cache, warm)
+        feed(cache, warm)
         t0 = time.perf_counter()
-        drive(cache, stream)
+        feed(cache, stream)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     cache.check_invariants()
@@ -142,13 +189,12 @@ def test_benchmark_covers_every_scheme():
     assert sorted(CONFIGS) == available_schemes()
 
 
-@pytest.mark.parametrize("label", sorted(CONFIGS))
+@pytest.mark.parametrize("label", sorted(ALL_CONFIGS))
 def test_access_throughput(benchmark, label):
-    stream = make_stream()
-    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
-    cache = CONFIGS[label]()
-    drive(cache, warm)
-    benchmark.pedantic(drive, args=(cache, stream), rounds=3,
+    feed, stream, warm = workload(label)
+    cache = ALL_CONFIGS[label]()
+    feed(cache, warm)
+    benchmark.pedantic(feed, args=(cache, stream), rounds=3,
                        iterations=1, warmup_rounds=0)
     cache.check_invariants()
     benchmark.extra_info["accesses_per_round"] = ACCESSES
@@ -162,14 +208,14 @@ def test_throughput_regression():
     committed = json.loads(BENCH_JSON.read_text())
     ref_spin = committed["calibration_spin_seconds"]
     local_spin = spin_calibration()
-    stream = make_stream()
-    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
     failures = []
     for label, entry in sorted(committed["configs"].items()):
         expected = entry.get("after")
-        if expected is None or label not in CONFIGS:
+        if expected is None or label not in ALL_CONFIGS:
             continue
-        measured = measure(CONFIGS[label], stream, warm, rounds=3)
+        feed, stream, warm = workload(label)
+        measured = measure(ALL_CONFIGS[label], stream, warm, rounds=3,
+                           feed=feed)
         # Machine-normalized: lines per spin-unit of compute.
         norm_measured = measured * local_spin
         norm_expected = expected * ref_spin
@@ -184,16 +230,15 @@ def test_throughput_regression():
 
 
 def _emit(out_path: Path, label: str) -> None:
-    stream = make_stream()
-    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
     data = (json.loads(out_path.read_text()) if out_path.exists()
             else {"benchmark": "benchmarks/test_simulator_throughput.py",
                   "metric": "single-thread cache-access lines/sec "
                             "(best of %d)" % ROUNDS,
                   "workload": WORKLOAD, "configs": {}})
     data["calibration_spin_seconds"] = spin_calibration()
-    for name in sorted(CONFIGS):
-        lps = measure(CONFIGS[name], stream, warm)
+    for name in sorted(ALL_CONFIGS):
+        feed, stream, warm = workload(name)
+        lps = measure(ALL_CONFIGS[name], stream, warm, feed=feed)
         data["configs"].setdefault(name, {})[label] = round(lps, 1)
         print(f"{name:16s} {label}: {lps:>10.0f} lines/s", flush=True)
     speedups = []

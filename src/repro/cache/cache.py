@@ -29,7 +29,7 @@ is rebuilt whenever the subscription set changes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Iterable, List, Optional, Sequence
 
 from ..core.futility import (
@@ -37,10 +37,12 @@ from ..core.futility import (
     CoarseTimestampLRURanking,
     FutilityRanking,
     LRURanking,
+    OPTRanking,
 )
 from ..core.schemes.base import PartitioningScheme
 from ..core.schemes.full_assoc import FullAssocScheme
 from ..core.schemes.futility_scaling import FeedbackFutilityScalingScheme
+from ..core.schemes.unpartitioned import UnpartitionedScheme
 from ..errors import ConfigurationError
 from .arrays import (INVALID, CacheArray, FullyAssociativeArray,
                      SetAssociativeArray)
@@ -49,6 +51,10 @@ from .hashing import XorFoldHash
 from .stats import CacheStats
 
 __all__ = ["PartitionedCache", "RankingObserver"]
+
+#: Keyed rankings whose hook bodies, reference-futility bisect and
+#: FullAssoc victim the kernel generator emits inline (exact types only).
+_KEYED_INLINE = (LRURanking, OPTRanking)
 
 
 class RankingObserver(CacheObserver):
@@ -93,7 +99,10 @@ class PartitionedCache:
     scheme:
         The partitioning scheme (victim selection policy).
     num_partitions:
-        Number of partitions (each thread typically gets one).
+        Number of partitions (each thread typically gets one).  Partitions
+        must not share addresses: an access that hits a line another
+        partition owns raises :class:`~repro.errors.ConfigurationError`
+        and leaves the cache unchanged.
     targets:
         Per-partition target sizes in lines.  Defaults to an equal split of
         the whole cache.  May be changed at any time via
@@ -342,8 +351,6 @@ class PartitionedCache:
             ns["s_evi"] = scheme.on_evict
         if stype.on_move is not base.on_move:
             ns["s_move"] = scheme.on_move
-        if reference is not None:
-            ns["ref_fut"] = reference.futility
         if ref_obs is not None:
             ns["ref_hit"] = reference.on_hit
             ns["ref_ins"] = reference.on_insert
@@ -364,13 +371,17 @@ class PartitionedCache:
         def indent(ind, lines):
             return [ind + line for line in lines]
 
-        def lru_hook_lines(rk, prefix):
-            # Inline LRURanking's hook bodies (access-sequence keys are
-            # strictly increasing, so maintenance is a bisect-delete plus an
-            # append).  When ensure_index() has materialized the
-            # most_futile index (FullAssoc consumers), the inline bodies
-            # mirror the methods' index upkeep — two dict operations —
-            # instead of falling back to a bound-method call.
+        def keyed_hook_lines(rk, prefix):
+            # Inline the hook bodies of the exact keyed rankings
+            # (_KEYED_INLINE): a bisect-delete of the old key plus an
+            # ordered add of the new one (`_sq`).  LRU's access-sequence
+            # keys strictly increase, so its add is an append; OPT's key
+            # is next_use * num_lines + slot (see OPTRanking), appended
+            # when it is the largest and insorted otherwise.  When
+            # ensure_index() has materialized the most_futile index
+            # (FullAssoc consumers), the inline bodies mirror the methods'
+            # index upkeep — two dict operations — instead of falling back
+            # to a bound-method call.
             ns[prefix] = rk
             ns[prefix + "_key"] = rk._key
             ns[prefix + "_keys"] = rk._keys
@@ -378,28 +389,46 @@ class PartitionedCache:
             ns.setdefault("bisect_left", bisect_left)
             key, keys, part_arr = (prefix + "_key", prefix + "_keys",
                                    prefix + "_part")
+            if type(rk) is LRURanking:
+                def new_key(slot):
+                    return ["_sq = %s._seq + 1" % prefix,
+                            "%s._seq = _sq" % prefix]
+
+                def add(ks):
+                    return ["%s.append(_sq)" % ks]
+            else:
+                ns.setdefault("insort", insort)
+                ns["num_lines"] = self.num_lines
+
+                def new_key(slot):
+                    return ["_sq = next_use * num_lines + %s" % slot]
+
+                def add(ks):
+                    return ([] if ks == "_ks" else ["_ks = %s" % ks]) + [
+                        "if _ks and _sq < _ks[-1]:",
+                        "    insort(_ks, _sq)",
+                        "else:",
+                        "    _ks.append(_sq)",
+                    ]
 
             return {
                 "hit": [
                     "_ks = %s[part]" % keys,
                     "_old = %s[idx]" % key,
                     "del _ks[bisect_left(_ks, _old)]",
-                    "_sq = %s._seq + 1" % prefix,
-                    "%s._seq = _sq" % prefix,
+                ] + new_key("idx") + [
                     "%s[idx] = _sq" % key,
-                    "_ks.append(_sq)",
+                ] + add("_ks") + [
                     "_io = %s._index_of" % prefix,
                     "if _io is not None:",
                     "    _io = _io[part]",
                     "    del _io[_old]",
                     "    _io[_sq] = idx",
                 ],
-                "insert": [
-                    "_sq = %s._seq + 1" % prefix,
-                    "%s._seq = _sq" % prefix,
+                "insert": new_key("new_idx") + [
                     "%s[new_idx] = _sq" % key,
                     "%s[new_idx] = part" % part_arr,
-                    "%s[part].append(_sq)" % keys,
+                ] + add("%s[part]" % keys) + [
                     "_io = %s._index_of" % prefix,
                     "if _io is not None:",
                     "    _io[part][_sq] = new_idx",
@@ -470,8 +499,8 @@ class PartitionedCache:
             "evict": ["r_evi(victim, vpart)"],
             "move": ["r_move(src, dst)"],
         }
-        if type(ranking) is LRURanking:
-            r_seg = lru_hook_lines(ranking, "rk")
+        if type(ranking) in _KEYED_INLINE:
+            r_seg = keyed_hook_lines(ranking, "rk")
         elif (type(ranking) is CoarseTimestampLRURanking
               and TIMESTAMP_MOD == 256):
             r_seg = coarse_hook_lines(ranking, "ct")
@@ -481,8 +510,8 @@ class PartitionedCache:
             "evict": ["ref_evi(victim, vpart)"],
             "move": ["ref_move(src, dst)"],
         }
-        if ref_obs is not None and type(reference) is LRURanking:
-            ref_seg = lru_hook_lines(reference, "rf")
+        if ref_obs is not None and type(reference) in _KEYED_INLINE:
+            ref_seg = keyed_hook_lines(reference, "rf")
 
         def victim_lines(cands_expr):
             # Victim selection over one candidate-list expression: a
@@ -530,6 +559,14 @@ class PartitionedCache:
                          is SetAssociativeArray.candidates)
             if inline_sa:
                 ns["ways"] = array_obj.ways
+                # Direct-mapped and unpartitioned: the set's one line is
+                # the victim (UnpartitionedScheme takes it when empty and
+                # has nothing to compare it with when full), so the base
+                # slot is the victim and no choose call is emitted.
+                if array_obj.ways == 1 and stype is UnpartitionedScheme:
+                    pick = ["    victim = _base"]
+                else:
+                    pick = victim_lines("range(_base, _base + ways)")
                 hash_obj = array_obj._hash
                 if type(hash_obj) is XorFoldHash and hash_obj._bits > 0:
                     ns["set_mask"] = hash_obj.buckets - 1
@@ -541,23 +578,25 @@ class PartitionedCache:
                         "        _folded ^= _a & set_mask",
                         "        _a >>= set_bits",
                         "    _base = _folded * ways",
-                    ] + victim_lines("range(_base, _base + ways)")
+                    ] + pick
                 else:
                     ns["hash_fn"] = hash_obj
                     cand = [
                         "    _base = hash_fn(addr) * ways",
-                    ] + victim_lines("range(_base, _base + ways)")
+                    ] + pick
             else:
                 ns["get_candidates"] = array_obj.candidates
                 cand = victim_lines("get_candidates(addr)")
         else:
             ns["free_slot"] = array_obj.free_slot
-            if stype is FullAssocScheme and type(ranking) is LRURanking:
+            if stype is FullAssocScheme and type(ranking) in _KEYED_INLINE:
                 # FullAssocScheme.choose_victim inlined: the globally most
-                # futile line (LRU order head, ks[0] since access-sequence
-                # futility is descending) of the most oversized non-empty
-                # partition.  bind() has forced ensure_index(), so the
-                # key -> line map is maintained by the inline hook bodies.
+                # futile line of the most oversized non-empty partition —
+                # the order's tail for ascending futility (OPT), its head
+                # for descending (LRU).  bind() has forced ensure_index(),
+                # so the key -> line map is maintained by the inline hook
+                # bodies.
+                end = -1 if ranking._ascending_futility else 0
                 cand = [
                     "    victim = free_slot()",
                     "    if victim is None:",
@@ -571,7 +610,7 @@ class PartitionedCache:
                     "            if _bo is None or _ov > _bo:",
                     "                _bo = _ov",
                     "                _bp = _p",
-                    "        victim = rk._index_of[_bp][rk_keys[_bp][0]]",
+                    "        victim = rk._index_of[_bp][rk_keys[_bp][%d]]" % end,
                 ]
             else:
                 cand = [
@@ -618,8 +657,20 @@ class PartitionedCache:
         src = ["def access(addr, part, next_use=None, *, is_write=False):"]
         emit = src.append
         ext = src.extend
+        if isinstance(ranking, OPTRanking) or (
+                ref_obs is not None and isinstance(reference, OPTRanking)):
+            # OPT keys need an int next_use; reject anything else before
+            # the access changes any state (see OPTRanking).
+            ns["next_use_error"] = OPTRanking.next_use_error
+            emit("    if next_use.__class__ is not int:")
+            emit("        raise next_use_error(next_use)")
         emit("    idx = where_get(addr)")
         emit("    if idx is not None:")
+        emit("        if owner[idx] != part:")
+        emit("            raise ConfigurationError(")
+        emit("                'address %d is resident in partition %d, not"
+             " %d: partitions must not share addresses'")
+        emit("                % (addr, owner[idx], part))")
         ext(indent("        ", r_seg["hit"]))
         emit("        if is_write:")
         emit("            dirty[idx] = 1")
@@ -649,22 +700,32 @@ class PartitionedCache:
         emit("    evicted = victim_addr != -1")
         emit("    if evicted:")
         emit("        vpart = owner[victim]")
-        # Exact-LRU reference futility is one bisect and one division;
-        # inline it against whichever key arrays hold the reference order
-        # (the decision ranking itself when it is exact, the shadow
+        # The reference futility is computed only when something reads
+        # it: the statistics' eviction-futility samples or an evict
+        # handler.  For a keyed reference it is one bisect and one
+        # division with _KeyedRanking.futility's float expression, inlined
+        # against whichever key arrays hold the reference order (the
+        # decision ranking itself when it is exact, the shadow
         # RankingObserver otherwise).
-        lru_ref = None
-        if reference is not None and type(reference) is LRURanking:
+        need_fut = reference is not None and bool(
+            (fast_stats is not None and fast_stats.track_eviction_futility)
+            or handlers["evict"])
+        keyed_ref = None
+        if type(reference) in _KEYED_INLINE:
             if reference is ranking:
-                lru_ref = "rk"
+                keyed_ref = "rk"
             elif ref_obs is not None:
-                lru_ref = "rf"
-        if lru_ref is not None:
-            emit("        _ks = %s_keys[vpart]" % lru_ref)
+                keyed_ref = "rf"
+        if need_fut and keyed_ref is not None:
+            emit("        _ks = %s_keys[vpart]" % keyed_ref)
             emit("        _sz = len(_ks)")
-            emit("        fut = (_sz - bisect_left(_ks, %s_key[victim]))"
-                 " / _sz" % lru_ref)
-        elif reference is not None:
+            rank = "bisect_left(_ks, %s_key[victim])" % keyed_ref
+            if reference._ascending_futility:
+                emit("        fut = (%s + 1) / _sz" % rank)
+            else:
+                emit("        fut = (_sz - %s) / _sz" % rank)
+        elif need_fut:
+            ns["ref_fut"] = reference.futility
             emit("        fut = ref_fut(victim)")
         emit("        was_dirty = dirty[victim]")
         emit("        if was_dirty:")
@@ -698,7 +759,7 @@ class PartitionedCache:
             ext(indent("        ", ref_seg["evict"]))
         if fast_stats is not None:
             emit("        st.evictions[vpart] += 1")
-            if fast_stats.track_eviction_futility and reference is not None:
+            if need_fut and fast_stats.track_eviction_futility:
                 emit("        st.eviction_futilities[vpart].append(fut)")
             emit("        if was_dirty:")
             emit("            st.writebacks[vpart] += 1")

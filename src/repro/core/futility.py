@@ -209,10 +209,12 @@ class _KeyedRanking(FutilityRanking):
             self._index_of[part][key] = idx
 
     def on_hit(self, idx: int, part: int, *, next_use: Optional[int] = None) -> None:
+        # The new key first: a _make_key that rejects its input must leave
+        # the ranking untouched.
+        key = self._make_key(idx, part, next_use, is_hit=True)
         ks = self._keys[part]
         old = self._key[idx]
         del ks[bisect_left(ks, old)]
-        key = self._make_key(idx, part, next_use, is_hit=True)
         self._key[idx] = key
         if ks and key < ks[-1]:
             insort(ks, key)
@@ -345,10 +347,19 @@ class LFURanking(_KeyedRanking):
 class OPTRanking(_KeyedRanking):
     """Belady's OPT futility [14]: rank by time to next reference.
 
-    Each access must supply ``next_use`` — the (thread-local) position of the
-    next reference to the same address, or any value strictly larger than
-    every finite position if the address is never referenced again.  Trace
-    containers precompute this (see :func:`repro.trace.access.annotate_next_use`).
+    Each access must supply ``next_use`` as an ``int`` — the (thread-local)
+    position of the next reference to the same address, or any integer
+    strictly larger than every finite position if the address is never
+    referenced again.  Trace containers precompute this (see
+    :func:`repro.trace.access.annotate_next_use`).
+
+    A line's key is the integer ``next_use * num_lines + idx``.  Because
+    ``0 <= idx < num_lines``, keys order exactly like ``(next_use, idx)``
+    tuples, so every comparison, rank and victim is the tuple order's, at
+    the cost of one integer compare.  ``None``, a float (``inf`` would
+    swallow ``idx``; a large float would round it away) or any other
+    non-``int`` raises :class:`~repro.errors.ConfigurationError` before the
+    ranking changes.
     """
 
     name = "opt"
@@ -356,14 +367,22 @@ class OPTRanking(_KeyedRanking):
     needs_future = True
     _ascending_futility = True  # later next use = more futile
 
+    @staticmethod
+    def next_use_error(next_use) -> ConfigurationError:
+        """The error for a ``next_use`` that is not an ``int`` (the
+        compiled access kernel raises the same one)."""
+        return ConfigurationError(
+            f"OPTRanking requires an int next_use on every access, got "
+            f"{next_use!r}; annotate the trace with next-use information "
+            f"first")
+
     def _make_key(self, idx, part, next_use, *, is_hit):
-        if next_use is None:
-            raise ConfigurationError(
-                "OPTRanking requires next_use on every access; "
-                "annotate the trace with next-use information first")
-        # (next_use, idx) keeps keys strict even if a caller reuses a
-        # sentinel next_use for many never-referenced-again lines.
-        return (next_use, idx)
+        if type(next_use) is not int:
+            raise self.next_use_error(next_use)
+        # (next_use, idx) packed into one int: idx breaks ties, so keys
+        # stay strict even if a caller reuses a sentinel next_use for many
+        # never-referenced-again lines.
+        return next_use * self._num_lines + idx
 
 
 class RandomRanking(_KeyedRanking):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ...cache.arrays import SetAssociativeArray
 from ...errors import ConfigurationError
 from .base import PartitioningScheme, register_scheme
 
@@ -42,11 +43,17 @@ class WayPartitionScheme(PartitioningScheme):
 
     def bind(self, cache) -> None:
         super().bind(cache)
-        if not hasattr(cache.array, "ways") or cache.array.ways < cache.num_partitions:
-            ways = getattr(cache.array, "ways", None)
+        # Slots map to ways as slot % ways and set * ways + way: the
+        # set-major layout of SetAssociativeArray alone (skew and zcache
+        # arrays lay slots out way-major).
+        if not isinstance(cache.array, SetAssociativeArray):
+            raise ConfigurationError(
+                f"way-partitioning needs a SetAssociativeArray, got "
+                f"{type(cache.array).__name__}")
+        if cache.array.ways < cache.num_partitions:
             raise ConfigurationError(
                 f"way-partitioning needs a set-associative array with at "
-                f"least one way per partition (ways={ways}, "
+                f"least one way per partition (ways={cache.array.ways}, "
                 f"partitions={cache.num_partitions})")
 
     def way_assignment(self) -> List[int]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..api import build_cache
+from ..cache.cache import PartitionedCache
 from ..core.schemes.full_assoc import FullAssocScheme
 from ..core.schemes.unpartitioned import UnpartitionedScheme
 from ..runner import Cell, run_cells
@@ -80,18 +81,25 @@ class Fig6Result:
         return cell["fa"] / cell["dm"]
 
 
+def _cell_cache(size: int, ranking: str,
+                organization: str) -> PartitionedCache:
+    """The single-partition cache one cell simulates.  Only IPC is
+    reported, so neither organization records eviction futilities (and
+    the compiled kernel computes none)."""
+    if organization == "fa":
+        return build_cache(array="full-assoc", num_lines=size,
+                           ranking=ranking, scheme=FullAssocScheme(),
+                           num_partitions=1, track_eviction_futility=False)
+    return build_cache(array="direct-mapped", num_lines=size,
+                       ranking=ranking, scheme=UnpartitionedScheme(),
+                       num_partitions=1, track_eviction_futility=False)
+
+
 def _run_cell(config: Fig6Config, benchmark: str, size: int, ranking: str,
               organization: str) -> float:
     trace = get_profile(benchmark).trace(
         config.trace_length, seed=config.seed, scale=config.workload_scale)
-    if organization == "fa":
-        cache = build_cache(array="full-assoc", num_lines=size,
-                            ranking=ranking, scheme=FullAssocScheme(),
-                            num_partitions=1)
-    else:
-        cache = build_cache(array="direct-mapped", num_lines=size,
-                            ranking=ranking, scheme=UnpartitionedScheme(),
-                            num_partitions=1, track_eviction_futility=False)
+    cache = _cell_cache(size, ranking, organization)
     return simulate_single_thread(cache, trace, TABLE_II).ipc
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..cache.cache import PartitionedCache
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..trace.access import Trace
 from ..trace.mixing import TraceCursor
 from .config import SystemConfig, TABLE_II
@@ -171,13 +171,16 @@ class MultiprogramSimulator:
         limit = self.instruction_limit
         threads = self._threads
         unfinished = len(threads)
+        # One (vtime, tid) entry per thread.  Each access serves the
+        # earliest entry and replaces it in place with one sift; entries
+        # are unique, so the order served does not depend on the heap's
+        # layout.
         heap = [(0.0, tid) for tid in range(len(threads))]
         heapq.heapify(heap)
+        heapreplace = heapq.heapreplace
         max_time = 0.0
         while unfinished > 0:
-            if not heap:  # pragma: no cover - defensive
-                raise SimulationError("scheduler heap drained unexpectedly")
-            vtime, tid = heapq.heappop(heap)
+            vtime, tid = heap[0]
             state = threads[tid]
             addr, next_use, gap = state.cursor.next()
             is_write = (write_fractions is not None
@@ -208,7 +211,7 @@ class MultiprogramSimulator:
                     unfinished -= 1
                     max_time = max(max_time, state.vtime)
             if unfinished > 0:
-                heapq.heappush(heap, (state.vtime, tid))
+                heapreplace(heap, (state.vtime, tid))
         results = [s.result for s in threads]
         return SimulationResult(threads=results, total_cycles=max_time)
 

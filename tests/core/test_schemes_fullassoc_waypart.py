@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import build_cache
 from repro.cache.arrays import FullyAssociativeArray, SetAssociativeArray
 from repro.cache.cache import PartitionedCache
 from repro.core.futility import CoarseTimestampLRURanking, LRURanking
@@ -140,3 +141,21 @@ class TestWayPartition:
         drive(cache, 30_000, seed=7)
         aef_small = cache.stats.aef(1)
         assert aef_small < 0.85
+
+    @pytest.mark.parametrize("kind", ["zcache", "skew"])
+    def test_refuses_way_major_arrays(self, kind):
+        """Way ownership maps slots as ``slot % ways``, the set-major
+        layout of SetAssociativeArray; skew and zcache arrays lay slots
+        out way-major, where that mapping would strand partitions."""
+        with pytest.raises(ConfigurationError, match="SetAssociativeArray"):
+            build_cache(array=kind, num_lines=256, ways=4, candidates=16,
+                        ranking="lru", scheme="way-partition",
+                        num_partitions=3)
+
+    def test_three_private_streams_on_set_assoc(self):
+        cache = build_cache(array="set-assoc", num_lines=256, ways=4,
+                            ranking="lru", scheme="way-partition",
+                            num_partitions=3)
+        drive(cache, 3_000, parts=3, space=400)
+        cache.check_invariants()
+        assert all(cache.stats.evictions)
