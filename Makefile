@@ -12,7 +12,7 @@ PY := PYTHONPATH=src python
 install:
 	pip install -e . || python setup.py develop
 
-# tests/runner/ exercises the work-queue engine (a --jobs 2 smoke-scale
+# tests/runner/ exercises the dispatch engine (a --jobs 2 smoke-scale
 # run of forked workers byte-compared against --jobs 1) on every
 # invocation.
 test:
@@ -92,42 +92,43 @@ telemetry-smoke:
 		--out telemetry-run/obs/fig6/report.txt
 	cat telemetry-run/obs/fig3/report.txt telemetry-run/obs/fig6/report.txt
 
-# Asserts that every row of a store's work queue is done on its first
-# attempt: no retries, no dead workers, nothing failed or unfinished.
-QUEUE_CLEAN := $(PY) -c 'import sqlite3, sys; \
-rows = sqlite3.connect(sys.argv[1]).execute( \
-"SELECT status, attempts, deaths FROM work_queue").fetchall(); \
-assert rows and all(r == ("done", 0, 0) for r in rows), rows; \
-print(f"ok: {len(rows)} queue rows done, no retries, no deaths")'
+# Asserts that a telemetry run's manifest records every cell computed
+# on its first attempt: nothing cached, failed or unfinished, no
+# retries, no dead workers.
+MANIFEST_CLEAN := $(PY) -c 'import json, sys; \
+cells = json.load(open(sys.argv[1]))["cells"]; \
+assert cells["total"] and cells["completed"] == cells["total"], cells; \
+assert cells["retries"] == cells["losses"] == cells["failed"] == 0, cells; \
+print("ok: %d cells done, no retries, no losses" % cells["total"])'
 
 # Local mirror of the CI store-chaos job: a fig3 run by 2 forked workers
-# under one fault plan — injected store faults (lock contention, claim
+# under one fault plan — injected store faults (lock contention, write
 # latency) plus a cell that hangs for 2 s — must print exactly the bytes
-# a fault-free --jobs 1 run prints, and leave every queue row done on
-# its first attempt.  Then a worker killed mid-cell must cost nothing
-# but a rerun of that cell.
+# a fault-free --jobs 1 run prints, and its manifest must record every
+# cell done on its first attempt.  Then a worker killed mid-cell must
+# cost nothing but a rerun of that cell.
 chaos-smoke:
 	rm -rf chaos-run && mkdir -p chaos-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
 		--store local:chaos-run/baseline > chaos-run/baseline.out
-	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}, {"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}, {"op": "*", "kind": "busy", "every": 3}, {"op": "put", "kind": "latency", "seconds": 0.01}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
-		--jobs 2 > chaos-run/chaos.out
+		--jobs 2 --telemetry=chaos-run/obs > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
-	$(QUEUE_CLEAN) chaos-run/results.db
+	$(MANIFEST_CLEAN) chaos-run/obs/fig3/manifest.json
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/kill.db \
 		--jobs 2 --retries 1 > chaos-run/kill.out
 	cmp chaos-run/baseline.out chaos-run/kill.out
 
-# Local mirror of the CI tracing job: a fig3 sweep drained by 2 queue
+# Local mirror of the CI tracing job: a fig3 sweep run by 2 forked
 # workers with --telemetry (which always traces) must print exactly the
 # bytes a sequential untraced run prints, leave schema-valid trace
 # artifacts that stitch into one complete span tree, project to a
 # canonical form that is byte-identical whatever the worker count, and
-# leave every queue row done on its first attempt (nothing failed or
-# unfinished).  A traced sweep whose worker is killed mid-cell must also
-# print the baseline bytes and stitch into a complete tree.
+# record every cell done on its first attempt in its manifest (nothing
+# failed or unfinished).  A traced sweep whose worker is killed mid-cell
+# must also print the baseline bytes and stitch into a complete tree.
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
@@ -148,7 +149,7 @@ trace-smoke:
 	$(PY) -m repro.obs trace --canonical trace-run/obs-solo/fig3 \
 		> trace-run/canon-1w.txt
 	cmp trace-run/canon-2w.txt trace-run/canon-1w.txt
-	$(QUEUE_CLEAN) trace-run/results.db
+	$(MANIFEST_CLEAN) trace-run/obs/fig3/manifest.json
 	$(PY) -m repro.obs report --json trace-run/obs/fig3 \
 		> trace-run/report.json
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.9]", "kind": "kill"}]}' \

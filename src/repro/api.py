@@ -121,8 +121,8 @@ def build_cache(*, array: Union[str, CacheArray],
         Optional per-partition target sizes in lines; must match
         ``num_partitions``.
     cache_kwargs:
-        Forwarded to :class:`PartitionedCache` (``reference_ranking``,
-        ``deviation_partitions``, ...).
+        Forwarded to :class:`PartitionedCache`
+        (``track_eviction_futility``, ``deviation_partitions``, ...).
     """
     built_array = build_array(array, num_lines, ways=ways,
                               candidates=candidates, seed=seed)

@@ -107,28 +107,19 @@ class PartitionedCache:
         Per-partition target sizes in lines.  Defaults to an equal split of
         the whole cache.  May be changed at any time via
         :meth:`set_targets` — replacement-based schemes resize smoothly.
-    reference_ranking:
-        Exact ranking maintained for eviction-futility measurement when
-        ``ranking`` is approximate.  ``"auto"`` (default) builds an exact
-        LRU reference only when needed; ``None`` disables measurement
-        (faster); or pass a :class:`FutilityRanking` instance.
     track_eviction_futility, deviation_partitions, occupancy_sample_period:
         Statistics configuration, see :class:`~repro.cache.stats.CacheStats`.
-    collect_stats:
-        When ``False`` the :attr:`stats` object exists but is *not*
-        subscribed to the event bus — a pure-replacement run with zero
-        measurement cost.  (``cache.events.subscribe(cache.stats)`` turns
-        collection on later.)
+        With ``track_eviction_futility`` and an approximate ``ranking``,
+        an exact LRU reference ranking is maintained for eviction-futility
+        measurement.  :attr:`stats` always subscribes to the event bus.
     """
 
     def __init__(self, array: CacheArray, ranking: FutilityRanking,
                  scheme: PartitioningScheme, num_partitions: int, *,
                  targets: Optional[Sequence[int]] = None,
-                 reference_ranking="auto",
                  track_eviction_futility: bool = True,
                  deviation_partitions: Iterable[int] = (),
-                 occupancy_sample_period: int = 64,
-                 collect_stats: bool = True) -> None:
+                 occupancy_sample_period: int = 64) -> None:
         if num_partitions <= 0:
             raise ConfigurationError("num_partitions must be positive")
         self._ready = False
@@ -154,10 +145,8 @@ class PartitionedCache:
         if ranking.exact or not track_eviction_futility:
             self.reference: Optional[FutilityRanking] = (
                 ranking if ranking.exact else None)
-        elif reference_ranking == "auto":
-            self.reference = LRURanking()
         else:
-            self.reference = reference_ranking
+            self.reference = LRURanking()
         self._separate_reference = (self.reference is not None
                                     and self.reference is not ranking)
         if self._separate_reference:
@@ -171,8 +160,7 @@ class PartitionedCache:
             deviation_partitions=deviation_partitions,
             occupancy_sample_period=occupancy_sample_period)
         self.stats.attach(self)
-        if collect_stats:
-            self.events.subscribe(self.stats)
+        self.events.subscribe(self.stats)
 
         scheme.bind(self)
         if not scheme.uses_candidates and not hasattr(array, "free_slot"):

@@ -74,44 +74,6 @@ class PartitioningScheme:
         """
         return kernels.first_invalid(self.cache, candidates)
 
-    def _most_oversized_partition(self, candidates: List[int]) -> int:
-        """The Partition-Selection step shared by PF-family schemes: the
-        candidate partition whose actual size most exceeds its target."""
-        cache = self.cache
-        owner = cache.owner
-        actual = cache.actual_sizes
-        target = cache.targets
-        best_part = -1
-        best_over = None
-        for c in candidates:
-            p = owner[c]
-            over = actual[p] - target[p]
-            if best_over is None or over > best_over:
-                best_over = over
-                best_part = p
-        return best_part
-
-    def _max_futility_in_partition(self, candidates: List[int],
-                                   part: int) -> int:
-        """Victim-Identification step: the candidate from ``part`` with the
-        largest raw futility."""
-        cache = self.cache
-        owner = cache.owner
-        raw = cache.ranking.raw_futility
-        best = -1
-        best_f = None
-        for c in candidates:
-            if owner[c] != part:
-                continue
-            f = raw(c)
-            if best_f is None or f > best_f:
-                best_f = f
-                best = c
-        if best < 0:  # pragma: no cover - PS step guarantees membership
-            raise ConfigurationError(
-                f"no candidate from partition {part} in the candidate list")
-        return best
-
 
 _SCHEME_REGISTRY: Dict[str, Type[PartitioningScheme]] = {}
 

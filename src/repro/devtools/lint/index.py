@@ -95,7 +95,7 @@ def parse_annotations(source: str) -> Dict[int, Dict[str, str]]:
 def module_name_for(path: str) -> str:
     """Dotted module name a (possibly virtual) path denotes.
 
-    ``.../src/repro/store/queue.py`` -> ``repro.store.queue``; a path
+    ``.../src/repro/store/local.py`` -> ``repro.store.local``; a path
     containing no ``repro`` package directory is dotted from its own
     parts (``pkg/mod.py`` -> ``pkg.mod``) so fixture trees form their
     own mini-projects; ``__init__.py`` names the package itself.

@@ -244,7 +244,7 @@ class WallTaintRule(ProjectRule):
                  dict_field_paths=("repro/obs/", "obs/")),
         SinkSpec(label="trace-id derivation",
                  calls=frozenset({
-                     "repro.store.queue.sweep_digest",
+                     "repro.obs.trace.sweep_digest",
                      "repro.obs.trace.trace_id_for",
                      "repro.obs.trace.span_id",
                  })),

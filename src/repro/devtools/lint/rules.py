@@ -112,26 +112,22 @@ class WallClockRule(Rule):
     entries unsound.  Monotonic interval timing (``time.perf_counter``,
     ``time.monotonic``) is deliberately *not* flagged: the runner uses
     it for per-cell timings that stream to stderr, never into results,
-    and for retry backoff and worker shutdown — scheduling decisions
-    that never reach results or cache keys.  Two sanctioned
-    wall-clock sites remain: the CLI's progress/timing path in
-    ``repro/experiments/__main__.py``, and the work queue's
-    ``claimed_at`` and ``not_before`` stamps in
-    ``repro/store/queue.py``, which other worker processes compare
-    (cell timeouts, retry backoff) and which only schedule work — they
-    never feed results or cache keys.  The store backends, the retry wrapper and the fault plan
-    (``repro/store/faults.py``) stay *unsanctioned*: injection
-    schedules must be pure functions of call counts and seeds or chaos
-    runs stop being reproducible.  Note ``repro/obs/trace.py`` is *not*
-    allow-listed: its single clock read (``wall_now``) carries an
-    explicit suppression, so any new clock read there — e.g. one that
-    could leak into a trace ID — fires.
+    and for retry backoff, cell timeouts and worker shutdown —
+    scheduling decisions that never reach results or cache keys.  One
+    sanctioned wall-clock site remains: the CLI's progress/timing path
+    in ``repro/experiments/__main__.py``.  The store backends, the
+    retry wrapper and the fault plan (``repro/store/faults.py``) stay
+    *unsanctioned*: injection schedules must be pure functions of call
+    counts and seeds or chaos runs stop being reproducible.  Note
+    ``repro/obs/trace.py`` is *not* allow-listed: its single clock read
+    (``wall_now``) carries an explicit suppression, so any new clock
+    read there — e.g. one that could leak into a trace ID — fires.
     """
 
     rule_id = "DET002"
     summary = ("wall-clock read (time.time / datetime.now) in code that "
                "may feed results or cache keys")
-    allow = ("repro/experiments/__main__.py", "repro/store/queue.py")
+    allow = ("repro/experiments/__main__.py",)
 
     WALL_CLOCK: FrozenSet[str] = frozenset({
         "time.time", "time.time_ns", "time.localtime", "time.gmtime",

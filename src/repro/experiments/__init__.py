@@ -16,8 +16,6 @@ memoization through :mod:`repro.runner`.
 from .common import (
     ADDRESS_SPACING,
     DEFAULT_SCALE,
-    build_array,
-    build_cache,
     duplicated_traces,
     format_table,
     mixed_traces,
@@ -46,7 +44,7 @@ from .tableii import TableIIConfig, render_table_ii
 
 __all__ = [
     "DEFAULT_SCALE", "ADDRESS_SPACING",
-    "build_array", "build_cache", "duplicated_traces", "mixed_traces",
+    "duplicated_traces", "mixed_traces",
     "format_table",
     "ExperimentSpec", "register_experiment", "get_experiment",
     "experiment_names", "iter_experiments",

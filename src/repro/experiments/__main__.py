@@ -11,10 +11,10 @@ Regenerate any of the paper's figures from the shell::
 ``scaled`` (default, minutes) or ``paper`` (the publication's exact
 parameters; hours in pure Python).
 
-Sweep cells go through a work queue drained by ``--jobs N`` workers
-(default ``os.cpu_count()``; ``--jobs 1`` runs them in this process,
-``N`` forks ``N`` worker processes), and every cell's result is
-memoized in a pluggable content-addressed experiment store —
+Sweep cells run in ``--jobs N`` workers (default ``os.cpu_count()``;
+``--jobs 1`` runs them in this process, ``N`` forks ``N`` worker
+processes), and every cell's result is memoized in a pluggable
+content-addressed experiment store —
 ``--store local:PATH`` (directory of pickles, the default at
 ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-experiments``; a bare path
 opens this backend too) or ``--store sqlite:PATH`` (one WAL-mode
@@ -23,7 +23,7 @@ database file) — so interrupted or repeated runs resume instantly.
 overwrites existing entries, and transient store errors retry with
 bounded backoff (``--store-retries``).  A sweep that was killed or
 interrupted resumes on the next run: finished cells come from the
-store, and the cells its dead workers held run again at once.
+store, and the rest run again.
 Figure tables go to stdout and are byte-identical for any ``--jobs``
 or store backend; per-cell progress and timing stream to stderr.
 
@@ -82,9 +82,9 @@ def main(argv=None) -> int:
                         choices=("smoke", "scaled", "paper"),
                         help="experiment scale (default: scaled)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="workers draining the sweep's work queue: "
-                             "1 runs cells in this process, N forks N "
-                             "worker processes (default: os.cpu_count())")
+                        help="workers running the sweep's cells: 1 runs "
+                             "them in this process, N forks N worker "
+                             "processes (default: os.cpu_count())")
     store_group = parser.add_mutually_exclusive_group()
     store_group.add_argument("--store", default=None, metavar="URL",
                              help="experiment store URL: local:PATH or "
@@ -105,9 +105,9 @@ def main(argv=None) -> int:
                              "cell retried or failed (runs cells in a "
                              "forked worker even at --jobs 1)")
     parser.add_argument("--store-retries", type=int, default=5, metavar="N",
-                        help="bounded retries for transient store errors "
-                             "(locked database, EAGAIN) in workers and "
-                             "coordinator (default: 5)")
+                        help="bounded retries for transient errors "
+                             "(locked database, EAGAIN) in the store reads "
+                             "and writes of this process (default: 5)")
     parser.add_argument("--keep-going", action="store_true",
                         help="complete the sweep despite failing cells, "
                              "write a JSON failure manifest in the "
@@ -143,18 +143,19 @@ def main(argv=None) -> int:
     exit_code = 0
     for name in selected:
         spec = get_experiment(name)
-        session = _make_session(args, store, name)
-        telemetry = None
-        if session is not None:
-            session.activate()
-            telemetry = session.telemetry
         start = time.time()
         try:
+            # Both validate their flags before the session touches the
+            # environment, so a bad flag is one clean error line.
+            session = _make_session(args, store, name)
             run_config = RunConfig(
                 jobs=jobs, store=store, force=args.force,
                 retries=args.retries, cell_timeout=args.cell_timeout,
                 keep_going=args.keep_going, progress=progress,
-                telemetry=telemetry, store_retries=args.store_retries)
+                telemetry=session.telemetry if session else None,
+                store_retries=args.store_retries)
+            if session is not None:
+                session.activate()
             try:
                 with session.phase("sweep") if session else nullcontext():
                     result = spec.run(spec.config(args.scale),

@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .. import api
-from ..cache.arrays import CacheArray
 from ..cache.cache import PartitionedCache
 from ..trace.access import Trace
 from ..trace.mixing import TraceCursor
@@ -30,8 +28,6 @@ from ..trace.spec import get_profile
 
 __all__ = [
     "DEFAULT_SCALE",
-    "build_array",
-    "build_cache",
     "duplicated_traces",
     "mixed_traces",
     "prefill_to_targets",
@@ -45,28 +41,6 @@ DEFAULT_SCALE = 0.125
 
 #: Address-space stride separating threads in multiprogrammed mixes.
 ADDRESS_SPACING = 1 << 40
-
-
-def build_array(kind: str, num_lines: int, *, ways: int = 16,
-                candidates: int = 16, seed: int = 0) -> CacheArray:
-    """Array factory for experiment configs.
-
-    Thin wrapper over the stable facade :func:`repro.api.build_array`;
-    kept for backward compatibility with the positional signature.
-    """
-    return api.build_array(kind, num_lines, ways=ways,
-                           candidates=candidates, seed=seed)
-
-
-def build_cache(array: CacheArray, ranking, scheme, num_partitions: int,
-                **cache_kwargs) -> PartitionedCache:
-    """Cache factory accepting names or instances for ranking/scheme.
-
-    Thin wrapper over the stable facade :func:`repro.api.build_cache`;
-    kept for backward compatibility with the positional signature.
-    """
-    return api.build_cache(array=array, ranking=ranking, scheme=scheme,
-                           num_partitions=num_partitions, **cache_kwargs)
 
 
 def duplicated_traces(benchmark: str, n: int, length: int, *,

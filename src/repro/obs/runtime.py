@@ -1,7 +1,7 @@
 """Process-wide telemetry runtime: how worker processes find out.
 
-Experiment cells execute inside queue workers — often other processes
-— and build their caches internally, so the runner cannot hand a
+Experiment cells execute inside workers — often other processes — and
+build their caches internally, so the runner cannot hand a
 recorder object to them.  Activation therefore travels through the
 environment: :class:`~repro.obs.session.TelemetrySession` sets
 ``REPRO_TELEMETRY`` (the telemetry directory) before any worker starts,

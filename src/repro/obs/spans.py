@@ -68,6 +68,8 @@ class RunTelemetry:
         #: without a worker-side terminal span (worker reaped or killed
         #: for a timeout, loss budget exhausted, fleet aborted).
         self._lost: Dict[Tuple[int, int], str] = {}
+        #: ``index -> events`` on each cell's span (store retries).
+        self._events: Dict[int, List[Dict[str, Any]]] = {}
 
     # -- lifecycle hooks (called by repro.runner) ----------------------------
     def begin(self, cells: Sequence["Cell"], keys: Sequence[str]) -> None:
@@ -75,13 +77,14 @@ class RunTelemetry:
 
         With tracing enabled this also opens the sweep's trace: the
         trace ID (a pure function of the cell keys) is computed here,
-        and :meth:`trace_context` hands it to each queue item.
+        and :meth:`trace_context` hands it to each attempt.
         """
         self._t0 = time.monotonic()
         if self.trace_dir is not None:
             self.trace_id = trace_id_for(list(keys))
             self._wall0 = wall_now()
             self._lost = {}
+            self._events = {}
         self.spans = [CellSpan(cell.label, key)
                       for cell, key in zip(cells, keys)]
 
@@ -132,12 +135,12 @@ class RunTelemetry:
 
     # -- distributed tracing -------------------------------------------------
     def trace_context(self, index: int) -> Optional[Dict[str, str]]:
-        """Trace context to stamp into cell ``index``'s queue payload.
+        """Trace context to hand over with each attempt of cell ``index``.
 
         ``{"trace": ..., "parent": ...}`` — the parent is the cell
         span's derived ID, so any worker process can hang its
-        ``claim``/``execute`` spans under the right node without
-        talking to the coordinator.  ``None`` when tracing is off.
+        ``claim``/``execute`` spans under the right node.  ``None``
+        when tracing is off.
         """
         if not self.trace_id:
             return None
@@ -159,6 +162,17 @@ class RunTelemetry:
         """
         if self.trace_id:
             self._lost.setdefault((index, attempts), error_type)
+
+    def store_retry(self, index: int, op: str, error: str,
+                    failures: int) -> None:
+        """A store operation for cell ``index`` hit a transient
+        ``error`` and retries (its ``failures``-th retry): a
+        ``det=False`` ``store_retry`` event on the cell's span, since
+        backoff is schedule, not causality."""
+        if self.trace_id:
+            self._events.setdefault(index, []).append(
+                {"name": "store_retry", "det": False, "op": op,
+                 "error": error, "n": failures})
 
     def write_trace(self) -> Optional[Path]:
         """Write the coordinator's trace file (root sweep + cell spans).
@@ -189,13 +203,14 @@ class RunTelemetry:
             "wall": {"start": wall0, "end": wall_now(),
                      "worker": "coordinator"},
         }]
-        for span in self.spans:
+        for index, span in enumerate(self.spans):
             rows.append({
                 "trace": tid,
                 "span": span_id(tid, "cell", span.key),
                 "parent": root_sid, "kind": "cell", "name": span.cell,
                 "key": span.key, "attempt": span.attempts,
-                "status": span.status, "events": [],
+                "status": span.status,
+                "events": self._events.get(index, []),
                 "wall": {"start": wall0, "end": at(span.finished_s),
                          "worker": "coordinator"},
             })

@@ -342,9 +342,10 @@ def critical_path(tree: Dict[str, Any]) -> Dict[str, Any]:
     * ``execute`` — the final attempt's execute span;
     * ``retry`` — earlier attempts (their execute + nack spans) and
       nacks of the final attempt;
-    * ``store`` — claim and ack spans (queue/store I/O);
-    * ``queue_wait`` — the rest of the cell's window: published but
-      unclaimed, or backing off between attempts.
+    * ``store`` — claim and ack spans (handing the cell over and its
+      answer back);
+    * ``queue_wait`` — the rest of the cell's window: waiting for a
+      worker, or backing off between attempts.
 
     ``per_cell`` holds one entry per executed cell, longest window
     first, with its status, attempts, breakdown, ``retries`` (attempts

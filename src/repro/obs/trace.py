@@ -4,10 +4,11 @@ One sweep = one trace.  The coordinator opens a root ``sweep`` span and
 one ``cell`` span per cell; whichever worker executes an attempt — the
 coordinator's own thread or a forked worker — appends ``claim`` /
 ``execute`` / ``ack`` / ``nack`` child spans to its own
-``traces/<worker>.jsonl`` file, parented through the trace context each
-queue item carries.  The stitcher (:mod:`repro.obs.stitch`) rebuilds
-the tree from any mix of those files, so a sweep spread over processes
-still yields one causal story per cell.
+``traces/<worker>.jsonl`` file, parented through the trace context the
+coordinator hands over with each attempt.  The stitcher
+(:mod:`repro.obs.stitch`) rebuilds the tree from any mix of those
+files, so a sweep spread over processes still yields one causal story
+per cell.
 
 Identity is the whole trick.  Trace and span IDs are pure functions of
 the sweep digest, cell key, span kind and attempt number — **never**
@@ -53,7 +54,6 @@ from typing import IO, Any, Dict, Iterator, List, Optional, Sequence, Type
 from contextlib import contextmanager
 
 from ..errors import ConfigurationError
-from ..store.queue import sweep_digest
 from .runtime import TELEMETRY_ENV
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
     "execute_span",
     "set_worker",
     "span_id",
+    "sweep_digest",
     "trace_id_for",
     "wall_now",
     "worker_name",
@@ -89,12 +90,21 @@ def wall_now() -> float:
     return time.time()  # reprolint: disable=DET002,DET004
 
 
+def sweep_digest(keys: Sequence[str]) -> str:
+    """Identity of a sweep: the SHA-256 of its ordered (index, key) pairs.
+
+    Changed config or changed code changes the keys, hence the sweep.
+    """
+    blob = json.dumps([[i, key] for i, key in enumerate(keys)],
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def trace_id_for(keys: Sequence[str]) -> str:
     """Deterministic trace ID for one sweep: a prefix of
-    :func:`repro.store.queue.sweep_digest`, the hash of its ordered
-    ``(index, key)`` pairs whose shorter prefix names the sweep's queue
-    rows.  The same sweep traced twice yields the same trace ID, and no
-    clock or RNG can leak in by construction."""
+    :func:`sweep_digest`, the hash of its ordered ``(index, key)``
+    pairs.  The same sweep traced twice yields the same trace ID, and
+    no clock or RNG can leak in by construction."""
     return sweep_digest(keys)[:32]
 
 
@@ -119,7 +129,7 @@ _worker_name = ""
 
 
 def set_worker(name: str) -> None:
-    """Name this process's trace file (e.g. the queue worker ID)."""
+    """Name this process's trace file (e.g. the worker ID)."""
     global _worker_name
     with _worker_lock:
         _worker_name = name
@@ -300,9 +310,10 @@ def ambient_tracer(trace_id: str) -> Optional[Tracer]:
     """A tracer for ``trace_id`` in this process, or ``None`` when
     tracing is off (or there is no trace ID).
 
-    Queue items carry the trace ID across processes; the
-    output file is ``$REPRO_TELEMETRY/traces/<worker>.jsonl``.  Writers
-    are cached per path so one worker process appends to one file.
+    Each attempt's trace context carries the trace ID across
+    processes; the output file is
+    ``$REPRO_TELEMETRY/traces/<worker>.jsonl``.  Writers are cached per
+    path so one worker process appends to one file.
     """
     directory = trace_dir()
     if directory is None or not trace_id:
@@ -336,7 +347,7 @@ def execute_span(label: str, key: str, attempt: int,
                      Optional[Span]]:
     """Ambient ``execute`` span around one cell attempt.
 
-    ``ctx`` is the trace context the queue item carries
+    ``ctx`` is the trace context the attempt was handed
     (``{"trace": ..., "parent": ...}``, the parent being the attempt's
     ``claim`` span); without one, no span is recorded.
     """

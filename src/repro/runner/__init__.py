@@ -1,11 +1,12 @@
-"""Experiment-execution engine: queued cells with content-addressed memoization.
+"""Experiment-execution engine: cells with content-addressed memoization.
 
 The runner decomposes an experiment into independent :class:`Cell`\\ s
 and executes them through one engine (:func:`run_cells` with a
-:class:`RunConfig`): pending cells are published to a work queue and
-drained by workers — the calling thread or forked worker processes.  Each cell's result is memoized in
-a pluggable :class:`~repro.store.ExperimentStore` keyed by a SHA-256 of
-its full configuration (checksummed and self-quarantining; see
+:class:`RunConfig`): the coordinator hands the cells the store does
+not hold to its workers — the calling thread or forked worker
+processes.  Each cell's result is memoized in a pluggable
+:class:`~repro.store.ExperimentStore` keyed by a SHA-256 of its full
+configuration (checksummed and self-quarantining; see
 :mod:`repro.store`), and per-cell progress streams to stderr
 (:class:`Progress`).  Reduction is ordered, so output is byte-identical
 at any worker count; see :mod:`repro.experiments.registry` for how
@@ -13,7 +14,7 @@ experiments plug in.
 
 Execution is fault tolerant (:mod:`repro.runner.resilience`): failing
 cells retry with capped deterministic backoff, hung cells are killed by
-per-cell timeouts, a dead worker's cell is released and rerun, and
+per-cell timeouts, a dead worker's cell is rerun, and
 ``keep_going`` sweeps complete with :class:`FailedCell` sentinels plus
 a JSON failure manifest instead of aborting.  One deterministic
 fault plan (``$REPRO_FAULTS``, :mod:`repro.store.faults`; re-exported

@@ -4,16 +4,16 @@ A figure's sweep (schemes x arrays x partition counts x seeds) is
 embarrassingly parallel: every point is an independent simulation whose
 inputs are fully described by its config.  Each experiment decomposes
 into a list of cells; the runner (:mod:`repro.runner.pool`) executes them
-through its work queue — in-process or in worker processes — and hands
-the ordered results to the experiment's ``reduce`` function.
+— in-process or in forked worker processes — and hands the ordered
+results to the experiment's ``reduce`` function.
 
 Cells must be deterministic and picklable:
 
 * ``fn`` must be a module-level function (pickled by reference, so worker
   processes can import it);
 * ``args`` must be built from config dataclasses and plain values — they
-  are both pickled to workers and canonically encoded into the cell's
-  content-addressed cache key (:func:`repro.runner.cache.cell_key`);
+  are canonically encoded into the cell's content-addressed cache key
+  (:func:`repro.runner.cache.cell_key`);
 * any randomness inside ``fn`` must derive from seeds in ``args``.  The
   runner additionally reseeds the global ``random``/``numpy`` generators
   per cell from the cell key, identically in sequential and parallel

@@ -39,15 +39,14 @@ class RunConfig:
     Parameters
     ----------
     jobs:
-        Workers draining the sweep's work queue.  ``1`` (default) runs
-        cells on the calling thread; ``N`` forks ``N`` worker
-        processes; ``None`` or ``0`` means one per CPU.
+        Workers running the sweep's cells.  ``1`` (default) runs cells
+        on the calling thread; ``N`` forks ``N`` worker processes;
+        ``None`` or ``0`` means one per CPU.
     store:
         Experiment store holding memoized cell results: a store URL
         (``local:PATH``, ``sqlite:PATH``), a bare directory path
         (opened as ``local``), an :class:`~repro.store.ExperimentStore`
-        instance, or ``None`` (no memoization; the work queue then
-        lives in a temporary database).
+        instance, or ``None`` (no memoization).
     force:
         Ignore (and overwrite) existing store entries.
     retries:
@@ -68,10 +67,11 @@ class RunConfig:
         traces the sweep into the session's ``traces/`` directory (see
         :mod:`repro.obs.trace`).
     store_retries:
-        Bounded retries for *transient* store/queue errors (SQLite
-        ``database is locked``, ``EAGAIN``-family ``OSError``) in
-        workers and the coordinator (see :mod:`repro.store.retry`).
-        Permanent store errors are never retried.
+        Bounded retries for *transient* store errors (SQLite
+        ``database is locked``, ``EAGAIN``-family ``OSError``) in the
+        coordinator's store reads and writes (see
+        :mod:`repro.store.retry`).  Permanent store errors are never
+        retried: they fail the sweep.
     """
 
     jobs: Optional[int] = 1

@@ -2,9 +2,9 @@
 
 Partial failure is treated as the normal case for paper-sized sweeps —
 one crashing cell, a hung simulation or a dead worker must not discard
-hours of completed work.  This module holds the *what*; the work queue
-(:mod:`repro.store.queue`) and its coordinator (:mod:`repro.runner.pool`)
-do the enforcing, identically at every ``--jobs``:
+hours of completed work.  This module holds the *what*; the coordinator
+(:mod:`repro.runner.pool`) does the enforcing, identically at every
+``--jobs``:
 
 * **Retries** — a failed attempt is re-executed up to ``retries`` more
   times with capped deterministic exponential backoff (no jitter: the
@@ -14,10 +14,9 @@ do the enforcing, identically at every ``--jobs``:
 * **Timeouts** — with ``cell_timeout`` set, the worker still running a
   cell past its wall-clock deadline is killed and the cell charged a
   failed attempt.
-* **Worker deaths** — a dead worker's claim is released and its cell
-  runs again, charged against a separate loss budget, so a cell that
-  *keeps* killing its worker eventually fails instead of looping
-  forever.
+* **Worker deaths** — a dead worker's cell runs again, charged
+  against a separate loss budget, so a cell that *keeps* killing its
+  worker eventually fails instead of looping forever.
 * **Keep-going** — permanently failed cells become
   :class:`FailedCell` sentinels in the result list instead of aborting
   the sweep; every other cell completes and persists to the store, and
@@ -50,7 +49,7 @@ MANIFEST_VERSION = 1
 @dataclass(frozen=True)
 class RetryPolicy:
     """How failing attempts are retried — cells by
-    :func:`repro.runner.run_cells`, store/queue operations by
+    :func:`repro.runner.run_cells`, store operations by
     :mod:`repro.store.retry` (see
     :func:`~repro.store.retry.store_retry_policy`).
 

@@ -1,37 +1,24 @@
-"""The worker side of sweep execution: claim, execute, ack.
+"""The worker side of sweep execution: run one attempt, answer it.
 
-Every sweep runs through a work queue (:mod:`repro.store.queue`), and
-:func:`work_loop` is the one loop that drains it.  It runs
+The coordinator (:mod:`repro.runner.pool`) hands cells out one attempt
+at a time, and :func:`attempt_cell` runs every attempt the same way
+wherever it runs:
 
 * on the coordinator's own thread at ``--jobs 1``, so profilers and
   instrumentation see the cells, and a ``kill`` fault kills the run;
-* in the ``--jobs N`` processes the coordinator forks
-  (:mod:`repro.runner.pool`), each running :func:`serve`, which opens
-  its own store connection after the fork.
+* in the ``--jobs N`` processes the coordinator forks, each running
+  :func:`serve` on one end of a pipe.
 
-Each claimed item runs through :func:`execute_attempt` — the global
-RNGs are reseeded from the cell key before every attempt, then fault
-injection gets its chance — and goes back to the queue as an ``ack``
-carrying the pickled result or a ``nack`` carrying the pickled
-exception.  Workers never write the experiment store: the coordinator
-collects results from the queue and persists them.
-
-Crash recovery asks nothing of a live worker.  Each claim records the
-pids of its worker and of that worker's coordinator
-(:func:`~repro.store.queue.worker_id`): the coordinator releases a
-forked worker's claims as soon as it reaps the worker dead, an
-interrupted coordinator whose process lives on releases them when it
-next publishes the sweep, and once the coordinator is gone too, the
-next idle claim releases them.
-
-Store resilience: every store/queue operation a worker makes goes
-through the one store wrapper (:func:`wrap_store`) — transient errors
-(SQLite lock contention, ``EAGAIN``-family ``OSError``) retry with
-bounded deterministic backoff; a *permanent* store error (malformed
-database, ``ENOSPC``) ends the worker with
-:data:`EXIT_STORE_PERMANENT`, which the coordinator treats as "do not
-respawn" — a broken store will not heal by throwing fresh processes at
-it.
+Each attempt runs through :func:`execute_attempt` — the global RNGs are
+reseeded from the cell key before every attempt, then fault injection
+gets its chance — and its answer is ``(elapsed, value, failure)``: the
+result, or ``failure = (error_type, message, exception)``.  A forked
+worker inherits the sweep's cells and keys through the fork, receives
+``(index, attempt, retry, trace context)`` on its pipe and sends the
+answer back pickled (:func:`send_answer`).  It exits on EOF, so no
+worker outlives its coordinator by more than the attempt it is running.
+Workers never open the experiment store: the coordinator alone reads
+and writes it, through the one store wrapper (:func:`wrap_store`).
 """
 
 from __future__ import annotations
@@ -39,67 +26,45 @@ from __future__ import annotations
 import os
 import pickle
 import random
-import sqlite3
-import sys
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..store import ExperimentStore, open_store
+from ..errors import WorkerError
+from ..store import ExperimentStore
 from ..store.faults import active_plan, inject_cell_faults
-from ..store.queue import WorkQueue, worker_id
-from ..store.retry import (RetryingStore, is_transient_store_error,
-                           store_retry_policy)
+from ..store.retry import RetryingStore, RetryObserver, store_retry_policy
 from .cells import Cell
 
-__all__ = ["EXIT_STORE_PERMANENT", "execute_attempt", "serve",
-           "work_loop", "wrap_store"]
+__all__ = ["attempt_cell", "execute_attempt", "recv_answer", "send_answer",
+           "serve", "worker_id", "wrap_store"]
 
-#: Worker exit code for a permanent store failure (malformed database,
-#: ``ENOSPC``, missing table) — distinct from a cell-induced crash so
-#: the coordinator knows respawning cannot help.
-EXIT_STORE_PERMANENT = 3
-
-#: Seconds between an idle worker's claim attempts, and between the
-#: coordinator's looks at the queue and its workers.
-_POLL = 0.05
+#: What one attempt answers: ``(elapsed, value, failure)``, where
+#: ``failure`` is ``None`` or ``(error_type, message, exception)``.
+Answer = Tuple[float, Any, Optional[Tuple[str, str, BaseException]]]
 
 
-def _trace_event(name: str, det: bool = False, **fields: Any) -> None:
-    """Forward a point event to the active trace span, if tracing is on.
-
-    The ``$REPRO_TELEMETRY`` guard keeps the telemetry-off path at one
-    dict lookup and zero imports — the zero-overhead contract of
-    :mod:`repro.obs.trace`.
-    """
-    if os.environ.get("REPRO_TELEMETRY"):
-        from ..obs.trace import add_event
-
-        add_event(name, det=det, **fields)
+def worker_id(pid: int, coordinator: int) -> str:
+    """Name of the process running attempts, which names its trace
+    file: its own pid and its coordinator's (the same pid at
+    ``--jobs 1``)."""
+    return f"worker-{pid}-{coordinator}"
 
 
-def _trace_store_retry(operation: str, exc: BaseException,
-                       failures: int) -> None:
-    _trace_event("store_retry", op=operation, error=type(exc).__name__,
-                 n=failures)
-
-
-def wrap_store(store: ExperimentStore,
-               store_retries: int) -> RetryingStore:
+def wrap_store(store: ExperimentStore, store_retries: int,
+               on_retry: Optional[RetryObserver] = None) -> RetryingStore:
     """The one store wrapper, around a freshly opened store.
 
-    Every store/queue operation retries transient errors within
-    ``store_retries``.  When ``$REPRO_FAULTS`` has store-op entries,
-    the wrapper holds a fresh injector for them: each attempt fires its
-    faults first, so the retries absorb injected transients exactly as
-    they absorb real ones.  With tracing on, each absorbed transient
-    becomes a ``store_retry`` event on the active span.  The
-    coordinator wraps its store once per sweep, and every worker
-    process wraps the store it opens.
+    Every store operation retries transient errors within
+    ``store_retries``, calling ``on_retry`` before each backoff.  When
+    ``$REPRO_FAULTS`` has store-op entries, the wrapper holds a fresh
+    injector for them: each attempt fires its faults first, so the
+    retries absorb injected transients exactly as they absorb real
+    ones.  The coordinator wraps its store once per sweep.
     """
     plan = active_plan()
     return RetryingStore(
-        store, store_retry_policy(store_retries),
-        _trace_store_retry if os.environ.get("REPRO_TELEMETRY") else None,
+        store, store_retry_policy(store_retries), on_retry,
         plan.injector() if plan is not None else None)
 
 
@@ -125,7 +90,7 @@ def execute_attempt(key: str, cell: Cell, attempt: int,
                     ) -> Tuple[float, Any]:
     """Run one attempt of ``cell``; returns ``(elapsed, result)``.
 
-    ``ctx`` is the trace context the queue item carries
+    ``ctx`` is the attempt's trace context
     (``{"trace": ..., "parent": ...}``; see :mod:`repro.obs.trace`):
     with tracing on, the attempt runs inside an ``execute`` span so
     retries, faults and errors are causally attributed.  Zero trace
@@ -157,123 +122,124 @@ def _run_attempt(key: str, cell: Cell, attempt: int) -> Tuple[float, Any]:
     return time.perf_counter() - start, result
 
 
+def attempt_cell(key: str, cell: Cell, attempt: int, retry: bool,
+                 ctx: Optional[Dict[str, Any]],
+                 send: Callable[[Answer], None]) -> None:
+    """Run attempt ``attempt`` of ``cell`` and ``send`` its answer.
+
+    With tracing on and a trace context ``ctx``, the attempt leaves a
+    ``claim`` span (it took the cell), its ``execute`` span, and an
+    ``ack`` or ``nack`` span around ``send``; ``retry`` says whether a
+    failure of this attempt will be retried, which the ``nack`` span
+    records.
+    """
+    tracer = None
+    if ctx and os.environ.get("REPRO_TELEMETRY"):
+        from ..obs.trace import ambient_tracer, span_id
+
+        tracer = ambient_tracer(ctx["trace"])
+    exec_ctx: Optional[Dict[str, Any]] = None
+    if tracer is not None and ctx is not None:
+        tracer.span("claim", cell.label, key=key, attempt=attempt,
+                    parent=ctx["parent"]).end()
+        # Derived from the pure ID function (== claim.span), so the
+        # context provably carries no wall-clock taint.
+        exec_ctx = {"trace": tracer.trace_id,
+                    "parent": span_id(tracer.trace_id, "claim", key,
+                                      attempt)}
+
+    def terminal(kind: str) -> Any:
+        if tracer is None or exec_ctx is None:
+            return nullcontext()
+        return tracer.span(kind, cell.label, key=key, attempt=attempt,
+                           parent=exec_ctx["parent"])
+
+    try:
+        elapsed, value = execute_attempt(key, cell, attempt, exec_ctx)
+    except Exception as exc:
+        with terminal("nack") as span:
+            if span is not None:
+                span.status = "error"
+                span.event("error", det=True, error=type(exc).__name__)
+            send((0.0, None, (type(exc).__name__, str(exc), exc)))
+            if span is not None:
+                span.event("retry_scheduled" if retry
+                           else "attempts_exhausted", det=True)
+        return
+    with terminal("ack"):
+        send((elapsed, value, None))
+
+
 def _pickled_error(exc: BaseException) -> bytes:
-    """``exc`` pickled for its nack, or ``b""`` when it will not pickle
-    (the coordinator then rebuilds a :class:`~repro.errors.WorkerError`
-    from the recorded type and message)."""
+    """``exc`` pickled for the pipe, or ``b""`` when it will not pickle
+    (the coordinator then stands a :class:`~repro.errors.WorkerError`
+    in for it, built from the type name and message)."""
     try:
         return pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         return b""
 
 
-def work_loop(queue: WorkQueue, worker: str, *,
-              after_item: Optional[Callable[[], None]] = None) -> None:
-    """Claim and execute ``queue``'s items as ``worker`` until every
-    published item is ``done`` or ``failed``.
+def send_answer(conn: Any, answer: Answer) -> None:
+    """Send ``answer`` over ``conn``: a result that will not pickle
+    becomes the failure its pickling raised."""
+    elapsed, value, failure = answer
+    if failure is None:
+        try:
+            blob = pickle.dumps(answer, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            failure = (type(exc).__name__, str(exc), exc)
+    if failure is not None:
+        error_type, message, exc = failure
+        blob = pickle.dumps(
+            (elapsed, None, (error_type, message, _pickled_error(exc))),
+            protocol=pickle.HIGHEST_PROTOCOL)
+    conn.send_bytes(blob)
 
-    Retry backoff is the queue's: a nacked item is not claimable before
-    its delay has passed, so this loop just polls.  ``after_item`` (the
-    in-process coordinator's collection hook) runs after every item.
-    Store errors that survive the retry stack propagate.
+
+def recv_answer(conn: Any) -> Answer:
+    """Receive a :func:`send_answer` answer from ``conn``."""
+    elapsed, value, failure = pickle.loads(conn.recv_bytes())
+    if failure is None:
+        return elapsed, value, None
+    error_type, message, error = failure
+    exc: Any = None
+    if error:
+        try:
+            exc = pickle.loads(error)
+        except Exception:
+            exc = None
+    if not isinstance(exc, BaseException):
+        exc = WorkerError(f"{error_type}: {message}")
+    return elapsed, None, (error_type, message, exc)
+
+
+def serve(conn: Any, cells: Sequence[Cell], keys: Sequence[str],
+          inherited: List[Any], coordinator: int) -> None:
+    """Body of a worker process the coordinator forks: answer each
+    ``(index, attempt, retry, ctx)`` received on ``conn`` until EOF.
+
+    ``inherited`` are the coordinator's pipe ends this process got
+    through the fork; closing them leaves the coordinator the only
+    holder, so each worker sees EOF once the coordinator closes its end
+    or dies.
     """
+    for end in inherited:
+        end.close()
     tracing = bool(os.environ.get("REPRO_TELEMETRY"))
     if tracing:
-        from ..obs.trace import ambient_tracer, set_worker, span_id, wall_now
+        from ..obs.trace import set_worker
 
-        set_worker(worker)  # names this worker's traces/<id>.jsonl
+        set_worker(worker_id(os.getpid(), coordinator))
     try:
         while True:
-            claim_t0 = wall_now() if tracing else None
-            item = queue.claim(worker)
-            if item is None:
-                if queue.unfinished() == 0:
-                    break
-                # Everything runnable is claimed by someone else (or
-                # backing off); poll until that changes.
-                time.sleep(_POLL)
-                continue
-            loaded = pickle.loads(item.payload)
-            key, cell = loaded[1], loaded[2]
-            # Traced coordinators publish a 4th element: the trace
-            # context ({"trace", "parent"}).
-            ctx = loaded[3] if len(loaded) > 3 else None
-            attempt = item.attempt
-            tracer = (ambient_tracer(ctx["trace"])
-                      if tracing and ctx else None)
-            exec_ctx: Optional[Dict[str, Any]] = None
-            if tracer is not None:
-                # The claim span covers queue.claim itself (claim_t0 ..
-                # now).
-                tracer.span("claim", cell.label, key=key, attempt=attempt,
-                            parent=ctx["parent"], start=claim_t0).end()
-                # Derived from the pure ID function (== claim.span), so
-                # the context provably carries no wall-clock taint.
-                exec_ctx = {"trace": tracer.trace_id,
-                            "parent": span_id(tracer.trace_id, "claim",
-                                              key, attempt)}
-            failure: Optional[Exception] = None
-            try:
-                elapsed, value = execute_attempt(key, cell, attempt,
-                                                 exec_ctx)
-            except Exception as exc:
-                failure = exc
-            if failure is not None:
-                name, error = type(failure).__name__, _pickled_error(failure)
-                if tracer is not None and exec_ctx is not None:
-                    with tracer.span("nack", cell.label, key=key,
-                                     attempt=attempt,
-                                     parent=exec_ctx["parent"]) as nspan:
-                        nspan.status = "error"
-                        nspan.event("error", det=True, error=name)
-                        retry = queue.nack(item.item_id, name, str(failure),
-                                           error)
-                        nspan.event(
-                            "retry_scheduled" if retry
-                            else "attempts_exhausted", det=True)
-                else:
-                    queue.nack(item.item_id, name, str(failure), error)
-            else:
-                result = pickle.dumps(value,
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-                if tracer is not None and exec_ctx is not None:
-                    with tracer.span("ack", cell.label, key=key,
-                                     attempt=attempt,
-                                     parent=exec_ctx["parent"]):
-                        queue.ack(item.item_id, elapsed, result)
-                else:
-                    queue.ack(item.item_id, elapsed, result)
-            if after_item is not None:
-                after_item()
+            index, attempt, retry, ctx = conn.recv()
+            attempt_cell(keys[index], cells[index], attempt, retry, ctx,
+                         lambda answer: send_answer(conn, answer))
+    except (EOFError, OSError):
+        pass  # the coordinator is done with this worker, or gone
     finally:
         if tracing:
             from ..obs.trace import close_ambient_writers
 
             close_ambient_writers()
-            set_worker("")
-
-
-def serve(store_url: str, sweep: str, coordinator: int,
-          store_retries: int) -> None:
-    """Body of a worker process the coordinator forks: open
-    ``store_url`` and drain the queue of sweep ``sweep``.
-
-    Its claims record this process and ``coordinator``.  A store error
-    ends the process with :data:`EXIT_STORE_PERMANENT`.
-    """
-    wid = worker_id(os.getpid(), coordinator)
-    try:
-        store = wrap_store(open_store(store_url), store_retries)
-        try:
-            work_loop(store.make_queue(sweep), wid)
-        finally:
-            store.close()
-    except (sqlite3.Error, OSError) as exc:
-        # A store-layer error escaping work_loop already survived the
-        # transient-retry budget (or was permanent outright): either
-        # way this worker cannot make progress against this store.
-        flavor = ("transient, retry budget exhausted"
-                  if is_transient_store_error(exc) else "permanent")
-        print(f"[{wid}] store failure ({flavor}): "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_STORE_PERMANENT)

@@ -1,4 +1,4 @@
-"""Pluggable experiment-result stores and the sweep work queue.
+"""Pluggable experiment-result stores.
 
 Public surface:
 
@@ -6,21 +6,19 @@ Public surface:
   (``get``/``put``/``contains``/``quarantine``/``purge``/``stats``).
 * :class:`LocalFileStore` (``local:PATH``) — directory of pickles.
 * :class:`SQLiteStore` (``sqlite:PATH``) — single WAL-mode database
-  file, safe for concurrent worker processes.
+  file, safe for concurrent processes.
 * :func:`open_store` / :func:`resolve_store` — URL/path/instance →
   store resolution against :data:`STORE_BACKENDS`.
-* :mod:`repro.store.queue` — the claim/ack/requeue work queue every
-  sweep drains (:func:`repro.runner.run_cells`).
 * :mod:`repro.store.retry` — transient-vs-permanent error
-  classification and the one store wrapper, :class:`RetryingStore` /
-  :class:`RetryingQueue`: bounded-backoff retries, with injected
-  store-op faults firing inside each attempt.
+  classification and the one store wrapper, :class:`RetryingStore`:
+  bounded-backoff retries, with injected store-op faults firing inside
+  each attempt.
 * :mod:`repro.store.faults` — the ``REPRO_FAULTS`` deterministic
   fault plan (:class:`FaultPlan`): cell faults the runner fires around
   cell attempts, store-op faults the wrapper fires.
 
-See DESIGN.md (“Experiment store and work queue”) for the architecture
-and CONTRIBUTING.md for the add-a-backend checklist.
+See DESIGN.md (“The experiment store and cell dispatch”) for the
+architecture and CONTRIBUTING.md for the add-a-backend checklist.
 """
 
 from .base import (
@@ -46,9 +44,7 @@ from .faults import (
     active_plan,
 )
 from .local import LocalFileStore
-from .queue import ItemState, QueueItem, WorkQueue
 from .retry import (
-    RetryingQueue,
     RetryingStore,
     call_with_retries,
     is_transient_store_error,
@@ -65,17 +61,13 @@ __all__ = [
     "ExperimentStore",
     "Fault",
     "FaultPlan",
-    "ItemState",
     "LocalFileStore",
     "PurgeResult",
-    "QueueItem",
-    "RetryingQueue",
     "RetryingStore",
     "SQLiteStore",
     "StoreFault",
     "StoreSpec",
     "StoreStats",
-    "WorkQueue",
     "active_plan",
     "call_with_retries",
     "decode_entry",

@@ -4,9 +4,7 @@ An :class:`ExperimentStore` persists experiment-cell results addressed
 by their content hash (:func:`repro.runner.cache.cell_key`).  The store
 is the durability layer of every sweep: cache hits short-circuit
 execution, fresh results are persisted as each cell completes, and an
-interrupted sweep resumes from whatever the store already holds.  Each
-store also hosts the work queue (:mod:`repro.store.queue`) its sweeps
-drain.
+interrupted sweep resumes from whatever the store already holds.
 
 Backends register under a URL-style scheme (``local:PATH``,
 ``sqlite:PATH``) in :data:`STORE_BACKENDS`; :func:`open_store` resolves
@@ -36,7 +34,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     NamedTuple,
@@ -49,9 +46,6 @@ from typing import (
 import warnings
 
 from ..errors import ConfigurationError
-
-if TYPE_CHECKING:  # avoid a base <-> queue import cycle at runtime
-    from .queue import WorkQueue
 
 __all__ = [
     "STORE_FORMAT_VERSION",
@@ -204,19 +198,12 @@ class ExperimentStore(ABC):
     @property
     @abstractmethod
     def url(self) -> str:
-        """``<scheme>:<location>`` string that reopens this store
-        (what the coordinator hands to worker processes)."""
+        """``<scheme>:<location>`` string that reopens this store."""
 
     @abstractmethod
     def aux_dir(self, name: str) -> Path:
-        """Directory for sidecar artifacts (``failures``, ``telemetry``,
-        ``queue``) tied to this store's lifetime.  Created on demand."""
-
-    @abstractmethod
-    def make_queue(self, sweep: str) -> "WorkQueue":
-        """Open the work queue of sweep ``sweep``
-        (:func:`~repro.store.queue.sweep_queue`) in this store's
-        storage."""
+        """Directory for sidecar artifacts (``failures``, ``telemetry``)
+        tied to this store's lifetime.  Created on demand."""
 
     def close(self) -> None:
         """Release backend resources (connections); idempotent."""

@@ -50,8 +50,8 @@ not mocked:
     rewrites and the checksum catches if unretried.
 ``fatal``
     ``sqlite3.DatabaseError('database disk image is malformed ...')`` —
-    a *permanent* error; workers exit with
-    :data:`repro.runner.worker.EXIT_STORE_PERMANENT`.
+    a *permanent* error: it propagates from the coordinator's store
+    call and fails the sweep.
 
 Plan JSON::
 
@@ -60,7 +60,7 @@ Plan JSON::
         {"cell": "fig3[0.7]", "kind": "kill"},
         {"cell": "fig3[0.8]", "kind": "corrupt"},
         {"op": "put", "kind": "busy", "every": 3, "times": 2},
-        {"op": "claim", "kind": "latency", "seconds": 0.05, "every": 2},
+        {"op": "put", "kind": "latency", "seconds": 0.05, "every": 2},
         {"op": "get", "kind": "oserror", "rate": 0.2, "seed": 7}
     ]}
 """
@@ -115,8 +115,6 @@ STORE_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
 STORE_OPS = (
     "get", "put", "write_raw", "quarantine", "contains", "len",
     "quarantined_count",
-    "publish", "claim", "expire", "ack", "nack", "clear_result",
-    "overdue", "requeue_failed", "reset_items", "snapshot",
 )
 
 #: What a ``corrupt`` fault writes over a store entry (fails the
@@ -327,8 +325,9 @@ def active_plan() -> Optional[FaultPlan]:
 def inject_cell_faults(label: str, attempt: int) -> None:
     """Fire any execution-side faults aimed at ``label``/``attempt``.
 
-    Called in the executing process (any queue worker) immediately
-    before the cell body runs.  No-op without an active plan.
+    Called in the executing process (the coordinator's thread or a
+    forked worker) immediately before the cell body runs.  No-op
+    without an active plan.
     """
     plan = active_plan()
     if plan is None:
@@ -378,10 +377,10 @@ class FaultInjector:
 
     Counts matching operations per fault and decides, deterministically,
     which faults fire on each call.  ``injected`` tallies fired faults
-    by ``"op:kind"`` for tests and diagnostics.  A wrapped store and the
-    queues it opens share one injector, so one plan's counters cover
-    the whole surface; ``_lock`` makes each :meth:`fire` one atomic
-    step of the schedule, whichever thread calls it.
+    by ``"op:kind"`` for tests and diagnostics.  A wrapped store holds
+    one injector, so one plan's counters cover its whole surface;
+    ``_lock`` makes each :meth:`fire` one atomic step of the schedule,
+    whichever thread calls it.
     """
 
     def __init__(self, faults: Sequence[StoreFault]) -> None:

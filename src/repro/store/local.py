@@ -7,10 +7,7 @@ Layout on disk (two-level fan-out keeps directories small)::
 Entries are written atomically (temp file + rename), so a killed run
 never leaves a truncated entry behind; corrupt entries are quarantined
 in place as ``<entry>.pkl.corrupt``.  Sidecar artifacts (failure
-manifests, telemetry) live in subdirectories of the root; the work
-queue lives in one SQLite database under the ``queue/`` sidecar
-directory (:data:`QUEUE_DB`), since queue claims need transactions a
-directory of files cannot give.
+manifests, telemetry) live in subdirectories of the root.
 """
 
 from __future__ import annotations
@@ -19,18 +16,11 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .base import CacheCorruptionWarning, ExperimentStore, PurgeResult, register_backend
-from .sqlite import SQLiteStore
 
-if TYPE_CHECKING:
-    from .queue import WorkQueue
-
-__all__ = ["LocalFileStore", "QUEUE_DB"]
-
-#: File name of the work-queue database inside ``aux_dir("queue")``.
-QUEUE_DB = "queue.sqlite"
+__all__ = ["LocalFileStore"]
 
 
 @register_backend
@@ -42,7 +32,6 @@ class LocalFileStore(ExperimentStore):
     def __init__(self, root: Union[str, "os.PathLike[str]"]) -> None:
         super().__init__()
         self.root = Path(root)
-        self._queue_db: Optional[SQLiteStore] = None
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -121,17 +110,3 @@ class LocalFileStore(ExperimentStore):
         path = self.root / name
         path.mkdir(parents=True, exist_ok=True)
         return path
-
-    def _queue_store(self) -> SQLiteStore:
-        if self._queue_db is None:
-            self._queue_db = SQLiteStore(self.aux_dir("queue") / QUEUE_DB)
-        return self._queue_db
-
-    def make_queue(self, sweep: str) -> "WorkQueue":
-        from .queue import SQLiteWorkQueue
-
-        return SQLiteWorkQueue(self._queue_store(), sweep)
-
-    def close(self) -> None:
-        if self._queue_db is not None:
-            self._queue_db.close()

@@ -1,27 +1,25 @@
 """Transient-vs-permanent store errors, bounded retries, injected faults.
 
-A sweep talks to its store and queue from several processes over a
-disk (or a database file) that is allowed to be momentarily unhappy:
-SQLite signals contention with ``OperationalError: database is
-locked``, NFS and overloaded disks surface ``EAGAIN`` / ``EBUSY`` /
-``EIO``.  Those are *transient* — the correct response is a bounded,
-deterministic retry with capped exponential backoff, after which
-throughput degrades but the sweep still completes.  A malformed
+A sweep's coordinator talks to its store over a disk (or a database
+file) that is allowed to be momentarily unhappy: SQLite signals
+contention with ``OperationalError: database is locked`` (another run
+writing the same file), NFS and overloaded disks surface ``EAGAIN`` /
+``EBUSY`` / ``EIO``.  Those are *transient* — the correct response is
+a bounded, deterministic retry with capped exponential backoff, after
+which throughput degrades but the sweep still completes.  A malformed
 database image, a missing table, or ``ENOSPC`` is *permanent* —
-retrying cannot help, and the worker should exit distinctly so the
-coordinator stops respawning into a broken store (see
-:data:`repro.runner.worker.EXIT_STORE_PERMANENT`).
+retrying cannot help, so the error propagates and fails the sweep.
 
 :func:`is_transient_store_error` draws that line;
 :func:`store_retry_policy` builds the budget, a
 :class:`repro.runner.RetryPolicy` with store-sized backoff;
-:class:`RetryingStore` / :class:`RetryingQueue` wrap any store/queue so
-every operation named in :data:`~repro.store.faults.STORE_OPS` gets the
-treatment uniformly.  They are also where the fault plan's store-op
-faults fire (:class:`~repro.store.faults.FaultInjector`): as the first
-step of every attempt, so a retried operation advances its fault's
-counter once per attempt and the retry absorbs injected transients
-exactly as it absorbs real ones.  Backoff sleeps schedule work and
+:class:`RetryingStore` wraps any store so every operation named in
+:data:`~repro.store.faults.STORE_OPS` gets the treatment uniformly.  It
+is also where the fault plan's store-op faults fire
+(:class:`~repro.store.faults.FaultInjector`): as the first step of
+every attempt, so a retried operation advances its fault's counter
+once per attempt and the retry absorbs injected transients exactly as
+it absorbs real ones.  Backoff sleeps schedule work and
 never feed results or cache keys, exactly like the runner's retry
 backoff.
 """
@@ -32,11 +30,9 @@ import errno
 import sqlite3
 import time
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, TypeVar
 
 from .base import ExperimentStore, PurgeResult, StoreStats, encode_entry
-from .queue import ItemState, QueueItem, WorkQueue
 
 if TYPE_CHECKING:  # repro.runner imports this package at its own init
     from ..runner.resilience import RetryPolicy
@@ -44,7 +40,6 @@ if TYPE_CHECKING:  # repro.runner imports this package at its own init
 
 __all__ = [
     "TRANSIENT_ERRNOS",
-    "RetryingQueue",
     "RetryingStore",
     "call_with_retries",
     "is_transient_store_error",
@@ -90,7 +85,7 @@ def is_transient_store_error(exc: BaseException) -> bool:
 
 
 def store_retry_policy(retries: int = 5) -> "RetryPolicy":
-    """The retry budget for store/queue operations.
+    """The retry budget for store operations.
 
     ``retries`` extra attempts with 10 ms backoff doubling to a 250 ms
     cap — much tighter than cell-retry backoff, since store operations
@@ -104,7 +99,7 @@ def store_retry_policy(retries: int = 5) -> "RetryPolicy":
 _T = TypeVar("_T")
 
 #: ``on_retry(operation, exc, failures)`` observer, called before each
-#: backoff sleep; workers use it for stderr notes and telemetry counts.
+#: backoff sleep; the coordinator traces each retry on its cell's span.
 RetryObserver = Callable[[str, BaseException, int], None]
 
 
@@ -137,59 +132,9 @@ def call_with_retries(fn: Callable[[], _T], *,
             time.sleep(policy.delay(failures))
 
 
-class RetryingQueue(WorkQueue):
-    """A :class:`~repro.store.queue.WorkQueue` opened through
-    :meth:`RetryingStore.make_queue`: its protocol operations fire
-    injected faults and retry transient errors exactly as that store's
-    do, with the same policy, observer and injector."""
-
-    def __init__(self, inner: WorkQueue, store: "RetryingStore") -> None:
-        self.inner = inner
-        self.store = store
-
-    def _call(self, op: str, fn: Callable[[], _T]) -> _T:
-        return self.store._call(op, fn)
-
-    def publish(self, items: Sequence[QueueItem]) -> int:
-        return self._call("publish", lambda: self.inner.publish(items))
-
-    def claim(self, worker: str) -> Optional[QueueItem]:
-        return self._call("claim", lambda: self.inner.claim(worker))
-
-    def expire(self, worker: str) -> List[int]:
-        return self._call("expire", lambda: self.inner.expire(worker))
-
-    def ack(self, item_id: int, elapsed: float = 0.0,
-            result: Optional[bytes] = None) -> None:
-        self._call("ack", lambda: self.inner.ack(item_id, elapsed, result))
-
-    def nack(self, item_id: int, error_type: str, message: str,
-             error: bytes = b"") -> bool:
-        return self._call(
-            "nack",
-            lambda: self.inner.nack(item_id, error_type, message, error))
-
-    def clear_result(self, item_id: int) -> None:
-        self._call("clear_result", lambda: self.inner.clear_result(item_id))
-
-    def overdue(self, timeout: float) -> List[Tuple[int, str]]:
-        return self._call("overdue", lambda: self.inner.overdue(timeout))
-
-    def requeue_failed(self) -> int:
-        return self._call("requeue_failed", self.inner.requeue_failed)
-
-    def reset_items(self, item_ids: Sequence[int]) -> int:
-        return self._call("reset_items",
-                          lambda: self.inner.reset_items(item_ids))
-
-    def snapshot(self) -> Dict[int, ItemState]:
-        return self._call("snapshot", self.inner.snapshot)
-
-
 class RetryingStore(ExperimentStore):
     """An :class:`~repro.store.ExperimentStore` whose operations fire
-    injected faults and retry transient errors, and so do the queues it
-    opens.
+    injected faults and retry transient errors.
 
     Everything else delegates to ``inner``.  ``get``/``put`` call
     ``inner.get``/``inner.put``, so hit/miss/put traffic keeps accruing
@@ -257,9 +202,6 @@ class RetryingStore(ExperimentStore):
 
     def aux_dir(self, name: str) -> Path:
         return self.inner.aux_dir(name)
-
-    def make_queue(self, sweep: str) -> WorkQueue:
-        return RetryingQueue(self.inner.make_queue(sweep), self)
 
     def close(self) -> None:
         self.inner.close()

@@ -1,11 +1,10 @@
-"""Single-file SQLite store backend, safe for concurrent workers.
+"""Single-file SQLite store backend, safe for concurrent processes.
 
-``sqlite:PATH`` keeps every entry (and the work queue, and quarantined
-corruption evidence) in one database file.  The connection runs in WAL
-journal mode with a generous busy timeout, so many independent worker
-processes — each with its own connection — can claim queue items and
-persist results concurrently without corrupting each other; SQLite's
-own locking serializes the writes.
+``sqlite:PATH`` keeps every entry (and quarantined corruption evidence)
+in one database file.  The connection runs in WAL journal mode with a
+generous busy timeout, so independent processes — each with its own
+connection — can persist results concurrently without corrupting each
+other; SQLite's own locking serializes the writes.
 
 Entries store the exact same checksummed v2 blob as the local backend
 (:func:`repro.store.base.encode_entry`), so validation, quarantine
@@ -14,10 +13,9 @@ corrupt entry moves to the ``quarantine`` table instead of a
 ``.corrupt`` sidecar file.
 
 Sidecar artifacts that are inherently files (failure manifests,
-telemetry runs) land next to the database under ``<path>.aux/``.  The
-same class also serves as the queue-only database a ``local:`` store
-keeps under its ``queue/`` sidecar directory, and as the temporary
-queue of a sweep without a store.
+telemetry runs) land next to the database under ``<path>.aux/``.
+Database files written by older versions may carry tables that
+nothing reads any more.
 """
 
 from __future__ import annotations
@@ -28,14 +26,11 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    Optional, Tuple, Union)
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 from .base import (CacheCorruptionWarning, ExperimentStore, PurgeResult,
                    register_backend)
-
-if TYPE_CHECKING:
-    from .queue import WorkQueue
 
 __all__ = ["SQLiteStore"]
 
@@ -46,40 +41,6 @@ _SCHEMA = (
     """CREATE TABLE IF NOT EXISTS quarantine (
         key TEXT PRIMARY KEY,
         blob BLOB NOT NULL)""",
-    """CREATE TABLE IF NOT EXISTS work_queue (
-        queue TEXT NOT NULL,
-        item_id INTEGER NOT NULL,
-        key TEXT NOT NULL,
-        label TEXT NOT NULL,
-        payload BLOB NOT NULL,
-        attempts INTEGER NOT NULL DEFAULT 0,
-        max_attempts INTEGER NOT NULL DEFAULT 1,
-        deaths INTEGER NOT NULL DEFAULT 0,
-        status TEXT NOT NULL DEFAULT 'pending',
-        worker TEXT NOT NULL DEFAULT '',
-        claimed_at REAL NOT NULL DEFAULT 0,
-        error_type TEXT NOT NULL DEFAULT '',
-        message TEXT NOT NULL DEFAULT '',
-        elapsed REAL NOT NULL DEFAULT 0,
-        result BLOB,
-        errors BLOB,
-        retry_delays TEXT NOT NULL DEFAULT '[]',
-        not_before REAL NOT NULL DEFAULT 0,
-        PRIMARY KEY (queue, item_id))""",
-)
-
-#: Columns grown after the table first shipped; ``CREATE TABLE IF NOT
-#: EXISTS`` never alters an existing file, so each is applied as an
-#: idempotent ``ALTER TABLE`` migration on connect.  Older files may
-#: also carry columns (and a table) that nothing reads any more.
-_MIGRATIONS = (
-    "ALTER TABLE work_queue ADD COLUMN deaths INTEGER NOT NULL DEFAULT 0",
-    "ALTER TABLE work_queue ADD COLUMN claimed_at REAL NOT NULL DEFAULT 0",
-    "ALTER TABLE work_queue ADD COLUMN result BLOB",
-    "ALTER TABLE work_queue ADD COLUMN errors BLOB",
-    "ALTER TABLE work_queue ADD COLUMN retry_delays TEXT NOT NULL "
-    "DEFAULT '[]'",
-    "ALTER TABLE work_queue ADD COLUMN not_before REAL NOT NULL DEFAULT 0",
 )
 
 
@@ -108,11 +69,6 @@ class SQLiteStore(ExperimentStore):
         conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
         for statement in _SCHEMA:
             conn.execute(statement)
-        for statement in _MIGRATIONS:
-            try:
-                conn.execute(statement)
-            except sqlite3.OperationalError:
-                pass  # column already present (fresh schema or migrated)
         self._conn = conn
 
     @property
@@ -128,10 +84,9 @@ class SQLiteStore(ExperimentStore):
 
         The connection is opened with ``check_same_thread=False`` and is
         only safe because every use is serialized behind ``_lock``;
-        collaborators (the work queue's multi-statement transactions)
-        must take it through here rather than reaching into ``_lock`` /
-        ``_conn`` themselves.  The connection is only valid inside the
-        ``with`` block.
+        collaborators must take it through here rather than reaching
+        into ``_lock`` / ``_conn`` themselves.  The connection is only
+        valid inside the ``with`` block.
         """
         with self._lock:
             yield self.connection
@@ -232,11 +187,6 @@ class SQLiteStore(ExperimentStore):
         path = Path(f"{self.path}.aux") / name
         path.mkdir(parents=True, exist_ok=True)
         return path
-
-    def make_queue(self, sweep: str) -> "WorkQueue":
-        from .queue import SQLiteWorkQueue
-
-        return SQLiteWorkQueue(self, sweep)
 
     def close(self) -> None:
         with self._lock:

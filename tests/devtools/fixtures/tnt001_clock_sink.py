@@ -9,7 +9,7 @@ with the full provenance chain.
 
 import hashlib
 
-from repro.store.queue import backoff_stamp
+from repro.experiments.__main__ import backoff_stamp
 
 
 def stamped_key(config_blob):

@@ -1,9 +1,8 @@
 """Half of the TNT001 acceptance pair: a *sanctioned* wall-clock read.
 
-Linted per-file under its virtual path (``repro/store/queue.py``) this
-module is completely clean: DET002 explicitly allows the queue
-module's wall-clock stamps, and nothing here hashes or stores the
-value.  The
+Linted per-file under its virtual path (``repro/experiments/__main__.py``)
+this module is completely clean: DET002 explicitly allows the CLI's
+wall-clock reads, and nothing here hashes or stores the value.  The
 leak only exists across the module boundary — see
 ``tnt001_clock_sink.py``.
 """
@@ -12,6 +11,5 @@ import time
 
 
 def backoff_stamp(delay):
-    """Wall-clock retry backoff end (sanctioned: compared across
-    workers)."""
+    """Wall-clock end of a wait (sanctioned: progress timing)."""
     return time.time() + delay

@@ -7,13 +7,12 @@ identity on the wall clock — two workers replaying the same cell would
 mint different span IDs, the stitcher would fork the tree instead of
 merging duplicates, and the canonical projection would stop being
 byte-identical across ``--jobs``.  The same stamp folded into the
-sweep digest would key the sweep's queue rows and trace ID on the
-clock.  TNT001's trace-id derivation sink fires on both, with the full
-provenance chain.
+sweep digest would key the sweep's trace ID on the clock.  TNT001's
+trace-id derivation sink fires on both, with the full provenance chain.
 """
 
-from repro.obs.trace import span_id
-from repro.store.queue import claim_stamp, sweep_digest
+from repro.experiments.__main__ import claim_stamp
+from repro.obs.trace import span_id, sweep_digest
 
 
 def stamped_span(trace_id, key):

@@ -68,19 +68,20 @@ def test_good_fixture_is_clean(rule_id):
     assert findings == [], f"{name} must produce no findings: {findings}"
 
 
-def test_det002_sanctions_leases_only_in_the_queue_module():
-    """The work queue's wall-clock stamps (claim time, retry backoff)
-    are allow-listed by *path*: identical code in any other store
+def test_det002_sanctions_wall_clock_only_in_the_cli():
+    """The CLI's wall-clock progress stamps are allow-listed by *path*,
+    and nothing else is: identical code in the coordinator or any store
     module — the backends, the retry layer, and especially the
     fault-injection harness, whose schedules must stay pure functions
-    of call counts and seeds — still trips DET002, so the store stays
-    inside the determinism gate."""
-    sanctioned = lint_fixture("det002_queue_clock.py", "repro/store/queue.py")
+    of call counts and seeds — still trips DET002, so both stay inside
+    the determinism gate."""
+    sanctioned = lint_fixture("det002_wall_clock.py",
+                              "repro/experiments/__main__.py")
     assert [f for f in sanctioned if f.rule_id == "DET002"] == []
-    for virtual in ("repro/store/local.py", "repro/store/sqlite.py",
-                    "repro/store/base.py", "repro/store/retry.py",
-                    "repro/store/faults.py"):
-        findings = lint_fixture("det002_queue_clock.py", virtual)
+    for virtual in ("repro/runner/pool.py", "repro/store/local.py",
+                    "repro/store/sqlite.py", "repro/store/base.py",
+                    "repro/store/retry.py", "repro/store/faults.py"):
+        findings = lint_fixture("det002_wall_clock.py", virtual)
         fired = [f for f in findings if f.rule_id == "DET002"]
         assert len(fired) == 3, (
             f"all three time.time() reads must trip DET002 under "
@@ -145,7 +146,7 @@ def test_tnt001_catches_cross_module_clock_leak():
     away."""
     source = _fixture("tnt001_clock_source.py")
     sink = _fixture("tnt001_clock_sink.py")
-    src_path = "repro/store/queue.py"
+    src_path = "repro/experiments/__main__.py"
     sink_path = "repro/runner/stamped.py"
 
     assert Checker().check_sources([(src_path, source)]) == []
@@ -165,15 +166,15 @@ def test_tnt001_guards_trace_id_derivation():
     stitcher's duplicate-merging and the canonical projection's
     byte-identity across ``--jobs`` both break.  A wall-clock value
     that reaches ``span_id`` — even laundered through another module's
-    sanctioned claim stamp and an f-string — fires the trace-id
+    sanctioned clock stamp and an f-string — fires the trace-id
     derivation sink."""
     source = _fixture("tnt001_trace_source.py")
     sink = _fixture("tnt001_trace_sink.py")
-    src_path = "repro/store/queue.py"
+    src_path = "repro/experiments/__main__.py"
     sink_path = "repro/runner/traced.py"
 
     # Each half is clean on its own (the source's clock read is the
-    # queue module's sanctioned claim stamp).
+    # CLI's sanctioned progress stamp).
     assert Checker().check_sources([(src_path, source)]) == []
     assert Checker().check_sources([(sink_path, sink)]) == []
 

@@ -61,24 +61,3 @@ def test_sqlite_locked_yields_connection_under_lock(tmp_path):
         assert not store._lock.locked()
     finally:
         store.close()
-
-
-def test_queue_claim_and_nack_still_work(tmp_path):
-    """``claim``/``nack`` now borrow the connection via
-    ``SQLiteStore.locked()``; the queue semantics must be unchanged."""
-    from repro.store.queue import QueueItem, SQLiteWorkQueue
-    from repro.store.sqlite import SQLiteStore
-
-    store = SQLiteStore(tmp_path / "q.db")
-    try:
-        queue = SQLiteWorkQueue(store, "t")
-        queue.publish([QueueItem(item_id=0, key="job-1", label="j",
-                                 payload=b"x", max_attempts=3)])
-        item = queue.claim(worker="w0")
-        assert item is not None and item.key == "job-1"
-        assert queue.nack(item.item_id, "Boom", "bang")
-        again = queue.claim(worker="w1")
-        assert again is not None and again.key == "job-1"
-        queue.ack(again.item_id)
-    finally:
-        store.close()

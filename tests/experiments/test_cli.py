@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import os
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -88,6 +90,21 @@ def test_configuration_error_is_one_clean_line(capsys):
         assert "Traceback" not in captured.err
     finally:
         unregister("figBroken")
+
+
+@pytest.mark.parametrize("flags", [["--telemetry-interval", "0"],
+                                   ["--retries", "-1"],
+                                   ["--store-retries", "-1"]])
+def test_invalid_run_flags_are_one_clean_line(capsys, tmp_path, flags):
+    """Invalid telemetry and resilience flags exit 2 with a single-line
+    error, not a traceback."""
+    assert main(["fig3", "--scale", "smoke", "--no-cache",
+                 f"--telemetry={tmp_path}", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fig3: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "REPRO_TELEMETRY" not in os.environ
 
 
 def test_render_table_ii_rows():

@@ -11,11 +11,10 @@ from repro.cache.arrays import (
 from repro.cache.cache import PartitionedCache
 from repro.core.futility import LRURanking, OPTRanking
 from repro.core.schemes.partitioning_first import PartitioningFirstScheme
+from repro.api import build_array, build_cache
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ADDRESS_SPACING,
-    build_array,
-    build_cache,
     duplicated_traces,
     format_cdf_summary,
     format_table,
@@ -42,14 +41,17 @@ class TestBuildArray:
 
 class TestBuildCache:
     def test_accepts_names(self):
-        cache = build_cache(build_array("set-assoc", 64), "lru", "pf", 2)
+        cache = build_cache(array="set-assoc", num_lines=64, ranking="lru",
+                            scheme="pf", num_partitions=2)
         assert isinstance(cache, PartitionedCache)
         assert cache.ranking.name == "lru"
         assert cache.scheme.name == "pf"
 
     def test_accepts_instances(self):
-        cache = build_cache(build_array("set-assoc", 64), LRURanking(),
-                            PartitioningFirstScheme(), 1)
+        cache = build_cache(array=build_array("set-assoc", 64),
+                            ranking=LRURanking(),
+                            scheme=PartitioningFirstScheme(),
+                            num_partitions=1)
         assert cache.num_partitions == 1
 
 
@@ -73,8 +75,8 @@ class TestTraceBuilders:
 
 class TestPrefill:
     def test_reaches_targets_and_resets_stats(self):
-        cache = build_cache(build_array("set-assoc", 128), "lru", "pf", 2,
-                            targets=[96, 32])
+        cache = build_cache(array="set-assoc", num_lines=128, ranking="lru",
+                            scheme="pf", targets=[96, 32])
         traces = [Trace(range(10_000)), Trace(range(10**6, 10**6 + 10_000))]
         prefill_to_targets(cache, traces)
         assert cache.actual_sizes[0] >= 90
@@ -84,8 +86,8 @@ class TestPrefill:
     def test_small_footprint_budget_expires(self):
         """A thread whose footprint is below its target cannot fill it;
         prefill must terminate anyway."""
-        cache = build_cache(build_array("set-assoc", 128), "lru", "pf", 2,
-                            targets=[100, 28])
+        cache = build_cache(array="set-assoc", num_lines=128, ranking="lru",
+                            scheme="pf", targets=[100, 28])
         traces = [Trace([1, 2, 3]), Trace(range(10**6, 10**6 + 1000))]
         prefill_to_targets(cache, traces, budget_per_line=2)
         assert cache.actual_sizes[0] == 3

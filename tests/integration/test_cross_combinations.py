@@ -13,7 +13,7 @@ import pytest
 from repro.cache.cache import PartitionedCache
 from repro.core.futility import make_ranking
 from repro.core.schemes.base import make_scheme
-from repro.experiments.common import build_array
+from repro.api import build_array
 from repro.trace.access import annotate_next_use
 
 ARRAYS = ("set-assoc", "random", "skew", "zcache")

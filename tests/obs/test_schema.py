@@ -16,7 +16,7 @@ GOOD_NACK = {"trace": "ab" * 16, "span": "cd" * 8, "parent": "ef" * 8,
              "attempt": 1, "status": "error",
              "events": [{"name": "error", "det": True, "error": "ValueError"},
                         {"name": "store_retry", "det": False,
-                         "op": "queue.nack", "n": 1}],
+                         "op": "put", "n": 1}],
              "wall": {"start": 1.0, "end": 1.5, "worker": "worker-7-1"}}
 GOOD_LOST = dict(GOOD_NACK, kind="lost",
                  events=[{"name": "lost", "det": False,

@@ -94,9 +94,8 @@ def test_pool_run_matches_inline_spans(tmp_path):
 
 @pytest.mark.parametrize("host", ["none", "local", "sqlite"])
 def test_retried_cell_span_on_every_queue_host(tmp_path, host):
-    """The retry and keep-going spans at jobs=2, wherever the queue
-    lives: a temporary database, a local store's sidecar, a sqlite
-    store's own database."""
+    """The retry and keep-going spans at jobs=2, with no store, a local
+    store or a sqlite store."""
     store = {"none": None,
              "local": LocalFileStore(tmp_path / "store"),
              "sqlite": SQLiteStore(tmp_path / "store.sqlite")}[host]

@@ -19,9 +19,9 @@ from repro.obs.trace import (
     execute_span,
     set_worker,
     span_id,
+    sweep_digest,
     trace_id_for,
 )
-from repro.store.queue import sweep_queue
 
 
 @pytest.fixture(autouse=True)
@@ -41,11 +41,12 @@ class TestIdentity:
         assert len(a) == 32
 
     def test_sweep_id_is_the_trace_id_prefix(self):
-        """One digest names a sweep's queue rows and its trace; pinned,
-        so neither identity can drift."""
+        """The sweep digest's prefix is the trace ID; pinned, so the
+        identity cannot drift."""
         keys = ["k0", "k1"]
         assert trace_id_for(keys) == "56e330a66e2308987c5f1a479210acdd"
-        assert sweep_queue(keys) == trace_id_for(keys)[:16]
+        assert sweep_digest(keys)[:32] == trace_id_for(keys)
+        assert len(sweep_digest(keys)) == 64
 
     def test_span_id_depends_on_every_component(self):
         tid = trace_id_for(["k"])
@@ -97,14 +98,14 @@ class TestSpan:
     def test_row_shape_is_schema_valid_and_wall_confined(self, tmp_path):
         tracer = make_tracer(tmp_path)
         with tracer.span("claim", "cell[0]", key="k0", attempt=1) as span:
-            span.event("store_retry", op="claim", n=1)
+            span.event("store_retry", op="put", n=1)
             span.event("fault", det=True, kind="raise")
         (row,) = load_jsonl(tmp_path / "w1.jsonl")
         assert validate_trace_row(row) == []
         assert row["span"] == span_id(tracer.trace_id, "claim", "k0", 1)
         assert row["status"] == "ok"
         assert row["events"] == [
-            {"name": "store_retry", "det": False, "op": "claim", "n": 1},
+            {"name": "store_retry", "det": False, "op": "put", "n": 1},
             {"name": "fault", "det": True, "kind": "raise"},
         ]
         # Wall facts live under "wall" and nowhere else.
@@ -136,12 +137,12 @@ class TestSpan:
         add_event("orphan")  # no active span: must be a silent no-op
         with tracer.span("claim", "cell[0]", key="k0", attempt=1):
             with tracer.span("execute", "cell[0]", key="k0", attempt=1):
-                add_event("store_retry", op="queue.ack", n=1)
+                add_event("store_retry", op="put", n=1)
         claim, execute = sorted(load_jsonl(tmp_path / "w1.jsonl"),
                                 key=lambda r: r["kind"])
         assert claim["events"] == []
         assert execute["events"] == [
-            {"name": "store_retry", "det": False, "op": "queue.ack", "n": 1}]
+            {"name": "store_retry", "det": False, "op": "put", "n": 1}]
 
 
 class TestAmbient:
@@ -165,7 +166,7 @@ class TestAmbient:
 
     def test_explicit_trace_id_beats_the_environment(self, tmp_path,
                                                      monkeypatch):
-        """The trace ID travels only in queue items: a stale
+        """The trace ID travels only with each attempt: a stale
         ``REPRO_TRACE_ID`` left in the environment is never read."""
         monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_ID", trace_id_for(["env"]))

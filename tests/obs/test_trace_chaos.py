@@ -5,7 +5,7 @@ output.
 The acceptance bar for the tracing layer, asserted end to end through
 the experiments CLI:
 
-* a traced queue fleet under fault injection prints exactly the bytes
+* a traced worker fleet under fault injection prints exactly the bytes
   a fault-free untraced ``--jobs 1`` run prints (observation is pure);
 * the stitched span tree passes every completeness invariant — the
   claim ladder is 1..K, each claim has its execute, each retried
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments.__main__ import main
 from repro.obs.schema import validate_run_dir
 from repro.obs.stitch import canonical, completeness, load_trace_rows, stitch
@@ -30,6 +32,10 @@ from repro.store import FAULTS_ENV
 RETRY_PLAN = json.dumps({"faults": [
     {"cell": "fig3[0.6]", "kind": "raise", "attempts": [1]}]})
 
+#: One fig3 cell raises on both of its attempts.
+EXHAUST_PLAN = json.dumps({"faults": [
+    {"cell": "fig3[0.6]", "kind": "raise", "attempts": [1, 2]}]})
+
 #: One fig3 cell kills its worker on its first attempt.
 KILL_PLAN = json.dumps({"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]})
 
@@ -37,7 +43,7 @@ KILL_PLAN = json.dumps({"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]})
 HANG_PLAN = json.dumps({"faults": [
     {"cell": "fig3[0.7]", "kind": "hang", "seconds": 5.0}]})
 
-#: Every other queue/store call hits lock contention first.
+#: Every other store call hits lock contention first.
 BUSY_PLAN = json.dumps({"faults": [{"op": "*", "kind": "busy", "every": 2}]})
 
 
@@ -48,7 +54,7 @@ def baseline_stdout(tmp_path, capsys):
 
 
 def traced_fleet(tmp_path, tag, *extra):
-    """Run a traced fig3 queue fleet; returns the telemetry run dir."""
+    """Run a traced fig3 worker fleet; returns the telemetry run dir."""
     obs = tmp_path / f"obs-{tag}"
     rc = main(["fig3", "--store", f"sqlite:{tmp_path}/{tag}.db",
                "--telemetry", str(obs), *extra])
@@ -112,6 +118,25 @@ class TestRetriedCellTrace:
         assert (canonical(stitched(solo)) == canonical(stitched(duo)))
 
 
+class TestExhaustedCellTrace:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_last_nack_says_the_attempts_are_exhausted(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        """The coordinator tells each attempt whether its failure will
+        be retried; the nack spans record it at any worker count."""
+        monkeypatch.setenv(FAULTS_ENV, EXHAUST_PLAN)
+        obs = tmp_path / "obs"
+        assert main(["fig3", "--store", f"sqlite:{tmp_path}/s.db",
+                     "--telemetry", str(obs), "--jobs", jobs,
+                     "--retries", "1", "--keep-going"]) == 1
+        capsys.readouterr()
+        nacks = spans_for(stitched(obs / "fig3"), "fig3[0.6]", "nack")
+        assert [n["attempt"] for n in nacks] == [1, 2]
+        assert [[e["name"] for e in n["events"] if e["name"] != "error"]
+                for n in nacks] == [["retry_scheduled"],
+                                    ["attempts_exhausted"]]
+
+
 class TestKilledAttemptTrace:
     """A worker that dies mid-attempt writes no execute or nack span;
     the coordinator closes that attempt with a ``lost`` terminal."""
@@ -153,9 +178,10 @@ class TestKilledAttemptTrace:
 class TestStoreFaultTrace:
     def test_store_retries_are_traced_but_canonically_invisible(
             self, tmp_path, capsys, monkeypatch):
-        """Queue-op contention shows up as store_retry events in the
-        raw rows, yet the canonical projection equals a fault-free
-        run's — backoff is schedule, not causality."""
+        """Store contention shows up as store_retry events on the
+        retried cells' spans in the raw rows, yet the canonical
+        projection equals a fault-free run's — backoff is schedule, not
+        causality."""
         clean = traced_fleet(tmp_path, "clean", "--jobs", "2")
         monkeypatch.setenv(FAULTS_ENV, BUSY_PLAN)
         busy = traced_fleet(tmp_path, "busy", "--jobs", "2")
@@ -166,6 +192,8 @@ class TestStoreFaultTrace:
                         if e["name"] == "store_retry"]
         assert retry_events, "busy faults must be traced as store_retry"
         assert all(not e["det"] for e in retry_events)
+        assert {row["kind"] for row in rows if any(
+            e["name"] == "store_retry" for e in row["events"])} == {"cell"}
         assert (canonical(stitched(busy)) == canonical(stitched(clean)))
 
 

@@ -70,6 +70,21 @@ def nap_cells(n, seconds):
     return [Cell("nap", (i,), pause_then, (seconds, i)) for i in range(n)]
 
 
+def log_then_nap(log_dir, index, seconds):
+    """Record in ``log_dir`` when this attempt started (wall clock),
+    then sleep ``seconds`` and return ``index``."""
+    Path(log_dir, f"start-{index}-{os.getpid()}").write_text(
+        repr(time.time()))
+    time.sleep(seconds)
+    return index
+
+
+def logged_nap_cells(n, seconds, log_dir):
+    """Cells that each log their start, then sleep ``seconds``."""
+    return [Cell("lognap", (i,), log_then_nap, (str(log_dir), i, seconds))
+            for i in range(n)]
+
+
 def succeed_after(sentinel_dir, name, failures, value):
     """Raise ``ValueError`` on the first ``failures`` calls, then return
     ``value``.  Attempts are counted with marker files so the count

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.errors import ConfigurationError, WorkerError
@@ -32,6 +34,16 @@ class TestOrderingAndJobs:
 
     def test_empty_sweep(self):
         assert run_cells([], RunConfig(jobs=4)) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_storeless_sweep_opens_no_database(self, monkeypatch, jobs):
+        """Dispatch is in memory: without a store, nothing touches
+        SQLite, in the coordinator or in a forked worker."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a store-less sweep opened a database")
+
+        monkeypatch.setattr(sqlite3, "connect", refuse)
+        assert run_cells(square_cells(3), RunConfig(jobs=jobs)) == [0, 1, 4]
 
     def test_progress_counts_every_cell(self, capsys):
         import sys

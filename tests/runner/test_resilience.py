@@ -9,6 +9,7 @@ fault-free runs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -46,6 +47,7 @@ from .helpers import (
     kill_after_cached,
     kill_after_peers,
     kill_once,
+    logged_nap_cells,
     nap_cells,
     raise_value_error,
     sleep_forever,
@@ -237,9 +239,8 @@ class TestPoolRecovery:
 
 
 def _store_on(host, tmp_path):
-    """The store whose queue a sweep drains: ``none`` leaves the queue
-    in a temporary database, ``local`` in the store's sidecar database,
-    ``sqlite`` in the store's own database."""
+    """The store a sweep persists to: none, a local store or a sqlite
+    store."""
     if host == "local":
         return LocalFileStore(tmp_path / "store")
     if host == "sqlite":
@@ -249,7 +250,8 @@ def _store_on(host, tmp_path):
 
 @pytest.mark.parametrize("host", ["none", "local", "sqlite"])
 class TestEveryQueueHost:
-    """Timeouts and worker deaths at jobs=2, wherever the queue lives."""
+    """Timeouts and worker deaths at jobs=2, with or without a store of
+    either backend."""
 
     def run(self, cells, host, tmp_path, **fields):
         store = _store_on(host, tmp_path)
@@ -283,8 +285,8 @@ class TestEveryQueueHost:
 
     def test_killed_worker_cell_reruns_without_waiting_out_the_lease(
             self, host, tmp_path):
-        """The coordinator reaps the dead worker and releases its claim
-        at once; nothing waits for a timeout."""
+        """The coordinator reaps the dead worker and reruns its cell at
+        once; nothing waits for a timeout."""
         cells = square_cells(3) + [
             Cell("t", ("k",), kill_once, (str(tmp_path), "k", 42))]
         start = time.monotonic()
@@ -320,29 +322,60 @@ SWEEP = ("import sys\n"
          "                RunConfig(jobs=int(sys.argv[1]),\n"
          "                          store=sys.argv[2])))\n")
 
+#: Runs the sweep of ``logged_nap_cells(8, 1.0, LOG_DIR)`` the same way:
+#: ``python -c LOGGED_SWEEP JOBS STORE_URL LOG_DIR``.
+LOGGED_SWEEP = ("import sys\n"
+                "from repro.runner import RunConfig, run_cells\n"
+                "from tests.runner.helpers import logged_nap_cells\n"
+                "print(run_cells(logged_nap_cells(8, 1.0, sys.argv[3]),\n"
+                "                RunConfig(jobs=int(sys.argv[1]),\n"
+                "                          store=sys.argv[2])))\n")
+
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def _claimed(probe):
-    """Ids of the items claimed in ``probe``'s queue rows."""
-    return [int(r[0]) for r in probe.query(
-        "SELECT item_id FROM work_queue WHERE status = 'claimed'")]
-
-
 class TestDeadCoordinator:
-    """A coordinator that dies mid-cell leaves its claims behind: its own
-    at ``--jobs 1``, its children's at ``--jobs N``.  The rerun releases
-    them at its first idle claim instead of waiting for a timeout."""
+    """A coordinator that dies mid-sweep leaves nothing behind but the
+    results it stored: the rerun serves those and runs the rest at
+    once, without waiting for a timeout."""
 
-    def sweep(self, jobs, url, log):
-        """Start the sweep in a session of its own (so its process group
+    def sweep(self, log, *args, script=SWEEP):
+        """Start a sweep in a session of its own (so its process group
         can be signalled and cleaned up as one)."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(repro.__file__).resolve().parents[1]), str(ROOT)]))
         return subprocess.Popen(
-            [sys.executable, "-c", SWEEP, str(jobs), url], cwd=ROOT,
+            [sys.executable, "-c", script, *map(str, args)], cwd=ROOT,
             env=env, stdout=subprocess.PIPE, stderr=log,
             start_new_session=True)
+
+    def rerun(self, procs, tmp_path, *args, script=SWEEP):
+        """Rerun the sweep; its stdout, which must come within 15 s."""
+        with open(tmp_path / "rerun.log", "wb") as log:
+            procs.append(self.sweep(log, *args, script=script))
+        try:
+            out, _ = procs[-1].communicate(timeout=15)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the rerun did not finish within 15 s")
+        assert procs[-1].returncode == 0
+        return out.decode()
+
+    @staticmethod
+    def stored(probe, count):
+        """Wait until ``probe`` holds ``count`` results."""
+        deadline = time.monotonic() + 30
+        while len(probe) < count:
+            assert time.monotonic() < deadline, "the sweep never ran"
+            time.sleep(0.01)
+
+    @staticmethod
+    def cleanup(procs):
+        for proc in procs:  # the whole group: no worker outlives it
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
     @pytest.mark.parametrize("jobs, interrupt", [(1, False), (2, True)],
                              ids=["kill9-jobs1", "sigint-jobs2"])
@@ -352,50 +385,62 @@ class TestDeadCoordinator:
         url = f"sqlite:{db}"
         procs = []
         with open(tmp_path / "sweep.log", "wb") as log:
-            procs.append(self.sweep(jobs, url, log))
+            procs.append(self.sweep(log, jobs, url))
         probe = SQLiteStore(db)
         try:
-            # Signal mid-cell: one result is stored, a later cell runs.
-            deadline = time.monotonic() + 30
-            while not (len(probe) and _claimed(probe)):
-                assert time.monotonic() < deadline, "the sweep never ran"
-                time.sleep(0.01)
+            # Signal mid-sweep: one result is stored, a later cell runs.
+            self.stored(probe, 1)
             if interrupt:
                 os.killpg(procs[0].pid, signal.SIGINT)  # Ctrl-C
             else:
                 procs[0].kill()
-            # Reap it first: kill(pid, 0) sees a zombie as alive.
             procs[0].communicate(timeout=30)
-            held = _claimed(probe)
-            assert held, "the dead sweep must leave claims behind"
-
-            with open(tmp_path / "rerun.log", "wb") as log:
-                procs.append(self.sweep(jobs, url, log))
-            try:
-                out, _ = procs[1].communicate(timeout=15)
-            except subprocess.TimeoutExpired:
-                pytest.fail("the rerun did not finish within 15 s")
-            assert procs[1].returncode == 0
-            assert out.decode() == "[0, 1, 2, 3]\n"
-            deaths = dict(probe.query(
-                "SELECT item_id, deaths FROM work_queue"))
-            assert {i: deaths[i] for i in held} == {i: 1 for i in held}
+            assert 0 < len(probe) < 4, "the sweep must die partway"
+            assert self.rerun(procs, tmp_path, jobs, url) == \
+                "[0, 1, 2, 3]\n"
+            assert len(probe) == 4
         finally:
-            for proc in procs:  # the whole group: no worker outlives it
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                proc.wait()
+            self.cleanup(procs)
+            probe.close()
+
+    def test_no_cell_starts_after_the_coordinator_is_killed(self, tmp_path):
+        """SIGKILL a --jobs 2 coordinator partway through: its workers
+        finish the attempts they are running and exit, so no cell
+        starts after the kill, and the rerun prints every result."""
+        db = tmp_path / "store.sqlite"
+        url = f"sqlite:{db}"
+        starts = tmp_path / "starts"
+        starts.mkdir()
+        procs = []
+        with open(tmp_path / "sweep.log", "wb") as log:
+            procs.append(self.sweep(log, 2, url, starts,
+                                    script=LOGGED_SWEEP))
+        probe = SQLiteStore(db)
+        try:
+            self.stored(probe, 1)
+            procs[0].kill()  # the coordinator only, not its workers
+            killed = time.time()
+            procs[0].communicate(timeout=30)
+            # Longer than a cell: an orphan still taking cells would
+            # have started another by now.
+            time.sleep(3.0)
+            late = sorted(path.name for path in starts.iterdir()
+                          if float(path.read_text()) > killed + 0.5)
+            assert late == [], f"cells started after the kill: {late}"
+            assert len(probe) < 8, "the sweep must die partway"
+            assert self.rerun(procs, tmp_path, 2, url, starts,
+                              script=LOGGED_SWEEP) == f"{list(range(8))}\n"
+        finally:
+            self.cleanup(procs)
             probe.close()
 
 
 class TestInterruptedInProcess:
     """A sweep interrupted in a process that lives on — a REPL, a
-    notebook, a service that catches ``KeyboardInterrupt`` — leaves
-    claims naming that still-live process: its own at ``--jobs 1``, its
-    killed children's at ``--jobs N``.  Rerunning the sweep there
-    releases them when it publishes."""
+    notebook, a service that catches ``KeyboardInterrupt`` — leaves no
+    worker and no state behind but its stored results, at ``--jobs 1``
+    and ``--jobs N`` alike: rerunning the sweep there finishes at
+    once."""
 
     @pytest.fixture(autouse=True)
     def ctrl_c(self):
@@ -414,10 +459,11 @@ class TestInterruptedInProcess:
                  *nap_cells(2, 0.2)]
         with pytest.raises(KeyboardInterrupt):
             run_cells(cells, RunConfig(jobs=jobs, store=url))
+        assert multiprocessing.active_children() == []
         probe = SQLiteStore(db)
         try:
-            held = _claimed(probe)
-            assert 1 in held, "the interrupted sweep must leave its claim"
+            assert probe.get(cell_key(cells[0])) == (True, 9)
+            assert not probe.contains(cell_key(cells[1]))
             results = []
             rerun = threading.Thread(
                 target=lambda: results.append(
@@ -425,16 +471,10 @@ class TestInterruptedInProcess:
                 daemon=True)
             rerun.start()
             rerun.join(15)
-            if rerun.is_alive():
-                # Free the stalled rerun by hand before failing.
-                probe.execute("UPDATE work_queue SET status = 'pending', "
-                              "worker = '' WHERE status = 'claimed'")
-                rerun.join(30)
-                pytest.fail("the rerun did not finish within 15 s")
+            assert not rerun.is_alive(), \
+                "the rerun did not finish within 15 s"
             assert results == [[9, 42, 0, 1]]
-            deaths = dict(probe.query(
-                "SELECT item_id, deaths FROM work_queue"))
-            assert {i: deaths[i] for i in held} == {i: 1 for i in held}
+            assert len(probe) == 4
         finally:
             probe.close()
 

@@ -1,35 +1,34 @@
-"""Chaos runs: queue workers under injected faults, byte for byte.
+"""Chaos runs: a sweep under injected store faults, byte for byte.
 
-The acceptance bar for the resilience layer: a fig3 sweep executed by
-queue workers under store fault injection, or against a broken store,
+The acceptance bar for the resilience layer: a fig3 sweep run by
+forked workers under store fault injection, or against a broken store,
 prints exactly the bytes a fault-free ``--jobs 1`` run prints — or
-fails loudly with the right exit code.
+fails loudly with the store's own error.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
 import sqlite3
 
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.runner.worker import EXIT_STORE_PERMANENT, serve
 from repro.store import FAULTS_ENV, open_store
 
-#: Every third store/queue call hits lock contention, claims see extra
-#: latency, and the coordinator's first result write (workers never
-#: put) is torn mid-blob.
+#: Every third store call hits lock contention, result writes see extra
+#: latency, and the coordinator's first result write is torn mid-blob.
 NOISY_STORE_PLAN = json.dumps({"faults": [
     {"op": "*", "kind": "busy", "every": 3},
-    {"op": "claim", "kind": "latency", "seconds": 0.01},
+    {"op": "put", "kind": "latency", "seconds": 0.01},
     {"op": "put", "kind": "torn", "times": 1}]})
 
-#: Workers die permanently on their first claim; the coordinator —
-#: which never claims — keeps running and must notice.
-BROKEN_STORE_PLAN = json.dumps({"faults": [
-    {"op": "claim", "kind": "fatal"}]})
+#: Every result write is broken beyond repair, or fails with a
+#: transient error on every retry.
+BROKEN_PUT_PLANS = {
+    kind: json.dumps({"faults": [{"op": "put", "kind": kind}]})
+    for kind in ("fatal", "oserror")}
 
 #: Every hit read of the store is broken beyond repair.
 BROKEN_GET_PLAN = json.dumps({"faults": [{"op": "get", "kind": "fatal"}]})
@@ -48,7 +47,7 @@ def baseline_stdout(tmp_path, capsys):
 class TestStoreFaultChaos:
     def test_injected_store_faults_are_absorbed_byte_identically(
             self, tmp_path, capsys, monkeypatch):
-        """Lock contention, claim latency, and torn result writes are
+        """Lock contention, write latency, and torn result writes are
         all absorbed by the retry stack: same bytes, full store, no
         quarantined entries."""
         baseline = baseline_stdout(tmp_path, capsys)
@@ -65,29 +64,21 @@ class TestStoreFaultChaos:
         finally:
             store.close()
 
-    def test_worker_exits_distinctly_on_a_permanent_store_error(
-            self, tmp_path, capsys, monkeypatch):
-        """The forked worker's body ends with EXIT_STORE_PERMANENT."""
-        monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
-        with pytest.raises(SystemExit) as exit_info:
-            serve(f"local:{tmp_path}/store", "doomed", os.getpid(), 5)
-        assert exit_info.value.code == EXIT_STORE_PERMANENT
-        err = capsys.readouterr().err
-        assert "store failure (permanent)" in err
-        assert "malformed" in err
-
-    def test_coordinator_stops_respawning_into_a_broken_store(
-            self, tmp_path, capsys, monkeypatch):
-        """Workers dying with EXIT_STORE_PERMANENT shrink the fleet
-        instead of burning the respawn budget; the sweep fails loudly
-        with the store-specific reason."""
-        monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
-        rc = main(["fig3", "--store", f"sqlite:{tmp_path}/broken.db",
-                   "--jobs", "2", "--keep-going"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "aborted on permanent store errors" in err
-        assert "4 failed cell(s)" in err
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("kind, error", [
+        ("fatal", sqlite3.DatabaseError), ("oserror", OSError)])
+    def test_permanent_put_error_fails_the_sweep(self, tmp_path,
+                                                 monkeypatch, jobs, kind,
+                                                 error):
+        """Only the coordinator writes the store, so an error there that
+        survives the retries fails the sweep with the store's own error
+        at any ``--jobs`` (never mistaken for a dead worker), and no
+        worker outlives it."""
+        monkeypatch.setenv(FAULTS_ENV, BROKEN_PUT_PLANS[kind])
+        with pytest.raises(error, match="injected store fault"):
+            main(["fig3", "--store", f"sqlite:{tmp_path}/broken.db",
+                  "--jobs", jobs])
+        assert multiprocessing.active_children() == []
 
     def test_get_faults_reach_hit_reads(self, tmp_path, capsys,
                                         monkeypatch):

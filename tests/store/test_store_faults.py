@@ -28,7 +28,6 @@ from repro.store import (
     Fault,
     FaultPlan,
     LocalFileStore,
-    QueueItem,
     RetryingStore,
     StoreFault,
     active_plan,
@@ -68,7 +67,7 @@ class TestPlanParsing:
     def test_defaults(self):
         plan = FaultPlan.from_json(json.dumps({"faults": [
             {"cell": "t[0]", "kind": "hang"},
-            {"op": "claim", "kind": "latency"}]}))
+            {"op": "put", "kind": "latency"}]}))
         cell, op = plan.faults
         assert cell == Fault(cell="t[0]", kind="hang")
         assert (cell.attempts, cell.seconds) == ((1,), 30.0)
@@ -165,11 +164,11 @@ class TestInjectorSchedule:
         injector = injector_of(
             StoreFault(op="*", kind="busy", every=1, times=3))
         assert len(injector.fire("get")) == 1
-        assert len(injector.fire("claim")) == 1
-        assert len(injector.fire("expire")) == 1
-        assert injector.fire("ack") == []  # times exhausted
-        assert injector.injected == {"get:busy": 1, "claim:busy": 1,
-                                     "expire:busy": 1}
+        assert len(injector.fire("put")) == 1
+        assert len(injector.fire("contains")) == 1
+        assert injector.fire("len") == []  # times exhausted
+        assert injector.injected == {"get:busy": 1, "put:busy": 1,
+                                     "contains:busy": 1}
 
     def test_rate_schedule_is_seed_deterministic(self):
         fault = StoreFault(op="get", kind="busy", rate=0.4, seed=11)
@@ -206,16 +205,15 @@ class TestInjectorSchedule:
         threads switching every microsecond, no ``every`` count may be
         lost and no ``times`` cap overrun."""
         injector = injector_of(StoreFault(op="*", kind="busy", every=3),
-                               StoreFault(op="snapshot", kind="oserror",
+                               StoreFault(op="get", kind="oserror",
                                           times=1))
         tallies = [Counter() for _ in range(4)]
 
-        def snapshot_loop(tally):
+        def get_loop(tally):
             for _ in range(3000):
-                tally.update(fault.kind
-                             for fault in injector.fire("snapshot"))
+                tally.update(fault.kind for fault in injector.fire("get"))
 
-        threads = [threading.Thread(target=snapshot_loop, args=(tally,))
+        threads = [threading.Thread(target=get_loop, args=(tally,))
                    for tally in tallies]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -228,8 +226,7 @@ class TestInjectorSchedule:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sum(tallies, Counter()) == {"busy": 4000, "oserror": 1}
-        assert injector.injected == {"snapshot:busy": 4000,
-                                     "snapshot:oserror": 1}
+        assert injector.injected == {"get:busy": 4000, "get:oserror": 1}
 
 
 # ------------------------------------------------------ classification --
@@ -317,7 +314,7 @@ class TestCallWithRetries:
             pytest.approx([0.01, 0.02, 0.16, 0.25])
 
 
-# -------------------------------------------------- wrapped store/queue --
+# -------------------------------------------------------- wrapped store --
 
 
 FAST = RetryPolicy(retries=5, backoff_base=0.0, backoff_cap=0.0)
@@ -328,9 +325,6 @@ def faulty_local(tmp_path, *faults: StoreFault,
     return RetryingStore(LocalFileStore(tmp_path / "store"), policy,
                          faults=FaultPlan(faults).injector())
 
-
-def one_item():
-    return [QueueItem(item_id=0, key=key_of(0), label="c", payload=b"p")]
 
 
 class TestRetryingOverFaulty:
@@ -367,38 +361,17 @@ class TestRetryingOverFaulty:
             assert store.get(key_of(4)) == (False, None)
         assert store.quarantined_count() == 1
 
-    def test_queue_shares_the_store_injector(self, tmp_path):
-        store = faulty_local(
-            tmp_path, StoreFault(op="claim", kind="busy", every=2))
-        queue = store.make_queue("sweep")
-        assert queue.store is store
-        queue.publish(one_item())
-        item = queue.claim("w0")   # claim #1 clean
-        assert item is not None
-        queue.ack(item.item_id)
-        assert store.faults._seen[0] == 1
-
     def test_every_guarded_operation_fires_and_retries(self, tmp_path):
         """STORE_OPS names exactly what the wrapper guards: a one-shot
         busy fault on each op fires inside that op and is retried."""
         calls = {
-            "get": lambda s, q: s.get(key_of(0)),
-            "put": lambda s, q: s.put(key_of(0), 0),
-            "write_raw": lambda s, q: s.write_raw(key_of(1), b"x"),
-            "quarantine": lambda s, q: s.quarantine(key_of(1)),
-            "contains": lambda s, q: s.contains(key_of(0)),
-            "len": lambda s, q: len(s),
-            "quarantined_count": lambda s, q: s.quarantined_count(),
-            "publish": lambda s, q: q.publish(one_item()),
-            "claim": lambda s, q: q.claim("w0"),
-            "expire": lambda s, q: q.expire("w1"),
-            "ack": lambda s, q: q.ack(0),
-            "nack": lambda s, q: q.nack(0, "E", "m"),
-            "clear_result": lambda s, q: q.clear_result(0),
-            "overdue": lambda s, q: q.overdue(60.0),
-            "requeue_failed": lambda s, q: q.requeue_failed(),
-            "reset_items": lambda s, q: q.reset_items([0]),
-            "snapshot": lambda s, q: q.snapshot(),
+            "get": lambda s: s.get(key_of(0)),
+            "put": lambda s: s.put(key_of(0), 0),
+            "write_raw": lambda s: s.write_raw(key_of(1), b"x"),
+            "quarantine": lambda s: s.quarantine(key_of(1)),
+            "contains": lambda s: s.contains(key_of(0)),
+            "len": lambda s: len(s),
+            "quarantined_count": lambda s: s.quarantined_count(),
         }
         assert tuple(calls) == STORE_OPS
         for op, call in calls.items():
@@ -408,9 +381,8 @@ class TestRetryingOverFaulty:
                 lambda name, exc, n: seen.append(name),
                 FaultPlan((StoreFault(op=op, kind="busy", times=1),))
                 .injector())
-            queue = store.make_queue("sweep")
             for other in calls.values():
-                other(store, queue)
+                other(store)
             store.close()
             assert seen == [op], op
 
@@ -432,7 +404,6 @@ class TestWrapStore:
         assert isinstance(wrapped.faults, FaultInjector)
         assert wrapped.faults.faults == tuple(
             f for f in MIXED.faults if isinstance(f, StoreFault))
-        # Workers reopen the raw URL and wrap it themselves.
         assert wrapped.url == store.url
 
     @pytest.mark.parametrize("plan", [
