@@ -30,7 +30,8 @@ Two entry points:
 ``test_throughput_regression`` guards the committed numbers in CI: it
 re-measures each config and fails if throughput drops more than 30% below
 the committed ``after`` value, after normalizing machine speed through the
-recorded spin-loop calibration.
+recorded spin-loop calibration.  Each timed round is normalized by a spin
+split around it, so the two see the same moment of the host's load.
 """
 
 import json
@@ -167,21 +168,44 @@ def measure(factory, stream, warm, rounds=ROUNDS, feed=drive):
     return len(stream) / best
 
 
+def spin(loops):
+    """Wall time of a fixed pure-Python spin loop (machine-speed proxy)."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(loops):
+        acc += i
+    return time.perf_counter() - t0
+
+
 def spin_calibration(loops=2_000_000):
-    """Wall time of a fixed pure-Python spin loop (machine-speed proxy).
+    """Best of 3 spins of ``loops`` additions.
 
     Cross-machine comparisons of lines/sec are meaningless; the regression
     gate compares *work per spin-unit* instead, which cancels most of the
     host-speed difference.  Best of 3 to dodge scheduler noise.
     """
-    best = None
-    for _ in range(3):
+    return min(spin(loops) for _ in range(3))
+
+
+def measure_normalized(factory, stream, warm, rounds, feed,
+                       loops=2_000_000):
+    """Best-of-``rounds`` lines per spin-unit for one configuration.
+
+    Each round times half of a ``loops``-addition spin right before its
+    feed and half right after, so the spin sees the same host load as the
+    lines it normalizes; the best round wins, as in :func:`measure`.
+    """
+    best = 0.0
+    for _ in range(rounds):
+        cache = factory()
+        feed(cache, warm)
+        before = spin(loops // 2)
         t0 = time.perf_counter()
-        acc = 0
-        for i in range(loops):
-            acc += i
+        feed(cache, stream)
         dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
+        after = spin(loops // 2)
+        best = max(best, len(stream) / dt * (before + after))
+    cache.check_invariants()
     return best
 
 
@@ -206,8 +230,9 @@ def test_throughput_regression():
     """CI smoke: fail when throughput regresses >30% vs the committed
     numbers (spin-calibrated, so a slower CI host does not false-alarm).
 
-    Each config is normalized by a spin timed right before it is
-    measured, so host load that drifts over the run moves both alike.
+    Every timed round is normalized by its own spin
+    (:func:`measure_normalized`), so host load that drifts between
+    rounds, or between the spin and the feed, moves both alike.
     """
     committed = json.loads(BENCH_JSON.read_text())
     ref_spin = committed["calibration_spin_seconds"]
@@ -217,17 +242,14 @@ def test_throughput_regression():
         if expected is None or label not in ALL_CONFIGS:
             continue
         feed, stream, warm = workload(label)
-        local_spin = spin_calibration()
-        measured = measure(ALL_CONFIGS[label], stream, warm, rounds=3,
-                           feed=feed)
         # Machine-normalized: lines per spin-unit of compute.
-        norm_measured = measured * local_spin
+        norm_measured = measure_normalized(ALL_CONFIGS[label], stream, warm,
+                                           rounds=3, feed=feed)
         norm_expected = expected * ref_spin
         if norm_measured < 0.7 * norm_expected:
             failures.append(
-                f"{label}: {measured:.0f} lines/s "
-                f"(normalized {norm_measured:.0f} vs committed "
-                f"{norm_expected:.0f}, floor 70%)")
+                f"{label}: normalized {norm_measured:.0f} vs committed "
+                f"{norm_expected:.0f} lines per spin-second, floor 70%")
     assert not failures, (
         "throughput regression vs BENCH_throughput.json:\n  "
         + "\n  ".join(failures))

@@ -84,7 +84,8 @@ def prefill_to_targets(cache: PartitionedCache, traces: Sequence[Trace],
     the traces' next-use annotations.
     """
     needs_future = cache.ranking.needs_future
-    cursors = [TraceCursor(t, with_next_use=needs_future) for t in traces]
+    pulls = [TraceCursor(t, with_next_use=needs_future).stream.__next__
+             for t in traces]
     budgets = [budget_per_line * max(1, cache.targets[tid]) +
                len(traces[tid]) for tid in range(len(traces))]
     while True:
@@ -100,7 +101,7 @@ def prefill_to_targets(cache: PartitionedCache, traces: Sequence[Trace],
                 if (cache.actual_sizes[tid] >= cache.targets[tid]
                         or budgets[tid] <= 0):
                     break
-                addr, next_use, _gap = cursors[tid].next()
+                addr, next_use, _gap = pulls[tid]()
                 cache.access(addr, tid, next_use)
                 budgets[tid] -= 1
     cache.reset_stats()

@@ -114,7 +114,7 @@ def _targets(config: ResizingConfig,
 def _run_cell(config: ResizingConfig, scheme_name: str) -> ResizingCell:
     cache = _build(config, scheme_name)
     cache.set_targets(_targets(config, config.split))
-    cursors = [TraceCursor(trace) for trace in mixed_traces(
+    pulls = [TraceCursor(trace).stream.__next__ for trace in mixed_traces(
         config.benchmarks, config.trace_length,
         scale=config.workload_scale, seed=config.seed)]
 
@@ -122,7 +122,7 @@ def _run_cell(config: ResizingConfig, scheme_name: str) -> ResizingCell:
         access = cache.access
         for i in range(count):
             tid = i & 1
-            addr, next_use, _gap = cursors[tid].next()
+            addr, next_use, _gap = pulls[tid]()
             access(addr, tid, next_use)
 
     # Phase A: reach and measure steady state.
@@ -148,7 +148,7 @@ def _run_cell(config: ResizingConfig, scheme_name: str) -> ResizingCell:
     window_accesses_seen = 0
     for i in range(horizon):
         tid = i & 1
-        addr, next_use, _gap = cursors[tid].next()
+        addr, next_use, _gap = pulls[tid]()
         hit = access(addr, tid, next_use)
         if tid == shrinking and i < config.window_accesses:
             window_accesses_seen += 1

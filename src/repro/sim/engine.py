@@ -5,12 +5,22 @@ NUCA banking, and off-chip memory; each thread replays its L2 access trace,
 and "network and memory access latency will be fed back into trace timing
 and, thus, delay future L2 cache accesses accordingly".
 
-Implementation: each thread has a virtual clock.  Threads are scheduled
-through a min-heap on virtual time; the earliest thread issues its next
-access, the latency is computed (L2 hit vs miss through the bandwidth-
-limited MCU), and the thread's clock advances by the instruction gap times
-the base CPI plus the access latency — an in-order core stalling on every
-L2 access.
+Implementation: each thread has a virtual clock.  The earliest thread
+(smaller tid on a tie) issues its next access, the latency is computed
+(L2 hit vs miss through the bandwidth-limited MCU), and the thread's clock
+advances by the instruction gap times the base CPI plus the access
+latency — an in-order core stalling on every L2 access.
+
+The loop serves threads in runs: it keeps the served thread's clock and
+counters in locals and serves it again while it stays earlier than the
+head of a min-heap holding every other thread's ``(vtime, tid)``; only a
+switch touches the heap.  A one-thread run never does.  The arithmetic
+of :meth:`NUCAModel.access <repro.sim.nuca.NUCAModel.access>` and
+:meth:`MemoryController.request <repro.sim.memory.MemoryController.request>`
+/ ``writeback`` is folded into the loop, expression for expression, and
+the loop writes the models' counters and free times back when it ends or
+raises.  Each thread's accesses come from its
+:class:`~repro.trace.mixing.TraceCursor` stream.
 
 Each thread runs until it retires ``instruction_limit`` instructions
 (paper: 250M per thread); threads that finish early keep replaying their
@@ -23,6 +33,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import List, Optional, Sequence
 
 from ..cache.cache import PartitionedCache
@@ -81,11 +92,11 @@ class SimulationResult:
 
 
 class _ThreadState:
-    __slots__ = ("cursor", "vtime", "instructions", "accesses", "misses",
+    __slots__ = ("pull", "vtime", "instructions", "accesses", "misses",
                  "finished", "result")
 
     def __init__(self, cursor: TraceCursor) -> None:
-        self.cursor = cursor
+        self.pull = cursor.stream.__next__
         self.vtime = 0.0
         self.instructions = 0
         self.accesses = 0
@@ -95,7 +106,11 @@ class _ThreadState:
 
 
 class MultiprogramSimulator:
-    """Timed replay of one trace per thread against a shared partitioned L2."""
+    """Timed replay of one trace per thread against a shared partitioned L2.
+
+    A simulator runs once: its cache, NUCA banks and memory channel carry
+    the state the run leaves behind.
+    """
 
     def __init__(self, cache: PartitionedCache, traces: Sequence[Trace],
                  config: SystemConfig = TABLE_II, *,
@@ -142,6 +157,14 @@ class MultiprogramSimulator:
         self._threads = [
             _ThreadState(TraceCursor(t, with_next_use=needs_future))
             for t in traces]
+        for tid, trace in enumerate(traces):
+            # Gaps are non-negative (Trace checks), so a trace retires no
+            # instruction exactly when every gap is 0.
+            if not any(trace.gaps):
+                raise ConfigurationError(
+                    f"trace {tid} ({trace.name!r}) has no instructions, "
+                    f"so thread {tid} can never reach instruction_limit")
+        self._ran = False
 
     def run(self) -> SimulationResult:
         """Run until every thread retires its instruction limit.
@@ -153,6 +176,11 @@ class MultiprogramSimulator:
         when the loop finishes.  With telemetry off this is a no-op and
         no obs module state is touched.
         """
+        if self._ran:
+            raise ConfigurationError(
+                "this simulator has already run; build a new one (with a "
+                "fresh cache) to run again")
+        self._ran = True
         from ..obs.runtime import record_series
         with record_series(self.cache):
             return self._run_loop()
@@ -160,58 +188,117 @@ class MultiprogramSimulator:
     def _run_loop(self) -> SimulationResult:
         cache = self.cache
         access = cache.access
-        nuca_access = self.nuca.access
-        memory_request = self.memory.request
-        memory_writeback = self.memory.writeback
-        write_fractions = self.write_fractions
+        threads = self._threads
+        n = len(threads)
+        fractions = (self.write_fractions if self.write_fractions is not None
+                     else [None] * n)
         rng_random = self._rng.random
-        l1s = self._l1s
+        l1_accesses = ([None] * n if self._l1s is None
+                       else [l1.access for l1 in self._l1s])
         l1_latency = self.config.l1_latency
         cpi = self.config.cpi_base
         limit = self.instruction_limit
-        threads = self._threads
-        unfinished = len(threads)
-        # One (vtime, tid) entry per thread.  Each access serves the
-        # earliest entry and replaces it in place with one sift; entries
-        # are unique, so the order served does not depend on the heap's
-        # layout.
-        heap = [(0.0, tid) for tid in range(len(threads))]
-        heapq.heapify(heap)
-        heapreplace = heapq.heapreplace
+        # NUCAModel.access and MemoryController.request/writeback, folded
+        # in expression for expression; their counters live in locals
+        # until the finally below writes them back.
+        nuca, memory = self.nuca, self.memory
+        banks = nuca.banks
+        bank_free = nuca._bank_free_at
+        occupancy = nuca.BANK_OCCUPANCY
+        network = nuca.network_latency
+        lookup = nuca.access_latency
+        nuca_accesses = nuca.accesses
+        nuca_delay = nuca.total_queue_delay
+        channel_free = memory._channel_free_at
+        per_line = memory.cycles_per_line
+        memory_latency = memory.latency
+        requests = memory.requests
+        writebacks = memory.writebacks
+        memory_delay = memory.total_queue_delay
+
+        unfinished = n
         max_time = 0.0
-        while unfinished > 0:
-            vtime, tid = heap[0]
-            state = threads[tid]
-            addr, next_use, gap = state.cursor.next()
-            is_write = (write_fractions is not None
-                        and rng_random() < write_fractions[tid])
-            if l1s is not None and l1s[tid].access(addr):
-                # Private-L1 hit: the shared L2 never sees the access.
-                latency = l1_latency
-                hit = True
-            else:
-                latency = nuca_access(addr, vtime)
-                hit = access(addr, tid, next_use, is_write=is_write)
-                if not hit:
-                    latency += memory_request(vtime + latency)
-                    if cache.writeback_pending:
-                        memory_writeback(vtime + latency)
-            state.vtime = vtime + gap * cpi + latency
-            if not state.finished:
-                state.instructions += gap
-                state.accesses += 1
-                if not hit:
-                    state.misses += 1
-                if state.instructions >= limit:
-                    state.finished = True
-                    state.result = ThreadResult(
-                        thread=tid, instructions=state.instructions,
-                        cycles=state.vtime, accesses=state.accesses,
-                        misses=state.misses)
-                    unfinished -= 1
-                    max_time = max(max_time, state.vtime)
-            if unfinished > 0:
-                heapreplace(heap, (state.vtime, tid))
+        # Every thread but the one being served, as (vtime, tid); sorted,
+        # so already a heap.  Entries are unique, so the order served does
+        # not depend on the heap's layout.
+        heap = [(0.0, tid) for tid in range(n)]
+        heappushpop = heapq.heappushpop
+        vtime, tid = heapq.heappop(heap)
+        try:
+            while unfinished:
+                # One run: serve thread tid while it stays the earliest,
+                # (vtime, tid) < (head_vtime, head_tid).
+                head_vtime, head_tid = heap[0] if heap else (inf, n)
+                state = threads[tid]
+                pull = state.pull
+                instructions, accesses = state.instructions, state.accesses
+                misses, finished = state.misses, state.finished
+                write_fraction, l1_access = fractions[tid], l1_accesses[tid]
+                while True:
+                    addr, next_use, gap = pull()
+                    is_write = (write_fraction is not None
+                                and rng_random() < write_fraction)
+                    if l1_access is not None and l1_access(addr):
+                        # Private-L1 hit: the shared L2 never sees it.
+                        latency = l1_latency
+                        hit = True
+                    else:
+                        # NUCA bank: network + bank queueing + lookup.
+                        bank = addr % banks
+                        free_at = bank_free[bank]
+                        start = free_at if free_at > vtime else vtime
+                        queue_delay = start - vtime
+                        bank_free[bank] = start + occupancy
+                        nuca_accesses += 1
+                        nuca_delay += queue_delay
+                        latency = network + queue_delay + lookup
+                        hit = access(addr, tid, next_use, is_write=is_write)
+                        if not hit:
+                            # Line fill on the memory channel.
+                            now = vtime + latency
+                            start = (channel_free if channel_free > now
+                                     else now)
+                            queue_delay = start - now
+                            channel_free = start + per_line
+                            requests += 1
+                            memory_delay += queue_delay
+                            latency += queue_delay + memory_latency
+                            if cache.writeback_pending:
+                                # Posted writeback: holds the channel only.
+                                now = vtime + latency
+                                start = (channel_free if channel_free > now
+                                         else now)
+                                channel_free = start + per_line
+                                writebacks += 1
+                    vtime = vtime + gap * cpi + latency
+                    if not finished:
+                        instructions += gap
+                        accesses += 1
+                        if not hit:
+                            misses += 1
+                        if instructions >= limit:
+                            finished = state.finished = True
+                            state.result = ThreadResult(
+                                thread=tid, instructions=instructions,
+                                cycles=vtime, accesses=accesses,
+                                misses=misses)
+                            unfinished -= 1
+                            if vtime > max_time:
+                                max_time = vtime
+                            if not unfinished:
+                                break
+                    if vtime < head_vtime or (vtime == head_vtime
+                                              and tid < head_tid):
+                        continue
+                    break
+                state.vtime, state.instructions = vtime, instructions
+                state.accesses, state.misses = accesses, misses
+                vtime, tid = heappushpop(heap, (vtime, tid))
+        finally:
+            nuca.accesses, nuca.total_queue_delay = nuca_accesses, nuca_delay
+            memory._channel_free_at = channel_free
+            memory.requests, memory.writebacks = requests, writebacks
+            memory.total_queue_delay = memory_delay
         results = [s.result for s in threads]
         return SimulationResult(threads=results, total_cycles=max_time)
 

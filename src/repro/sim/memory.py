@@ -19,7 +19,13 @@ __all__ = ["MemoryController"]
 
 
 class MemoryController:
-    """Bandwidth-limited, fixed-latency memory channel."""
+    """Bandwidth-limited, fixed-latency memory channel.
+
+    The timing engine (:mod:`repro.sim.engine`) folds :meth:`request` and
+    :meth:`writeback` into its loop and writes the counters and the
+    channel's free time back here; ``tests/sim/test_engine.py`` checks
+    the two against each other.
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         self.latency = int(config.memory_latency)

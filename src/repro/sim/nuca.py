@@ -18,7 +18,13 @@ __all__ = ["NUCAModel"]
 
 
 class NUCAModel:
-    """Bank-interleaved L2 access latency."""
+    """Bank-interleaved L2 access latency.
+
+    The timing engine (:mod:`repro.sim.engine`) folds :meth:`access` into
+    its loop and writes ``accesses``, ``total_queue_delay`` and the bank
+    free times back here; ``tests/sim/test_engine.py`` checks the two
+    against each other.
+    """
 
     #: Cycles a bank is busy per access (pipelined tag+data assumed).
     BANK_OCCUPANCY = 1.0

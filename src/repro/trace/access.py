@@ -50,8 +50,8 @@ class Trace:
     addresses:
         Line addresses, one per L2 access.
     gaps:
-        Instructions executed since the previous L2 access (same length).
-        Defaults to a constant gap of 1 when omitted.
+        Instructions executed since the previous L2 access (same length,
+        non-negative).  Defaults to a constant gap of 1 when omitted.
     name:
         Label used in experiment reports (e.g. the benchmark name).
     """
@@ -72,6 +72,8 @@ class Trace:
             raise TraceError(
                 f"gaps length {len(self.gaps)} != addresses length "
                 f"{len(self.addresses)}")
+        if len(self.gaps) and min(self.gaps) < 0:
+            raise TraceError("gaps must be non-negative")
         self.name = name
         self._next_use: Optional[array] = None
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +30,21 @@ def drive_uniform(cache: PartitionedCache, accesses: int, *,
         addr = part * 10**9 + rng.randrange(address_space)
         cache.access(addr, part)
     return cache
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the test, instead of hanging the suite, when the body is still
+    running after ``seconds`` (a SIGALRM timer; main thread only)."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -62,6 +62,15 @@ class TestTrace:
         with pytest.raises(TraceError):
             Trace([1, 2], gaps=[1])
 
+    def test_negative_gap_rejected(self):
+        # A negative gap could cancel the others out: this trace would
+        # claim 0 instructions and never reach an instruction limit.
+        with pytest.raises(TraceError, match="non-negative"):
+            Trace([1, 2, 3], [1, -1, 0])
+
+    def test_zero_gaps_allowed(self):
+        assert Trace([1, 2], gaps=[0, 0]).instructions == 0
+
     def test_footprint(self):
         assert Trace([1, 2, 1, 3]).footprint() == 3
 

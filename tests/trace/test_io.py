@@ -47,3 +47,13 @@ def test_large_addresses_preserved(tmp_path):
     original = Trace([2**40 + 7, 2**45], name="big")
     loaded = load_trace(save_trace(original, tmp_path / "big"))
     assert list(loaded.addresses) == [2**40 + 7, 2**45]
+
+
+def test_negative_gap_in_archive_rejected(tmp_path):
+    import numpy as np
+    path = tmp_path / "negative.npz"
+    np.savez(path, addresses=np.array([1, 2], dtype=np.int64),
+             gaps=np.array([3, -3], dtype=np.int64),
+             name=np.frombuffer(b"neg", dtype=np.uint8))
+    with pytest.raises(TraceError, match="non-negative"):
+        load_trace(path)

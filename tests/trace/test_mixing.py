@@ -1,5 +1,8 @@
 """Tests for multiprogrammed trace feeding."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cache.arrays import RandomCandidatesArray
@@ -14,6 +17,7 @@ from repro.trace.mixing import (
     run_insertion_rate_controlled,
     run_round_robin,
 )
+from tests.conftest import deadline
 
 
 def stream_trace(base, n=100):
@@ -43,6 +47,40 @@ class TestTraceCursor:
         assert nu0b == nu0 + 2
         # Keys stay strictly increasing for the same position over wraps.
         assert nu1 < nu0b or nu1 > nu0
+
+    def test_stream_and_next_share_one_position(self):
+        trace = Trace([4, 5, 6], gaps=[1, 2, 3])
+        c = TraceCursor(trace, with_next_use=True)
+        pull = c.stream.__next__
+        seen = []
+        for step in range(10):
+            assert c.total_accesses == step
+            assert (c.wraps, c.position) == divmod(step, 3)
+            seen.append(pull() if step % 2 else c.next())
+        offsets = [3 * (i // 3) for i in range(10)]
+        assert seen == [(trace.addresses[i % 3],
+                         trace.next_use[i % 3] + offsets[i],
+                         trace.gaps[i % 3]) for i in range(10)]
+
+    def test_no_reference_cycle(self):
+        """Cursor and stream are freed by reference counting alone: the
+        stream never refers back to its cursor."""
+        class Tracked(Trace):
+            pass      # a subclass without __slots__ accepts weakrefs
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trace = Tracked([1, 2, 3])
+            alive = weakref.ref(trace)
+            cursor = TraceCursor(trace, with_next_use=True)
+            for _ in range(4):
+                cursor.next()
+            del cursor, trace
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRoundRobin:
@@ -163,3 +201,11 @@ class TestInsertionRateControl:
         assert len(resets) == 2     # after the prefill, after the warmup
         measured = [part for _, part, _ in fed[resets[0]:]]
         assert issued == [measured.count(0), measured.count(1)]
+
+    def test_thread_that_cannot_miss_is_refused(self, random_array_cache):
+        """A 3-line thread whose lines all stay resident can never insert
+        again; the feed names it instead of feeding it forever."""
+        traces = [Trace([1, 2, 3]), stream_trace(10**6, 1000)]
+        with deadline(20), pytest.raises(TraceError, match="thread 0"):
+            run_insertion_rate_controlled(random_array_cache, traces,
+                                          [0.5, 0.5], 200, seed=0)
