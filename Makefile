@@ -1,7 +1,7 @@
 # Convenience targets for the futility-scaling reproduction.
 
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
-	bench-regression perfbench-smoke perfbench-pins figures \
+	bench-regression bench-figures perfbench-smoke perfbench-pins figures \
 	figures-parallel report examples lint typecheck check clean \
 	clean-cache telemetry-smoke chaos-smoke trace-smoke
 
@@ -34,6 +34,15 @@ bench-regression:
 	$(PY) -m pytest -q -p no:cacheprovider \
 		benchmarks/test_simulator_throughput.py::test_benchmark_covers_every_scheme \
 		benchmarks/test_simulator_throughput.py::test_throughput_regression
+
+# Wall time of fig2, fig4, fig5 and fig6 at --scale scaled --jobs 1
+# --no-cache, each in a fresh interpreter, with the host's spin time
+# around each run, merged into BENCH_figures.json under BENCH_LABEL
+# (default after).  BENCH_SRC points at another tree's src/ to measure
+# it instead (the parent side, with BENCH_LABEL=before).  About 3.5 min.
+bench-figures:
+	python benchmarks/figure_walltime.py --label $${BENCH_LABEL:-after} \
+		--src $${BENCH_SRC:-src}
 
 # Self-test of the figure-sweep benchmark (perfbench/): every workload
 # at its figures' smoke configs, timed and traced, emits every metric

@@ -7,7 +7,9 @@ shape the figure experiments actually run it (exact-LRU decision ranking
 with full measurement attached; the feedback-FS hardware pairing uses the
 8-bit coarse-timestamp ranking as in Fig. 7), plus Fig. 6a's two OPT
 pairings (``OPT_CONFIGS``), fed the same workload annotated with next-use
-positions and built as fig6 builds them.
+positions and built as fig6 builds them, and Fig. 4's pairings
+(``RANDCAND_CONFIGS``): exact LRU on the random-candidates array under FS
+and PF.
 
 The workload is a hot/cold mix (85% of accesses to a per-partition hot set
 that fits in cache, 15% to a large cold space), approximating the locality
@@ -43,7 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.arrays import (DirectMappedArray, FullyAssociativeArray,
-                                SetAssociativeArray)
+                                RandomCandidatesArray, SetAssociativeArray)
 from repro.cache.cache import PartitionedCache
 from repro.core.futility import (CoarseTimestampLRURanking, LRURanking,
                                  OPTRanking)
@@ -116,7 +118,19 @@ OPT_CONFIGS = {
         DirectMappedArray(LINES), OPTRanking(),
         make_scheme("unpartitioned"), PARTS, track_eviction_futility=False),
 }
-ALL_CONFIGS = {**CONFIGS, **OPT_CONFIGS}
+
+#: Fig. 4's pairings: exact LRU on a random-candidates array with R = 16,
+#: under analytical FS and PF, built as fig4 builds them (eviction
+#: futility recorded: fig4 reports associativity).
+RANDCAND_CONFIGS = {
+    "randcand-fs": lambda: PartitionedCache(
+        RandomCandidatesArray(LINES, WAYS, seed=0), LRURanking(),
+        make_scheme("fs", alphas=[1.0, 2.0]), PARTS),
+    "randcand-pf": lambda: PartitionedCache(
+        RandomCandidatesArray(LINES, WAYS, seed=0), LRURanking(),
+        make_scheme("pf"), PARTS),
+}
+ALL_CONFIGS = {**CONFIGS, **OPT_CONFIGS, **RANDCAND_CONFIGS}
 
 
 def with_next_use(warm, stream):

@@ -202,7 +202,9 @@ class RandomCandidatesArray(CacheArray):
     returns the next B words, lowest first.  So the array draws the words
     in blocks, shifts and filters them at once, and buffers the accepted
     values: the same stream, without a Python call per draw
-    (``tests/cache/test_arrays.py`` pins it against ``randrange``).
+    (``tests/cache/test_arrays.py`` pins it against ``randrange``).  The
+    compiled access kernel takes the buffer's fast path inline and calls
+    ``candidates`` only for a repeat or a refill.
     """
 
     #: Mersenne Twister words per buffer refill (16 KiB): at 4096 lines and

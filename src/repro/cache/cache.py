@@ -41,11 +41,13 @@ from ..core.futility import (
 )
 from ..core.schemes.base import PartitioningScheme
 from ..core.schemes.full_assoc import FullAssocScheme
-from ..core.schemes.futility_scaling import FeedbackFutilityScalingScheme
+from ..core.schemes.futility_scaling import (FeedbackFutilityScalingScheme,
+                                             FutilityScalingScheme)
+from ..core.schemes.partitioning_first import PartitioningFirstScheme
 from ..core.schemes.unpartitioned import UnpartitionedScheme
 from ..errors import ConfigurationError
 from .arrays import (INVALID, CacheArray, FullyAssociativeArray,
-                     SetAssociativeArray)
+                     RandomCandidatesArray, SetAssociativeArray)
 from .events import CacheEventBus, CacheObserver
 from .hashing import XorFoldHash
 from .stats import CacheStats
@@ -55,6 +57,16 @@ __all__ = ["PartitionedCache", "RankingObserver"]
 #: Keyed rankings whose hook bodies, reference-futility bisect and
 #: FullAssoc victim the kernel generator emits inline (exact types only).
 _KEYED_INLINE = (LRURanking, OPTRanking)
+
+#: Schemes whose victim scan over a keyed ranking is emitted inline (exact
+#: types only), mapped to the scheme attribute holding the per-partition
+#: weights: ``""`` for an unweighted scan, ``None`` for PF's fused PS+VI.
+_SCAN_INLINE = {
+    FutilityScalingScheme: "_alphas",
+    FeedbackFutilityScalingScheme: "_weights",
+    UnpartitionedScheme: "",
+    PartitioningFirstScheme: None,
+}
 
 
 class RankingObserver(CacheObserver):
@@ -274,6 +286,10 @@ class PartitionedCache:
                      and TIMESTAMP_MOD == 256
                      and getattr(scheme, "_shift_scan", False)
                      and getattr(scheme, "_coarse_ranking", None) is ranking)
+        # Exact FS, feedback FS, the unpartitioned baseline and PF over an
+        # exact keyed ranking get the grouped raw-key scan of
+        # kernels.choose_scaled / choose_pf inlined (see scan_lines).
+        keyed_scan = type(ranking) in _KEYED_INLINE and stype in _SCAN_INLINE
 
         # Recognize the observers the compiler knows how to inline.  The
         # telemetry recorder is imported lazily: repro.obs is never pulled
@@ -399,6 +415,18 @@ class PartitionedCache:
                         "    _ks.append(_sq)",
                     ]
 
+            def evict(ranked):
+                return ([] if ranked else ["_ks = %s[vpart]" % keys]) + [
+                    "_old = %s[victim]" % key,
+                    "del _ks[%s]" % ("_vr" if ranked
+                                     else "bisect_left(_ks, _old)"),
+                    "_io = %s._index_of" % prefix,
+                    "if _io is not None:",
+                    "    del _io[vpart][_old]",
+                    "%s[victim] = None" % key,
+                    "%s[victim] = -1" % part_arr,
+                ]
+
             return {
                 "hit": [
                     "_ks = %s[part]" % keys,
@@ -421,16 +449,10 @@ class PartitionedCache:
                     "if _io is not None:",
                     "    _io[part][_sq] = new_idx",
                 ],
-                "evict": [
-                    "_ks = %s[vpart]" % keys,
-                    "_old = %s[victim]" % key,
-                    "del _ks[bisect_left(_ks, _old)]",
-                    "_io = %s._index_of" % prefix,
-                    "if _io is not None:",
-                    "    del _io[vpart][_old]",
-                    "%s[victim] = None" % key,
-                    "%s[victim] = -1" % part_arr,
-                ],
+                "evict": evict(ranked=False),
+                # The same, with _ks and the victim's rank _vr already
+                # known (the inline victim scan).
+                "evict_at_rank": evict(ranked=True),
                 "move": [
                     "_k = %s[src]" % key,
                     "_pt = %s[src]" % part_arr,
@@ -501,18 +523,77 @@ class PartitionedCache:
         if ref_obs is not None and type(reference) in _KEYED_INLINE:
             ref_seg = keyed_hook_lines(reference, "rf")
 
+        def scan_lines():
+            # kernels.choose_scaled / choose_pf over a keyed ranking,
+            # inlined.  One pass keeps each candidate partition's most
+            # futile raw key in _bk (indexed by partition; a sentinel no
+            # key beats until the partition appears) and its candidate in
+            # _bc, which a partition enters at its first candidate, so
+            # _bc iterates in order of first appearance.  FS and the
+            # unpartitioned scan then rank only those winners, one bisect
+            # each, with _KeyedRanking.futility's float expression scaled
+            # as choose_scaled scales it, and keep the winner's rank for
+            # the eviction (_vr).  A strict `>` keeps the earlier winner on
+            # an exact tie, and the position check resolves that tie to
+            # the candidate earliest in the list.  PF's PS takes the first
+            # partition with the strictly largest overshoot.
+            asc = ranking._ascending_futility
+            ns["no_key"] = float("-inf") if asc else float("inf")
+            lines = [
+                "        _bk = [no_key] * num_partitions",
+                "        _bc = {}",
+                "        for _c in _cands:",
+                "            _p = owner[_c]",
+                "            _k = rk_key[_c]",
+                "            if _k %s _bk[_p]:" % (">" if asc else "<"),
+                "                _bk[_p] = _k",
+                "                _bc[_p] = _c",
+            ]
+            weights = _SCAN_INLINE[stype]
+            if weights is None:
+                return lines + [
+                    "        _tgt = cache.targets",
+                    "        _bo = None",
+                    "        for _p, _c in _bc.items():",
+                    "            _ov = actual[_p] - _tgt[_p]",
+                    "            if _bo is None or _ov > _bo:",
+                    "                _bo = _ov",
+                    "                victim = _c",
+                ]
+            value = "(_r + 1) / _sz" if asc else "(_sz - _r) / _sz"
+            if weights:
+                # Read on every miss: set_alphas swaps the list without
+                # rebuilding the kernel.
+                ns["scheme"] = scheme
+                lines.append("        _w = scheme.%s" % weights)
+                value = "_w[_p] * (%s)" % value
+            return lines + [
+                "        _bv = None",
+                "        for _p, _c in _bc.items():",
+                "            _ks = rk_keys[_p]",
+                "            _sz = len(_ks)",
+                "            _r = bisect_left(_ks, _bk[_p])",
+                "            _v = " + value,
+                "            if (_bv is None or _v > _bv or (_v == _bv and",
+                "                    _cands.index(_c) < _cands.index(victim))):",
+                "                _bv = _v",
+                "                _vr = _r",
+                "                victim = _c",
+            ]
+
         def victim_lines(cands_expr):
             # Victim selection over one candidate-list expression: a
-            # choose_victim call, or (feedback FS on coarse timestamps) the
-            # empty-slot probe plus the Algorithm-2 shift scan inlined.
-            # The inline scan mirrors kernels.first_invalid +
-            # FeedbackFutilityScalingScheme.choose_victim exactly.
-            if not fb_inline:
+            # choose_victim call, or the empty-slot probe of
+            # kernels.first_invalid followed by an inlined scan: the
+            # Algorithm-2 shift scan (feedback FS on coarse timestamps,
+            # mirroring FeedbackFutilityScalingScheme.choose_victim) or the
+            # keyed scan (scan_lines).
+            if not (fb_inline or keyed_scan):
                 return ["    victim = choose(%s, part)" % cands_expr]
             ns["num_lines"] = self.num_lines
-            ns["fb_lvl"] = scheme._levels
-            return [
-                "    _cands = %s" % cands_expr,
+            head = ([] if cands_expr == "_cands"
+                    else ["    _cands = %s" % cands_expr])
+            head += [
                 "    victim = -1",
                 "    if cache._resident != num_lines:",
                 "        for _c in _cands:",
@@ -520,6 +601,11 @@ class PartitionedCache:
                 "                victim = _c",
                 "                break",
                 "    if victim < 0:",
+            ]
+            if keyed_scan:
+                return head + scan_lines()
+            ns["fb_lvl"] = scheme._levels
+            return head + [
                 "        _lv = fb_lvl",
                 "        victim = _cands[0]",
                 "        _p = owner[victim]",
@@ -553,6 +639,7 @@ class PartitionedCache:
                 # slot is the victim and no choose call is emitted.
                 if array_obj.ways == 1 and stype is UnpartitionedScheme:
                     pick = ["    victim = _base"]
+                    keyed_scan = False  # no scan, so no rank to reuse
                 else:
                     pick = victim_lines("range(_base, _base + ways)")
                 hash_obj = array_obj._hash
@@ -572,6 +659,22 @@ class PartitionedCache:
                     cand = [
                         "    _base = hash_fn(addr) * ways",
                     ] + pick
+            elif type(array_obj) is RandomCandidatesArray:
+                # RandomCandidatesArray.candidates' fast path: the next R
+                # buffered draws when they are distinct (a slice that runs
+                # past the buffer is short, so it fails the same test).
+                # A repeat or a refill goes through candidates().
+                ns["get_candidates"] = array_obj.candidates
+                ns["rc"] = array_obj
+                ns["rc_want"] = array_obj.candidate_count
+                cand = [
+                    "    _pos = rc._pos",
+                    "    _cands = rc._buf[_pos:_pos + rc_want]",
+                    "    if len(set(_cands)) == rc_want:",
+                    "        rc._pos = _pos + rc_want",
+                    "    else:",
+                    "        _cands = get_candidates(addr)",
+                ] + victim_lines("_cands")
             else:
                 ns["get_candidates"] = array_obj.candidates
                 cand = victim_lines("get_candidates(addr)")
@@ -704,7 +807,19 @@ class PartitionedCache:
                 keyed_ref = "rk"
             elif ref_obs is not None:
                 keyed_ref = "rf"
-        if need_fut and keyed_ref is not None:
+        if keyed_scan:
+            # The victim's rank serves both the futility and the key-list
+            # delete: the FS scan ranked it already, PF ranks it here.
+            emit("        _ks = rk_keys[vpart]")
+            if _SCAN_INLINE[stype] is None:
+                emit("        _vr = bisect_left(_ks, rk_key[victim])")
+            if need_fut:
+                emit("        _sz = len(_ks)")
+                if reference._ascending_futility:
+                    emit("        fut = (_vr + 1) / _sz")
+                else:
+                    emit("        fut = (_sz - _vr) / _sz")
+        elif need_fut and keyed_ref is not None:
             emit("        _ks = %s_keys[vpart]" % keyed_ref)
             emit("        _sz = len(_ks)")
             rank = "bisect_left(_ks, %s_key[victim])" % keyed_ref
@@ -719,7 +834,8 @@ class PartitionedCache:
         emit("        if was_dirty:")
         emit("            dirty[victim] = 0")
         emit("            cache.writeback_pending = True")
-        ext(indent("        ", r_seg["evict"]))
+        ext(indent("        ", r_seg["evict_at_rank" if keyed_scan
+                                     else "evict"]))
         if fb_inline:
             emit("        # Before the size decrement: the interval check")
             emit("        # reads the pre-eviction actual_sizes (Algorithm 2).")

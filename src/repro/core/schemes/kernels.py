@@ -22,6 +22,18 @@ sound because within one partition scaled futilities are distinct (keys are
 unique, partition sizes are far below 2**52, and scaling by a positive
 per-partition weight preserves strict float order at these magnitudes), so
 only per-partition winners can achieve the global maximum.
+
+Where these functions still run: the compiled access kernel
+(:meth:`repro.cache.cache.PartitionedCache._build_access`) emits the
+key-ordered paths of :func:`choose_scaled` and :func:`choose_pf` inline
+for the exact ``FutilityScalingScheme``, ``FeedbackFutilityScalingScheme``,
+``UnpartitionedScheme`` and ``PartitioningFirstScheme`` over exact
+``LRURanking``/``OPTRanking``.  This module remains the dispatched path
+for everything else: subclasses of those types, the LFU, random and
+coarse-timestamp rankings, and the other schemes (PriSM's
+:func:`max_raw_in`).  It is also the reference that
+``tests/cache/test_kernel_inlining.py`` compares the inlined scan with,
+through trivial subclasses that compile the dispatched path.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from ..cache.cache import PartitionedCache
 from ..trace.access import Trace
-from ..trace.mixing import TraceCursor
+from ..trace.mixing import TraceCursor, fill_to_targets
 from ..trace.spec import get_profile
 
 __all__ = [
@@ -75,36 +75,20 @@ def prefill_to_targets(cache: PartitionedCache, traces: Sequence[Trace],
                        *, budget_per_line: int = 40) -> None:
     """Warm a partitioned cache to its steady-state occupancy.
 
-    Feeds the threads round-robin until every partition has reached its
-    target occupancy (or a per-partition access budget expires — a thread
-    whose footprint is below its target can never fill it).  Statistics are
-    reset afterwards, so subsequent measurements see steady state rather
-    than the cold-start convergence transient, matching the paper's
-    long-run methodology.  Rankings needing future knowledge (OPT) are fed
-    the traces' next-use annotations.
+    Feeds the threads from fresh cursors with
+    :func:`~repro.trace.mixing.fill_to_targets` until every partition has
+    reached its target occupancy, or its budget of ``budget_per_line``
+    accesses per target line plus one pass over its trace expires.
+    Statistics are reset afterwards, matching the paper's long-run
+    methodology.  Rankings needing future knowledge (OPT) are fed the
+    traces' next-use annotations.
     """
     needs_future = cache.ranking.needs_future
     pulls = [TraceCursor(t, with_next_use=needs_future).stream.__next__
              for t in traces]
-    budgets = [budget_per_line * max(1, cache.targets[tid]) +
-               len(traces[tid]) for tid in range(len(traces))]
-    while True:
-        # Re-derive the worklist every round: filling one partition can
-        # drain another back below its target.
-        pending = [tid for tid in range(len(traces))
-                   if cache.actual_sizes[tid] < cache.targets[tid]
-                   and budgets[tid] > 0]
-        if not pending:
-            break
-        for tid in pending:
-            for _ in range(64):
-                if (cache.actual_sizes[tid] >= cache.targets[tid]
-                        or budgets[tid] <= 0):
-                    break
-                addr, next_use, _gap = pulls[tid]()
-                cache.access(addr, tid, next_use)
-                budgets[tid] -= 1
-    cache.reset_stats()
+    fill_to_targets(cache, pulls,
+                    [budget_per_line * max(1, cache.targets[tid])
+                     + len(traces[tid]) for tid in range(len(traces))])
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

@@ -31,6 +31,7 @@ from ..analysis.sizing import (
 )
 from ..api import build_cache
 from ..cache.arrays import RandomCandidatesArray
+from ..cache.cache import PartitionedCache
 from ..core.scaling import scaling_factors_two_partitions
 from ..core.schemes.futility_scaling import FutilityScalingScheme
 from ..core.schemes.partitioning_first import PartitioningFirstScheme
@@ -96,8 +97,10 @@ class Fig5Result:
         raise KeyError((scheme, i1))
 
 
-def _run_one(config: Fig5Config, scheme_name: str,
-             split: Tuple[float, float]) -> Fig5Measurement:
+def _cell_cache(config: Fig5Config, scheme_name: str,
+                split: Tuple[float, float]) -> PartitionedCache:
+    """The cache one cell runs.  fig5 reads partition 0's size deviation
+    only, so no eviction futility is recorded (the kernel computes none)."""
     sizes = (0.5, 0.5)
     if scheme_name == "fs":
         alphas = scaling_factors_two_partitions(sizes, split,
@@ -108,10 +111,16 @@ def _run_one(config: Fig5Config, scheme_name: str,
     array = RandomCandidatesArray(config.num_lines, config.candidates,
                                   seed=config.seed)
     half = config.num_lines // 2
-    cache = build_cache(array=array, ranking=config.ranking, scheme=scheme,
-                        num_partitions=2,
-                        targets=[half, config.num_lines - half],
-                        deviation_partitions=[0])
+    return build_cache(array=array, ranking=config.ranking, scheme=scheme,
+                       num_partitions=2,
+                       targets=[half, config.num_lines - half],
+                       deviation_partitions=[0],
+                       track_eviction_futility=False)
+
+
+def _run_one(config: Fig5Config, scheme_name: str,
+             split: Tuple[float, float]) -> Fig5Measurement:
+    cache = _cell_cache(config, scheme_name, split)
     traces = duplicated_traces(config.benchmark, 2, config.trace_length,
                                scale=config.workload_scale, seed=config.seed)
     run_insertion_rate_controlled(

@@ -22,7 +22,7 @@ import random
 from array import array
 from itertools import chain, repeat
 from operator import add
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .._util import check_probabilities
 from ..cache.cache import PartitionedCache
@@ -30,7 +30,7 @@ from ..errors import TraceError
 from .access import Trace
 
 __all__ = ["interleave_round_robin", "run_round_robin",
-           "run_insertion_rate_controlled", "TraceCursor"]
+           "run_insertion_rate_controlled", "fill_to_targets", "TraceCursor"]
 
 #: One access as a cursor serves it: ``(address, next_use, gap)``.
 Access = Tuple[int, Optional[int], int]
@@ -144,6 +144,41 @@ def run_round_robin(cache: PartitionedCache, traces: Sequence[Trace],
             access(addr, tid, next_use)
 
 
+def fill_to_targets(cache: PartitionedCache,
+                    pulls: Sequence[Callable[[], Access]],
+                    budgets: List[int]) -> None:
+    """Warm ``cache`` until every partition reaches its target occupancy.
+
+    Thread ``tid`` feeds partition ``tid`` from ``pulls[tid]`` (a cursor
+    stream's ``__next__``) in rounds of up to 64 accesses, while its
+    partition is below target and ``budgets[tid]`` accesses remain (a
+    thread whose footprint is below its target can never fill it).
+    ``budgets`` is consumed in place.  Statistics are reset afterwards,
+    so measurements see steady state rather than the cold-start
+    transient.  This is the one prefill rule:
+    :func:`repro.experiments.common.prefill_to_targets` and
+    :func:`run_insertion_rate_controlled` differ only in their budgets
+    and in whether the cursors go on into the measured phase.
+    """
+    while True:
+        # Re-derive the worklist every round: filling one partition can
+        # drain another back below its target.
+        pending = [tid for tid in range(len(pulls))
+                   if cache.actual_sizes[tid] < cache.targets[tid]
+                   and budgets[tid] > 0]
+        if not pending:
+            break
+        for tid in pending:
+            for _ in range(64):
+                if (cache.actual_sizes[tid] >= cache.targets[tid]
+                        or budgets[tid] <= 0):
+                    break
+                addr, next_use, _gap = pulls[tid]()
+                cache.access(addr, tid, next_use)
+                budgets[tid] -= 1
+    cache.reset_stats()
+
+
 def run_insertion_rate_controlled(cache: PartitionedCache,
                                   traces: Sequence[Trace],
                                   insertion_rates: Sequence[float],
@@ -175,26 +210,10 @@ def run_insertion_rate_controlled(cache: PartitionedCache,
     # it triggers are exactly what the per-partition series is for.
     with record_series(cache):
         if prefill:
-            n_threads = len(pulls)
-            budgets = [50 * cache.targets[tid] + len(traces[tid])
-                       for tid in range(n_threads)]
-            while True:
-                # Re-derive each round: filling one partition can drain
-                # another.
-                pending = [tid for tid in range(n_threads)
-                           if cache.actual_sizes[tid] < cache.targets[tid]
-                           and budgets[tid] > 0]
-                if not pending:
-                    break
-                for tid in pending:
-                    for _ in range(64):
-                        if (cache.actual_sizes[tid] >= cache.targets[tid]
-                                or budgets[tid] <= 0):
-                            break
-                        addr, next_use, _gap = pulls[tid]()
-                        cache.access(addr, tid, next_use)
-                        budgets[tid] -= 1
-            cache.reset_stats()
+            # The prefill's cursors continue into the measured phase.
+            fill_to_targets(cache, pulls,
+                            [50 * cache.targets[tid] + len(traces[tid])
+                             for tid in range(len(pulls))])
         cumulative: List[float] = []
         acc = 0.0
         for r in insertion_rates:

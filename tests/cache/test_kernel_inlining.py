@@ -2,20 +2,23 @@
 rankings (exact LRU and Belady's OPT).
 
 The kernel generator inlines exact types only (``type(x) is ...``), so a
-trivial subclass of a ranking or scheme compiles the bound-method path
-over the same state: ranking hooks, the reference-futility query and the
-scheme's ``choose_victim``.  One stream fed to both must leave identical
-caches.  The remaining tests pin what the inlining buys (which calls the
-figure pairings no longer make) and what it guards (the integer OPT key,
-non-``int`` next-use values, hits from a partition that does not own the
-line).
+trivial subclass of a ranking, scheme or array compiles the bound-method
+path over the same state: ranking hooks, the reference-futility query,
+the scheme's ``choose_victim`` (and through it
+:mod:`repro.core.schemes.kernels`) and the array's ``candidates``.  One
+stream fed to both must leave identical caches.  The remaining tests pin
+what the inlining buys (which calls the figure pairings no longer make)
+and what it guards (the victim scan's float expression and tie rule, the
+integer OPT key, non-``int`` next-use values, hits from a partition that
+does not own the line).
 """
 
 import copy
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import build_cache
@@ -30,26 +33,33 @@ from repro.cache.cache import PartitionedCache
 from repro.core.futility import LRURanking, OPTRanking
 from repro.core.schemes.base import make_scheme
 from repro.core.schemes.full_assoc import FullAssocScheme
+from repro.core.schemes.futility_scaling import FutilityScalingScheme
 from repro.core.schemes.partitioning_first import PartitioningFirstScheme
 from repro.errors import ConfigurationError
 from repro.experiments.fig2 import Fig2Config
+from repro.experiments.fig5 import Fig5Config
+from repro.experiments.fig5 import _cell_cache as fig5_cell_cache
 from repro.experiments.fig6 import _cell_cache
 from repro.trace.access import annotate_next_use
 
 PARTS = 2
+#: Array factories; ``wrap`` is applied to the class (identity for the
+#: compiled side, :func:`dispatched` for the reference side).
 ARRAYS = {
-    "set-assoc-16": lambda: SetAssociativeArray(256, 16),
-    "set-assoc-2": lambda: SetAssociativeArray(256, 2),
-    "direct-mapped": lambda: DirectMappedArray(256),
-    "direct-mapped-h3": lambda: DirectMappedArray(256, hash_kind="h3"),
-    "full-assoc": lambda: FullyAssociativeArray(128),
-    "random": lambda: RandomCandidatesArray(256, 16, seed=3),
-    "zcache": lambda: ZCacheArray(256, 4, 16, hash_seed=5),
+    "set-assoc-16": lambda wrap: wrap(SetAssociativeArray)(256, 16),
+    "set-assoc-2": lambda wrap: wrap(SetAssociativeArray)(256, 2),
+    "direct-mapped": lambda wrap: wrap(DirectMappedArray)(256),
+    "direct-mapped-h3": lambda wrap: wrap(DirectMappedArray)(256,
+                                                             hash_kind="h3"),
+    "full-assoc": lambda wrap: wrap(FullyAssociativeArray)(128),
+    "random": lambda wrap: wrap(RandomCandidatesArray)(256, 16, seed=3),
+    "zcache": lambda wrap: wrap(ZCacheArray)(256, 4, 16, hash_seed=5),
 }
 SCHEMES = {
     "unpartitioned": {},
     "pf": {},
     "fs": {"alphas": [1.0, 2.0]},
+    "fs-feedback": {},
     "vantage": {},
 }
 RANKINGS = {"lru": LRURanking, "opt": OPTRanking}
@@ -68,7 +78,7 @@ def make_pair(array_kind, scheme_kind, ranking_kind):
     """(compiled, dispatched) caches over identical arrays and targets."""
     caches = []
     for wrap in (lambda cls: cls, dispatched):
-        array = ARRAYS[array_kind]()
+        array = ARRAYS[array_kind](wrap)
         scheme_cls = type(make_scheme(scheme_kind))
         scheme = wrap(scheme_cls)(**SCHEMES.get(scheme_kind, {}))
         ranking = wrap(RANKINGS[ranking_kind])()
@@ -79,15 +89,15 @@ def make_pair(array_kind, scheme_kind, ranking_kind):
     return caches
 
 
-def make_stream(accesses=2500, seed=0):
+def make_stream(accesses=2500, seed=0, parts=PARTS):
     """Partition-private ``(addr, part, next_use, is_write)`` accesses: a
     hot set (hits) and a cold space (misses) per partition, next-use
     annotated per partition as the trace feeders do."""
     rng = random.Random(seed)
-    addrs = {p: [] for p in range(PARTS)}
+    addrs = {p: [] for p in range(parts)}
     order = []
     for _ in range(accesses):
-        p = rng.randrange(PARTS)
+        p = rng.randrange(parts)
         a = (rng.randrange(40) if rng.random() < 0.6
              else 40 + rng.randrange(600))
         addrs[p].append(p * 10**6 + a)
@@ -134,6 +144,14 @@ def test_compiled_kernel_matches_dispatched_path(array_kind, scheme_kind,
     for call in RANKING_CALLS[:3]:
         assert call not in fast_src
         assert call in slow_src
+    # The dispatched side chooses through the scheme's method; the compiled
+    # side scans inline for every exact scheme but Vantage.
+    assert "choose(" in slow_src
+    assert ("choose(" in fast_src) == (scheme_kind == "vantage")
+    if array_kind == "random":
+        # The compiled side draws inline and calls candidates() only on
+        # the slow path; the dispatched one calls it on every miss.
+        assert "rc._buf[" in fast_src and "rc._buf[" not in slow_src
     fast, slow = compiled.access, reference.access
     for addr, part, next_use, is_write in make_stream():
         assert (fast(addr, part, next_use, is_write=is_write)
@@ -146,25 +164,52 @@ def test_compiled_kernel_matches_dispatched_path(array_kind, scheme_kind,
 
 
 def test_direct_mapped_victim_needs_one_way():
-    """Only a one-way array under the unpartitioned scheme skips choose."""
+    """Only a one-way array under the unpartitioned scheme takes the set's
+    base slot without a scan.  Every other exact pairing scans inline, and
+    a Vantage or subclass pairing still dispatches."""
     for array_kind in ("direct-mapped", "direct-mapped-h3"):
         compiled, reference = make_pair(array_kind, "unpartitioned", "opt")
-        assert "choose(" not in compiled.access.__kernel_source__
+        src = compiled.access.__kernel_source__
+        assert "victim = _base" in src
+        assert "choose(" not in src and "_bc = {}" not in src
         assert "choose(" in reference.access.__kernel_source__
     for array_kind, scheme_kind in (("set-assoc-2", "unpartitioned"),
-                                    ("direct-mapped", "pf")):
-        compiled, _ = make_pair(array_kind, scheme_kind, "opt")
-        assert "choose(" in compiled.access.__kernel_source__
+                                    ("direct-mapped", "pf"),
+                                    ("direct-mapped", "fs")):
+        compiled, reference = make_pair(array_kind, scheme_kind, "opt")
+        src = compiled.access.__kernel_source__
+        assert "victim = _base" not in src
+        assert "choose(" not in src and "_bc = {}" in src
+        assert "choose(" in reference.access.__kernel_source__
+    compiled, _ = make_pair("direct-mapped", "vantage", "opt")
+    assert "choose(" in compiled.access.__kernel_source__
+
+
+def _fig5_cache(scheme_kind):
+    return lambda ranking: fig5_cell_cache(
+        dataclasses.replace(Fig5Config.smoke(), ranking=ranking),
+        scheme_kind, (0.9, 0.1))
+
+
+#: Pairings whose figures read no eviction futility: fig6 reports IPC
+#: only, and fig5 partition 0's size deviation only.
+NO_FUTILITY_PAIRINGS = {
+    "fa": lambda ranking: _cell_cache(256, ranking, "fa"),
+    "dm": lambda ranking: _cell_cache(256, ranking, "dm"),
+    "fig5-fs": _fig5_cache("fs"),
+    "fig5-pf": _fig5_cache("pf"),
+}
 
 
 @pytest.mark.parametrize("ranking", ["lru", "opt"])
-@pytest.mark.parametrize("organization", ["fa", "dm"])
+@pytest.mark.parametrize("organization", sorted(NO_FUTILITY_PAIRINGS))
 def test_fig6_pairings_call_no_ranking_or_scheme_method(organization,
                                                         ranking):
-    src = _cell_cache(256, ranking, organization).access.__kernel_source__
+    cache = NO_FUTILITY_PAIRINGS[organization](ranking)
+    src = cache.access.__kernel_source__
     for call in RANKING_CALLS + ("choose(",):
         assert call not in src
-    # fig6 reads IPC only, so no eviction futility is computed.
+    # Nothing reads an eviction futility, so none is computed.
     assert "fut = " not in src
 
 
@@ -177,10 +222,142 @@ def test_fig2_pairing_calls_no_ranking_method():
         num_partitions=n)
     assert config.ranking == "opt"
     src = cache.access.__kernel_source__
-    for call in RANKING_CALLS:
+    for call in RANKING_CALLS + ("choose(",):
         assert call not in src
-    # Its eviction-futility samples come from the inline bisect.
-    assert "fut = (bisect_left(_ks, rk_key[victim]) + 1) / _sz" in src
+    # PF's scan compares raw keys only.  The eviction ranks the victim
+    # once, for both its futility sample and the key-list delete; the
+    # other bisect is the hit's delete.
+    assert "_vr = bisect_left(_ks, rk_key[victim])" in src
+    assert "fut = (_vr + 1) / _sz" in src
+    assert "del _ks[_vr]" in src
+    assert src.count("bisect_left(") == 2
+
+
+# -- the inline victim scan ----------------------------------------------------
+
+#: Non-dyadic weights: products and quotients of these round, so the
+#: scan's float expression order decides exact ties (2.835 is the Fig. 3
+#: alpha at I2 = 0.9, S2 = 0.2, R = 16).
+ALPHAS = (2.835, 0.1, 1 / 3, 7.3, 1.0)
+
+
+@st.composite
+def scaled_runs(draw):
+    """An FS run: array, partitions, alphas before and after a mid-run
+    ``set_alphas``, ranking and stream seed."""
+    parts = draw(st.integers(1, 4))
+    alpha = st.one_of(st.sampled_from(ALPHAS),
+                      st.floats(0.01, 100.0, allow_nan=False))
+    alphas = [draw(st.lists(alpha, min_size=parts, max_size=parts))
+              for _ in range(2)]
+    return (draw(st.sampled_from(["random", "set-assoc-16"])), parts,
+            alphas, draw(st.sampled_from(sorted(RANKINGS))),
+            draw(st.integers(0, 2**16)))
+
+
+#: Equal non-dyadic alphas tie exactly whenever two winners have the
+#: same futility; these streams reach such a tie where
+#: (2.835 * size) / size != 2.835 decides the victim.
+EQUAL_ALPHAS = [[2.835, 2.835], [2.835, 2.835]]
+
+
+@given(scaled_runs())
+@example(("random", 2, EQUAL_ALPHAS, "lru", 19))
+@example(("set-assoc-16", 2, EQUAL_ALPHAS, "lru", 8))
+@settings(max_examples=40, deadline=None)
+def test_fs_victim_matches_dispatched_for_any_alphas(run):
+    """The compiled FS victim is the dispatched one after every access,
+    for any positive alphas, and after set_alphas swaps the list (the
+    kernel reads it on every miss, without a rebuild)."""
+    array_kind, parts, (before, after), ranking_kind, seed = run
+    caches = []
+    for wrap in (lambda cls: cls, dispatched):
+        caches.append(PartitionedCache(
+            ARRAYS[array_kind](wrap), wrap(RANKINGS[ranking_kind])(),
+            wrap(FutilityScalingScheme)(alphas=before), parts))
+    compiled, reference = caches
+    stream = make_stream(1200, seed=seed, parts=parts)
+    for i, (addr, part, next_use, is_write) in enumerate(stream):
+        if i == len(stream) // 2:
+            for cache in caches:
+                cache.scheme.set_alphas(after)
+        assert (compiled.access(addr, part, next_use, is_write=is_write)
+                == reference.access(addr, part, next_use, is_write=is_write))
+        assert compiled.lines.where[addr] == reference.lines.where[addr], i
+    assert snapshot(compiled) == snapshot(reference)
+
+
+#: One 4-way set; slots fill in order.  Each layout is the insertion
+#: order, then a hit that makes that partition-0 line its most recent:
+#: partition 0 holds 3 lines and partition 1 one, so each partition's
+#: least recent line has futility 1.0 and, with equal alphas, the two
+#: scaled futilities tie exactly.
+TIE_LAYOUTS = {
+    # p0's first line (slot 0) is its most recent, p1's line (slot 1)
+    # comes before p0's least recent (slot 2): the earliest *candidate*
+    # wins, not the partition that appears first.
+    "p1-first": ((("a", 0), ("c", 1), ("b", 0), ("d", 0)), "a", "c"),
+    # p0's least recent line (slot 0) comes first.
+    "p0-first": ((("b", 0), ("c", 1), ("a", 0), ("d", 0)), "a", "b"),
+}
+
+
+#: Equal weights, so the scaled futilities tie.  2.835 * (3 / 3) equals
+#: 2.835 * (1 / 1), but (2.835 * 3) / 3 does not.
+TIE_SCHEMES = {"fs": {"alphas": [2.835, 2.835]}, "unpartitioned": {}}
+
+
+@pytest.mark.parametrize("path", ["compiled", "dispatched"])
+@pytest.mark.parametrize("scheme_kind", sorted(TIE_SCHEMES))
+@pytest.mark.parametrize("layout", sorted(TIE_LAYOUTS))
+def test_exact_cross_partition_tie_goes_to_the_earliest_candidate(
+        layout, scheme_kind, path):
+    fills, touched, victim = TIE_LAYOUTS[layout]
+    wrap = (lambda cls: cls) if path == "compiled" else dispatched
+    scheme = wrap(type(make_scheme(scheme_kind)))(**TIE_SCHEMES[scheme_kind])
+    cache = PartitionedCache(wrap(SetAssociativeArray)(4, 4),
+                             wrap(LRURanking)(), scheme, 2)
+    names = {name: 10 + i for i, name in enumerate("abcde")}
+    for name, part in fills:
+        assert not cache.access(names[name], part)
+    assert cache.access(names[touched], 0)
+    assert [cache.lines.where[names[n]] for n, _ in fills] == [0, 1, 2, 3]
+    cache.access(names["e"], 0)
+    assert not cache.contains(names[victim])
+    assert list(cache.stats.eviction_futility_samples(
+        dict(fills)[victim])) == [1.0]
+
+
+def test_random_candidates_drawn_inline_until_a_repeat_or_refill():
+    """The kernel takes the array's buffered fast path itself.  Counted
+    through an instance wrapper, as perfbench counts it, candidates() runs
+    only when the next R draws repeat one or run past the buffer, and the
+    stream ends where one candidates() call per miss leaves it."""
+    cache = build_cache(array=RandomCandidatesArray(4096, 16, seed=3),
+                        ranking="lru", scheme="fs", num_partitions=2)
+    array = cache.array
+    calls = []
+    candidates = array.candidates
+
+    def counted(addr):
+        calls.append(addr)
+        return candidates(addr)
+    array.candidates = counted
+    source = cache.access.__kernel_source__
+    cache._rebuild_kernel()
+    assert cache.access.__kernel_source__ == source
+    slow = 0
+    for addr, part, next_use, _ in make_stream():
+        picked = array._buf[array._pos:array._pos + 16]
+        if not cache.access(addr, part, next_use):
+            slow += len(set(picked)) < 16
+    misses = sum(cache.stats.misses)
+    # fig4/fig5's geometry: about 97% of 16-draw windows are distinct.
+    assert 0 < len(calls) == slow < misses // 10
+    twin = RandomCandidatesArray(4096, 16, seed=3)
+    for _ in range(misses):
+        twin.candidates(0)
+    assert (array._pos, array._buf) == (twin._pos, twin._buf)
 
 
 def test_full_assoc_opt_evicts_the_farthest_next_use():
