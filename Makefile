@@ -110,23 +110,22 @@ assert cells["total"] and cells["completed"] == cells["total"], cells; \
 assert cells["retries"] == cells["losses"] == cells["failed"] == 0, cells; \
 print("ok: %d cells done, no retries, no losses" % cells["total"])'
 
-# Local mirror of the CI store-chaos job: a fig3 run by 2 forked workers
-# under one fault plan — injected store faults (lock contention, write
-# latency) plus a cell that hangs for 2 s — must print exactly the bytes
-# a fault-free --jobs 1 run prints, and its manifest must record every
+# Local mirror of the CI store job's chaos step: a fig3 run by 2 forked
+# workers with a cell that hangs for 2 s must print exactly the bytes a
+# fault-free --jobs 1 run prints, and its manifest must record every
 # cell done on its first attempt.  Then a worker killed mid-cell must
 # cost nothing but a rerun of that cell.
 chaos-smoke:
 	rm -rf chaos-run && mkdir -p chaos-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
 		--store local:chaos-run/baseline > chaos-run/baseline.out
-	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}, {"op": "*", "kind": "busy", "every": 3}, {"op": "put", "kind": "latency", "seconds": 0.01}]}' \
-	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]}' \
+	$(PY) -m repro.experiments fig3 --store local:chaos-run/results \
 		--jobs 2 --telemetry=chaos-run/obs > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
 	$(MANIFEST_CLEAN) chaos-run/obs/fig3/manifest.json
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]}' \
-	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/kill.db \
+	$(PY) -m repro.experiments fig3 --store local:chaos-run/kill \
 		--jobs 2 --retries 1 > chaos-run/kill.out
 	cmp chaos-run/baseline.out chaos-run/kill.out
 
@@ -143,7 +142,7 @@ trace-smoke:
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
 		--store local:trace-run/baseline > trace-run/baseline.out
 	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/results.db --jobs 2 \
+		--store local:trace-run/results --jobs 2 \
 		--telemetry=trace-run/obs > trace-run/fleet.out
 	cmp trace-run/baseline.out trace-run/fleet.out
 	$(PY) -m repro.obs validate trace-run/obs/fig3
@@ -152,7 +151,7 @@ trace-smoke:
 	$(PY) -m repro.obs trace --canonical trace-run/obs/fig3 \
 		> trace-run/canon-2w.txt
 	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/solo.db --jobs 1 \
+		--store local:trace-run/solo --jobs 1 \
 		--telemetry=trace-run/obs-solo > trace-run/solo.out
 	cmp trace-run/baseline.out trace-run/solo.out
 	$(PY) -m repro.obs trace --canonical trace-run/obs-solo/fig3 \
@@ -163,7 +162,7 @@ trace-smoke:
 		> trace-run/report.json
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.9]", "kind": "kill"}]}' \
 	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/kill.db --jobs 2 --retries 1 \
+		--store local:trace-run/kill --jobs 2 --retries 1 \
 		--telemetry=trace-run/obs-kill > trace-run/kill.out
 	cmp trace-run/baseline.out trace-run/kill.out
 	$(PY) -m repro.obs trace --check trace-run/obs-kill/fig3

@@ -95,7 +95,7 @@ from .errors import (
     WorkerError,
 )
 from .runner import Cell, FailedCell, RunConfig, run_cells
-from .store import ExperimentStore, LocalFileStore, SQLiteStore, open_store
+from .store import LocalFileStore, open_store
 from .sim import (
     TABLE_II,
     MultiprogramSimulator,
@@ -122,7 +122,7 @@ __all__ = [
     # experiment runner
     "Cell", "FailedCell", "RunConfig", "run_cells",
     # experiment store
-    "ExperimentStore", "LocalFileStore", "SQLiteStore", "open_store",
+    "LocalFileStore", "open_store",
     # errors
     "ReproError", "ConfigurationError", "InfeasiblePartitioningError",
     "TraceError", "SimulationError", "WorkerError", "CellTimeoutError",

@@ -183,7 +183,7 @@ def run_experiment(name: str, *, scale: str = "scaled",
       from ``scale`` (``smoke``/``scaled``/``paper``).
     - ``run_config`` is a :class:`~repro.runner.RunConfig` saying how
       to execute the sweep: workers (``jobs``), the experiment store
-      (``local:PATH`` / ``sqlite:PATH`` URL, bare path, instance, or
+      (``local:PATH`` URL, bare path, instance, or
       ``None`` for no memoization), and the resilience knobs
       (``retries``, ``cell_timeout``, ``keep_going``).  Under
       ``keep_going`` a sweep with permanently failed cells raises

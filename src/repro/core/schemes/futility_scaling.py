@@ -23,6 +23,7 @@ Two variants:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 from ...errors import ConfigurationError
@@ -32,6 +33,18 @@ from . import kernels
 from .base import PartitioningScheme, register_scheme
 
 __all__ = ["FutilityScalingScheme", "FeedbackFutilityScalingScheme"]
+
+
+def _checked_alphas(alphas: Sequence[float]) -> List[float]:
+    """``alphas`` as floats, each refused unless positive and finite
+    (a NaN factor would make every comparison in the victim scan
+    false)."""
+    checked = list(map(float, alphas))
+    for i, a in enumerate(checked):
+        if not 0.0 < a < math.inf:
+            raise ConfigurationError(
+                f"alphas[{i}] must be positive and finite, got {a}")
+    return checked
 
 
 @register_scheme
@@ -58,14 +71,9 @@ class FutilityScalingScheme(PartitioningScheme):
             raise ConfigurationError(
                 "pass either alphas or insertion_rates, not both")
         self._alphas: Optional[List[float]] = (
-            list(map(float, alphas)) if alphas is not None else None)
+            _checked_alphas(alphas) if alphas is not None else None)
         self._insertion_rates = (list(map(float, insertion_rates))
                                  if insertion_rates is not None else None)
-        if self._alphas is not None:
-            for i, a in enumerate(self._alphas):
-                if a <= 0:
-                    raise ConfigurationError(
-                        f"alphas[{i}] must be positive, got {a}")
 
     @property
     def alphas(self) -> List[float]:
@@ -76,13 +84,10 @@ class FutilityScalingScheme(PartitioningScheme):
 
     def set_alphas(self, alphas: Sequence[float]) -> None:
         """Replace the scaling factors (one per partition)."""
-        alphas = list(map(float, alphas))
+        alphas = _checked_alphas(alphas)
         if self.cache is not None and len(alphas) != self.cache.num_partitions:
             raise ConfigurationError(
                 f"expected {self.cache.num_partitions} alphas, got {len(alphas)}")
-        for i, a in enumerate(alphas):
-            if a <= 0:
-                raise ConfigurationError(f"alphas[{i}] must be positive, got {a}")
         self._alphas = alphas
 
     def set_targets(self, targets: Sequence[int]) -> None:
@@ -90,8 +95,8 @@ class FutilityScalingScheme(PartitioningScheme):
             total = float(sum(targets))
             sizes = [t / total for t in targets]
             r = self.cache.array.candidate_count
-            self._alphas = solve_scaling_factors(
-                sizes, self._insertion_rates, r)
+            self._alphas = _checked_alphas(solve_scaling_factors(
+                sizes, self._insertion_rates, r))
         elif self._alphas is None:
             # No information about insertion rates: start neutral.
             self._alphas = [1.0] * len(targets)
@@ -136,9 +141,10 @@ class FeedbackFutilityScalingScheme(PartitioningScheme):
         if interval_length < 1:
             raise ConfigurationError(
                 f"interval_length must be >= 1, got {interval_length}")
-        if changing_ratio <= 1.0:
+        if not 1.0 < changing_ratio < math.inf:
             raise ConfigurationError(
-                f"changing_ratio must exceed 1, got {changing_ratio}")
+                f"changing_ratio must exceed 1 and be finite, got "
+                f"{changing_ratio}")
         if max_level < 1:
             raise ConfigurationError(f"max_level must be >= 1, got {max_level}")
         self.interval_length = int(interval_length)

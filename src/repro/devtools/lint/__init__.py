@@ -12,7 +12,7 @@ reviewers' heads.  Run over the tree with::
 
 Per-file rules live in :mod:`repro.devtools.lint.rules` (DET001,
 DET002, DET004 and COR001), whole-program rules in
-:mod:`repro.devtools.lint.project_rules` (CON001–CON003, TNT001 and
+:mod:`repro.devtools.lint.project_rules` (CON001, TNT001 and
 API001).  Both register through :func:`register_rule` exactly like
 experiments register through the experiment registry, and are silenced
 per line with ``# reprolint: disable=RULE``.  See CONTRIBUTING.md for

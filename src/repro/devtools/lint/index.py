@@ -4,7 +4,7 @@ Per-file rules (:class:`~repro.devtools.lint.core.Rule`) see one AST at
 a time; cross-module rules (:class:`~repro.devtools.lint.core.ProjectRule`)
 instead see a :class:`ProjectIndex` — a plain-data digest of every
 linted file built here: import aliases, class attribute maps (locks,
-guarded attributes, sqlite connections, dataclass fields), argparse
+guarded attributes, dataclass fields), argparse
 flags, and the per-function taint summaries computed by
 :mod:`repro.devtools.lint.dataflow`.
 
@@ -225,7 +225,7 @@ def _deco_name(deco: ast.expr, aliases: Mapping[str, str]) -> str:
 
 
 class _ClassIndexer(ast.NodeVisitor):
-    """Digest one class body into plain data (locks, attrs, escapes)."""
+    """Digest one class body into plain data (locks, attrs, fields)."""
 
     def __init__(self, node: ast.ClassDef, aliases: Mapping[str, str],
                  annotations: Mapping[int, Mapping[str, str]]) -> None:
@@ -236,11 +236,8 @@ class _ClassIndexer(ast.NodeVisitor):
         self.lock_attrs: Set[str] = set()
         self.guarded: Dict[str, str] = {}
         self.attr_types: Dict[str, str] = {}
-        self.conn_attrs: Set[str] = set()
-        self.sqlite_unsafe = False
         self.accesses: Dict[str, List[Dict[str, Any]]] = {}
         self.foreign_refs: List[Dict[str, Any]] = []
-        self.escapes: List[Dict[str, Any]] = []
         self.methods: Dict[str, Dict[str, Any]] = {}
         self.fields: List[Dict[str, Any]] = []
         self.decorators = [_deco_name(d, aliases) for d in node.decorator_list]
@@ -261,11 +258,8 @@ class _ClassIndexer(ast.NodeVisitor):
             "lock_attrs": sorted(self.lock_attrs),
             "guarded": self.guarded,
             "attr_types": self.attr_types,
-            "conn_attrs": sorted(self.conn_attrs),
-            "sqlite_unsafe": self.sqlite_unsafe,
             "accesses": self.accesses,
             "foreign_refs": self.foreign_refs,
-            "escapes": self.escapes,
             "methods": self.methods,
         }
 
@@ -286,26 +280,13 @@ class _ClassIndexer(ast.NodeVisitor):
                                     "cli_exempt": exempt})
 
     def _scan_attr_declarations(self) -> None:
-        """Find lock attrs, guarded-by annotations, connection attrs and
-        annotation-typed attrs from every ``self.x = ...`` in the class."""
-        # First pass: local names bound to sqlite3.connect(...) so the
-        # common ``conn = sqlite3.connect(...); self._conn = conn``
-        # indirection is still recognized.
-        conn_locals: Set[str] = set()
-        for stmt in ast.walk(self.node):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if self._is_sqlite_connect(stmt.value):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        conn_locals.add(target.id)
+        """Find lock attrs, guarded-by annotations and annotation-typed
+        attrs from every ``self.x = ...`` in the class."""
         for stmt in ast.walk(self.node):
             if isinstance(stmt, ast.Assign):
                 value, targets = stmt.value, stmt.targets
-                anno = ""
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 value, targets = stmt.value, [stmt.target]
-                anno = ast.unparse(stmt.annotation) if stmt.annotation else ""
             else:
                 continue
             for target in targets:
@@ -319,31 +300,12 @@ class _ClassIndexer(ast.NodeVisitor):
                           if isinstance(value, ast.Call) else None)
                 if dotted in _LOCK_CONSTRUCTORS:
                     self.lock_attrs.add(attr)
-                if (self._is_sqlite_connect(value)
-                        or (isinstance(value, ast.Name)
-                            and value.id in conn_locals)
-                        or "Connection" in anno):
-                    self.conn_attrs.add(attr)
                 if isinstance(value, ast.Name):
                     # ``self.store = store`` picks up the parameter's
                     # annotation as the attribute's declared type.
                     param_type = self._param_types.get(value.id)
                     if param_type:
                         self.attr_types[attr] = param_type
-
-    def _is_sqlite_connect(self, value: ast.expr) -> bool:
-        """True for ``sqlite3.connect(...)``; sets the unsafe flag when
-        the call passes ``check_same_thread=False``."""
-        if not isinstance(value, ast.Call):
-            return False
-        if _dotted(value.func, self.aliases) != "sqlite3.connect":
-            return False
-        for kw in value.keywords:
-            if (kw.arg == "check_same_thread"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is False):
-                self.sqlite_unsafe = True
-        return True
 
     # -- method bodies -------------------------------------------------
 
@@ -394,8 +356,6 @@ class _ClassIndexer(ast.NodeVisitor):
                 self._record_reads(item.context_expr, fn, held)
             self._walk_body(stmt.body, fn, now)
             return
-        if isinstance(stmt, (ast.Return, ast.Expr)) and stmt.value is not None:
-            self._record_escape(stmt.value, fn, held)
         for node in ast.iter_child_nodes(stmt):
             if isinstance(node, ast.stmt):
                 self._walk_stmt(node, fn, held)
@@ -436,29 +396,6 @@ class _ClassIndexer(ast.NodeVisitor):
                         "line": node.lineno, "col": node.col_offset + 1,
                         "method": fn.name,
                     })
-
-    def _record_escape(self, value: ast.expr,
-                       fn: "_FnDef",
-                       held: Tuple[str, ...]) -> None:
-        """Return/yield of a raw connection attr (or its cursor)."""
-        exprs = [value]
-        if isinstance(value, (ast.Yield, ast.YieldFrom)) and value.value:
-            exprs = [value.value]
-        for expr in exprs:
-            attr = _self_attr(expr)
-            if attr is None and isinstance(expr, ast.Call):
-                # ``return self._conn.cursor()`` escapes the same way.
-                if (isinstance(expr.func, ast.Attribute)
-                        and expr.func.attr in ("cursor", "execute")):
-                    attr = _self_attr(expr.func.value)
-            if attr is not None and attr in self.conn_attrs:
-                method = self.methods.get(fn.name, {})
-                self.escapes.append({
-                    "line": expr.lineno, "col": expr.col_offset + 1,
-                    "attr": attr, "method": fn.name,
-                    "locked": bool(held),
-                    "requires": bool(method.get("requires_lock")),
-                })
 
 
 def _argparse_flags(tree: ast.Module) -> List[Dict[str, Any]]:

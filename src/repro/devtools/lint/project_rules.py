@@ -1,15 +1,13 @@
-"""Whole-program rules: CON001, CON003, TNT001, API001.
+"""Whole-program rules: CON001, TNT001, API001.
 
 These rules run over the :class:`~repro.devtools.lint.index.ProjectIndex`
 rather than a single AST, which is what lets them enforce the
 reproduction's *cross-module* contracts:
 
-* **CON001/CON003** — concurrency discipline.  Every access to a
+* **CON001** — concurrency discipline.  Every access to a
   lock-guarded attribute happens under the lock (declared with
   ``# reprolint: guarded-by=_lock`` or inferred from majority-under-lock
-  usage), and sqlite connections opened with
-  ``check_same_thread=False`` never escape the class that serializes
-  them.
+  usage).
 * **TNT001** — taint tracking.  Wall-clock / OS-entropy values must not
   flow, through any chain of assignments, returns, attributes and calls,
   into cache-key hashing, store payloads, or non-``"wall"`` telemetry
@@ -31,7 +29,6 @@ from .rules import UnseededRandomRule, WallClockRule
 
 __all__ = [
     "ApiDriftRule",
-    "ConnectionEscapeRule",
     "LockDisciplineRule",
     "WallTaintRule",
 ]
@@ -153,45 +150,6 @@ class LockDisciplineRule(ProjectRule):
         if len(matches) == 1:
             return bare, matches[0][1]
         return None
-
-
-@register_rule
-class ConnectionEscapeRule(ProjectRule):
-    """CON003: thread-shared sqlite connections must not escape.
-
-    A connection opened with ``check_same_thread=False`` is only safe
-    because the owning class serializes every use behind its lock.
-    Returning the raw connection (or a cursor on it) hands callers a
-    handle they can use *without* that lock.  Accessors that exist to
-    share the connection must declare the contract with
-    ``# reprolint: requires-lock=<lock>``.
-    """
-
-    rule_id = "CON003"
-    summary = ("raw sqlite connection/cursor opened with "
-               "check_same_thread=False escapes the owning class")
-    example_bad = (
-        "    def conn(self):\n"
-        "        return self._conn   # CON003: unlocked escape\n")
-    example_good = (
-        "    def connection(self):  # reprolint: requires-lock=_lock\n"
-        "        return self._conn\n")
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        for f, cls, digest in _class_items(index):
-            if not digest.get("sqlite_unsafe"):
-                continue
-            for escape in digest.get("escapes", ()):
-                if escape.get("locked") or escape.get("requires"):
-                    continue
-                if escape["method"] in CONSTRUCTION_METHODS:
-                    continue
-                yield self.finding_at(
-                    f.path, escape["line"], escape["col"],
-                    f"{cls}.{escape['method']} leaks the thread-shared "
-                    f"sqlite connection {cls}.{escape['attr']}; hold "
-                    f"the lock, or annotate the accessor with "
-                    f"`# reprolint: requires-lock=<lock>`")
 
 
 @register_rule

@@ -115,10 +115,10 @@ class WallClockRule(Rule):
     and for retry backoff, cell timeouts and worker shutdown —
     scheduling decisions that never reach results or cache keys.  One
     sanctioned wall-clock site remains: the CLI's progress/timing path
-    in ``repro/experiments/__main__.py``.  The store backends, the
-    retry wrapper and the fault plan (``repro/store/faults.py``) stay
-    *unsanctioned*: injection schedules must be pure functions of call
-    counts and seeds or chaos runs stop being reproducible.  Note
+    in ``repro/experiments/__main__.py``.  The store and the fault
+    plan (``repro/store/faults.py``) stay *unsanctioned*: injected
+    faults must be pure functions of the plan or chaos runs stop being
+    reproducible.  Note
     ``repro/obs/trace.py`` is *not* allow-listed: its single clock read
     (``wall_now``) carries an explicit suppression, so any new clock
     read there — e.g. one that could leak into a trace ID — fires.

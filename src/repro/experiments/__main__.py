@@ -13,19 +13,17 @@ parameters; hours in pure Python).
 
 Sweep cells run in ``--jobs N`` workers (default ``os.cpu_count()``;
 ``--jobs 1`` runs them in this process, ``N`` forks ``N`` worker
-processes), and every cell's result is memoized in a pluggable
-content-addressed experiment store —
-``--store local:PATH`` (directory of pickles, the default at
-``$REPRO_CACHE_DIR`` / ``~/.cache/repro-experiments``; a bare path
-opens this backend too) or ``--store sqlite:PATH`` (one WAL-mode
-database file) — so interrupted or repeated runs resume instantly.
-``--no-cache`` disables the store, ``--force`` recomputes and
-overwrites existing entries, and transient store errors retry with
-bounded backoff (``--store-retries``).  A sweep that was killed or
-interrupted resumes on the next run: finished cells come from the
-store, and the rest run again.
+processes), and every cell's result is memoized in a
+content-addressed experiment store, ``--store local:PATH`` (a
+directory of pickles, by default ``$REPRO_CACHE_DIR`` /
+``~/.cache/repro-experiments``; a bare path works too), so interrupted
+or repeated runs resume instantly.  ``--no-cache`` disables the store
+and ``--force`` recomputes and overwrites existing entries.  A store
+error fails the run.  A sweep that was killed or interrupted resumes
+on the next run: finished cells come from the store, and the rest run
+again.
 Figure tables go to stdout and are byte-identical for any ``--jobs``
-or store backend; per-cell progress and timing stream to stderr.
+or store; per-cell progress and timing stream to stderr.
 
 Fault tolerance: ``--retries N`` re-executes failing cells with capped
 deterministic backoff (retried cells are byte-identical to first-try
@@ -87,9 +85,8 @@ def main(argv=None) -> int:
                              "processes (default: os.cpu_count())")
     store_group = parser.add_mutually_exclusive_group()
     store_group.add_argument("--store", default=None, metavar="URL",
-                             help="experiment store URL: local:PATH or "
-                                  "sqlite:PATH; a bare path opens the local "
-                                  "backend (default: local:$REPRO_CACHE_DIR "
+                             help="experiment store URL: local:PATH or a "
+                                  "bare path (default: local:$REPRO_CACHE_DIR "
                                   "or local:~/.cache/repro-experiments)")
     store_group.add_argument("--no-cache", action="store_true",
                              help="disable the result store entirely")
@@ -104,10 +101,6 @@ def main(argv=None) -> int:
                              "hung cell is killed and replaced, and the "
                              "cell retried or failed (runs cells in a "
                              "forked worker even at --jobs 1)")
-    parser.add_argument("--store-retries", type=int, default=5, metavar="N",
-                        help="bounded retries for transient errors "
-                             "(locked database, EAGAIN) in the store reads "
-                             "and writes of this process (default: 5)")
     parser.add_argument("--keep-going", action="store_true",
                         help="complete the sweep despite failing cells, "
                              "write a JSON failure manifest in the "
@@ -134,11 +127,15 @@ def main(argv=None) -> int:
     else:
         selected = [args.figure]
     jobs = args.jobs if args.jobs and args.jobs > 0 else default_jobs()
+    progress = Progress(sys.stderr)
     store = None
     if not args.no_cache:
-        store = open_store(args.store if args.store
-                           else default_cache_dir())
-    progress = Progress(sys.stderr)
+        try:
+            store = open_store(args.store if args.store
+                               else default_cache_dir())
+        except ConfigurationError as exc:
+            progress.note(f"error: {args.figure}: {exc}")
+            return 2
 
     exit_code = 0
     for name in selected:
@@ -152,8 +149,7 @@ def main(argv=None) -> int:
                 jobs=jobs, store=store, force=args.force,
                 retries=args.retries, cell_timeout=args.cell_timeout,
                 keep_going=args.keep_going, progress=progress,
-                telemetry=session.telemetry if session else None,
-                store_retries=args.store_retries)
+                telemetry=session.telemetry if session else None)
             if session is not None:
                 session.activate()
             try:

@@ -68,8 +68,6 @@ class RunTelemetry:
         #: without a worker-side terminal span (worker reaped or killed
         #: for a timeout, loss budget exhausted, fleet aborted).
         self._lost: Dict[Tuple[int, int], str] = {}
-        #: ``index -> events`` on each cell's span (store retries).
-        self._events: Dict[int, List[Dict[str, Any]]] = {}
 
     # -- lifecycle hooks (called by repro.runner) ----------------------------
     def begin(self, cells: Sequence["Cell"], keys: Sequence[str]) -> None:
@@ -84,7 +82,6 @@ class RunTelemetry:
             self.trace_id = trace_id_for(list(keys))
             self._wall0 = wall_now()
             self._lost = {}
-            self._events = {}
         self.spans = [CellSpan(cell.label, key)
                       for cell, key in zip(cells, keys)]
 
@@ -163,17 +160,6 @@ class RunTelemetry:
         if self.trace_id:
             self._lost.setdefault((index, attempts), error_type)
 
-    def store_retry(self, index: int, op: str, error: str,
-                    failures: int) -> None:
-        """A store operation for cell ``index`` hit a transient
-        ``error`` and retries (its ``failures``-th retry): a
-        ``det=False`` ``store_retry`` event on the cell's span, since
-        backoff is schedule, not causality."""
-        if self.trace_id:
-            self._events.setdefault(index, []).append(
-                {"name": "store_retry", "det": False, "op": op,
-                 "error": error, "n": failures})
-
     def write_trace(self) -> Optional[Path]:
         """Write the coordinator's trace file (root sweep + cell spans).
 
@@ -203,14 +189,14 @@ class RunTelemetry:
             "wall": {"start": wall0, "end": wall_now(),
                      "worker": "coordinator"},
         }]
-        for index, span in enumerate(self.spans):
+        for span in self.spans:
             rows.append({
                 "trace": tid,
                 "span": span_id(tid, "cell", span.key),
                 "parent": root_sid, "kind": "cell", "name": span.cell,
                 "key": span.key, "attempt": span.attempts,
                 "status": span.status,
-                "events": self._events.get(index, []),
+                "events": [],
                 "wall": {"start": wall0, "end": at(span.finished_s),
                          "worker": "coordinator"},
             })

@@ -299,7 +299,7 @@ def canonical(tree: Dict[str, Any]) -> str:
     """The deterministic projection: byte-identical across schedules.
 
     Drops every ``"wall"`` sub-object and every ``det=False`` event
-    (store-retry backoffs — schedule facts), orders rows by (key,
+    (worker deaths — schedule facts), orders rows by (key,
     causal kind order, attempt, span), and emits compact JSON lines.  What survives is a pure function of config + seed +
     fault plan, so two runs of the same sweep — any ``--jobs``, any
     worker count — compare equal with ``==``.

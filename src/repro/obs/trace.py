@@ -29,7 +29,8 @@ convention, and they are read through the single sanctioned
 :func:`wall_now` below.  Events carry a ``"det"`` flag: ``det=True``
 events (fault injections, error types) are facts of the computation and
 survive into the canonical projection; ``det=False`` events
-(store-retry backoffs) describe the *schedule* and are stripped.
+(a ``lost`` attempt's worker death) describe the *schedule* and are
+stripped.
 
 Tracing follows telemetry: an active
 :class:`~repro.obs.session.TelemetrySession` sets ``$REPRO_TELEMETRY``,
@@ -188,8 +189,7 @@ class Span:
 
     Context-manager use pushes the span onto the process-local active
     stack so :func:`add_event` calls from anywhere in the process — the
-    fault injector, the store retry observer — attach to the innermost
-    running span.
+    fault injector — attach to the innermost running span.
     """
 
     def __init__(self, tracer: "Tracer", kind: str, name: str, *,
@@ -288,10 +288,9 @@ _writers: Dict[str, TraceWriter] = {}
 def add_event(name: str, det: bool = False, **fields: Any) -> None:
     """Attach an event to the innermost active span; no-op otherwise.
 
-    This is the hook the fault injector and the store retry observer
-    call — neither needs (or gets) a span handle, and both must cost
-    nothing when tracing is off (callers guard on ``$REPRO_TELEMETRY``
-    before importing this module).
+    This is the hook the fault injector calls — it needs (and gets) no
+    span handle, and must cost nothing when tracing is off (callers
+    guard on ``$REPRO_TELEMETRY`` before importing this module).
     """
     with _stack_lock:
         span = _stack[-1] if _stack else None

@@ -4,8 +4,8 @@ The runner decomposes an experiment into independent :class:`Cell`\\ s
 and executes them through one engine (:func:`run_cells` with a
 :class:`RunConfig`): the coordinator hands the cells the store does
 not hold to its workers — the calling thread or forked worker
-processes.  Each cell's result is memoized in a pluggable
-:class:`~repro.store.ExperimentStore` keyed by a SHA-256 of its full
+processes.  Each cell's result is memoized in a
+:class:`~repro.store.LocalFileStore` keyed by a SHA-256 of its full
 configuration (checksummed and self-quarantining; see
 :mod:`repro.store`), and per-cell progress streams to stderr
 (:class:`Progress`).  Reduction is ordered, so output is byte-identical
@@ -18,8 +18,8 @@ per-cell timeouts, a dead worker's cell is rerun, and
 ``keep_going`` sweeps complete with :class:`FailedCell` sentinels plus
 a JSON failure manifest instead of aborting.  One deterministic
 fault plan (``$REPRO_FAULTS``, :mod:`repro.store.faults`; re-exported
-here) makes all of it testable: cell faults fire around cell attempts,
-store-op faults inside the store-retry wrapper.
+here) makes all of it testable by firing cell faults around cell
+attempts.
 """
 
 from ..store.faults import FAULTS_ENV, Fault, FaultPlan, InjectedFaultError

@@ -8,11 +8,9 @@ Identical configs therefore hit the same entry across runs *and across
 processes*, while any change to the config, the sweep coordinates, the
 library version or the entry format produces a fresh key.
 
-The storage behind those keys is the pluggable :mod:`repro.store`
-package: :class:`~repro.store.LocalFileStore` (a directory of pickles),
-:class:`~repro.store.SQLiteStore` (a single-file alternative), and
-:func:`~repro.store.open_store` to resolve ``local:PATH`` /
-``sqlite:PATH`` URLs.
+The storage behind those keys is the :mod:`repro.store` package:
+:class:`~repro.store.LocalFileStore` (a directory of pickles) and
+:func:`~repro.store.open_store` to resolve ``local:PATH`` URLs.
 """
 
 from __future__ import annotations

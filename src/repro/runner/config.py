@@ -9,7 +9,7 @@ value::
 
     from repro.runner import RunConfig, run_cells
 
-    cfg = RunConfig(jobs=4, store="sqlite:results.db",
+    cfg = RunConfig(jobs=4, store="local:results",
                     retries=2, keep_going=True)
     results = run_cells(cells, cfg)
 """
@@ -20,8 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..errors import ConfigurationError
-from ..store import ExperimentStore, StoreSpec, resolve_store
+from ..store import LocalFileStore, StoreSpec, resolve_store
 from .progress import Progress
 from .resilience import RetryPolicy
 
@@ -43,10 +42,10 @@ class RunConfig:
         on the calling thread; ``N`` forks ``N`` worker processes;
         ``None`` or ``0`` means one per CPU.
     store:
-        Experiment store holding memoized cell results: a store URL
-        (``local:PATH``, ``sqlite:PATH``), a bare directory path
-        (opened as ``local``), an :class:`~repro.store.ExperimentStore`
-        instance, or ``None`` (no memoization).
+        Experiment store holding memoized cell results: a
+        ``local:PATH`` URL, a bare directory path, a
+        :class:`~repro.store.LocalFileStore` instance, or ``None`` (no
+        memoization).
     force:
         Ignore (and overwrite) existing store entries.
     retries:
@@ -66,12 +65,6 @@ class RunConfig:
         A :class:`~repro.obs.session.TelemetrySession`'s collector also
         traces the sweep into the session's ``traces/`` directory (see
         :mod:`repro.obs.trace`).
-    store_retries:
-        Bounded retries for *transient* store errors (SQLite
-        ``database is locked``, ``EAGAIN``-family ``OSError``) in the
-        coordinator's store reads and writes (see
-        :mod:`repro.store.retry`).  Permanent store errors are never
-        retried: they fail the sweep.
     """
 
     jobs: Optional[int] = 1
@@ -84,14 +77,10 @@ class RunConfig:
     backoff_cap: float = 2.0  # reprolint: cli-exempt
     progress: Optional[Progress] = None  # reprolint: cli-exempt
     telemetry: Optional["RunTelemetry"] = None
-    store_retries: int = 5
 
     def __post_init__(self) -> None:
         # RetryPolicy construction validates the resilience fields.
         self.policy()
-        if self.store_retries < 0:
-            raise ConfigurationError(
-                f"store_retries must be >= 0, got {self.store_retries}")
 
     def policy(self) -> RetryPolicy:
         """The :class:`~repro.runner.RetryPolicy` these fields define."""
@@ -100,7 +89,7 @@ class RunConfig:
             backoff_cap=self.backoff_cap, cell_timeout=self.cell_timeout,
             keep_going=self.keep_going)
 
-    def open_store(self) -> Optional[ExperimentStore]:
+    def open_store(self) -> Optional[LocalFileStore]:
         """Resolve the ``store`` field to a live store (or ``None``)."""
         return resolve_store(self.store)
 

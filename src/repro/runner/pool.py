@@ -48,8 +48,7 @@ from .cache import cell_key
 from .cells import Cell
 from .config import RunConfig
 from .resilience import FailedCell
-from .worker import (Answer, attempt_cell, recv_answer, serve, worker_id,
-                     wrap_store)
+from .worker import Answer, attempt_cell, recv_answer, serve, worker_id
 
 __all__ = ["run_cells", "default_jobs"]
 
@@ -77,11 +76,10 @@ def run_cells(cells: Sequence[Cell],
     progress/telemetry sinks in one value; the default runs every cell
     on the calling thread without a store.
 
-    The store is wrapped once (:func:`repro.runner.worker.wrap_store`),
-    so hit reads and result writes retry transient errors and see the
-    fault plan's store-op faults; a permanent store error propagates.
     Store hits short-circuit execution; fresh results persist as each
-    cell completes, so interrupted sweeps resume from the store.  Under
+    cell completes, so interrupted sweeps resume from the store.  A
+    store error propagates and fails the sweep; the rerun resumes from
+    what was stored.  Under
     ``keep_going`` permanently failed cells yield
     :class:`~repro.runner.FailedCell` sentinels instead of aborting;
     otherwise a single failing :class:`~repro.errors.ReproError`
@@ -125,12 +123,7 @@ class _Sweep:
         self.progress = cfg.progress
         self.telemetry = cfg.telemetry
         self.results: List[Any] = [_PENDING] * len(cells)
-        #: The cell whose store call is running: a retried call is
-        #: traced on that cell's span.
-        self.current: Optional[int] = None
-        store = cfg.open_store()
-        self.store = (None if store is None else
-                      wrap_store(store, cfg.store_retries, self.store_retried))
+        self.store = cfg.open_store()
         #: Cells still waiting for a result or a final failure.
         self.open: Set[int] = set()
         #: Open cells an attempt is running for.
@@ -140,12 +133,6 @@ class _Sweep:
         self.deaths: "Counter[int]" = Counter()
         #: Monotonic time before which a retried cell waits.
         self.ready_at: Dict[int, float] = {}
-
-    def store_retried(self, op: str, exc: BaseException,
-                      failures: int) -> None:
-        if self.telemetry is not None and self.current is not None:
-            self.telemetry.store_retry(self.current, op, type(exc).__name__,
-                                       failures)
 
     # -- driving ---------------------------------------------------------
 
@@ -162,7 +149,6 @@ class _Sweep:
             corrupt_cache_entries(plan, self.cells, self.keys, self.store)
         for i, cell in enumerate(self.cells):
             if self.store is not None and not self.cfg.force:
-                self.current = i
                 hit, value = self.store.get(self.keys[i])
                 if hit:
                     self.results[i] = value
@@ -258,8 +244,6 @@ class _Sweep:
         spare = workers * (self.policy.loss_budget + 1)
 
         def spawn() -> None:
-            if self.store is not None:
-                self.store.close()  # no SQLite connection crosses a fork
             end, child = context.Pipe()
             proc = context.Process(
                 target=serve, daemon=True,
@@ -358,7 +342,6 @@ class _Sweep:
         if self.store is not None:
             # Persisted as it lands: an interrupt later in the sweep must
             # not lose a finished cell.
-            self.current = i
             self.store.put(self.keys[i], value)
         self.open.discard(i)
         self.results[i] = value

@@ -48,10 +48,7 @@ MANIFEST_VERSION = 1
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How failing attempts are retried — cells by
-    :func:`repro.runner.run_cells`, store operations by
-    :mod:`repro.store.retry` (see
-    :func:`~repro.store.retry.store_retry_policy`).
+    """How :func:`repro.runner.run_cells` retries failing cell attempts.
 
     Parameters
     ----------

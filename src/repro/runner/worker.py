@@ -18,7 +18,7 @@ worker inherits the sweep's cells and keys through the fork, receives
 answer back pickled (:func:`send_answer`).  It exits on EOF, so no
 worker outlives its coordinator by more than the attempt it is running.
 Workers never open the experiment store: the coordinator alone reads
-and writes it, through the one store wrapper (:func:`wrap_store`).
+and writes it.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WorkerError
-from ..store import ExperimentStore
-from ..store.faults import active_plan, inject_cell_faults
-from ..store.retry import RetryingStore, RetryObserver, store_retry_policy
+from ..store.faults import inject_cell_faults
 from .cells import Cell
 
 __all__ = ["attempt_cell", "execute_attempt", "recv_answer", "send_answer",
-           "serve", "worker_id", "wrap_store"]
+           "serve", "worker_id"]
 
 #: What one attempt answers: ``(elapsed, value, failure)``, where
 #: ``failure`` is ``None`` or ``(error_type, message, exception)``.
@@ -49,23 +47,6 @@ def worker_id(pid: int, coordinator: int) -> str:
     file: its own pid and its coordinator's (the same pid at
     ``--jobs 1``)."""
     return f"worker-{pid}-{coordinator}"
-
-
-def wrap_store(store: ExperimentStore, store_retries: int,
-               on_retry: Optional[RetryObserver] = None) -> RetryingStore:
-    """The one store wrapper, around a freshly opened store.
-
-    Every store operation retries transient errors within
-    ``store_retries``, calling ``on_retry`` before each backoff.  When
-    ``$REPRO_FAULTS`` has store-op entries, the wrapper holds a fresh
-    injector for them: each attempt fires its faults first, so the
-    retries absorb injected transients exactly as they absorb real
-    ones.  The coordinator wraps its store once per sweep.
-    """
-    plan = active_plan()
-    return RetryingStore(
-        store, store_retry_policy(store_retries), on_retry,
-        plan.injector() if plan is not None else None)
 
 
 def _seed_from_key(key: str) -> None:

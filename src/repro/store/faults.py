@@ -1,19 +1,17 @@
-"""Deterministic fault injection: one plan for cells and store operations.
+"""Deterministic fault injection: one plan of cell faults.
 
 None of the sweep's resilience — cell retries, timeouts, worker deaths,
-quarantine, transient store-error retries, torn-write recovery,
-permanent-error handling — is testable without failures on command.  A :class:`FaultPlan` injects them on a
-*deterministic schedule*, never on wall-clock state, so a plan plus a
-retry budget either always recovers or always fails, and a chaos run's
-final stdout stays byte-identical to a fault-free run.
+quarantine — is testable without failures on command.  A
+:class:`FaultPlan` injects them on a *deterministic schedule*, never on
+wall-clock state, so a plan plus a retry budget either always recovers
+or always fails, and a chaos run's final stdout stays byte-identical
+to a fault-free run.
 
 The plan travels through :data:`REPRO_FAULTS <FAULTS_ENV>` (inline
 JSON, or ``@/path/to/plan.json``), which worker processes inherit, so
 faults trigger identically whether a cell runs on the coordinator's
-thread (``jobs=1``) or in a worker process.  Each entry names exactly
-one target.
-
-**Cell faults** (``"cell"``: a cell label) fire on the listed 1-based
+thread (``jobs=1``) or in a worker process.  Each entry names one cell
+(``"cell"``: a cell label) and fires on the listed 1-based
 ``attempts``, in the executing process, before the cell body runs:
 
 ``raise``
@@ -28,60 +26,28 @@ one target.
     cell's *existing* store entry with garbage, exercising the
     checksum/quarantine path.  Ignores ``attempts``.
 
-**Store-op faults** (``"op"``: one of :data:`STORE_OPS`, or ``"*"`` for
-all of them) fire inside the store-retry wrapper
-(:class:`~repro.store.retry.RetryingStore`) as the first step of every
-attempt.  Each counts the operations it matches in its process and
-fires on every ``every``-th one (capped by ``times``), or on a seeded
-pseudo-random ``rate``.  Raised exceptions are the *real* production
-types, so the classification in :mod:`repro.store.retry` is exercised,
-not mocked:
-
-``busy``
-    ``sqlite3.OperationalError('database is locked ...')`` — transient
-    lock contention.
-``oserror``
-    ``OSError(EAGAIN)`` — a momentarily overloaded disk.
-``latency``
-    Sleep ``seconds`` (default 0.05) first — a slow disk.
-``torn``
-    On ``put`` only: write the first half of the checksummed entry,
-    then raise ``OSError(EIO)`` — a crash mid-write, which the retry
-    rewrites and the checksum catches if unretried.
-``fatal``
-    ``sqlite3.DatabaseError('database disk image is malformed ...')`` —
-    a *permanent* error: it propagates from the coordinator's store
-    call and fails the sweep.
-
 Plan JSON::
 
     {"faults": [
         {"cell": "fig3[0.6]", "kind": "raise", "attempts": [1]},
         {"cell": "fig3[0.7]", "kind": "kill"},
-        {"cell": "fig3[0.8]", "kind": "corrupt"},
-        {"op": "put", "kind": "busy", "every": 3, "times": 2},
-        {"op": "put", "kind": "latency", "seconds": 0.05, "every": 2},
-        {"op": "get", "kind": "oserror", "rate": 0.2, "seed": 7}
+        {"cell": "fig3[0.8]", "kind": "corrupt"}
     ]}
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
-import random
 import signal
-import sqlite3
-import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from ..errors import ConfigurationError
-from .base import ExperimentStore
+from .local import LocalFileStore
 
 if TYPE_CHECKING:  # repro.runner imports this package at its own init
     from ..runner.cells import Cell
@@ -89,13 +55,9 @@ if TYPE_CHECKING:  # repro.runner imports this package at its own init
 __all__ = [
     "FAULTS_ENV",
     "FAULT_KINDS",
-    "STORE_FAULT_KINDS",
-    "STORE_OPS",
     "Fault",
-    "FaultInjector",
     "FaultPlan",
     "InjectedFaultError",
-    "StoreFault",
     "active_plan",
     "corrupt_cache_entries",
     "inject_cell_faults",
@@ -107,29 +69,14 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: Cell-fault kinds.
 FAULT_KINDS = ("raise", "hang", "kill", "corrupt")
 
-#: Store-op fault kinds.
-STORE_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
-
-#: Every operation the store-retry wrapper guards — the names its
-#: retries report and a fault's ``op`` may name (``"*"`` matches all).
-STORE_OPS = (
-    "get", "put", "write_raw", "quarantine", "contains", "len",
-    "quarantined_count",
-)
-
 #: What a ``corrupt`` fault writes over a store entry (fails the
 #: checksum check by construction: no valid header).
 _CORRUPT_BYTES = b"\x00injected corruption (repro.store.faults)\x00"
 
-#: The JSON fields of each entry family, with their conversions.
+#: The JSON fields of a plan entry, with their conversions.
 _CELL_FIELDS: Dict[str, Callable[[Any], Any]] = {
     "cell": str, "kind": str, "message": str, "seconds": float,
     "attempts": lambda v: tuple(int(a) for a in v)}
-_OP_FIELDS: Dict[str, Callable[[Any], Any]] = {
-    "op": str, "kind": str, "message": str, "seconds": float,
-    "every": int, "seed": int,
-    "times": lambda v: None if v is None else int(v),
-    "rate": lambda v: None if v is None else float(v)}
 
 
 class InjectedFaultError(RuntimeError):
@@ -172,113 +119,36 @@ class Fault:
         return self.cell == label and attempt in self.attempts
 
 
-@dataclass(frozen=True)
-class StoreFault:
-    """One injected store-operation failure on a deterministic schedule.
-
-    ``kind`` (:data:`STORE_FAULT_KINDS`) hits operation ``op``
-    (:data:`STORE_OPS`, or ``"*"``) on every ``every``-th matching call
-    or, with ``rate`` set, with that probability drawn from a private
-    RNG seeded with ``seed`` — either way a pure function of the call
-    sequence — until it has fired ``times`` times (``None``: no cap).
-    A ``latency`` sleeps ``seconds``; raised errors carry ``message``.
-    """
-
-    op: str
-    kind: str
-    every: int = 1
-    times: Optional[int] = None
-    seconds: float = 0.05
-    rate: Optional[float] = None
-    seed: int = 0
-    message: str = "injected store fault"
-
-    def __post_init__(self) -> None:
-        if self.op != "*" and self.op not in STORE_OPS:
-            raise ConfigurationError(
-                f"unknown store-fault op {self.op!r}; expected one of "
-                f"{list(STORE_OPS) + ['*']}")
-        if self.kind not in STORE_FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown store-fault kind {self.kind!r}; expected one of "
-                f"{list(STORE_FAULT_KINDS)}")
-        if self.every < 1:
-            raise ConfigurationError(
-                f"store-fault every must be >= 1, got {self.every}")
-        if self.times is not None and self.times < 0:
-            raise ConfigurationError(
-                f"store-fault times must be >= 0, got {self.times}")
-        if self.seconds < 0:
-            raise ConfigurationError(
-                f"store-fault seconds must be non-negative, "
-                f"got {self.seconds!r}")
-        if self.rate is not None and not 0.0 < self.rate <= 1.0:
-            raise ConfigurationError(
-                f"store-fault rate must be in (0, 1], got {self.rate!r}")
-        if self.kind == "torn" and self.op not in ("put", "*"):
-            raise ConfigurationError(
-                f"torn faults only apply to 'put', got op {self.op!r}")
-
-    def matches(self, op: str) -> bool:
-        return self.op == "*" or self.op == op
-
-
-def _parse_entry(entry: Any) -> Union[Fault, StoreFault]:
-    """One plan entry as a :class:`Fault` or a :class:`StoreFault`."""
+def _parse_entry(entry: Any) -> Fault:
+    """One plan entry as a :class:`Fault`."""
     if not isinstance(entry, dict):
         raise ConfigurationError(
             f"each fault must be an object, got {entry!r}")
-    if "cell" in entry and "op" in entry:
-        raise ConfigurationError(
-            f"fault entry names both a 'cell' and an 'op' target; "
-            f"split it in two: {entry!r}")
-    cls: Any
-    if "cell" in entry:
-        cls, family, fields, foreign = (
-            Fault, "fault", _CELL_FIELDS, _OP_FIELDS)
-    elif "op" in entry:
-        cls, family, fields, foreign = (
-            StoreFault, "store-fault", _OP_FIELDS, _CELL_FIELDS)
-    else:
-        raise ConfigurationError(
-            f"fault entry is missing required field 'cell' or 'op': "
-            f"{entry!r}")
-    borrowed = sorted(set(entry) & set(foreign) - set(fields))
-    if borrowed:
-        raise ConfigurationError(
-            f"{family} entry carries fields of the other family "
-            f"{borrowed}; expected a subset of {sorted(fields)}")
-    unknown = sorted(set(entry) - set(fields))
+    unknown = sorted(set(entry) - set(_CELL_FIELDS))
     if unknown:
         raise ConfigurationError(
-            f"unknown {family} fields {unknown}; expected a subset of "
-            f"{sorted(fields)}")
-    if "kind" not in entry:
-        raise ConfigurationError(
-            f"{family} entry is missing required field 'kind'")
-    return cls(**{name: fields[name](value)
-                  for name, value in entry.items()})
+            f"unknown fault fields {unknown}; expected a subset of "
+            f"{sorted(_CELL_FIELDS)}")
+    for required in ("cell", "kind"):
+        if required not in entry:
+            raise ConfigurationError(
+                f"fault entry is missing required field {required!r}: "
+                f"{entry!r}")
+    return Fault(**{name: _CELL_FIELDS[name](value)
+                    for name, value in entry.items()})
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An ordered collection of cell :class:`Fault`\\ s and
-    :class:`StoreFault`\\ s."""
+    """An ordered collection of cell :class:`Fault`\\ s."""
 
-    faults: Tuple[Union[Fault, StoreFault], ...] = ()
+    faults: Tuple[Fault, ...] = ()
 
     def for_cell(self, label: str,
                  kind: Optional[str] = None) -> List[Fault]:
-        """Cell faults aimed at ``label`` (optionally of one ``kind``)."""
+        """Faults aimed at ``label`` (optionally of one ``kind``)."""
         return [f for f in self.faults
-                if isinstance(f, Fault) and f.cell == label
-                and (kind is None or f.kind == kind)]
-
-    def injector(self) -> Optional[FaultInjector]:
-        """A fresh injector for the store-op faults; ``None`` without
-        any."""
-        ops = [f for f in self.faults if isinstance(f, StoreFault)]
-        return FaultInjector(ops) if ops else None
+                if f.cell == label and (kind is None or f.kind == kind)]
 
     def to_json(self) -> str:
         """Serialize to the ``REPRO_FAULTS`` JSON format."""
@@ -306,8 +176,7 @@ def active_plan() -> Optional[FaultPlan]:
 
     A value of ``@/path/to/plan.json`` loads the plan from a file;
     anything else is parsed as inline JSON.  Re-read on every call so
-    long-lived workers never hold a stale plan (a wrapped store keeps
-    the injector it was built with: op schedules are stateful).
+    long-lived workers never hold a stale plan.
     """
     raw = os.environ.get(FAULTS_ENV)
     if not raw:
@@ -353,14 +222,13 @@ def inject_cell_faults(label: str, attempt: int) -> None:
 
 def corrupt_cache_entries(plan: FaultPlan, cells: Sequence["Cell"],
                           keys: Sequence[str],
-                          store: ExperimentStore) -> int:
+                          store: LocalFileStore) -> int:
     """Apply the plan's ``corrupt`` faults to existing store entries.
 
     Coordinator-side, before store hits are resolved: each targeted
     cell's existing entry is overwritten with garbage (via
-    :meth:`~repro.store.ExperimentStore.write_raw`, so it works on any
-    backend) and the subsequent
-    :meth:`~repro.store.ExperimentStore.get` exercises checksum
+    :meth:`~repro.store.LocalFileStore.write_raw`) and the subsequent
+    :meth:`~repro.store.LocalFileStore.get` exercises checksum
     detection and quarantine.  Returns the number of entries corrupted.
     """
     corrupted = 0
@@ -370,73 +238,3 @@ def corrupt_cache_entries(plan: FaultPlan, cells: Sequence["Cell"],
                 store.write_raw(key, _CORRUPT_BYTES)
                 corrupted += 1
     return corrupted
-
-
-class FaultInjector:
-    """Stateful schedule evaluator for one process's store-op faults.
-
-    Counts matching operations per fault and decides, deterministically,
-    which faults fire on each call.  ``injected`` tallies fired faults
-    by ``"op:kind"`` for tests and diagnostics.  A wrapped store holds
-    one injector, so one plan's counters cover its whole surface;
-    ``_lock`` makes each :meth:`fire` one atomic step of the schedule,
-    whichever thread calls it.
-    """
-
-    def __init__(self, faults: Sequence[StoreFault]) -> None:
-        self.faults = tuple(faults)
-        self._lock = threading.Lock()
-        self.injected: Dict[str, int] = {}  # reprolint: guarded-by=_lock
-        self._seen = [0] * len(self.faults)  # reprolint: guarded-by=_lock
-        self._fired = [0] * len(self.faults)  # reprolint: guarded-by=_lock
-        self._rngs = [  # reprolint: guarded-by=_lock
-            random.Random(f.seed) for f in self.faults]
-
-    def fire(self, op: str) -> List[StoreFault]:
-        """Faults firing on this occurrence of ``op``, in plan order."""
-        fired: List[StoreFault] = []
-        with self._lock:
-            for i, fault in enumerate(self.faults):
-                if not fault.matches(op):
-                    continue
-                self._seen[i] += 1
-                if fault.times is not None and self._fired[i] >= fault.times:
-                    continue
-                if fault.rate is not None:
-                    due = self._rngs[i].random() < fault.rate
-                else:
-                    due = self._seen[i] % fault.every == 0
-                if due:
-                    self._fired[i] += 1
-                    key = f"{op}:{fault.kind}"
-                    self.injected[key] = self.injected.get(key, 0) + 1
-                    fired.append(fault)
-        return fired
-
-    def inject(self, op: str,
-               tear: Optional[Callable[[], None]] = None) -> None:
-        """Fire this occurrence of ``op``: sleep latencies, raise the
-        first error; a ``torn`` fault calls ``tear`` (which writes the
-        truncated entry) and raises ``EIO``.  Operations that write no
-        entry pass no ``tear``, and torn faults skip them."""
-        fired = self.fire(op)
-        for fault in fired:
-            if fault.kind == "latency":
-                time.sleep(fault.seconds)
-        for fault in fired:
-            if fault.kind == "busy":
-                raise sqlite3.OperationalError(
-                    f"database is locked [{fault.message}: {op}]")
-            if fault.kind == "oserror":
-                raise OSError(errno.EAGAIN,
-                              f"{fault.message} [{op}]")
-            if fault.kind == "fatal":
-                raise sqlite3.DatabaseError(
-                    f"database disk image is malformed "
-                    f"[{fault.message}: {op}]")
-        torn = [f for f in fired if f.kind == "torn"]
-        if torn and tear is not None:
-            # A crash mid-write: the truncated prefix is on disk, and
-            # the call fails like the kernel would.
-            tear()
-            raise OSError(errno.EIO, f"{torn[0].message} [torn {op}]")

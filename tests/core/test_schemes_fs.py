@@ -8,11 +8,16 @@ from repro.cache.arrays import RandomCandidatesArray, SetAssociativeArray
 from repro.cache.cache import PartitionedCache
 from repro.core.futility import CoarseTimestampLRURanking, LRURanking
 from repro.core.scaling import alpha_for_two_partitions
+from repro.core.schemes import futility_scaling
 from repro.core.schemes.futility_scaling import (
     FeedbackFutilityScalingScheme,
     FutilityScalingScheme,
 )
 from repro.errors import ConfigurationError
+
+#: Factors that compare false with everything, or make every product
+#: infinite: each must be refused wherever a factor enters the scheme.
+NON_FINITE = [float("nan"), float("inf")]
 
 
 def drive_two_partition(cache, accesses=20_000, p0_share=0.5, space=5000,
@@ -55,6 +60,25 @@ class TestStaticFS:
             scheme.set_alphas([1.0, -2.0])
         scheme.set_alphas([1.0, 4.0])
         assert scheme.alphas == [1.0, 4.0]
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    def test_non_finite_alphas_are_refused(self, bad):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            FutilityScalingScheme(alphas=[bad, 1.0])
+        scheme = FutilityScalingScheme()
+        PartitionedCache(SetAssociativeArray(64, 16), LRURanking(), scheme, 2)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            scheme.set_alphas([1.0, bad])
+        assert scheme.alphas == [1.0, 1.0]
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    def test_non_finite_solved_alphas_are_refused(self, bad, monkeypatch):
+        monkeypatch.setattr(futility_scaling, "solve_scaling_factors",
+                            lambda sizes, rates, r: [1.0, bad])
+        scheme = FutilityScalingScheme(insertion_rates=[0.1, 0.9])
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            PartitionedCache(RandomCandidatesArray(256, 16, seed=0),
+                             LRURanking(), scheme, 2, targets=[205, 51])
 
     def test_alpha_count_mismatch_at_bind(self):
         scheme = FutilityScalingScheme(alphas=[1.0, 2.0, 3.0])
@@ -102,6 +126,11 @@ class TestFeedbackFS:
             FeedbackFutilityScalingScheme(changing_ratio=1.0)
         with pytest.raises(ConfigurationError):
             FeedbackFutilityScalingScheme(max_level=0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    def test_non_finite_changing_ratio_is_refused(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FeedbackFutilityScalingScheme(changing_ratio=bad)
 
     def make_cache(self, scheme, targets=(192, 64)):
         cache = PartitionedCache(SetAssociativeArray(256, 16),

@@ -14,7 +14,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE_DIR = Path(repro.__file__).parent
 
 ALL_RULES = ["DET001", "DET002", "DET004", "COR001",
-             "CON001", "CON003", "TNT001", "API001"]
+             "CON001", "TNT001", "API001"]
 
 #: Findings each known-bad fixture must produce (lower bound, so adding
 #: detection breadth never breaks the suite).
@@ -24,7 +24,6 @@ MIN_BAD_FINDINGS = {
     "DET004": 6,
     "COR001": 4,
     "CON001": 3,
-    "CON003": 2,
     "TNT001": 3,
     "API001": 2,
 }
@@ -79,8 +78,7 @@ def test_det002_sanctions_wall_clock_only_in_the_cli():
                               "repro/experiments/__main__.py")
     assert [f for f in sanctioned if f.rule_id == "DET002"] == []
     for virtual in ("repro/runner/pool.py", "repro/store/local.py",
-                    "repro/store/sqlite.py", "repro/store/base.py",
-                    "repro/store/retry.py", "repro/store/faults.py"):
+                    "repro/store/base.py", "repro/store/faults.py"):
         findings = lint_fixture("det002_wall_clock.py", virtual)
         fired = [f for f in findings if f.rule_id == "DET002"]
         assert len(fired) == 3, (
@@ -129,7 +127,7 @@ def test_project_phase_is_noisy_without_suppressions():
     checker = Checker(respect_suppressions=False)
     findings = checker.check_source(
         source, path="fixtures/suppressed_project.py")
-    assert {f.rule_id for f in findings} >= {"CON001", "CON003", "TNT001"}
+    assert {f.rule_id for f in findings} >= {"CON001", "TNT001"}
 
 
 # ------------------------------------------------- whole-program only --
@@ -251,5 +249,5 @@ def test_cli_directory_walk_hits_all_bad_fixtures(capsys):
     assert main([str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET004", "COR001",
-                    "CON001", "CON003", "TNT001"):
+                    "CON001", "TNT001"):
         assert rule_id in out

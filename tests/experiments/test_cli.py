@@ -92,19 +92,26 @@ def test_configuration_error_is_one_clean_line(capsys):
         unregister("figBroken")
 
 
-@pytest.mark.parametrize("flags", [["--telemetry-interval", "0"],
-                                   ["--retries", "-1"],
-                                   ["--store-retries", "-1"]])
-def test_invalid_run_flags_are_one_clean_line(capsys, tmp_path, flags):
-    """Invalid telemetry and resilience flags exit 2 with a single-line
-    error, not a traceback."""
-    assert main(["fig3", "--scale", "smoke", "--no-cache",
-                 f"--telemetry={tmp_path}", *flags]) == 2
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("flags", [
+    ["--no-cache", "--telemetry-interval", "0"],
+    ["--no-cache", "--retries", "-1"],
+    ["--store", "sqlite:x"],
+    ["--store", "redis:x"]])
+def test_invalid_run_flags_are_one_clean_line(capsys, tmp_path, monkeypatch,
+                                              flags):
+    """Invalid telemetry, resilience and store flags exit 2 with a
+    single-line error, not a traceback, and create nothing on disk."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig3", "--scale", "smoke", f"--telemetry={tmp_path}",
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: fig3: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert captured.out == ""
     assert "REPRO_TELEMETRY" not in os.environ
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_render_table_ii_rows():

@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.obs import RunTelemetry
 from repro.obs.trace import span_id
 from repro.runner import Cell, RunConfig, run_cells
-from repro.store import LocalFileStore, SQLiteStore
+from repro.store import LocalFileStore
 
 from .helpers import broken_cell, flaky_cell, sim_cell
 
@@ -92,13 +92,12 @@ def test_pool_run_matches_inline_spans(tmp_path):
     assert facts[0] == facts[1]
 
 
-@pytest.mark.parametrize("host", ["none", "local", "sqlite"])
+@pytest.mark.parametrize("host", ["none", "local"])
 def test_retried_cell_span_on_every_queue_host(tmp_path, host):
-    """The retry and keep-going spans at jobs=2, with no store, a local
-    store or a sqlite store."""
+    """The retry and keep-going spans at jobs=2, with no store or a
+    local store."""
     store = {"none": None,
-             "local": LocalFileStore(tmp_path / "store"),
-             "sqlite": SQLiteStore(tmp_path / "store.sqlite")}[host]
+             "local": LocalFileStore(tmp_path / "store")}[host]
     telemetry = RunTelemetry()
     cells = _cells(2) + [
         Cell("obs-e2e", ("flaky",), flaky_cell, (str(tmp_path), "s", 42)),

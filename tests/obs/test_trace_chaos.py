@@ -43,9 +43,6 @@ KILL_PLAN = json.dumps({"faults": [{"cell": "fig3[0.7]", "kind": "kill"}]})
 HANG_PLAN = json.dumps({"faults": [
     {"cell": "fig3[0.7]", "kind": "hang", "seconds": 5.0}]})
 
-#: Every other store call hits lock contention first.
-BUSY_PLAN = json.dumps({"faults": [{"op": "*", "kind": "busy", "every": 2}]})
-
 
 def baseline_stdout(tmp_path, capsys):
     assert main(["fig3", "--jobs", "1",
@@ -56,7 +53,7 @@ def baseline_stdout(tmp_path, capsys):
 def traced_fleet(tmp_path, tag, *extra):
     """Run a traced fig3 worker fleet; returns the telemetry run dir."""
     obs = tmp_path / f"obs-{tag}"
-    rc = main(["fig3", "--store", f"sqlite:{tmp_path}/{tag}.db",
+    rc = main(["fig3", "--store", f"local:{tmp_path}/{tag}",
                "--telemetry", str(obs), *extra])
     assert rc == 0
     return obs / "fig3"
@@ -126,7 +123,7 @@ class TestExhaustedCellTrace:
         be retried; the nack spans record it at any worker count."""
         monkeypatch.setenv(FAULTS_ENV, EXHAUST_PLAN)
         obs = tmp_path / "obs"
-        assert main(["fig3", "--store", f"sqlite:{tmp_path}/s.db",
+        assert main(["fig3", "--store", f"local:{tmp_path}/s",
                      "--telemetry", str(obs), "--jobs", jobs,
                      "--retries", "1", "--keep-going"]) == 1
         capsys.readouterr()
@@ -175,35 +172,13 @@ class TestKilledAttemptTrace:
             ["CellTimeoutError"]
 
 
-class TestStoreFaultTrace:
-    def test_store_retries_are_traced_but_canonically_invisible(
-            self, tmp_path, capsys, monkeypatch):
-        """Store contention shows up as store_retry events on the
-        retried cells' spans in the raw rows, yet the canonical
-        projection equals a fault-free run's — backoff is schedule, not
-        causality."""
-        clean = traced_fleet(tmp_path, "clean", "--jobs", "2")
-        monkeypatch.setenv(FAULTS_ENV, BUSY_PLAN)
-        busy = traced_fleet(tmp_path, "busy", "--jobs", "2")
-        monkeypatch.delenv(FAULTS_ENV)
-        capsys.readouterr()
-        rows = load_trace_rows([busy])
-        retry_events = [e for row in rows for e in row["events"]
-                        if e["name"] == "store_retry"]
-        assert retry_events, "busy faults must be traced as store_retry"
-        assert all(not e["det"] for e in retry_events)
-        assert {row["kind"] for row in rows if any(
-            e["name"] == "store_retry" for e in row["events"])} == {"cell"}
-        assert (canonical(stitched(busy)) == canonical(stitched(clean)))
-
-
 class TestTracingOff:
     def test_untraced_runs_write_no_trace_artifacts(self, tmp_path,
                                                     capsys, monkeypatch):
         """Tracing follows telemetry: a run without ``--telemetry``
         writes no trace file anywhere."""
         monkeypatch.chdir(tmp_path)
-        rc = main(["fig3", "--store", f"sqlite:{tmp_path}/plain.db",
+        rc = main(["fig3", "--store", f"local:{tmp_path}/plain",
                    "--jobs", "2"])
         assert rc == 0
         capsys.readouterr()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,11 @@ from ..store.helpers import pause_then
 
 def square(config, x):
     return x * x
+
+
+def module_loaded(name):
+    """Cell body: whether module ``name`` is loaded in this process."""
+    return name in sys.modules
 
 
 def touch_and_return(sentinel_dir, name, value):
@@ -120,12 +126,9 @@ def interrupt_once(sentinel_dir, store_url, coordinator, value):
         return value
     marker.write_text("interrupted")
     store = open_store(store_url)
-    try:
-        deadline = time.time() + 30
-        while not len(store) and time.time() < deadline:
-            time.sleep(0.01)
-    finally:
-        store.close()
+    deadline = time.time() + 30
+    while not len(store) and time.time() < deadline:
+        time.sleep(0.01)
     os.kill(coordinator, signal.SIGINT)
     time.sleep(60)
     return value

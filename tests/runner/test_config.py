@@ -48,10 +48,6 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(cell_timeout=0)
 
-    def test_queue_fields_validated(self):
-        with pytest.raises(ConfigurationError, match="store_retries"):
-            RunConfig(store_retries=-1)
-
 
 class TestRunnerEntryPoints:
     def cells(self, n=3):

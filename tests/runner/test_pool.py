@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import sqlite3
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError, WorkerError
 from repro.runner import Cell, Progress, RunConfig, run_cells
@@ -36,14 +41,34 @@ class TestOrderingAndJobs:
         assert run_cells([], RunConfig(jobs=4)) == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_storeless_sweep_opens_no_database(self, monkeypatch, jobs):
-        """Dispatch is in memory: without a store, nothing touches
-        SQLite, in the coordinator or in a forked worker."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("a store-less sweep opened a database")
-
-        monkeypatch.setattr(sqlite3, "connect", refuse)
-        assert run_cells(square_cells(3), RunConfig(jobs=jobs)) == [0, 1, 4]
+    def test_storeless_sweep_opens_no_database(self, tmp_path, jobs):
+        """Dispatch is in memory: a fresh interpreter that imports
+        ``repro`` and runs a store-less sweep loads no ``sqlite3``, in
+        the coordinator or in a forked worker, and writes no file."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.runner import Cell, RunConfig, run_cells\n"
+            "from tests.runner.helpers import module_loaded, square_cells\n"
+            "cells = square_cells(2) + [\n"
+            "    Cell('t', ('sqlite3',), module_loaded, ('sqlite3',))]\n"
+            "results = run_cells(cells, RunConfig(jobs=int(sys.argv[1])))\n"
+            "assert results == [0, 1, False], results\n"
+            "assert 'sqlite3' not in sys.modules\n")
+        cwd, home = tmp_path / "cwd", tmp_path / "home"
+        cwd.mkdir()
+        home.mkdir()
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, HOME=str(home), PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(repro.__file__).resolve().parents[1]),
+                        str(root)]))
+        env.pop("REPRO_CACHE_DIR", None)
+        done = subprocess.run([sys.executable, "-c", script, str(jobs)],
+                              cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert list(cwd.iterdir()) == list(home.iterdir()) == []
 
     def test_progress_counts_every_cell(self, capsys):
         import sys

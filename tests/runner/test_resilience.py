@@ -39,7 +39,7 @@ from repro.runner import (
     run_cells,
     write_manifest,
 )
-from repro.store import LocalFileStore, SQLiteStore, active_plan
+from repro.store import LocalFileStore, active_plan
 
 from .helpers import (
     FlakyConfig,
@@ -239,19 +239,15 @@ class TestPoolRecovery:
 
 
 def _store_on(host, tmp_path):
-    """The store a sweep persists to: none, a local store or a sqlite
-    store."""
+    """The store a sweep persists to: none or a local store."""
     if host == "local":
         return LocalFileStore(tmp_path / "store")
-    if host == "sqlite":
-        return SQLiteStore(tmp_path / "store.sqlite")
     return None
 
 
-@pytest.mark.parametrize("host", ["none", "local", "sqlite"])
+@pytest.mark.parametrize("host", ["none", "local"])
 class TestEveryQueueHost:
-    """Timeouts and worker deaths at jobs=2, with or without a store of
-    either backend."""
+    """Timeouts and worker deaths at jobs=2, with or without a store."""
 
     def run(self, cells, host, tmp_path, **fields):
         store = _store_on(host, tmp_path)
@@ -381,12 +377,12 @@ class TestDeadCoordinator:
                              ids=["kill9-jobs1", "sigint-jobs2"])
     def test_rerun_releases_the_dead_claims_at_once(self, tmp_path, jobs,
                                                     interrupt):
-        db = tmp_path / "store.sqlite"
-        url = f"sqlite:{db}"
+        root = tmp_path / "store"
+        url = f"local:{root}"
         procs = []
         with open(tmp_path / "sweep.log", "wb") as log:
             procs.append(self.sweep(log, jobs, url))
-        probe = SQLiteStore(db)
+        probe = LocalFileStore(root)
         try:
             # Signal mid-sweep: one result is stored, a later cell runs.
             self.stored(probe, 1)
@@ -401,21 +397,20 @@ class TestDeadCoordinator:
             assert len(probe) == 4
         finally:
             self.cleanup(procs)
-            probe.close()
 
     def test_no_cell_starts_after_the_coordinator_is_killed(self, tmp_path):
         """SIGKILL a --jobs 2 coordinator partway through: its workers
         finish the attempts they are running and exit, so no cell
         starts after the kill, and the rerun prints every result."""
-        db = tmp_path / "store.sqlite"
-        url = f"sqlite:{db}"
+        root = tmp_path / "store"
+        url = f"local:{root}"
         starts = tmp_path / "starts"
         starts.mkdir()
         procs = []
         with open(tmp_path / "sweep.log", "wb") as log:
             procs.append(self.sweep(log, 2, url, starts,
                                     script=LOGGED_SWEEP))
-        probe = SQLiteStore(db)
+        probe = LocalFileStore(root)
         try:
             self.stored(probe, 1)
             procs[0].kill()  # the coordinator only, not its workers
@@ -432,7 +427,6 @@ class TestDeadCoordinator:
                               script=LOGGED_SWEEP) == f"{list(range(8))}\n"
         finally:
             self.cleanup(procs)
-            probe.close()
 
 
 class TestInterruptedInProcess:
@@ -451,8 +445,8 @@ class TestInterruptedInProcess:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rerun_in_the_same_process_releases_its_claims(self, tmp_path,
                                                           jobs):
-        db = tmp_path / "store.sqlite"
-        url = f"sqlite:{db}"
+        root = tmp_path / "store"
+        url = f"local:{root}"
         cells = [Cell("t", (0,), square, (None, 3)),
                  Cell("t", ("ctrl-c",), interrupt_once,
                       (str(tmp_path), url, os.getpid(), 42)),
@@ -460,23 +454,19 @@ class TestInterruptedInProcess:
         with pytest.raises(KeyboardInterrupt):
             run_cells(cells, RunConfig(jobs=jobs, store=url))
         assert multiprocessing.active_children() == []
-        probe = SQLiteStore(db)
-        try:
-            assert probe.get(cell_key(cells[0])) == (True, 9)
-            assert not probe.contains(cell_key(cells[1]))
-            results = []
-            rerun = threading.Thread(
-                target=lambda: results.append(
-                    run_cells(cells, RunConfig(jobs=jobs, store=url))),
-                daemon=True)
-            rerun.start()
-            rerun.join(15)
-            assert not rerun.is_alive(), \
-                "the rerun did not finish within 15 s"
-            assert results == [[9, 42, 0, 1]]
-            assert len(probe) == 4
-        finally:
-            probe.close()
+        probe = LocalFileStore(root)
+        assert probe.get(cell_key(cells[0])) == (True, 9)
+        assert not probe.contains(cell_key(cells[1]))
+        results = []
+        rerun = threading.Thread(
+            target=lambda: results.append(
+                run_cells(cells, RunConfig(jobs=jobs, store=url))),
+            daemon=True)
+        rerun.start()
+        rerun.join(15)
+        assert not rerun.is_alive(), "the rerun did not finish within 15 s"
+        assert results == [[9, 42, 0, 1]]
+        assert len(probe) == 4
 
 
 class TestFaultPlan:

@@ -1,10 +1,8 @@
-"""Backend-conformance suite: every registered store behaves identically.
+"""Store-conformance suite: the store's contract, end to end.
 
-Parametrized over :data:`repro.store.STORE_BACKENDS`, so a newly
-registered backend is automatically held to the same contract:
-checksummed round-trips, corruption quarantine, concurrent put/get
-from separate processes, and a purge that counts live and quarantined
-entries separately.  See CONTRIBUTING.md ("Adding a store backend").
+Checksummed round-trips, corruption quarantine, concurrent put/get
+from separate processes, a purge that counts live and quarantined
+entries separately, and URL resolution.
 """
 
 from __future__ import annotations
@@ -17,25 +15,19 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.store import (
-    STORE_BACKENDS,
     STORE_MAGIC,
     CacheCorruptionWarning,
     LocalFileStore,
-    SQLiteStore,
     open_store,
     resolve_store,
 )
 
-from .helpers import get_many, key_of, make_store, put_many
-
-BACKENDS = sorted(STORE_BACKENDS.values(), key=lambda cls: cls.scheme)
+from .helpers import get_many, key_of, put_many
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda cls: cls.scheme)
-def store(request, tmp_path):
-    st = make_store(request.param, tmp_path)
-    yield st
-    st.close()
+@pytest.fixture
+def store(tmp_path):
+    return LocalFileStore(tmp_path / "store")
 
 
 class TestRoundTrip:
@@ -56,7 +48,7 @@ class TestRoundTrip:
         assert len(store) == 1
 
     def test_entry_format_is_checksummed_v2(self, store):
-        """All backends share the exact v2 blob: magic + sha256 + pickle."""
+        """Every entry is the exact v2 blob: magic + sha256 + pickle."""
         key = key_of(3)
         store.put(key, [1, 2, 3])
         blob = store._read(key)
@@ -69,6 +61,16 @@ class TestRoundTrip:
         assert store.get(key_of(4)) == (False, None)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, CacheCorruptionWarning)]
+
+    def test_unreadable_entry_warns_and_misses(self, store):
+        """An entry path that exists but cannot be read (here: a
+        directory) is a warned miss, left in place for inspection."""
+        key = key_of(11)
+        store.path_for(key).mkdir(parents=True)
+        with pytest.warns(CacheCorruptionWarning, match="is unreadable"):
+            assert store.get(key) == (False, None)
+        assert store.path_for(key).is_dir()
+        assert store.stats().misses == 1
 
 
 class TestCorruptionQuarantine:
@@ -155,7 +157,6 @@ class TestStatsAndIdentity:
         with pytest.warns(CacheCorruptionWarning):
             store.get(key_of(9))            # miss + quarantine
         stats = store.stats()
-        assert stats.backend == store.scheme
         assert stats.location == store.url
         assert stats.entries == 1
         assert stats.quarantined == 1
@@ -165,10 +166,7 @@ class TestStatsAndIdentity:
     def test_url_reopens_the_same_store(self, store):
         store.put(key_of(10), "shared")
         reopened = open_store(store.url)
-        try:
-            assert reopened.get(key_of(10)) == (True, "shared")
-        finally:
-            reopened.close()
+        assert reopened.get(key_of(10)) == (True, "shared")
 
     def test_aux_dir_is_created_and_stable(self, store):
         path = store.aux_dir("failures")
@@ -183,10 +181,14 @@ class TestOpenStore:
         assert store.root == tmp_path / "cache"
 
     def test_scheme_urls_select_backends(self, tmp_path):
-        assert isinstance(open_store(f"local:{tmp_path}/a"), LocalFileStore)
-        sq = open_store(f"sqlite:{tmp_path}/b.sqlite")
-        assert isinstance(sq, SQLiteStore)
-        sq.close()
+        """``local:`` is the one scheme; the removed ``sqlite:`` is
+        refused like any other unknown scheme, creating nothing."""
+        store = open_store(f"local:{tmp_path}/a")
+        assert isinstance(store, LocalFileStore)
+        assert store.root == tmp_path / "a"
+        with pytest.raises(ConfigurationError, match="unknown store scheme"):
+            open_store(f"sqlite:{tmp_path}/b.sqlite")
+        assert list(tmp_path.iterdir()) == []
 
     def test_instance_passes_through(self, tmp_path):
         store = LocalFileStore(tmp_path)
@@ -202,10 +204,10 @@ class TestOpenStore:
 
     def test_missing_path_after_scheme_raises(self):
         with pytest.raises(ConfigurationError, match="no path"):
-            open_store("sqlite:")
+            open_store("local:")
 
     def test_windows_drive_letter_is_a_path(self, tmp_path, monkeypatch):
-        """A one-letter 'scheme' is a drive letter, not a backend."""
+        """A one-letter 'scheme' is a drive letter, not a URL scheme."""
         monkeypatch.chdir(tmp_path)
         store = open_store("c:relative-ish")
         assert isinstance(store, LocalFileStore)

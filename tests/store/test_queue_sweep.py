@@ -1,7 +1,7 @@
 """End-to-end sweeps on a store: byte-identical output, overlapping runs.
 
-The acceptance bar for the store: a fig3 sweep on either backend, at
-any worker count, prints exactly the bytes a plain ``--jobs 1`` run
+The acceptance bar for the store: a fig3 sweep on a store, at any
+worker count, prints exactly the bytes a plain ``--jobs 1`` run
 prints, and runs overlapping on one store each get their own results.
 (Resume after an interrupt: ``tests/runner/test_resilience.py``.)
 """
@@ -33,7 +33,7 @@ def paused_cells(tag, n, seconds=0.1):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("url", ["local:{}/store", "sqlite:{}/store.db"])
+@pytest.mark.parametrize("url", ["local:{}/store"])
 def test_overlapping_sweeps_on_one_store(tmp_path, url):
     """A sweep, a different sweep and a second run of the first sweep,
     all at once on one store: every run gets exactly its own results
@@ -45,11 +45,8 @@ def test_overlapping_sweeps_on_one_store(tmp_path, url):
     results = {}
 
     def sweep(name, cells):
-        store = open_store(url)
-        try:
-            results[name] = run_cells(cells, RunConfig(jobs=1, store=store))
-        finally:
-            store.close()
+        results[name] = run_cells(cells, RunConfig(jobs=1,
+                                                   store=open_store(url)))
 
     threads = [threading.Thread(target=sweep, args=("first", first))]
     probe = open_store(url)
@@ -75,24 +72,16 @@ def test_overlapping_sweeps_on_one_store(tmp_path, url):
             assert probe.get(cell_key(cell)) == (True, cell.args[1])
     finally:
         sys.setswitchinterval(switch)
-        probe.close()
 
 
 class TestQueueDrivenSweep:
-    """fig3 on a store, at ``--jobs 2`` and ``--jobs 1``."""
-
-    def test_two_sqlite_workers_match_jobs_1(self, tmp_path, capsys):
-        """``--store sqlite: --jobs 2`` is byte-identical to a
-        sequential local-cache run."""
-        baseline = baseline_stdout(tmp_path, capsys)
-        rc = main(["fig3", "--store", f"sqlite:{tmp_path}/results.db",
-                   "--jobs", "2"])
-        assert rc == 0
-        assert capsys.readouterr().out == baseline
+    """fig3 on a store, byte-identical to a baseline run."""
 
     def test_local_worker_matches_jobs_1(self, tmp_path, capsys):
+        """``--store local: --jobs 2`` is byte-identical to a
+        sequential run on another store."""
         baseline = baseline_stdout(tmp_path, capsys)
         rc = main(["fig3", "--store", f"local:{tmp_path}/queue-store",
-                   "--jobs", "1"])
+                   "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
