@@ -7,7 +7,8 @@ shape the figure experiments actually run it (exact-LRU decision ranking
 with full measurement attached; the feedback-FS hardware pairing uses the
 8-bit coarse-timestamp ranking as in Fig. 7), plus Fig. 6a's two OPT
 pairings (``OPT_CONFIGS``), fed the same workload annotated with next-use
-positions and built as fig6 builds them, and Fig. 4's pairings
+positions and built as fig6 builds them, Fig. 6b's two LRU pairings
+(``LRU_CONFIGS``), also built as fig6 builds them, and Fig. 4's pairings
 (``RANDCAND_CONFIGS``): exact LRU on the random-candidates array under FS
 and PF.
 
@@ -119,6 +120,17 @@ OPT_CONFIGS = {
         make_scheme("unpartitioned"), PARTS, track_eviction_futility=False),
 }
 
+#: Fig. 6b's pairings, the same two organizations under exact LRU, built
+#: as fig6 builds them (no eviction futility recorded).
+LRU_CONFIGS = {
+    "full-assoc-lru": lambda: PartitionedCache(
+        FullyAssociativeArray(LINES), LRURanking(),
+        make_scheme("full-assoc"), PARTS, track_eviction_futility=False),
+    "direct-mapped-lru": lambda: PartitionedCache(
+        DirectMappedArray(LINES), LRURanking(),
+        make_scheme("unpartitioned"), PARTS, track_eviction_futility=False),
+}
+
 #: Fig. 4's pairings: exact LRU on a random-candidates array with R = 16,
 #: under analytical FS and PF, built as fig4 builds them (eviction
 #: futility recorded: fig4 reports associativity).
@@ -130,7 +142,7 @@ RANDCAND_CONFIGS = {
         RandomCandidatesArray(LINES, WAYS, seed=0), LRURanking(),
         make_scheme("pf"), PARTS),
 }
-ALL_CONFIGS = {**CONFIGS, **OPT_CONFIGS, **RANDCAND_CONFIGS}
+ALL_CONFIGS = {**CONFIGS, **OPT_CONFIGS, **LRU_CONFIGS, **RANDCAND_CONFIGS}
 
 
 def with_next_use(warm, stream):

@@ -30,6 +30,8 @@ is rebuilt whenever the subscription set changes.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Sequence
 
 from ..core.futility import (
@@ -67,6 +69,14 @@ _SCAN_INLINE = {
     UnpartitionedScheme: "",
     PartitioningFirstScheme: None,
 }
+
+
+@lru_cache(maxsize=64)
+def _compile_kernel(source: str):
+    """The code object of one kernel source, compiled once per process: a
+    sweep builds many caches from a handful of distinct sources, and each
+    build only ``exec``s the code into its own namespace."""
+    return compile(source, "<access-kernel>", "exec")
 
 
 class RankingObserver(CacheObserver):
@@ -257,6 +267,9 @@ class PartitionedCache:
         counter/hook code; any other observer dispatches through the
         per-event handler tuples as before.  The generated source is kept
         on the kernel as ``access.__kernel_source__`` for inspection.
+        Each build also sets how much key order an exact keyed decision
+        ranking keeps (:meth:`~repro.core.futility._KeyedRanking.set_upkeep`):
+        the sorted lists only while something reads ranks.
 
         Event ordering contract (unchanged from the dispatching kernel):
         ``miss`` fires before victim selection (observers see pre-eviction
@@ -286,10 +299,19 @@ class PartitionedCache:
                      and TIMESTAMP_MOD == 256
                      and getattr(scheme, "_shift_scan", False)
                      and getattr(scheme, "_coarse_ranking", None) is ranking)
+        # Direct-mapped and unpartitioned: the set's one line is the victim
+        # (UnpartitionedScheme takes it when empty and has nothing to
+        # compare it with when full), so no choose call is emitted.
+        dm_victim = (scheme.uses_candidates
+                     and isinstance(array_obj, SetAssociativeArray)
+                     and type(array_obj).candidates
+                     is SetAssociativeArray.candidates
+                     and array_obj.ways == 1 and stype is UnpartitionedScheme)
         # Exact FS, feedback FS, the unpartitioned baseline and PF over an
         # exact keyed ranking get the grouped raw-key scan of
         # kernels.choose_scaled / choose_pf inlined (see scan_lines).
-        keyed_scan = type(ranking) in _KEYED_INLINE and stype in _SCAN_INLINE
+        keyed_scan = (type(ranking) in _KEYED_INLINE and stype in _SCAN_INLINE
+                      and not dm_victim)
 
         # Recognize the observers the compiler knows how to inline.  The
         # telemetry recorder is imported lazily: repro.obs is never pulled
@@ -323,6 +345,30 @@ class PartitionedCache:
         # evict/place bodies are a handful of list operations, so they
         # inline just as well.
         fa_inline = type(array_obj) is FullyAssociativeArray
+        fa_victim = (stype is FullAssocScheme
+                     and type(ranking) in _KEYED_INLINE)
+
+        # The reference futility is computed only when something reads
+        # it: the statistics' eviction-futility samples or an evict
+        # handler.
+        need_fut = reference is not None and bool(
+            (fast_stats is not None and fast_stats.track_eviction_futility)
+            or handlers["evict"])
+        # Order only when read: an exact keyed decision ranking keeps its
+        # sorted lists only if something reads ranks (a victim scan, a
+        # choose call, a futility sample, an evict handler or any
+        # dispatched observer).  Otherwise FullAssoc needs each
+        # partition's most futile line only (a lazy heap), and the
+        # direct-mapped victim no order at all.
+        upkeep = "ranks"
+        if (type(ranking) in _KEYED_INLINE and not need_fut
+                and len(events.observers()) == len(exclude)):
+            if fa_victim and fa_inline:
+                upkeep = "extreme"
+            elif dm_victim:
+                upkeep = "none"
+        if type(ranking) in _KEYED_INLINE:
+            ranking.set_upkeep(upkeep)
 
         ns = {
             "ConfigurationError": ConfigurationError,
@@ -375,7 +421,7 @@ class PartitionedCache:
         def indent(ind, lines):
             return [ind + line for line in lines]
 
-        def keyed_hook_lines(rk, prefix):
+        def keyed_hook_lines(rk, prefix, upkeep="ranks"):
             # Inline the hook bodies of the exact keyed rankings
             # (_KEYED_INLINE): a bisect-delete of the old key plus an
             # ordered add of the new one (`_sq`).  LRU's access-sequence
@@ -385,27 +431,32 @@ class PartitionedCache:
             # ensure_index() has materialized the most_futile index
             # (FullAssoc consumers), the inline bodies mirror the methods'
             # index upkeep — two dict operations — instead of falling back
-            # to a bound-method call.
+            # to a bound-method call.  Below "ranks" upkeep the bodies
+            # write the per-line keys only, plus a heap push ("extreme").
             ns[prefix] = rk
             ns[prefix + "_key"] = rk._key
-            ns[prefix + "_keys"] = rk._keys
             ns[prefix + "_part"] = rk._part
-            ns.setdefault("bisect_left", bisect_left)
             key, keys, part_arr = (prefix + "_key", prefix + "_keys",
                                    prefix + "_part")
-            if type(rk) is LRURanking:
+            lru = type(rk) is LRURanking
+            if lru:
                 def new_key(slot):
                     return ["_sq = %s._seq + 1" % prefix,
                             "%s._seq = _sq" % prefix]
-
-                def add(ks):
-                    return ["%s.append(_sq)" % ks]
             else:
-                ns.setdefault("insort", insort)
                 ns["num_lines"] = self.num_lines
 
                 def new_key(slot):
                     return ["_sq = next_use * num_lines + %s" % slot]
+            if upkeep != "ranks":
+                return lazy_hook_lines(rk, prefix, upkeep, new_key, lru)
+            ns[prefix + "_keys"] = rk._keys
+            ns.setdefault("bisect_left", bisect_left)
+            if lru:
+                def add(ks):
+                    return ["%s.append(_sq)" % ks]
+            else:
+                ns.setdefault("insort", insort)
 
                 def add(ks):
                     return ([] if ks == "_ks" else ["_ks = %s" % ks]) + [
@@ -466,6 +517,53 @@ class PartitionedCache:
                 ],
             }
 
+        def lazy_hook_lines(rk, prefix, upkeep, new_key, lru):
+            # The hook bodies under "extreme" and "none" upkeep: per-line
+            # keys only, and under "extreme" a push of the line's heap
+            # entry (_KeyedRanking._heap_entry: seq * num_lines + slot for
+            # LRU, -key for OPT), rebuilding a heap that outgrew its bound
+            # from the per-line keys.  Evictions leave their entries in
+            # the heap; the victim pop skips them.
+            key, part_arr = prefix + "_key", prefix + "_part"
+
+            def push(slot):
+                if upkeep != "extreme":
+                    return []
+                ns["heappush"] = heappush
+                ns[prefix + "_heaps"] = rk._heaps
+                ns[prefix + "_reheap"] = rk._rebuild_heap
+                ns["heap_cap"] = rk.HEAP_SLACK * self.num_lines
+                ns["num_lines"] = self.num_lines
+                entry = ("_sq * num_lines + %s" % slot) if lru else "-_sq"
+                return [
+                    "_hp = %s_heaps[part]" % prefix,
+                    "heappush(_hp, %s)" % entry,
+                    "if len(_hp) > heap_cap:",
+                    "    %s_reheap(part)" % prefix,
+                ]
+
+            return {
+                "hit": new_key("idx") + [
+                    "%s[idx] = _sq" % key,
+                ] + push("idx"),
+                "insert": new_key("new_idx") + [
+                    "%s[new_idx] = _sq" % key,
+                    "%s[new_idx] = part" % part_arr,
+                ] + push("new_idx"),
+                "evict": [
+                    "%s[victim] = None" % key,
+                    "%s[victim] = -1" % part_arr,
+                ],
+                # Only "none" meets a relocating array: "extreme" needs
+                # the exact FullyAssociativeArray, which never moves a block.
+                "move": [
+                    "%s[dst] = %s[src]" % (key, key),
+                    "%s[dst] = %s[src]" % (part_arr, part_arr),
+                    "%s[src] = None" % key,
+                    "%s[src] = -1" % part_arr,
+                ],
+            }
+
         def coarse_hook_lines(rk, prefix):
             # Inline CoarseTimestampLRURanking's hooks: the tick counter,
             # the 8-bit timestamp stamp and the size accounting are all
@@ -510,7 +608,7 @@ class PartitionedCache:
             "move": ["r_move(src, dst)"],
         }
         if type(ranking) in _KEYED_INLINE:
-            r_seg = keyed_hook_lines(ranking, "rk")
+            r_seg = keyed_hook_lines(ranking, "rk", upkeep)
         elif (type(ranking) is CoarseTimestampLRURanking
               and TIMESTAMP_MOD == 256):
             r_seg = coarse_hook_lines(ranking, "ct")
@@ -633,13 +731,8 @@ class PartitionedCache:
                          is SetAssociativeArray.candidates)
             if inline_sa:
                 ns["ways"] = array_obj.ways
-                # Direct-mapped and unpartitioned: the set's one line is
-                # the victim (UnpartitionedScheme takes it when empty and
-                # has nothing to compare it with when full), so the base
-                # slot is the victim and no choose call is emitted.
-                if array_obj.ways == 1 and stype is UnpartitionedScheme:
+                if dm_victim:
                     pick = ["    victim = _base"]
-                    keyed_scan = False  # no scan, so no rank to reuse
                 else:
                     pick = victim_lines("range(_base, _base + ways)")
                 hash_obj = array_obj._hash
@@ -680,14 +773,9 @@ class PartitionedCache:
                 cand = victim_lines("get_candidates(addr)")
         else:
             ns["free_slot"] = array_obj.free_slot
-            if stype is FullAssocScheme and type(ranking) in _KEYED_INLINE:
+            if fa_victim:
                 # FullAssocScheme.choose_victim inlined: the globally most
-                # futile line of the most oversized non-empty partition —
-                # the order's tail for ascending futility (OPT), its head
-                # for descending (LRU).  bind() has forced ensure_index(),
-                # so the key -> line map is maintained by the inline hook
-                # bodies.
-                end = -1 if ranking._ascending_futility else 0
+                # futile line of the most oversized non-empty partition.
                 cand = [
                     "    victim = free_slot()",
                     "    if victim is None:",
@@ -701,8 +789,35 @@ class PartitionedCache:
                     "            if _bo is None or _ov > _bo:",
                     "                _bo = _ov",
                     "                _bp = _p",
-                    "        victim = rk._index_of[_bp][rk_keys[_bp][%d]]" % end,
                 ]
+                if upkeep == "extreme":
+                    # Pop the partition's heap down to its first live
+                    # entry: one whose slot still holds that key in that
+                    # partition (OPT's thread-local next use can repeat a
+                    # key in another partition's line at the same slot).
+                    ns["heappop"] = heappop
+                    if ranking._ascending_futility:
+                        decode = ["            _k = -heappop(_hp)",
+                                  "            victim = _k % num_lines"]
+                    else:
+                        decode = ["            _k, victim = divmod("
+                                  "heappop(_hp), num_lines)"]
+                    cand += [
+                        "        _hp = rk_heaps[_bp]",
+                        "        while True:",
+                    ] + decode + [
+                        "            if rk_key[victim] == _k and "
+                        "rk_part[victim] == _bp:",
+                        "                break",
+                    ]
+                else:
+                    # The order's tail for ascending futility (OPT), its
+                    # head for descending (LRU), through the key -> line
+                    # map the inline hook bodies maintain.
+                    ranking.ensure_index()
+                    end = -1 if ranking._ascending_futility else 0
+                    cand.append("        victim = rk._index_of[_bp]"
+                                "[rk_keys[_bp][%d]]" % end)
             else:
                 cand = [
                     "    victim = free_slot()",
@@ -791,16 +906,11 @@ class PartitionedCache:
         emit("    evicted = victim_addr != -1")
         emit("    if evicted:")
         emit("        vpart = owner[victim]")
-        # The reference futility is computed only when something reads
-        # it: the statistics' eviction-futility samples or an evict
-        # handler.  For a keyed reference it is one bisect and one
-        # division with _KeyedRanking.futility's float expression, inlined
-        # against whichever key arrays hold the reference order (the
-        # decision ranking itself when it is exact, the shadow
-        # RankingObserver otherwise).
-        need_fut = reference is not None and bool(
-            (fast_stats is not None and fast_stats.track_eviction_futility)
-            or handlers["evict"])
+        # When need_fut, the reference futility of a keyed reference is
+        # one bisect and one division with _KeyedRanking.futility's float
+        # expression, inlined against whichever key arrays hold the
+        # reference order (the decision ranking itself when it is exact,
+        # the shadow RankingObserver otherwise).
         keyed_ref = None
         if type(reference) in _KEYED_INLINE:
             if reference is ranking:
@@ -933,7 +1043,7 @@ class PartitionedCache:
         emit("    return False")
 
         code = "\n".join(src)
-        exec(compile(code, "<access-kernel>", "exec"), ns)
+        exec(_compile_kernel(code), ns)
         kernel = ns["access"]
         kernel.__kernel_source__ = code
         return kernel

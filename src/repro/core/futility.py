@@ -35,11 +35,17 @@ normalized futility is strictly monotone in the key (direction given by
 ``_ascending_futility``), so the victim-selection kernels in
 :mod:`repro.core.schemes.kernels` compare raw keys instead of issuing a
 rank query (a bisect) per candidate, and batch the few rank queries that
-remain via :meth:`FutilityRanking.futilities`.  The per-partition
-``most_futile`` index (a key -> line dict) is maintained only once
-:meth:`_KeyedRanking.ensure_index` has been called — the FullAssoc scheme
-is its lone hot-path consumer, so everyone else skips two dict writes per
-event.
+remain via :meth:`FutilityRanking.futilities`.
+
+Order is kept only where it is read (:meth:`_KeyedRanking.set_upkeep`,
+chosen by the compiled access kernel on every build).  With a reader of
+ranks the sorted lists are kept eagerly, and the per-partition
+``most_futile`` index (a key -> line dict) once
+:meth:`_KeyedRanking.ensure_index` has been called.  An exact LRU or OPT
+ranking under a compiled FullAssoc kernel that reads no rank keeps one
+lazy min-heap per partition instead of lists and index, and one under a
+direct-mapped unpartitioned kernel keeps its per-line keys only.  Either
+way ``_keys`` reads the lists eager upkeep would have left.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, insort
+from heapq import heapify, heappush
 from typing import List, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -149,27 +156,118 @@ class _KeyedRanking(FutilityRanking):
     direction: ``True`` means larger keys are more futile (OPT next-use
     times), ``False`` means smaller keys are more futile (LRU last-access
     times, LFU counts).
+
+    How much of that order is kept is chosen by :meth:`set_upkeep`; below
+    ``"ranks"`` the lists are not stored, and ``_keys`` rebuilds them from
+    the per-line keys on every read.
     """
 
     _ascending_futility = True
     key_ordered = True
+    #: A partition's heap is rebuilt from the per-line keys once it holds
+    #: more than this many entries per cache line (``"extreme"`` upkeep).
+    HEAP_SLACK = 2
 
     def bind(self, num_lines: int, num_partitions: int) -> None:
         super().bind(num_lines, num_partitions)
         self._key: List = [None] * num_lines
         self._part = array("i", [-1]) * num_lines
-        self._keys: List[List] = [[] for _ in range(num_partitions)]
+        # The sorted key lists while they are kept ("ranks" upkeep), else
+        # None; read them through _keys.
+        self._sorted: Optional[List[List]] = [
+            [] for _ in range(num_partitions)]
+        # One lazy min-heap per partition under "extreme" upkeep, else None.
+        self._heaps: Optional[List[List]] = None
         # key -> line index per partition; built lazily by ensure_index()
         # because only most_futile() consumers (FullAssoc) need it.
         self._index_of: Optional[List[dict]] = None
 
+    # -- how much order is kept ----------------------------------------------
+    @property
+    def _keys(self) -> List[List]:
+        """One sorted key list per partition: the kept lists, or, while
+        they are not kept, the lists eager upkeep would have left."""
+        keys = self._sorted
+        return keys if keys is not None else self._sorted_keys()
+
+    def _sorted_keys(self) -> List[List]:
+        """The per-partition key lists rebuilt from the per-line keys.
+
+        Exact: keys are unique within a partition, so the sorted list of a
+        partition's resident keys is the one insertion order would keep.
+        """
+        keys: List[List] = [[] for _ in range(self._num_partitions)]
+        for k, p in zip(self._key, self._part):
+            if p >= 0:
+                keys[p].append(k)
+        for ks in keys:
+            ks.sort()
+        return keys
+
+    def set_upkeep(self, level: str) -> None:
+        """Keep only as much order as something reads.
+
+        * ``"ranks"`` keeps the sorted per-partition lists (and the
+          most-futile index once :meth:`ensure_index` asks for it): any
+          rank query needs them.
+        * ``"extreme"`` keeps one lazy min-heap per partition whose
+          smallest live entry (:meth:`_heap_entry`) is the partition's most
+          futile line; entries a hit or an eviction left behind are skipped
+          when they surface.
+        * ``"none"`` keeps the per-line keys only.
+
+        Entering ``"ranks"`` rebuilds the lists from the per-line keys;
+        leaving it drops the lists and the index.
+        """
+        if level == "ranks":
+            if self._sorted is None:
+                self._sorted = self._sorted_keys()
+            self._heaps = None
+            return
+        self._sorted = None
+        self._index_of = None
+        if level == "none":
+            self._heaps = None
+        elif self._heaps is None:
+            self._heaps = [[] for _ in range(self._num_partitions)]
+            for part in range(self._num_partitions):
+                self._rebuild_heap(part)
+
+    def _heap_entry(self, key, idx: int):
+        """A line's heap entry under ``"extreme"`` upkeep: the smallest
+        entry of a partition belongs to its most futile line."""
+        raise NotImplementedError
+
+    def _rebuild_heap(self, part: int) -> None:
+        """Replace ``part``'s heap (in place) with its live entries only."""
+        entry = self._heap_entry
+        heap = [entry(k, idx)
+                for idx, (k, p) in enumerate(zip(self._key, self._part))
+                if p == part]
+        heapify(heap)
+        self._heaps[part][:] = heap
+
+    def _push(self, part: int, key, idx: int) -> None:
+        heaps = self._heaps
+        if heaps is not None:
+            heap = heaps[part]
+            heappush(heap, self._heap_entry(key, idx))
+            if len(heap) > self.HEAP_SLACK * self._num_lines:
+                self._rebuild_heap(part)
+
+    # -- queries ---------------------------------------------------------------
     def partition_size(self, part: int) -> int:
-        return len(self._keys[part])
+        if self._sorted is None:
+            return self._part.count(part)
+        return len(self._sorted[part])
 
     def ensure_index(self) -> None:
         """Build (and from then on maintain) the key -> line index used by
-        :meth:`most_futile`.  Idempotent; callable at any point."""
-        if self._index_of is not None:
+        :meth:`most_futile`.  Idempotent; callable at any point.  While the
+        lists are not kept there is nothing to index, so this does
+        nothing: the compiled FullAssoc kernel asks again when it returns
+        to ``"ranks"`` upkeep."""
+        if self._index_of is not None or self._sorted is None:
             return
         index_of: List[dict] = [dict() for _ in range(self._num_partitions)]
         key = self._key
@@ -186,9 +284,15 @@ class _KeyedRanking(FutilityRanking):
         Used by the FullAssoc ideal scheme; raises ``IndexError`` when the
         partition is empty.
         """
+        if self._sorted is None:
+            ks = self._keys[part]
+            key = ks[-1] if self._ascending_futility else ks[0]
+            part_of = self._part
+            return next(idx for idx, k in enumerate(self._key)
+                        if k == key and part_of[idx] == part)
         if self._index_of is None:
             self.ensure_index()
-        ks = self._keys[part]
+        ks = self._sorted[part]
         key = ks[-1] if self._ascending_futility else ks[0]
         return self._index_of[part][key]
 
@@ -196,11 +300,15 @@ class _KeyedRanking(FutilityRanking):
                   *, is_hit: bool):
         raise NotImplementedError
 
+    # -- event hooks -----------------------------------------------------------
     def on_insert(self, idx: int, part: int, *, next_use: Optional[int] = None) -> None:
         key = self._make_key(idx, part, next_use, is_hit=False)
         self._key[idx] = key
         self._part[idx] = part
-        ks = self._keys[part]
+        if self._sorted is None:
+            self._push(part, key, idx)
+            return
+        ks = self._sorted[part]
         if ks and key < ks[-1]:
             insort(ks, key)
         else:
@@ -212,10 +320,13 @@ class _KeyedRanking(FutilityRanking):
         # The new key first: a _make_key that rejects its input must leave
         # the ranking untouched.
         key = self._make_key(idx, part, next_use, is_hit=True)
-        ks = self._keys[part]
         old = self._key[idx]
-        del ks[bisect_left(ks, old)]
         self._key[idx] = key
+        if self._sorted is None:
+            self._push(part, key, idx)
+            return
+        ks = self._sorted[part]
+        del ks[bisect_left(ks, old)]
         if ks and key < ks[-1]:
             insort(ks, key)
         else:
@@ -226,11 +337,13 @@ class _KeyedRanking(FutilityRanking):
             index_of[key] = idx
 
     def on_evict(self, idx: int, part: int) -> None:
-        key = self._key[idx]
-        ks = self._keys[part]
-        del ks[bisect_left(ks, key)]
-        if self._index_of is not None:
-            del self._index_of[part][key]
+        # Lazy upkeep: the line's heap entries fail the live test from now.
+        if self._sorted is not None:
+            key = self._key[idx]
+            ks = self._sorted[part]
+            del ks[bisect_left(ks, key)]
+            if self._index_of is not None:
+                del self._index_of[part][key]
         self._key[idx] = None
         self._part[idx] = -1
 
@@ -245,7 +358,9 @@ class _KeyedRanking(FutilityRanking):
         self._part[src] = -1
 
     def futility(self, idx: int) -> float:
-        ks = self._keys[self._part[idx]]
+        part = self._part[idx]
+        ks = (self._sorted[part] if self._sorted is not None
+              else self._keys[part])
         size = len(ks)
         rank = bisect_left(ks, self._key[idx])  # keys strictly smaller
         if self._ascending_futility:
@@ -286,6 +401,11 @@ class LRURanking(_KeyedRanking):
         self._seq += 1
         return self._seq
 
+    def _heap_entry(self, key, idx):
+        # (seq, slot) packed into one int: the least recent line is the
+        # smallest entry, and the entry names its slot.
+        return key * self._num_lines + idx
+
     # Access-sequence keys are strictly increasing, so the sorted-position
     # search of the generic paths degenerates to an append; these overrides
     # keep the hottest ranking events free of _make_key dispatch too.
@@ -294,17 +414,23 @@ class LRURanking(_KeyedRanking):
         self._seq = key
         self._key[idx] = key
         self._part[idx] = part
-        self._keys[part].append(key)
+        if self._sorted is None:
+            self._push(part, key, idx)
+            return
+        self._sorted[part].append(key)
         if self._index_of is not None:
             self._index_of[part][key] = idx
 
     def on_hit(self, idx: int, part: int, *, next_use: Optional[int] = None) -> None:
-        ks = self._keys[part]
         old = self._key[idx]
-        del ks[bisect_left(ks, old)]
         key = self._seq + 1
         self._seq = key
         self._key[idx] = key
+        if self._sorted is None:
+            self._push(part, key, idx)
+            return
+        ks = self._sorted[part]
+        del ks[bisect_left(ks, old)]
         ks.append(key)
         if self._index_of is not None:
             index_of = self._index_of[part]
@@ -383,6 +509,11 @@ class OPTRanking(_KeyedRanking):
         # stay strict even if a caller reuses a sentinel next_use for many
         # never-referenced-again lines.
         return next_use * self._num_lines + idx
+
+    def _heap_entry(self, key, idx):
+        # The key already names its slot (key % num_lines); negated, the
+        # latest next use is the smallest entry.
+        return -key
 
 
 class RandomRanking(_KeyedRanking):

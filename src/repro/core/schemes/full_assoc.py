@@ -43,6 +43,8 @@ class FullAssocScheme(PartitioningScheme):
                 "most-futile queries")
         # Ask the ranking to maintain its most-futile index eagerly from
         # here on; rankings without a FullAssoc consumer skip that work.
+        # A compiled kernel that reads no rank drops it again and takes
+        # the victim from a heap (PartitionedCache._build_access).
         ensure = getattr(cache.ranking, "ensure_index", None)
         if ensure is not None:
             ensure()

@@ -153,8 +153,13 @@ class FeedbackFutilityScalingScheme(PartitioningScheme):
         self._levels: List[int] = []
         self._ins: List[int] = []
         self._evi: List[int] = []
-        self._multipliers: List[float] = [
-            self.changing_ratio ** k for k in range(self.max_level + 1)]
+        try:
+            self._multipliers: List[float] = [
+                self.changing_ratio ** k for k in range(self.max_level + 1)]
+        except OverflowError:
+            raise ConfigurationError(
+                f"changing_ratio {changing_ratio} ** max_level {max_level} "
+                f"overflows a float; lower the ratio or max_level") from None
         # Per-partition effective alpha (multipliers[level]), kept in step
         # with _levels so the victim kernel can index it directly.
         self._weights: List[float] = []

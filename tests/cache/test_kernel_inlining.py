@@ -211,6 +211,12 @@ def test_fig6_pairings_call_no_ranking_or_scheme_method(organization,
         assert call not in src
     # Nothing reads an eviction futility, so none is computed.
     assert "fut = " not in src
+    # Nothing reads ranks either, so the direct-mapped kernels keep no key
+    # order and FullAssoc takes its victim from a heap, not the index.
+    if organization == "dm":
+        assert "bisect_left(" not in src and "insort(" not in src
+    elif organization == "fa":
+        assert "_index_of" not in src and "heappop(" in src
 
 
 def test_fig2_pairing_calls_no_ranking_method():

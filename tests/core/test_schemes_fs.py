@@ -1,6 +1,7 @@
 """Tests for the Futility Scaling schemes (static and feedback-based)."""
 
 import random
+import re
 
 import pytest
 
@@ -131,6 +132,22 @@ class TestFeedbackFS:
     def test_non_finite_changing_ratio_is_refused(self, bad):
         with pytest.raises(ConfigurationError, match="finite"):
             FeedbackFutilityScalingScheme(changing_ratio=bad)
+
+    @pytest.mark.parametrize("ratio,max_level", [
+        (1e50, 7), (1e300, 7), (2.0, 1024)], ids=["1e50", "1e300", "2^1024"])
+    def test_overflowing_top_multiplier_is_refused(self, ratio, max_level):
+        """A finite ratio whose top multiplier ``ratio ** max_level``
+        exceeds the float range is a ConfigurationError naming both."""
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"changing_ratio {ratio} ** max_level {max_level} "
+                f"overflows")):
+            FeedbackFutilityScalingScheme(changing_ratio=ratio,
+                                          max_level=max_level)
+
+    def test_largest_representable_multiplier_is_kept(self):
+        scheme = FeedbackFutilityScalingScheme(changing_ratio=2.0,
+                                               max_level=1023)
+        assert scheme._multipliers[-1] == 2.0 ** 1023
 
     def make_cache(self, scheme, targets=(192, 64)):
         cache = PartitionedCache(SetAssociativeArray(256, 16),
