@@ -24,7 +24,9 @@ and the current event-handler tuples as locals.  Everything that merely
 probes) subscribes to the typed :class:`~repro.cache.events.CacheEventBus`
 instead of being hard-wired into that kernel, so a run with measurement
 disabled iterates empty handler tuples and pays nothing else.  The kernel
-is rebuilt whenever the subscription set changes.
+is rebuilt whenever the subscription set changes.  The builds that keep no
+rank order (fig6's) run a native C kernel on the same objects where one
+builds (:mod:`repro.cache.native`).
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ __all__ = ["PartitionedCache", "RankingObserver"]
 #: Keyed rankings whose hook bodies, reference-futility bisect and
 #: FullAssoc victim the kernel generator emits inline (exact types only).
 _KEYED_INLINE = (LRURanking, OPTRanking)
+
+#: Addresses live in ``LineTable.tag`` (int64): every kernel refuses one
+#: outside ``[0, ADDRESS_LIMIT)`` before the access changes any state.
+ADDRESS_LIMIT = 1 << 63
 
 #: Schemes whose victim scan over a keyed ranking is emitted inline (exact
 #: types only), mapped to the scheme attribute holding the per-partition
@@ -269,7 +275,10 @@ class PartitionedCache:
         on the kernel as ``access.__kernel_source__`` for inspection.
         Each build also sets how much key order an exact keyed decision
         ranking keeps (:meth:`~repro.core.futility._KeyedRanking.set_upkeep`):
-        the sorted lists only while something reads ranks.
+        the sorted lists only while something reads ranks.  A build that
+        keeps none and dispatches to no observer returns the native kernel
+        made from this source's namespace, where one builds
+        (:mod:`repro.cache.native`; DESIGN.md §6.1, *Native kernel*).
 
         Event ordering contract (unchanged from the dispatching kernel):
         ``miss`` fires before victim selection (observers see pre-eviction
@@ -890,9 +899,10 @@ class PartitionedCache:
             emit("        for _h in hit_handlers:")
             emit("            _h(idx, part, next_use)")
         emit("        return True")
-        emit("    if addr < 0:")
+        ns["address_limit"] = ADDRESS_LIMIT
+        emit("    if not 0 <= addr < address_limit:")
         emit("        raise ConfigurationError(")
-        emit("            'addresses must be non-negative, got %d' % addr)")
+        emit("            'addresses must be in [0, 2**63), got %d' % addr)")
         if fast_stats is not None:
             ext(stats_access("    ", "misses"))
         if ts_obs is not None:
@@ -1046,6 +1056,18 @@ class PartitionedCache:
         exec(_compile_kernel(code), ns)
         kernel = ns["access"]
         kernel.__kernel_source__ = code
+        # The builds that keep no rank order and dispatch to no observer
+        # (fig6's four pairings) run the native kernel on this kernel's
+        # namespace where it builds; see native.py.
+        if (upkeep != "ranks" and ref_obs is None and ts_obs is None
+                and not (fast_stats is not None
+                         and fast_stats.deviation_partitions)
+                and (("set_mask" in ns and simple) if dm_victim
+                     else "free_slot" not in vars(array_obj))):
+            from .native import native_kernel
+            native = native_kernel(kernel, ns, type(ranking) is OPTRanking)
+            if native is not None:
+                return native
         return kernel
 
     def invalidate_index(self, idx: int) -> None:
