@@ -81,10 +81,11 @@ bench-smoke:
 bench-paper:
 	REPRO_BENCH_SCALE=paper pytest benchmarks/ --benchmark-only
 
-# The CI telemetry job: record fig3 and fig6 smoke runs, validate every
-# JSONL artifact against repro.obs.schema, check that each run's trace
-# stitches into one complete span tree, and render both dashboards to
-# the report.txt files CI uploads.
+# First half of the CI telemetry job: record fig3 and fig6 smoke runs,
+# validate every JSONL artifact against repro.obs.schema, check that
+# each run's trace (one file, traces/trace.jsonl, written by the
+# coordinator) is complete, and render both dashboards to the
+# report.txt files CI uploads.
 telemetry-smoke:
 	rm -rf telemetry-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 2 \
@@ -129,14 +130,15 @@ chaos-smoke:
 		--jobs 2 --retries 1 > chaos-run/kill.out
 	cmp chaos-run/baseline.out chaos-run/kill.out
 
-# Local mirror of the CI tracing job: a fig3 sweep run by 2 forked
+# Second half of the CI telemetry job: a fig3 sweep run by 2 forked
 # workers with --telemetry (which always traces) must print exactly the
-# bytes a sequential untraced run prints, leave schema-valid trace
-# artifacts that stitch into one complete span tree, project to a
-# canonical form that is byte-identical whatever the worker count, and
-# record every cell done on its first attempt in its manifest (nothing
-# failed or unfinished).  A traced sweep whose worker is killed mid-cell
-# must also print the baseline bytes and stitch into a complete tree.
+# bytes a sequential untraced run prints, leave a schema-valid trace
+# that passes `obs trace --check`, project to a canonical form that is
+# byte-identical whatever the worker count, and record every cell done
+# on its first attempt in its manifest (nothing failed or unfinished).
+# A traced sweep whose worker is killed mid-cell must also print the
+# baseline bytes, and its trace (the dead attempt a `lost` row) must
+# pass --check.
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
 	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \

@@ -879,6 +879,12 @@ class PartitionedCache:
             ns["next_use_error"] = OPTRanking.next_use_error
             emit("    if next_use.__class__ is not int:")
             emit("        raise next_use_error(next_use)")
+        # Likewise an address that is not exactly an int: a float equal
+        # to a resident address would hit, any other one fail mid-miss.
+        emit("    if addr.__class__ is not int:")
+        emit("        raise ConfigurationError(")
+        emit("            'addresses must be ints in [0, 2**63), got %r'"
+             " % (addr,))")
         emit("    idx = where_get(addr)")
         emit("    if idx is not None:")
         emit("        if owner[idx] != part:")

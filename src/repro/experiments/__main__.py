@@ -36,8 +36,8 @@ the same command re-executes only the failed cells — everything else
 is served from the cache.
 
 Telemetry: ``--telemetry[=PATH]`` records what happened during each
-run — a distributed trace of the sweep (coordinator and every worker
-process), per-partition time series sampled every
+run — a trace of the sweep (one row per cell attempt, on whichever
+worker it ran), per-partition time series sampled every
 ``--telemetry-interval`` accesses, and (with ``--telemetry-profile``)
 per-cell cProfile captures — into ``PATH/<experiment>/`` (default: the
 store's ``telemetry/`` sidecar directory).  Inspect with

@@ -16,17 +16,18 @@ what happened *during* a run:
     access kernel inlines the recorder when subscribed and emits *no*
     observability code when it is not.
 ``trace`` / ``stitch``
-    The sweep's distributed trace, the one per-cell record on disk: the
-    coordinator writes the root ``sweep`` span and one ``cell`` span
-    per :class:`~repro.runner.Cell`, every process that runs an attempt
-    appends its ``claim`` / ``execute`` / ``ack`` / ``nack`` spans, and
-    :func:`stitch` rebuilds the tree offline.  Span IDs are pure hashes
-    and every wall-clock field sits under a ``"wall"`` sub-object, so
-    the :func:`canonical` projection is byte-comparable across runs.
+    The sweep's trace, the one per-cell record on disk: one file,
+    written by the coordinator, with the root ``sweep`` span, one
+    ``cell`` span per :class:`~repro.runner.Cell` and one ``execute``
+    or ``lost`` row per attempt; :func:`stitch` reads it back as a
+    tree.  Span IDs are pure hashes and every wall-clock field sits
+    under a ``"wall"`` sub-object, so the :func:`canonical` projection
+    is byte-comparable across runs.
 ``spans``
     :class:`RunTelemetry` — the coordinator's in-memory record of the
-    sweep (one :class:`CellSpan` per cell); it writes the coordinator's
-    trace file and the manifest's cell counts.
+    sweep (one :class:`CellSpan` per cell); it folds each attempt's
+    record into the trace, and writes the trace file and the
+    manifest's cell counts.
 ``session``
     :class:`TelemetrySession` — owns the on-disk telemetry directory
     (``manifest.json``, ``traces/``, ``series/``, ``profile/``),
@@ -36,11 +37,11 @@ what happened *during* a run:
 Surfacing: the experiments CLI grows ``--telemetry[=PATH]``
 (:mod:`repro.experiments.__main__`), the :func:`repro.api.run_experiment`
 facade a ``telemetry=`` argument, and ``python -m repro.obs report DIR``
-renders a text dashboard from the manifest and the stitched trace
+renders a text dashboard from the manifest and the trace
 (sparkline occupancy / alpha_i convergence, top-N slowest cells,
 fault/retry summary);  ``python -m repro.obs validate DIR`` checks every
 artifact against the JSONL schemas (:mod:`repro.obs.schema`), and
-``python -m repro.obs trace DIR`` stitches and checks the trace.
+``python -m repro.obs trace DIR`` shows and checks the trace.
 
 Nothing in this package is imported by the hot path at module level;
 when telemetry is off the compiled access kernels contain no obs code
@@ -63,25 +64,19 @@ from .spans import CellSpan, RunTelemetry
 from .stitch import (canonical, completeness, critical_path, load_trace_rows,
                      render_critical_path, render_tree, stitch)
 from .timeseries import TimeSeriesRecorder
-from .trace import (Span, Tracer, TraceWriter, ambient_tracer, execute_span,
-                    span_id, trace_id_for)
+from .trace import span_id, trace_id_for
 
 __all__ = [
     "CellSpan",
     "RunTelemetry",
-    "Span",
     "TELEMETRY_ENV",
     "TELEMETRY_INTERVAL_ENV",
     "TELEMETRY_PROFILE_ENV",
     "TelemetrySession",
     "TimeSeriesRecorder",
-    "TraceWriter",
-    "Tracer",
-    "ambient_tracer",
     "canonical",
     "completeness",
     "critical_path",
-    "execute_span",
     "load_trace_rows",
     "maybe_profile",
     "record_series",

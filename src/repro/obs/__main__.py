@@ -8,10 +8,10 @@
     Check every artifact in a run directory against the JSONL schemas;
     exits non-zero listing each problem (the CI smoke job's gate).
 ``trace``
-    Stitch ``traces/*.jsonl`` from one or more sources (run dirs,
-    traces dirs, files) into the sweep's span tree; print the tree and
-    the critical-path report, or ``--check`` causal completeness, or
-    emit the ``--canonical`` schedule-independent projection.
+    Read a run directory's ``traces/trace.jsonl`` as the sweep's span
+    tree; print the tree and the critical-path report, or ``--check``
+    its completeness, or emit the ``--canonical`` schedule-independent
+    projection.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    rows = load_trace_rows(args.sources)
-    tree = stitch(rows, trace_id=args.trace_id)
+    tree = stitch(load_trace_rows(args.dir))
     problems = completeness(tree)
     if args.check:
         if problems:
@@ -67,7 +66,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"{tree['trace']}", file=sys.stderr)
             return 1
         print(f"trace {tree['trace']} is complete "
-              f"({len(tree['spans'])} spans)")
+              f"({len(tree['rows'])} spans)")
         return 0
     if args.canonical:
         sys.stdout.write(canonical(tree))
@@ -107,13 +106,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     validate.add_argument("dir", help="telemetry run directory")
 
     trace = sub.add_parser(
-        "trace", help="stitch trace files into the sweep's span tree")
-    trace.add_argument("sources", nargs="+",
-                       help="run dirs, traces dirs, or trace .jsonl files")
-    trace.add_argument("--trace-id", default=None,
-                       help="select one trace when sources hold several")
+        "trace", help="show a run directory's trace as the sweep's span tree")
+    trace.add_argument("dir", help="telemetry run directory")
     trace.add_argument("--check", action="store_true",
-                       help="only check causal completeness (CI gate)")
+                       help="only check the trace's completeness (CI gate)")
     trace.add_argument("--canonical", action="store_true",
                        help="emit the schedule-independent projection")
     trace.add_argument("--max-cells", type=int, default=0, metavar="N",

@@ -1,16 +1,15 @@
 """Text dashboard over a telemetry run directory.
 
 ``python -m repro.obs report DIR`` renders, from the run manifest and
-the stitched trace a :class:`~repro.obs.session.TelemetrySession`
-wrote:
+the trace a :class:`~repro.obs.session.TelemetrySession` wrote:
 
 * a run header (experiment, package version, cell counts, wall time);
 * the top-N slowest cells — by the execute time of the attempt that
   finished them — with attempt/retry/loss annotations, taken from
   :func:`repro.obs.stitch.critical_path`'s per-cell entries;
 * a fault & retry summary: the manifest's counts, plus failed attempts
-  grouped by error type (the ``error`` events of ``nack`` spans and the
-  ``lost`` spans);
+  grouped by error type (the ``error`` events of failed ``execute``
+  rows and the ``lost`` rows);
 * per-partition sparklines of the recorded time series — occupancy
   against target, and the alpha_i convergence that Figs. 3/5 of the
   paper argue from — rendered via
@@ -31,6 +30,11 @@ from .schema import load_jsonl
 from .stitch import critical_path, load_trace_rows, stitch
 
 __all__ = ["render_report", "report_data"]
+
+#: The trace events that name a failed attempt's error type, and the
+#: field that holds it: a failed ``execute`` row's ``error`` event and a
+#: ``lost`` row's ``lost`` event.
+_ERROR_FIELDS = {"error": "error", "lost": "error_type"}
 
 
 def _fmt_seconds(value: Optional[float]) -> str:
@@ -149,7 +153,7 @@ def report_data(run_dir: Union[str, Path], *,
     summary, series file inventory — without any rendering, so CI can
     assert on fields instead of scraping the dashboard text.  Cell
     counts come from the manifest, everything per cell from the
-    stitched trace.
+    trace.
     """
     root = Path(run_dir)
     manifest_path = root / "manifest.json"
@@ -161,19 +165,16 @@ def report_data(run_dir: Union[str, Path], *,
     per_cell: List[Dict[str, Any]] = []
     by_error: Dict[str, int] = {}
     if trace_files:
-        tree = stitch(load_trace_rows([root]))
+        tree = stitch(load_trace_rows(root))
         per_cell = critical_path(tree)["per_cell"]
-        for span in tree["spans"].values():
-            if span["kind"] == "nack":
-                errors = [e["error"] for e in span["events"]
-                          if e["name"] == "error"]
-            elif span["kind"] == "lost":
-                errors = [e["error_type"] for e in span["events"]]
-            else:
-                continue
-            for error in errors:
-                by_error[error] = by_error.get(error, 0) + 1
-    per_cell.sort(key=lambda c: (-c["breakdown"]["execute"], c["key"]))
+        for row in tree["rows"]:
+            for event in row["events"]:
+                field = _ERROR_FIELDS.get(event["name"])
+                if field is not None:
+                    error = event[field]
+                    by_error[error] = by_error.get(error, 0) + 1
+    # Stable: cells that ran equally long keep their sweep order.
+    per_cell.sort(key=lambda c: -c["breakdown"]["execute"])
     return {
         "run_dir": str(root),
         "experiment": manifest.get("experiment", ""),

@@ -26,6 +26,7 @@ __all__ = [
     "header_row",
     "is_header_row",
     "load_jsonl",
+    "validate_header",
     "validate_manifest",
     "validate_run_dir",
     "validate_series_row",
@@ -38,7 +39,7 @@ __all__ = [
 #: build with a clear error instead of a KeyError three fields in.
 SCHEMA_VERSIONS = {
     "series": 1,
-    "trace": 1,
+    "trace": 2,
 }
 
 
@@ -129,7 +130,7 @@ _TRACE_WALL_KEYS = ("start", "end", "worker")
 
 
 def validate_trace_row(row: Any, where: str = "trace") -> List[str]:
-    """Problems with one ``traces/*.jsonl`` row (empty list = valid)."""
+    """Problems with one ``traces/trace.jsonl`` row (empty list = valid)."""
     if not isinstance(row, dict):
         return [f"{where}: row must be an object, got {type(row).__name__}"]
     problems = _check_keys(row, _TRACE_KEYS, where)
@@ -239,7 +240,7 @@ def validate_manifest(doc: Any, where: str = "manifest") -> List[str]:
     return problems
 
 
-def _validate_header(row: Any, kind: str, where: str) -> List[str]:
+def validate_header(row: Any, kind: str, where: str) -> List[str]:
     """Problems with one artifact's schema header row."""
     if not is_header_row(row):
         return [f"{where}: missing schema header row; expected "
@@ -283,7 +284,7 @@ def _validate_jsonl(path: Path, checker: Callable[[Any, str], List[str]],
                 continue
             if not saw_header:
                 saw_header = True
-                problems.extend(_validate_header(row, kind, where))
+                problems.extend(validate_header(row, kind, where))
                 if is_header_row(row):
                     continue
                 # Fall through: a headerless first row is still checked
@@ -300,7 +301,7 @@ def validate_run_dir(path: Union[str, Path]) -> List[str]:
     """Validate every telemetry artifact of one run directory.
 
     Checks ``manifest.json``, every ``series/*.jsonl`` and (when
-    present) every ``traces/*.jsonl`` — including each file's
+    present) ``traces/trace.jsonl`` — including each file's
     ``schema_version`` header — plus manifest/directory agreement on the
     series and traces file lists.  Returns all problems found (empty = valid).
     """

@@ -4,13 +4,13 @@
 experiment run::
 
     <dir>/
-        manifest.json     run manifest (version, config, counts, wall)
-        traces/*.jsonl    the sweep's trace, the one per-cell record:
-                          coordinator.jsonl plus one file per worker
-                          process; see repro.obs.trace
-        series/*.jsonl    per-partition time series, one file per
-                          simulation a cell ran (deterministic)
-        profile/*.prof    optional cProfile captures (wall-clock)
+        manifest.json       run manifest (version, config, counts, wall)
+        traces/trace.jsonl  the sweep's trace, the one per-cell record,
+                            written by the coordinator; see
+                            repro.obs.trace
+        series/*.jsonl      per-partition time series, one file per
+                            simulation a cell ran (deterministic)
+        profile/*.prof      optional cProfile captures (wall-clock)
 
 Used as a context manager around the runner call::
 
@@ -20,12 +20,12 @@ Used as a context manager around the runner call::
 ``__enter__`` clears what an earlier run left in the three per-run
 subdirectories and exports the :mod:`repro.obs.runtime` environment
 variables, so worker processes spawned afterwards record series and
-trace spans; ``__exit__`` restores the environment and writes the
-coordinator's trace and the manifest.  The manifest separates the
-deterministic facts of the run (version, configuration, cell counts)
-from everything wall-clock, which lives under the single ``"wall"``
-key — mirroring the trace convention — so reproducibility checks can
-compare manifests minus ``"wall"``.
+return each attempt's trace record; ``__exit__`` restores the
+environment and writes the whole trace, once, and the manifest.  The
+manifest separates the deterministic facts of the run (version,
+configuration, cell counts) from everything wall-clock, which lives
+under the single ``"wall"`` key — mirroring the trace convention — so
+reproducibility checks can compare manifests minus ``"wall"``.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class TelemetrySession:
         if self._active:
             raise ConfigurationError("telemetry session is already active")
         # A reused directory must not mix runs: the manifest lists what
-        # these hold, and trace files are append-mode (workers reopen
-        # them across items).
+        # these hold.
         for name in _PER_RUN:
             shutil.rmtree(self.dir / name, ignore_errors=True)
         (self.dir / "series").mkdir(parents=True, exist_ok=True)
@@ -154,8 +153,8 @@ class TelemetrySession:
         }
 
     def finish(self) -> Path:
-        """Restore the environment and write the coordinator's trace and
-        the manifest."""
+        """Restore the environment and write the trace and the
+        manifest."""
         if self._active:
             for key, value in self._saved_env.items():
                 if value is None:

@@ -63,7 +63,8 @@ class RunConfig:
     telemetry:
         Optional :class:`~repro.obs.spans.RunTelemetry` span collector.
         A :class:`~repro.obs.session.TelemetrySession`'s collector also
-        traces the sweep into the session's ``traces/`` directory (see
+        folds every attempt's record into the sweep's trace, which the
+        session writes to ``traces/trace.jsonl`` (see
         :mod:`repro.obs.trace`).
     """
 

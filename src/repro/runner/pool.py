@@ -48,7 +48,7 @@ from .cache import cell_key
 from .cells import Cell
 from .config import RunConfig
 from .resilience import FailedCell
-from .worker import Answer, attempt_cell, recv_answer, serve, worker_id
+from .worker import Answer, attempt_cell, recv_answer, serve
 
 __all__ = ["run_cells", "default_jobs"]
 
@@ -182,42 +182,20 @@ class _Sweep:
         return min((self.ready_at.get(i, 0.0)
                     for i in self.open - self.running), default=None)
 
-    def ticket(self, i: int) -> Tuple[int, int, bool, Any]:
-        """What an attempt of cell ``i`` is handed: ``(index, attempt,
-        retry, trace context)``, ``retry`` saying whether a failure of
-        this attempt will be retried."""
-        ctx = (self.telemetry.trace_context(i)
-               if self.telemetry is not None else None)
-        return (i, self.attempt(i), self.nacks[i] < self.policy.retries,
-                ctx)
-
     def run_inline(self) -> None:
         """Run every open cell on the calling thread, lowest index
         first, each as soon as its backoff has passed."""
-        tracing = bool(os.environ.get("REPRO_TELEMETRY"))
-        if tracing:
-            from ..obs.trace import set_worker
-
-            set_worker(worker_id(os.getpid(), os.getpid()))
-        try:
-            while self.open:
-                i = self.next_cell()
-                if i is None:
-                    end = self.backoff_end()
-                    assert end is not None
-                    time.sleep(max(0.0, end - time.monotonic()))
-                    continue
-                _, attempt, retry, ctx = self.ticket(i)
-                answers: List[Answer] = []
-                attempt_cell(self.keys[i], self.cells[i], attempt, retry,
-                             ctx, answers.append)
-                self.land(i, attempt, answers[0])
-        finally:
-            if tracing:
-                from ..obs.trace import close_ambient_writers, set_worker
-
-                close_ambient_writers()
-                set_worker("")
+        while self.open:
+            i = self.next_cell()
+            if i is None:
+                end = self.backoff_end()
+                assert end is not None
+                time.sleep(max(0.0, end - time.monotonic()))
+                continue
+            attempt = self.attempt(i)
+            self.land(i, attempt,
+                      attempt_cell(self.keys[i], self.cells[i], attempt),
+                      os.getpid())
 
     def run_fleet(self, workers: int) -> None:
         """Run the open cells in ``workers`` forked worker processes,
@@ -235,7 +213,6 @@ class _Sweep:
         from multiprocessing.connection import wait
 
         context = multiprocessing.get_context("fork")
-        coordinator = os.getpid()
         timeout = self.policy.cell_timeout
         #: Our end of each worker's pipe -> the worker.
         procs: Dict[Any, Any] = {}
@@ -247,8 +224,7 @@ class _Sweep:
             end, child = context.Pipe()
             proc = context.Process(
                 target=serve, daemon=True,
-                args=(child, self.cells, self.keys, [*procs, end],
-                      coordinator))
+                args=(child, self.cells, self.keys, [*procs, end]))
             proc.start()
             child.close()
             procs[end] = proc
@@ -273,13 +249,13 @@ class _Sweep:
                     i = self.next_cell()
                     if i is None:
                         break
-                    ticket = self.ticket(i)
+                    attempt = self.attempt(i)
                     try:
-                        end.send(ticket)
+                        end.send((i, attempt))
                     except OSError:
                         continue  # a dead worker: reaped below
                     self.running.add(i)
-                    busy[end] = (i, ticket[1], time.monotonic())
+                    busy[end] = (i, attempt, time.monotonic())
                 deadlines = ([start + timeout for _, _, start in
                               busy.values()] if timeout is not None else [])
                 backoff = self.backoff_end()
@@ -299,12 +275,12 @@ class _Sweep:
                         alive = False
                     for answer in answers:
                         i, attempt, _ = busy.pop(end)
-                        self.land(i, attempt, answer)
+                        self.land(i, attempt, answer, proc.pid)
                     if not alive:
                         retire(end).join()
                         if end in busy:
-                            i, attempt, _ = busy.pop(end)
-                            self.died(i, attempt)
+                            i, attempt, start = busy.pop(end)
+                            self.died(i, attempt, start, proc.pid)
                         else:
                             spare -= 1
                 if timeout is not None:
@@ -315,7 +291,7 @@ class _Sweep:
                             proc.kill()
                             proc.join()
                             del busy[end]
-                            self.timed_out(i, attempt)
+                            self.timed_out(i, attempt, start, proc.pid)
             clean = True
         finally:
             # Closing our ends lets idle workers exit on EOF; give them a
@@ -331,11 +307,16 @@ class _Sweep:
 
     # -- folding answers in ------------------------------------------------
 
-    def land(self, i: int, attempt: int, answer: Answer) -> None:
-        """Fold the answer of attempt ``attempt`` of cell ``i`` in: a
-        result is persisted, then recorded; a failure is a nack."""
-        elapsed, value, failure = answer
+    def land(self, i: int, attempt: int, answer: Answer, pid: int) -> None:
+        """Fold the answer of attempt ``attempt`` of cell ``i``, run by
+        process ``pid``, in: its trace record becomes the attempt's
+        row, a result is persisted, then recorded; a failure is a
+        nack."""
+        elapsed, value, failure, record = answer
         self.running.discard(i)
+        if record is not None and self.telemetry is not None:
+            self.telemetry.executed(i, attempt, record, pid,
+                                    None if failure is None else failure[0])
         if failure is not None:
             self.nack(i, attempt, *failure)
             return
@@ -366,14 +347,14 @@ class _Sweep:
         if self.progress is not None:
             self.progress.retry(self.cells[i], attempt, exc, delay)
 
-    def died(self, i: int, attempt: int) -> None:
-        """The worker running attempt ``attempt`` of cell ``i`` died."""
+    def died(self, i: int, attempt: int, start: float, pid: int) -> None:
+        """Worker ``pid``, handed attempt ``attempt`` of cell ``i`` at
+        monotonic time ``start``, died running it."""
         self.running.discard(i)
         self.deaths[i] += 1
         if self.telemetry is not None:
             self.telemetry.lost(i)
-            # The dead worker wrote no execute or nack span.
-            self.telemetry.trace_lost(i, _LOST, attempt)
+            self.telemetry.trace_lost(i, attempt, _LOST, start, pid)
         if self.deaths[i] > self.policy.loss_budget:
             exc = WorkerError(
                 f"worker pool broke {self.deaths[i]} times while cell "
@@ -381,16 +362,18 @@ class _Sweep:
                 f"died?)")
             self.failed(i, exc, type(exc).__name__, str(exc), attempt)
 
-    def timed_out(self, i: int, attempt: int) -> None:
-        """Attempt ``attempt`` of cell ``i`` outlived ``cell_timeout``
-        and its worker was killed."""
+    def timed_out(self, i: int, attempt: int, start: float,
+                  pid: int) -> None:
+        """Attempt ``attempt`` of cell ``i``, handed to worker ``pid`` at
+        monotonic time ``start``, outlived ``cell_timeout`` and the
+        worker was killed."""
         self.running.discard(i)
         exc = CellTimeoutError(
             f"cell {self.cells[i].label} exceeded its cell-timeout "
             f"of {self.policy.cell_timeout:g}s on attempt {attempt}")
         if self.telemetry is not None:
-            # The killed worker wrote no execute or nack span.
-            self.telemetry.trace_lost(i, type(exc).__name__, attempt)
+            self.telemetry.trace_lost(i, attempt, type(exc).__name__, start,
+                                      pid)
         self.nack(i, attempt, type(exc).__name__, str(exc), exc)
 
     def failed(self, i: int, exc: BaseException, error_type: str,
@@ -410,8 +393,8 @@ class _Sweep:
         for i in sorted(self.open):
             exc = WorkerError(reason)
             attempt = self.attempt(i)
+            if self.telemetry is not None:
+                # The attempt the cell was waiting for is lost unstarted.
+                self.telemetry.trace_lost(i, attempt, type(exc).__name__)
             self.failed(i, exc, type(exc).__name__, reason,
                         max(attempt - 1, 1))
-            if self.telemetry is not None:
-                # The attempt the cell was waiting for is lost.
-                self.telemetry.trace_lost(i, type(exc).__name__, attempt)

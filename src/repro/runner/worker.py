@@ -11,14 +11,16 @@ wherever it runs:
 
 Each attempt runs through :func:`execute_attempt` — the global RNGs are
 reseeded from the cell key before every attempt, then fault injection
-gets its chance — and its answer is ``(elapsed, value, failure)``: the
-result, or ``failure = (error_type, message, exception)``.  A forked
-worker inherits the sweep's cells and keys through the fork, receives
-``(index, attempt, retry, trace context)`` on its pipe and sends the
-answer back pickled (:func:`send_answer`).  It exits on EOF, so no
-worker outlives its coordinator by more than the attempt it is running.
-Workers never open the experiment store: the coordinator alone reads
-and writes it.
+gets its chance — and its answer is ``(elapsed, value, failure,
+record)``: the result, or ``failure = (error_type, message,
+exception)``, and, with telemetry on, the attempt's trace record (the
+window it ran in and the deterministic events it saw, which the
+coordinator folds into the sweep's trace).  A forked worker inherits
+the sweep's cells and keys through the fork, receives ``(index,
+attempt)`` on its pipe and sends the answer back pickled
+(:func:`send_answer`).  It exits on EOF, so no worker outlives its
+coordinator by more than the attempt it is running.  Workers never open
+the experiment store or write a trace: the coordinator alone does both.
 """
 
 from __future__ import annotations
@@ -27,26 +29,22 @@ import os
 import pickle
 import random
 import time
-from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WorkerError
+from ..obs.runtime import TELEMETRY_ENV, maybe_profile, set_cell
+from ..obs.spans import Record
 from ..store.faults import inject_cell_faults
 from .cells import Cell
 
 __all__ = ["attempt_cell", "execute_attempt", "recv_answer", "send_answer",
-           "serve", "worker_id"]
+           "serve"]
 
-#: What one attempt answers: ``(elapsed, value, failure)``, where
-#: ``failure`` is ``None`` or ``(error_type, message, exception)``.
-Answer = Tuple[float, Any, Optional[Tuple[str, str, BaseException]]]
-
-
-def worker_id(pid: int, coordinator: int) -> str:
-    """Name of the process running attempts, which names its trace
-    file: its own pid and its coordinator's (the same pid at
-    ``--jobs 1``)."""
-    return f"worker-{pid}-{coordinator}"
+#: What one attempt answers: ``(elapsed, value, failure, record)``,
+#: where ``failure`` is ``None`` or ``(error_type, message, exception)``
+#: and ``record`` is ``None`` unless telemetry is on.
+Answer = Tuple[float, Any, Optional[Tuple[str, str, BaseException]],
+               Optional[Record]]
 
 
 def _seed_from_key(key: str) -> None:
@@ -67,88 +65,48 @@ def _seed_from_key(key: str) -> None:
 
 
 def execute_attempt(key: str, cell: Cell, attempt: int,
-                    ctx: Optional[Dict[str, Any]] = None,
+                    events: Optional[List[Dict[str, Any]]],
                     ) -> Tuple[float, Any]:
     """Run one attempt of ``cell``; returns ``(elapsed, result)``.
 
-    ``ctx`` is the attempt's trace context
-    (``{"trace": ..., "parent": ...}``; see :mod:`repro.obs.trace`):
-    with tracing on, the attempt runs inside an ``execute`` span so
-    retries, faults and errors are causally attributed.  Zero trace
-    code runs without ``$REPRO_TELEMETRY``.
+    ``events`` is the traced attempt's event list (``None`` when
+    telemetry is off): injected faults are appended to it, the cell is
+    named so its series files land at deterministic paths, and a
+    cProfile capture may wrap the cell.
     """
-    if os.environ.get("REPRO_TELEMETRY"):
-        from ..obs.trace import execute_span
-
-        with execute_span(cell.label, key, attempt, ctx):
-            return _run_attempt(key, cell, attempt)
-    return _run_attempt(key, cell, attempt)
-
-
-def _run_attempt(key: str, cell: Cell, attempt: int) -> Tuple[float, Any]:
     _seed_from_key(key)
-    inject_cell_faults(cell.label, attempt)
-    if os.environ.get("REPRO_TELEMETRY"):
-        # Telemetry is on: name the cell so series files land at
-        # deterministic paths, and optionally capture a cProfile.
-        from ..obs.runtime import maybe_profile, set_cell
-
-        set_cell(cell.label)
+    inject_cell_faults(cell.label, attempt, events)
+    if events is None:
         start = time.perf_counter()
-        with maybe_profile(cell.label):
-            result = cell.run()
+        result = cell.run()
         return time.perf_counter() - start, result
+    set_cell(cell.label)
     start = time.perf_counter()
-    result = cell.run()
+    with maybe_profile(cell.label):
+        result = cell.run()
     return time.perf_counter() - start, result
 
 
-def attempt_cell(key: str, cell: Cell, attempt: int, retry: bool,
-                 ctx: Optional[Dict[str, Any]],
-                 send: Callable[[Answer], None]) -> None:
-    """Run attempt ``attempt`` of ``cell`` and ``send`` its answer.
+def attempt_cell(key: str, cell: Cell, attempt: int) -> Answer:
+    """Run attempt ``attempt`` of ``cell`` and return its answer.
 
-    With tracing on and a trace context ``ctx``, the attempt leaves a
-    ``claim`` span (it took the cell), its ``execute`` span, and an
-    ``ack`` or ``nack`` span around ``send``; ``retry`` says whether a
-    failure of this attempt will be retried, which the ``nack`` span
-    records.
+    With telemetry on, the answer carries the attempt's record
+    ``(start, end, events)``, its window in this host's monotonic clock
+    (the one the coordinator reads); without, checking the environment
+    is all the trace work an attempt does.
     """
-    tracer = None
-    if ctx and os.environ.get("REPRO_TELEMETRY"):
-        from ..obs.trace import ambient_tracer, span_id
-
-        tracer = ambient_tracer(ctx["trace"])
-    exec_ctx: Optional[Dict[str, Any]] = None
-    if tracer is not None and ctx is not None:
-        tracer.span("claim", cell.label, key=key, attempt=attempt,
-                    parent=ctx["parent"]).end()
-        # Derived from the pure ID function (== claim.span), so the
-        # context provably carries no wall-clock taint.
-        exec_ctx = {"trace": tracer.trace_id,
-                    "parent": span_id(tracer.trace_id, "claim", key,
-                                      attempt)}
-
-    def terminal(kind: str) -> Any:
-        if tracer is None or exec_ctx is None:
-            return nullcontext()
-        return tracer.span(kind, cell.label, key=key, attempt=attempt,
-                           parent=exec_ctx["parent"])
-
+    traced = bool(os.environ.get(TELEMETRY_ENV))
+    events: Optional[List[Dict[str, Any]]] = [] if traced else None
+    start = time.monotonic() if traced else 0.0
+    failure = None
     try:
-        elapsed, value = execute_attempt(key, cell, attempt, exec_ctx)
+        elapsed, value = execute_attempt(key, cell, attempt, events)
     except Exception as exc:
-        with terminal("nack") as span:
-            if span is not None:
-                span.status = "error"
-                span.event("error", det=True, error=type(exc).__name__)
-            send((0.0, None, (type(exc).__name__, str(exc), exc)))
-            if span is not None:
-                span.event("retry_scheduled" if retry
-                           else "attempts_exhausted", det=True)
-        return
-    with terminal("ack"):
-        send((elapsed, value, None))
+        elapsed, value = 0.0, None
+        failure = (type(exc).__name__, str(exc), exc)
+    if events is None:
+        return elapsed, value, failure, None
+    return elapsed, value, failure, (start, time.monotonic(), events)
 
 
 def _pickled_error(exc: BaseException) -> bytes:
@@ -164,7 +122,7 @@ def _pickled_error(exc: BaseException) -> bytes:
 def send_answer(conn: Any, answer: Answer) -> None:
     """Send ``answer`` over ``conn``: a result that will not pickle
     becomes the failure its pickling raised."""
-    elapsed, value, failure = answer
+    elapsed, value, failure, record = answer
     if failure is None:
         try:
             blob = pickle.dumps(answer, protocol=pickle.HIGHEST_PROTOCOL)
@@ -173,16 +131,16 @@ def send_answer(conn: Any, answer: Answer) -> None:
     if failure is not None:
         error_type, message, exc = failure
         blob = pickle.dumps(
-            (elapsed, None, (error_type, message, _pickled_error(exc))),
-            protocol=pickle.HIGHEST_PROTOCOL)
+            (elapsed, None, (error_type, message, _pickled_error(exc)),
+             record), protocol=pickle.HIGHEST_PROTOCOL)
     conn.send_bytes(blob)
 
 
 def recv_answer(conn: Any) -> Answer:
     """Receive a :func:`send_answer` answer from ``conn``."""
-    elapsed, value, failure = pickle.loads(conn.recv_bytes())
+    elapsed, value, failure, record = pickle.loads(conn.recv_bytes())
     if failure is None:
-        return elapsed, value, None
+        return elapsed, value, None, record
     error_type, message, error = failure
     exc: Any = None
     if error:
@@ -192,13 +150,13 @@ def recv_answer(conn: Any) -> Answer:
             exc = None
     if not isinstance(exc, BaseException):
         exc = WorkerError(f"{error_type}: {message}")
-    return elapsed, None, (error_type, message, exc)
+    return elapsed, None, (error_type, message, exc), record
 
 
 def serve(conn: Any, cells: Sequence[Cell], keys: Sequence[str],
-          inherited: List[Any], coordinator: int) -> None:
+          inherited: List[Any]) -> None:
     """Body of a worker process the coordinator forks: answer each
-    ``(index, attempt, retry, ctx)`` received on ``conn`` until EOF.
+    ``(index, attempt)`` received on ``conn`` until EOF.
 
     ``inherited`` are the coordinator's pipe ends this process got
     through the fork; closing them leaves the coordinator the only
@@ -207,20 +165,10 @@ def serve(conn: Any, cells: Sequence[Cell], keys: Sequence[str],
     """
     for end in inherited:
         end.close()
-    tracing = bool(os.environ.get("REPRO_TELEMETRY"))
-    if tracing:
-        from ..obs.trace import set_worker
-
-        set_worker(worker_id(os.getpid(), coordinator))
     try:
         while True:
-            index, attempt, retry, ctx = conn.recv()
-            attempt_cell(keys[index], cells[index], attempt, retry, ctx,
-                         lambda answer: send_answer(conn, answer))
+            index, attempt = conn.recv()
+            send_answer(conn, attempt_cell(keys[index], cells[index],
+                                           attempt))
     except (EOFError, OSError):
         pass  # the coordinator is done with this worker, or gone
-    finally:
-        if tracing:
-            from ..obs.trace import close_ambient_writers
-
-            close_ambient_writers()

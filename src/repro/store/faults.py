@@ -191,12 +191,15 @@ def active_plan() -> Optional[FaultPlan]:
     return FaultPlan.from_json(raw)
 
 
-def inject_cell_faults(label: str, attempt: int) -> None:
+def inject_cell_faults(label: str, attempt: int,
+                       events: Optional[List[Dict[str, Any]]]) -> None:
     """Fire any execution-side faults aimed at ``label``/``attempt``.
 
     Called in the executing process (the coordinator's thread or a
-    forked worker) immediately before the cell body runs.  No-op
-    without an active plan.
+    forked worker) immediately before the cell body runs.  Each fault
+    that fires is first appended to ``events`` (the traced attempt's
+    record; ``None`` when tracing is off).  No-op without an active
+    plan.
     """
     plan = active_plan()
     if plan is None:
@@ -204,13 +207,11 @@ def inject_cell_faults(label: str, attempt: int) -> None:
     for fault in plan.for_cell(label):
         if fault.kind == "corrupt" or not fault.triggers(label, attempt):
             continue
-        if os.environ.get("REPRO_TELEMETRY"):
+        if events is not None:
             # Which fault fired where is a deterministic fact of the
             # plan, so the trace event survives canonical projection.
-            from ..obs.trace import add_event
-
-            add_event("fault", det=True, kind=fault.kind, cell=label,
-                      attempt=attempt)
+            events.append({"name": "fault", "det": True, "kind": fault.kind,
+                           "cell": label, "attempt": attempt})
         if fault.kind == "raise":
             raise InjectedFaultError(
                 f"{fault.message} (cell {label}, attempt {attempt})")

@@ -439,11 +439,13 @@ KERNEL_KINDS.update({
 })
 
 
-@pytest.mark.parametrize("addr", [1 << 63, (1 << 64) + 3, -1])
+@pytest.mark.parametrize("addr", [1 << 63, (1 << 64) + 3, -1, 1.5, 11.0])
 @pytest.mark.parametrize("kind", sorted(KERNEL_KINDS))
 def test_an_address_outside_int64_is_refused_before_any_change(kind, addr):
     """An address of 2**63 or more used to evict a line and count a miss
-    and an eviction before ``tag[victim] = addr`` raised OverflowError."""
+    and an eviction before ``tag[victim] = addr`` raised OverflowError.
+    A float used to do the same before a ``TypeError``, and one equal to
+    a resident address (11 is) counted a hit."""
     if kind.endswith("-native") and native.load() is None:
         pytest.skip("native kernel unavailable: %s" % native.unavailable())
     cache = _fill(KERNEL_KINDS[kind]())

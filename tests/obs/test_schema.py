@@ -11,30 +11,30 @@ from repro.obs.schema import (
 GOOD_SERIES = {"access": 1024, "part": 0, "occupancy": 128, "target": 256,
                "alpha": 1.25, "miss_rate": 0.5, "insertions": 7,
                "evictions": 7}
-GOOD_NACK = {"trace": "ab" * 16, "span": "cd" * 8, "parent": "ef" * 8,
-             "kind": "nack", "name": "fig5[mcf]", "key": "ab12",
-             "attempt": 1, "status": "error",
-             "events": [{"name": "error", "det": True, "error": "ValueError"},
-                        {"name": "store_retry", "det": False,
-                         "op": "put", "n": 1}],
-             "wall": {"start": 1.0, "end": 1.5, "worker": "worker-7-1"}}
-GOOD_LOST = dict(GOOD_NACK, kind="lost",
+GOOD_ERROR = {"trace": "ab" * 16, "span": "cd" * 8, "parent": "ef" * 8,
+              "kind": "execute", "name": "fig5[mcf]", "key": "ab12",
+              "attempt": 1, "status": "error",
+              "events": [{"name": "error", "det": True,
+                          "error": "ValueError"},
+                         {"name": "retry_scheduled", "det": True}],
+              "wall": {"start": 1.0, "end": 1.5, "worker": "pid-7"}}
+GOOD_LOST = dict(GOOD_ERROR, kind="lost",
                  events=[{"name": "lost", "det": False,
                           "error_type": "WorkerLost"}],
-                 wall={"start": None, "end": 2.0, "worker": "coordinator"})
-GOOD_SWEEP = dict(GOOD_NACK, parent=None, kind="sweep", name="fig5", key="",
+                 wall={"start": None, "end": 2.0, "worker": ""})
+GOOD_SWEEP = dict(GOOD_ERROR, parent=None, kind="sweep", name="fig5", key="",
                   attempt=0, status="ok", events=[],
                   wall={"start": 0.0, "end": 3.0, "worker": "coordinator"})
 GOOD_MANIFEST = {"version": "1.0.0", "experiment": "fig5", "interval": 1024,
                  "profile": False,
                  "cells": {"total": 1, "completed": 1, "cached": 0,
                            "failed": 0, "retries": 0, "losses": 0},
-                 "artifacts": {"series": [], "traces": ["coordinator.jsonl"]},
+                 "artifacts": {"series": [], "traces": ["trace.jsonl"]},
                  "wall": {"started_utc": "", "total_s": 1.0, "phases": []}}
 
 
 @pytest.mark.parametrize("checker,row", [
-    (validate_trace_row, GOOD_NACK),
+    (validate_trace_row, GOOD_ERROR),
     (validate_trace_row, GOOD_LOST),
     (validate_series_row, GOOD_SERIES),
     (validate_trace_row, GOOD_SWEEP),
@@ -74,8 +74,8 @@ def test_series_none_fields_allowed():
     (lambda r: r.update(parent=""), "non-empty string or null"),
 ])
 def test_bad_trace_rows_rejected(mutate, fragment):
-    row = dict(GOOD_NACK, wall=dict(GOOD_NACK["wall"]),
-               events=[dict(e) for e in GOOD_NACK["events"]])
+    row = dict(GOOD_ERROR, wall=dict(GOOD_ERROR["wall"]),
+               events=[dict(e) for e in GOOD_ERROR["events"]])
     mutate(row)
     problems = validate_trace_row(row)
     assert any(fragment in p for p in problems), problems

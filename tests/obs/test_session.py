@@ -41,7 +41,7 @@ def _run_session(root, jobs=1, profile=False, cells=None, **config):
 
 
 def _stitched(root):
-    tree = stitch(load_trace_rows([root]))
+    tree = stitch(load_trace_rows(root))
     assert completeness(tree) == []
     return tree
 
@@ -75,12 +75,13 @@ def test_artifacts_written_and_valid(tmp_path):
         ["manifest.json", "series", "traces"]
     series = sorted(p.name for p in (root / "series").glob("*.jsonl"))
     assert series == ["obs-e2e_0_-000.jsonl", "obs-e2e_1_-000.jsonl"]
-    traces = sorted(p.name for p in (root / "traces").glob("*.jsonl"))
-    assert "coordinator.jsonl" in traces and len(traces) == 2
+    traces = sorted(p.name for p in (root / "traces").iterdir())
+    assert traces == ["trace.jsonl"]
     assert validate_run_dir(root) == []
     tree = _stitched(root)
-    cells = [r for r in tree["spans"].values() if r["kind"] == "cell"]
-    assert sorted(r["name"] for r in cells) == ["obs-e2e[0]", "obs-e2e[1]"]
+    assert [(r["kind"], r["name"]) for r in tree["rows"][1:]] == [
+        ("cell", "obs-e2e[0]"), ("execute", "obs-e2e[0]"),
+        ("cell", "obs-e2e[1]"), ("execute", "obs-e2e[1]")]
 
     manifest = json.loads((root / "manifest.json").read_text())
     assert manifest["version"] == repro.__version__
@@ -106,7 +107,6 @@ def test_two_runs_byte_identical_modulo_wall(tmp_path):
     def stripped_manifest(root):
         manifest = json.loads((root / "manifest.json").read_text())
         manifest.pop("wall")
-        manifest["artifacts"].pop("traces")  # one file per worker
         return manifest
 
     assert stripped_manifest(a.dir) == stripped_manifest(b.dir)
@@ -211,7 +211,8 @@ def test_run_experiment_facade_traces_the_sweep(tmp_path):
     repro.run_experiment("fig3", scale="smoke", telemetry=tmp_path / "fig3")
     assert validate_run_dir(tmp_path / "fig3") == []
     tree = _stitched(tmp_path / "fig3")
-    assert tree["spans"][tree["root"]]["name"] == "fig3"
+    assert tree["root"]["name"] == "fig3"
     manifest = json.loads((tmp_path / "fig3" / "manifest.json").read_text())
-    cells = [r for r in tree["spans"].values() if r["kind"] == "cell"]
+    cells = [r for r in tree["rows"] if r["kind"] == "cell"]
     assert len(cells) == manifest["cells"]["total"]
+    assert manifest["artifacts"]["traces"] == ["trace.jsonl"]

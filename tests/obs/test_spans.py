@@ -1,14 +1,15 @@
 """Runner spans: the full cell lifecycle as observed through run_cells."""
 
 import json
+import os
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import RunTelemetry
+from repro.obs import TELEMETRY_ENV, RunTelemetry
 from repro.obs.trace import span_id
 from repro.runner import Cell, RunConfig, run_cells
-from repro.store import LocalFileStore
+from repro.store import FAULTS_ENV, LocalFileStore
 
 from .helpers import broken_cell, flaky_cell, sim_cell
 
@@ -111,26 +112,69 @@ def test_retried_cell_span_on_every_queue_host(tmp_path, host):
     assert (bad.status, bad.attempts, bad.retries) == ("failed", 2, 1)
 
 
-def test_write_trace_in_cell_order(tmp_path):
-    """The coordinator's trace file opens with its schema header, then
-    the sweep span and one cell span per cell, in cell order."""
-    telemetry = RunTelemetry(trace_dir=tmp_path / "traces")
+def _traced(monkeypatch, tmp_path):
+    """Tracing as a TelemetrySession turns it on: attempts return their
+    records, and the collector writes them under ``tmp_path``."""
+    monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
+    return RunTelemetry("obs-e2e", trace_dir=tmp_path / "traces")
+
+
+def test_write_trace_in_cell_order(tmp_path, monkeypatch):
+    """The trace file opens with its schema header, then the sweep span,
+    then each cell's span followed by its attempt, in cell order; every
+    attempt hangs under its cell and names the worker that ran it."""
+    telemetry = _traced(monkeypatch, tmp_path)
     run_cells(_cells(), RunConfig(jobs=2, telemetry=telemetry))
     path = telemetry.write_trace()
+    assert path == tmp_path / "traces" / "trace.jsonl"
     lines = path.read_text().splitlines()
     assert json.loads(lines[0]) == {"artifact": "trace",
-                                    "schema_version": 1}
-    sweep, *cells = [json.loads(line) for line in lines[1:]]
-    assert sweep["kind"] == "sweep"
-    assert [r["name"] for r in cells] == [cell.label for cell in _cells()]
-    for row, span in zip(cells, telemetry.spans):
-        assert row["span"] == span_id(telemetry.trace_id, "cell", span.key)
-        assert (row["status"], row["attempt"]) == ("ok", 1)
+                                    "schema_version": 2}
+    sweep, *rows = [json.loads(line) for line in lines[1:]]
+    assert (sweep["kind"], sweep["parent"]) == ("sweep", None)
+    assert [(r["kind"], r["name"]) for r in rows] == [
+        (kind, cell.label) for cell in _cells()
+        for kind in ("cell", "execute")]
+    tid = telemetry.trace_id
+    for cell, execute, span in zip(rows[::2], rows[1::2], telemetry.spans):
+        assert cell["span"] == span_id(tid, "cell", span.key)
+        assert (cell["status"], cell["attempt"]) == ("ok", 1)
+        assert execute["span"] == span_id(tid, "execute", span.key, 1)
+        assert execute["parent"] == cell["span"]
+        assert (execute["status"], execute["events"]) == ("ok", [])
+        assert execute["wall"]["worker"] != f"pid-{os.getpid()}"
+        assert cell["wall"]["start"] <= execute["wall"]["start"] \
+            <= execute["wall"]["end"] <= cell["wall"]["end"]
 
 
-def test_no_trace_without_a_trace_dir():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_answered_failure_carries_fault_error_and_retry(
+        tmp_path, monkeypatch, jobs):
+    """The worker's record brings the fault it saw; the coordinator
+    adds the error and its retry decision, in that order."""
+    monkeypatch.setenv(FAULTS_ENV, json.dumps({"faults": [
+        {"cell": "obs-e2e[0]", "kind": "raise", "attempts": [1]}]}))
+    telemetry = _traced(monkeypatch, tmp_path)
+    run_cells(_cells(2), RunConfig(jobs=jobs, retries=1, backoff_base=0.001,
+                                   telemetry=telemetry))
+    rows = [r for r in telemetry.trace_rows()
+            if r["kind"] == "execute" and r["name"] == "obs-e2e[0]"]
+    assert [(r["attempt"], r["status"]) for r in rows] == \
+        [(1, "error"), (2, "ok")]
+    assert [e["name"] for e in rows[0]["events"]] == \
+        ["fault", "error", "retry_scheduled"]
+    assert rows[0]["events"][1] == {"name": "error", "det": True,
+                                    "error": "InjectedFaultError"}
+    assert rows[1]["events"] == []
+
+
+def test_no_trace_without_a_trace_dir(tmp_path, monkeypatch):
+    """Without a trace directory nothing is traced, even when attempts
+    return records."""
+    monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
     telemetry = RunTelemetry()
     run_cells(_cells(1), RunConfig(jobs=1, telemetry=telemetry))
     assert telemetry.trace_id == ""
-    assert telemetry.trace_context(0) is None
+    assert telemetry.trace_rows() == []
     assert telemetry.write_trace() is None
+    assert telemetry.counts()["completed"] == 1

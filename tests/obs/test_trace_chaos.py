@@ -7,11 +7,11 @@ the experiments CLI:
 
 * a traced worker fleet under fault injection prints exactly the bytes
   a fault-free untraced ``--jobs 1`` run prints (observation is pure);
-* the stitched span tree passes every completeness invariant — the
-  claim ladder is 1..K, each claim has its execute, each retried
-  attempt has its nack, and exactly one terminal closes the cell; an
-  attempt whose worker was killed (a ``kill`` fault, a cell timeout)
-  ends in the coordinator's ``lost`` terminal instead;
+* the coordinator writes the sweep's one trace file, and it passes
+  every completeness invariant — each cell's attempts run 1..K with one
+  row each, an answered attempt is an ``execute`` row (``error`` for a
+  failure), and an attempt whose worker was killed (a ``kill`` fault, a
+  cell timeout) is a ``lost`` row;
 * the canonical projection is byte-identical across worker counts for
   raise-based fault plans (retries are deterministic; schedules are
   not, and they must not leak into the projection).
@@ -20,6 +20,7 @@ the experiments CLI:
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -60,14 +61,14 @@ def traced_fleet(tmp_path, tag, *extra):
 
 
 def stitched(run_dir):
-    tree = stitch(load_trace_rows([run_dir]))
-    assert completeness(tree) == [], "trace must be causally complete"
+    tree = stitch(load_trace_rows(run_dir))
+    assert completeness(tree) == [], "trace must be complete"
     return tree
 
 
 def spans_for(tree, label, kind):
-    """Spans of one cell, selected by label (keys are cache hashes)."""
-    return sorted((s for s in tree["spans"].values()
+    """Rows of one cell, selected by label (keys are cache hashes)."""
+    return sorted((s for s in tree["rows"]
                    if s["name"] == label and s["kind"] == kind),
                   key=lambda s: s["attempt"])
 
@@ -84,22 +85,18 @@ class TestRetriedCellTrace:
         tree = stitched(run_dir)
 
         label = "fig3[0.6]"
-        claims = spans_for(tree, label, "claim")
-        assert [c["attempt"] for c in claims] == [1, 2]
         executes = spans_for(tree, label, "execute")
-        assert [e["attempt"] for e in executes] == [1, 2]
-        # The faulted attempt carries the deterministic fault event.
+        assert [(e["attempt"], e["status"]) for e in executes] == \
+            [(1, "error"), (2, "ok")]
+        # The faulted attempt carries the deterministic fault event,
+        # then the error and the retry it led to.
         fault_events = [e for e in executes[0]["events"]
                         if e["name"] == "fault"]
         assert fault_events and all(e["det"] for e in fault_events)
-        # Attempt 1 ends in a nack explaining the error and the retry.
-        (nack,) = spans_for(tree, label, "nack")
-        assert nack["attempt"] == 1
-        names = [e["name"] for e in nack["events"]]
+        names = [e["name"] for e in executes[0]["events"]]
         assert "error" in names and "retry_scheduled" in names
-        # Attempt 2 ends in the cell's single ack.
-        (ack,) = spans_for(tree, label, "ack")
-        assert ack["attempt"] == 2
+        assert executes[1]["events"] == []
+        assert spans_for(tree, label, "lost") == []
 
     def test_canonical_projection_is_worker_count_invariant(
             self, tmp_path, capsys, monkeypatch):
@@ -119,35 +116,33 @@ class TestExhaustedCellTrace:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_last_nack_says_the_attempts_are_exhausted(
             self, tmp_path, capsys, monkeypatch, jobs):
-        """The coordinator tells each attempt whether its failure will
-        be retried; the nack spans record it at any worker count."""
+        """The coordinator decides whether a failed attempt is retried;
+        each failed execute row records it, at any worker count."""
         monkeypatch.setenv(FAULTS_ENV, EXHAUST_PLAN)
         obs = tmp_path / "obs"
         assert main(["fig3", "--store", f"local:{tmp_path}/s",
                      "--telemetry", str(obs), "--jobs", jobs,
                      "--retries", "1", "--keep-going"]) == 1
         capsys.readouterr()
-        nacks = spans_for(stitched(obs / "fig3"), "fig3[0.6]", "nack")
-        assert [n["attempt"] for n in nacks] == [1, 2]
-        assert [[e["name"] for e in n["events"] if e["name"] != "error"]
-                for n in nacks] == [["retry_scheduled"],
-                                    ["attempts_exhausted"]]
+        rows = spans_for(stitched(obs / "fig3"), "fig3[0.6]", "execute")
+        assert [(r["attempt"], r["status"]) for r in rows] == \
+            [(1, "error"), (2, "error")]
+        assert [[e["name"] for e in r["events"]
+                 if e["name"] not in ("fault", "error")]
+                for r in rows] == [["retry_scheduled"],
+                                   ["attempts_exhausted"]]
 
 
 class TestKilledAttemptTrace:
-    """A worker that dies mid-attempt writes no execute or nack span;
-    the coordinator closes that attempt with a ``lost`` terminal."""
+    """A worker that dies mid-attempt answers nothing; the coordinator
+    records that attempt as a ``lost`` row."""
 
-    def assert_lost_then_acked(self, tree):
+    def assert_lost_then_ok(self, tree):
         label = "fig3[0.7]"
-        claims = spans_for(tree, label, "claim")
-        assert [c["attempt"] for c in claims] == [1, 2]
         (lost,) = spans_for(tree, label, "lost")
         assert lost["attempt"] == 1
-        assert [e["attempt"] for e in spans_for(tree, label, "execute")] \
-            == [2]
-        (ack,) = spans_for(tree, label, "ack")
-        assert ack["attempt"] == 2
+        assert [(e["attempt"], e["status"])
+                for e in spans_for(tree, label, "execute")] == [(2, "ok")]
 
     def test_killed_worker_leaves_a_complete_tree(
             self, tmp_path, capsys, monkeypatch):
@@ -156,7 +151,35 @@ class TestKilledAttemptTrace:
         run_dir = traced_fleet(tmp_path, "kill", "--jobs", "2",
                                "--retries", "1")
         assert capsys.readouterr().out == baseline
-        self.assert_lost_then_acked(stitched(run_dir))
+        self.assert_lost_then_ok(stitched(run_dir))
+
+    def test_killed_worker_leaves_one_trace_file_naming_its_pid(
+            self, tmp_path, capsys, monkeypatch):
+        """The dead worker leaves no file of its own: the coordinator's
+        one trace records the lost attempt from its hand-off, with the
+        pid of the worker it handed it to."""
+        monkeypatch.setenv(FAULTS_ENV, KILL_PLAN)
+        run_dir = traced_fleet(tmp_path, "kill1", "--jobs", "2",
+                               "--retries", "1")
+        capsys.readouterr()
+        trace_files = [p for p in tmp_path.rglob("*.jsonl")
+                       if p.parent.name != "series"]
+        assert trace_files == [run_dir / "traces" / "trace.jsonl"]
+        tree = stitched(run_dir)
+        (lost,) = spans_for(tree, "fig3[0.7]", "lost")
+        (retry,) = spans_for(tree, "fig3[0.7]", "execute")
+        assert retry["attempt"] == 2
+        assert lost["wall"]["start"] is not None
+        assert lost["wall"]["start"] <= retry["wall"]["start"]
+        dead = lost["wall"]["worker"]
+        assert dead.startswith("pid-")
+        pid = int(dead[len("pid-"):])
+        assert pid != os.getpid()  # a forked worker, not the coordinator
+        # It answered nothing, and it is gone.
+        assert dead not in {r["wall"]["worker"] for r in tree["rows"]
+                            if r["kind"] == "execute"}
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_timed_out_attempt_leaves_a_complete_tree(
             self, tmp_path, capsys, monkeypatch):
@@ -166,7 +189,7 @@ class TestKilledAttemptTrace:
                                "--retries", "1")
         assert capsys.readouterr().out == baseline
         tree = stitched(run_dir)
-        self.assert_lost_then_acked(tree)
+        self.assert_lost_then_ok(tree)
         (lost,) = spans_for(tree, "fig3[0.7]", "lost")
         assert [e["error_type"] for e in lost["events"]] == \
             ["CellTimeoutError"]
